@@ -11,7 +11,8 @@ Submodules:
 * decide      -- bounded three-valued decision procedure and axiom checks
 * syndetic    -- gap-run statistics, covering checks, partition diagnostics
 * mann        -- unit and homogeneous equations over multiplicative monoids
-* cli         -- the ``regseq`` command-line entry point
+* cli         -- the ``regseq`` command-line entry point (not imported here,
+                 so ``python -m regseq.cli`` runs the module once)
 """
 
 __version__ = "0.1.0"
@@ -27,7 +28,6 @@ from . import decide
 from . import syndetic
 from . import mann
 from . import jsonio
-from . import cli
 
 __all__ = ["certs", "polyops", "sequences", "operators", "equations",
            "congruence", "formulas", "decide", "syndetic", "mann",

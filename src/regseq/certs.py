@@ -71,16 +71,15 @@ class BoundedCheck(Certificate):
         return {"level": "BoundedCheck", "N": str(self.n)}
 
 
-def merge(certs, reason=None):
-    """Combine sub-certificates: Proved only if every part is Proved.
+def merge(certs, reason):
+    """Combine sub-certificates: Proved(reason) only if every part is Proved
+    (so an empty list gives Proved(reason)).
 
     When some part is a bounded check, the merged certificate keeps the
     smallest verified window (the weakest link).
     """
     certs = list(certs)
     if all(c.is_proved for c in certs):
-        if reason is None:
-            reason = certs[0].reason if certs else REASON_NONVANISHING
         return Proved(reason)
     window = min(c.n for c in certs if not c.is_proved)
     return BoundedCheck(window)

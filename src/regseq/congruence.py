@@ -15,8 +15,10 @@ detect the period empirically and insist on a 5-period verification window;
 without one the profile is refused outright (BoundedProfileError).
 """
 
+from math import gcd
+
 from . import sequences as sq
-from . import operators as op_mod
+from .certs import Proved, merge
 
 STREAM_BUDGET = 4096
 
@@ -54,42 +56,80 @@ class CongruenceProfile:
 
 
 class PeriodicIndexSet:
-    """{ n : m | f(n)+k } as residue classes of n mod p past the preperiod,
-    plus an explicit finite list for the indices below it."""
+    """An eventually periodic set of indices: below rho the members are
+    listed explicitly; at rho and beyond, membership is n mod p in classes.
+    The certificate records whether this is an exact description or a
+    bounded approximation."""
 
-    def __init__(self, rho, p, classes, exceptions):
-        self.rho = int(rho)
-        self.p = int(p)
-        self.classes = tuple(sorted(int(c) for c in classes))
-        self.exceptions = tuple(sorted(int(e) for e in exceptions))
+    def __init__(self, rho, p, classes, members, cert):
+        self.rho = max(0, int(rho))
+        self.p = max(1, int(p))
+        self.classes = frozenset(int(c) % self.p for c in classes)
+        self.members = tuple(sorted(set(int(m) for m in members if m < self.rho)))
+        self.cert = cert
+
+    @staticmethod
+    def full():
+        return PeriodicIndexSet(0, 1, (0,), (), Proved("vacuous-constraint"))
+
+    @staticmethod
+    def finite(members, cert):
+        rho = (max(members) + 1) if members else 0
+        return PeriodicIndexSet(rho, 1, (), members, cert)
+
+    @staticmethod
+    def cofinite(excluded, cert):
+        rho = (max(excluded) + 1) if excluded else 0
+        members = [n for n in range(rho) if n not in set(excluded)]
+        return PeriodicIndexSet(rho, 1, (0,), members, cert)
 
     def contains(self, n):
-        if n >= self.rho:
-            return (n % self.p) in self.classes
-        return n in self.exceptions
+        if n < self.rho:
+            return n in self.members
+        return (n % self.p) in self.classes
 
     def is_empty(self):
-        return not self.classes and not self.exceptions
+        return not self.members and not self.classes
 
-    def smallest_members(self, count):
-        out = []
-        n = 0
-        # classes nonempty guarantees termination; cap generously anyway
-        limit = self.rho + self.p * (count + 2) + count
-        while len(out) < count and n <= limit:
-            if self.contains(n):
+    def is_finite(self):
+        return not self.classes
+
+    def complement(self):
+        if self.is_finite():
+            return PeriodicIndexSet.cofinite(
+                [n for n in range(self.rho) if self.contains(n)], self.cert)
+        members = [n for n in range(self.rho) if not self.contains(n)]
+        classes = [c for c in range(self.p) if c not in self.classes]
+        return PeriodicIndexSet(self.rho, self.p, classes, members, self.cert)
+
+    def shift(self, k):
+        """The set { l : l + k in self } for k >= 0."""
+        classes = frozenset((c - k) % self.p for c in self.classes)
+        members = [l for l in range(self.rho) if self.contains(l + k)]
+        return PeriodicIndexSet(self.rho, self.p, classes, members, self.cert)
+
+    def intersect(self, other):
+        p = self.p * other.p // gcd(self.p, other.p)
+        rho = max(self.rho, other.rho)
+        members = [n for n in range(rho)
+                   if self.contains(n) and other.contains(n)]
+        classes = []
+        for c in range(p):
+            n = rho + ((c - rho) % p)
+            if self.contains(n) and other.contains(n):
+                classes.append(c)
+        cert = merge([self.cert, other.cert], reason="index-set-arithmetic")
+        return PeriodicIndexSet(rho, p, classes, members, cert)
+
+    def head(self, k):
+        """The k smallest members (all of them when the set is smaller)."""
+        out = list(self.members[:k])
+        n = self.rho
+        while self.classes and len(out) < k:
+            if (n % self.p) in self.classes:
                 out.append(n)
             n += 1
         return out
-
-    def __repr__(self):
-        return "PeriodicIndexSet(rho=%d, p=%d, classes=%s, exceptions=%s)" % (
-            self.rho, self.p, self.classes, self.exceptions)
-
-    def to_json(self):
-        return {"preperiod": str(self.rho), "period": str(self.p),
-                "classes": [str(c) for c in self.classes],
-                "exceptions": [str(e) for e in self.exceptions]}
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +248,7 @@ def _table_profile(handle, m):
 
 
 def divisibility_set(handle, op, k, m):
-    """{ n : m | f(n) + k } for the operator f, as a periodic index set.
+    """{ n : m | f(n) + k } for the operator f, as an exact periodic index set.
 
     Past the profile preperiod, f(n) + k mod m is a function of n mod p
     because every tap r_{n+i} is; below it the membership is listed
@@ -228,5 +268,5 @@ def divisibility_set(handle, op, k, m):
         n_c = rho + ((c - rho) % p)  # smallest n >= rho with n = c mod p
         if hit(n_c):
             classes.append(c)
-    exceptions = [n for n in range(rho) if hit(n)]
-    return PeriodicIndexSet(rho, p, classes, exceptions)
+    members = [n for n in range(rho) if hit(n)]
+    return PeriodicIndexSet(rho, p, classes, members, Proved("congruence-profile"))

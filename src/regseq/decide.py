@@ -27,13 +27,12 @@ collection of offset patterns can absorb.
 """
 
 import itertools
-from math import gcd
 
 from . import certs
 from . import formulas as F
-from .congruence import divisibility_set
-from .equations import EquationProblem, ShiftPattern, TrivialOperatorPresent, \
-    solve_full, solve_nondegenerate
+from .congruence import PeriodicIndexSet, divisibility_set
+from .equations import EquationProblem, TrivialOperatorPresent, \
+    _box_solutions, solve_full, solve_nondegenerate
 from .operators import CofiniteZero, FiniteRoots, NotFinitelySolvable, \
     Operator, apply, classify, solve_inhomogeneous
 
@@ -41,6 +40,18 @@ DNF_CAP = 256
 INT_PRODUCT_CAP = 4096
 CANDIDATE_CAP = 4096
 STREAM_HEAD = 24
+
+# Side of the exhaustive index box, by number of variables (1, 2, 3, 4 or
+# more), for each bounded scan; a caller's budget can only shrink it.
+BOX_BUDGETS = {
+    "bounded-search": (20, 20, 12, 8),
+    "ax6-revalidation": (200, 200, 36, 16),
+    "ax6-empirical": (200, 200, 60, 25),
+}
+
+
+def _box_side(scan, nvars, budget):
+    return min(budget, BOX_BUDGETS[scan][min(nvars, 4) - 1])
 
 
 class OutOfFragment(ValueError):
@@ -97,86 +108,6 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Eventually periodic index sets
-# ---------------------------------------------------------------------------
-
-class _IndexSet:
-    """members lists the set below rho explicitly; at rho and beyond,
-    membership is n mod p in classes.  The certificate records whether this
-    is an exact description or a bounded approximation."""
-
-    def __init__(self, rho, p, classes, members, cert):
-        self.rho = max(0, int(rho))
-        self.p = max(1, int(p))
-        self.classes = frozenset(int(c) % self.p for c in classes)
-        self.members = tuple(sorted(set(int(m) for m in members if m < self.rho)))
-        self.cert = cert
-
-    @staticmethod
-    def full(cert=None):
-        return _IndexSet(0, 1, (0,), (), cert or certs.Proved("vacuous-constraint"))
-
-    @staticmethod
-    def finite(members, cert):
-        rho = (max(members) + 1) if members else 0
-        return _IndexSet(rho, 1, (), members, cert)
-
-    @staticmethod
-    def cofinite(excluded, cert):
-        rho = (max(excluded) + 1) if excluded else 0
-        members = [n for n in range(rho) if n not in set(excluded)]
-        return _IndexSet(rho, 1, (0,), members, cert)
-
-    @staticmethod
-    def from_periodic(ps, cert):
-        return _IndexSet(ps.rho, ps.p, ps.classes, ps.exceptions, cert)
-
-    def contains(self, n):
-        if n < self.rho:
-            return n in self.members
-        return (n % self.p) in self.classes
-
-    def is_empty(self):
-        return not self.members and not self.classes
-
-    def is_finite(self):
-        return not self.classes
-
-    def shift(self, k):
-        """The set { l : l + k in self } for k >= 0."""
-        classes = frozenset((c - k) % self.p for c in self.classes)
-        members = [l for l in range(self.rho) if self.contains(l + k)]
-        return _IndexSet(self.rho, self.p, classes, members, self.cert)
-
-    def intersect(self, other):
-        p = self.p * other.p // gcd(self.p, other.p)
-        rho = max(self.rho, other.rho)
-        members = [n for n in range(rho)
-                   if self.contains(n) and other.contains(n)]
-        classes = []
-        for c in range(p):
-            n = rho + ((c - rho) % p)
-            if self.contains(n) and other.contains(n):
-                classes.append(c)
-        cert = certs.merge([self.cert, other.cert], reason="index-set-arithmetic")
-        return _IndexSet(rho, p, classes, members, cert)
-
-    def stream(self):
-        for m in self.members:
-            yield m
-        if not self.classes:
-            return
-        n = self.rho
-        while True:
-            if (n % self.p) in self.classes:
-                yield n
-            n += 1
-
-    def head(self, k):
-        return list(itertools.islice(self.stream(), k))
-
-
-# ---------------------------------------------------------------------------
 # Literal compilation
 # ---------------------------------------------------------------------------
 
@@ -202,52 +133,42 @@ def _single_var_set(handle, lit, budget):
         if c == 0:
             cls = classify(op, handle)
             if isinstance(cls, FiniteRoots):
-                zero_set = _IndexSet.finite(list(cls.roots), cls.cert)
+                zero_set = PeriodicIndexSet.finite(list(cls.roots), cls.cert)
             else:
-                zero_set = _IndexSet.cofinite(list(cls.exceptions), cls.cert)
+                zero_set = PeriodicIndexSet.cofinite(list(cls.exceptions), cls.cert)
         else:
             try:
                 sols, cert = solve_inhomogeneous(op, handle, -c,
                                                  budget=max(300, budget))
-                zero_set = _IndexSet.finite(sols, cert)
+                zero_set = PeriodicIndexSet.finite(sols, cert)
             except NotFinitelySolvable:
                 window = max(64, budget)
                 hits = [n for n in range(window + 1) if apply(op, handle, n) == -c]
                 if len(hits) == window + 1:
                     # the scanned prefix is solid; treat the set as unknown
                     # beyond the window rather than pretending it is finite
-                    zero_set = _IndexSet(window + 1, 1, (0,), hits,
-                                         certs.BoundedCheck(window))
+                    zero_set = PeriodicIndexSet(window + 1, 1, (0,), hits,
+                                                certs.BoundedCheck(window))
                 else:
-                    zero_set = _IndexSet.finite(hits, certs.BoundedCheck(window))
-        return zero_set if want_zero else _complement(zero_set)
+                    zero_set = PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
+        return zero_set if want_zero else zero_set.complement()
     if isinstance(lit, F.DivZ):
         try:
-            ps = divisibility_set(handle, op, c, lit.m)
-            return _IndexSet.from_periodic(ps, certs.Proved("congruence-profile"))
+            return divisibility_set(handle, op, c, lit.m)
         except (ValueError, NotImplementedError):
             window = max(64, budget)
             hits = [n for n in range(window + 1)
                     if (apply(op, handle, n) + c) % lit.m == 0]
-            return _IndexSet.finite(hits, certs.BoundedCheck(window))
+            return PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
     if isinstance(lit, F.InRZ):
         if g == (1,) and c == 0:
-            return _IndexSet.full() if lit.positive else \
-                _IndexSet.finite((), certs.Proved("vacuous-constraint"))
+            return PeriodicIndexSet.full() if lit.positive else \
+                PeriodicIndexSet.finite((), certs.Proved("vacuous-constraint"))
         window = max(64, budget)
         hits = [n for n in range(window + 1)
                 if F._in_r(handle, apply(op, handle, n) + c) == lit.positive]
-        return _IndexSet.finite(hits, certs.BoundedCheck(window))
+        return PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
     raise OutOfFragment("unsupported-literal", type(lit).__name__)
-
-
-def _complement(s):
-    if s.is_finite():
-        return _IndexSet.cofinite(
-            [n for n in range(s.rho) if s.contains(n)], s.cert)
-    members = [n for n in range(s.rho) if not s.contains(n)]
-    classes = [c for c in range(s.p) if c not in s.classes]
-    return _IndexSet(s.rho, s.p, classes, members, s.cert)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +371,6 @@ class _BoundedTruth:
     """Stands for a negated Sigma atom that held up to the budget only; it
     blocks certified True verdicts through its disjunct."""
 
-    def negate(self):  # pragma: no cover - never negated after NNF
-        raise OutOfFragment("nested-negated-sigma")
-
 
 def _solve_disjunct(handle, rvars, lits, budget):
     if any(isinstance(l, _BoundedTruth) for l in lits):
@@ -461,7 +379,7 @@ def _solve_disjunct(handle, rvars, lits, budget):
         if outcome[0] == "true":
             return ("unknown", "negated-sigma-at-budget")
         return outcome
-    constraints = {v: _IndexSet.full() for v in rvars}
+    constraints = {v: PeriodicIndexSet.full() for v in rvars}
     equations = []
     side = []       # multi-variable disequalities, checked on candidates
     bounded = []    # multi-variable Div/InR atoms: bounded route only
@@ -577,7 +495,7 @@ def _description_empty(handle, description, constraints, evars):
     for case in description.cases:
         class_sets = []
         for cls in case.partition:
-            combined = _IndexSet.full()
+            combined = PeriodicIndexSet.full()
             for pos in cls:
                 combined = combined.intersect(constraints[evars[pos]])
             class_sets.append(combined)
@@ -596,12 +514,8 @@ def _description_empty(handle, description, constraints, evars):
                    for idx, ci in enumerate(case.active_positions)):
                 return (False, "sporadic-survives-constraints")
         for pattern in distinct.patterns:
-            if pattern.validity == ShiftPattern.COFINITE:
-                anchor = _IndexSet.cofinite(sorted(pattern.exceptions),
-                                            certs.Proved("pattern-validity"))
-            else:
-                anchor = _IndexSet.finite(sorted(pattern.anchors),
-                                          certs.Proved("pattern-validity"))
+            anchor = PeriodicIndexSet.cofinite(pattern.exceptions,
+                                               certs.Proved("pattern-validity"))
             for idx, ci in enumerate(case.active_positions):
                 anchor = anchor.intersect(class_sets[ci].shift(pattern.offsets[idx]))
             if not anchor.is_empty():
@@ -612,8 +526,7 @@ def _description_empty(handle, description, constraints, evars):
 
 
 def _bounded_disjunct(handle, rvars, lits, budget):
-    box = min(budget, (20, 20, 12, 8)[min(len(rvars), 4) - 1]) \
-        if rvars else 0
+    box = _box_side("bounded-search", len(rvars), budget) if rvars else 0
     for combo in itertools.product(range(box + 1), repeat=len(rvars)):
         assignment = dict(zip(rvars, combo))
         if _check_assignment(handle, lits, assignment, budget):
@@ -684,34 +597,13 @@ def verify_ax6(handle, ops, budget=200):
     return _ax6_empirical(handle, problem, solutions, budget)
 
 
-def _nondegenerate_scan(problem, window):
-    """Non-degenerate solutions with all indices in [0, window], by direct
-    enumeration (the axiom checks need windows past the oracle ceiling)."""
-    vals = [[apply(op, problem.handle, n) for n in range(window + 1)]
-            for op in problem.operators]
-    s = problem.s
-    out = []
-    for tup in itertools.product(range(window + 1), repeat=s):
-        if sum(vals[j][tup[j]] for j in range(s)) != problem.z:
-            continue
-        if len(set(tup)) < s:
-            continue
-        if any(sum(vals[j][tup[j]] for j in sub) == 0
-               for size in range(1, s)
-               for sub in itertools.combinations(range(s), size)):
-            continue
-        out.append(tup)
-    return out
-
-
 def _ax6_constants(handle, problem, solutions, budget):
     offset_sets = [tuple(p.offsets[i] - p.offsets[0]
                          for i in range(1, len(p.offsets)))
                    for p in solutions.patterns]
     spill = [i for tup in solutions.sporadic for i in tup]
     for p in solutions.patterns:
-        if p.validity == ShiftPattern.COFINITE:
-            spill.extend(p.exceptions)
+        spill.extend(p.exceptions)
     c_index = max(spill) if spill else -1
     constant = handle.eval(c_index) if c_index >= 0 else 0
     # fresh window: every pattern instance beyond the constant still solves
@@ -725,9 +617,8 @@ def _ax6_constants(handle, problem, solutions, budget):
             if total != 0:
                 raise AssertionError("pattern fails at anchor %d" % l)
     # and a brute-force window finds nothing off-pattern
-    s = problem.s
-    window = min(budget, (200, 200, 36, 16)[min(s, 4) - 1])
-    for tup in _nondegenerate_scan(problem, window):
+    window = _box_side("ax6-revalidation", problem.s, budget)
+    for tup in _box_solutions(problem, window)[0]:
         if not any(p.matches(tup) for p in solutions.patterns) \
                 and tup not in set(solutions.sporadic):
             raise AssertionError("off-pattern solution %r" % (tup,))
@@ -741,9 +632,8 @@ def _ax6_constants(handle, problem, solutions, budget):
 
 
 def _ax6_empirical(handle, problem, solutions, budget):
-    s = problem.s
-    window = min(budget, (200, 200, 60, 25)[min(s, 4) - 1])
-    found = _nondegenerate_scan(problem, window)
+    window = _box_side("ax6-empirical", problem.s, budget)
+    found = _box_solutions(problem, window)[0]
     spans = {}
     for tup in found:
         spans.setdefault(max(tup) - min(tup), []).append(tup)

@@ -89,50 +89,24 @@ class EquationProblem:
 class ShiftPattern:
     """Offsets (m_1, ..., m_s) with min 0; the anchor is the variable at
     offset 0 (unique, offsets in a non-degenerate pattern being distinct).
-
-    validity is either ("cofinite", exceptions) -- every anchor l works
-    except those listed -- or ("finite", anchors) -- exactly those listed.
+    The validity is cofinite: every anchor l works except the listed
+    exceptions.
     """
 
     COFINITE = "cofinite"
-    FINITE = "finite"
+    validity = COFINITE
 
-    def __init__(self, offsets, validity, support):
+    def __init__(self, offsets, exceptions):
         self.offsets = tuple(int(m) for m in offsets)
         if min(self.offsets) != 0:
             raise ValueError("pattern offsets must be anchored at 0")
-        if validity not in (self.COFINITE, self.FINITE):
-            raise ValueError("unknown validity")
-        self.validity = validity
-        self.support = tuple(sorted(int(x) for x in support))
-
-    @staticmethod
-    def cofinite_from(offsets, exceptions):
-        return ShiftPattern(offsets, ShiftPattern.COFINITE, exceptions)
-
-    @staticmethod
-    def finite_bases(offsets, anchors):
-        return ShiftPattern(offsets, ShiftPattern.FINITE, anchors)
-
-    @property
-    def exceptions(self):
-        if self.validity != self.COFINITE:
-            raise ValueError("finite-base pattern has no exception list")
-        return self.support
-
-    @property
-    def anchors(self):
-        if self.validity != self.FINITE:
-            raise ValueError("cofinite pattern has no anchor list")
-        return self.support
+        self.exceptions = tuple(sorted(int(x) for x in exceptions))
 
     def instantiate(self, l):
         return tuple(l + m for m in self.offsets)
 
     def valid_anchor(self, l):
-        if self.validity == self.COFINITE:
-            return l >= 0 and l not in self.support
-        return l in self.support
+        return l >= 0 and l not in self.exceptions
 
     def tuples_up_to(self, n):
         top = n - max(self.offsets)
@@ -143,15 +117,11 @@ class ShiftPattern:
         return tuple(v - l for v in tup) == self.offsets and self.valid_anchor(l)
 
     def __repr__(self):
-        return "ShiftPattern(%s, %s %s)" % (self.offsets, self.validity, self.support)
+        return "ShiftPattern(%s, %s %s)" % (self.offsets, self.validity, self.exceptions)
 
     def to_json(self):
-        out = {"offsets": [str(m) for m in self.offsets], "validity": self.validity}
-        if self.validity == self.COFINITE:
-            out["exceptions"] = [str(e) for e in self.support]
-        else:
-            out["anchors"] = [str(a) for a in self.support]
-        return out
+        return {"offsets": [str(m) for m in self.offsets], "validity": self.validity,
+                "exceptions": [str(e) for e in self.exceptions]}
 
 
 class Split:
@@ -164,10 +134,6 @@ class Split:
         self.subset = tuple(sorted(subset))
         self.zero_side = zero_side
         self.target_side = target_side
-
-    def is_finite(self):
-        return (not self.zero_side.patterns and not self.zero_side.splits
-                and not self.target_side.patterns and not self.target_side.splits)
 
     def to_json(self):
         return {"subset": [str(i + 1) for i in self.subset],
@@ -215,7 +181,8 @@ class DistinctSolutions:
                 for pos, v in zip(comp, b):
                     tup[pos] = v
                 tup = tuple(tup)
-                if _canonical_split(self.problem, tup) == sp.subset:
+                terms = [self.problem.value(j, v) for j, v in enumerate(tup)]
+                if _vanishing_subset(terms) == sp.subset:
                     out.append(tup)
         return out
 
@@ -298,29 +265,19 @@ def _tag(s, vals, tup):
         for j in range(i + 1, s):
             if tup[i] == tup[j]:
                 return {"status": "collision", "pair": (i, j)}
-    sub = _canonical_split_vals(vals, tup)
+    sub = _vanishing_subset([row[v] for row, v in zip(vals, tup)])
     if sub is not None:
         return {"status": "vanishing", "subset": sub}
     return {"status": "non-degenerate"}
 
 
-def _canonical_split_vals(vals, tup):
-    """Canonical minimal vanishing proper subset (smallest size, then
-    lexicographic); None when every proper sub-sum is nonzero."""
-    s = len(tup)
-    for size in range(1, s):
-        for sub in itertools.combinations(range(s), size):
-            if sum(vals[j][tup[j]] for j in sub) == 0:
-                return sub
-    return None
-
-
-def _canonical_split(problem, tup):
-    values = [problem.value(j, tup[j]) for j in range(problem.s)]
-    s = len(tup)
-    for size in range(1, s):
-        for sub in itertools.combinations(range(s), size):
-            if sum(values[j] for j in sub) == 0:
+def _vanishing_subset(terms):
+    """The canonical vanishing proper sub-sum of the terms: the positions of
+    the smallest one, the lexicographically first among equals; None when
+    the terms are non-degenerate (no proper sub-sum vanishes)."""
+    for size in range(1, len(terms)):
+        for sub in itertools.combinations(range(len(terms)), size):
+            if sum(terms[j] for j in sub) == 0:
                 return sub
     return None
 
@@ -515,8 +472,10 @@ class _KillTester:
 # ---------------------------------------------------------------------------
 
 def _box_solutions(problem, top):
-    """All tuples in [0, top]^s summing to z (meet-in-the-middle), plus the
-    per-variable value table used to compute them."""
+    """All non-degenerate tuples in [0, top]^s summing to z (pairwise
+    distinct indices, no vanishing proper sub-sum), found by
+    meet-in-the-middle and sorted, plus the per-variable value table used to
+    compute them."""
     s = problem.s
     vals = _value_table(problem, top)
     half = s // 2
@@ -528,7 +487,10 @@ def _box_solutions(problem, top):
     for tup in itertools.product(range(top + 1), repeat=s - half):
         rest = problem.z - sum(vals[half + j][tup[j]] for j in range(s - half))
         for left in table.get(rest, ()):
-            out.append(left + tup)
+            full = left + tup
+            if len(set(full)) == s and _vanishing_subset(
+                    [row[v] for row, v in zip(vals, full)]) is None:
+                out.append(full)
     out.sort()
     return out, vals
 
@@ -603,22 +565,17 @@ def _solve_distinct(problem, memo, depth=0):
     patterns = []
     for offsets in sorted(family_offsets):
         exceptions = [l for l in range(comp.box + 1)
-                      if _canonical_split_vals(vals, tuple(l + m for m in offsets))
+                      if _vanishing_subset([row[l + m] for row, m in zip(vals, offsets)])
                       is not None]
-        patterns.append(ShiftPattern.cofinite_from(offsets, exceptions))
+        patterns.append(ShiftPattern(offsets, exceptions))
 
     # Sporadic: non-degenerate box solutions not riding a family.
-    sporadic = []
-    for tup in solutions:
-        if len(set(tup)) != s:
-            continue
-        if _canonical_split_vals(vals, tup) is not None:
-            continue
-        if any(p.matches(tup) for p in patterns):
-            continue
-        sporadic.append(tup)
+    sporadic = [tup for tup in solutions
+                if not any(p.matches(tup) for p in patterns)]
 
     # Degenerate-but-distinct: recurse on the canonical vanishing subset.
+    # An empty side still vouches for the emptiness of its split, so its
+    # certificate is merged before the split is skipped.
     splits = []
     certs = [comp.cert]
     if s >= 2 and depth < 6:
@@ -627,17 +584,17 @@ def _solve_distinct(problem, memo, depth=0):
                 zero_side = _solve_distinct(
                     EquationProblem(handle, [ops[i] for i in sub], 0),
                     memo, depth + 1)
+                certs.append(zero_side.certificate)
                 if zero_side.is_empty():
                     continue
                 comp_vars = [i for i in range(s) if i not in sub]
                 target_side = _solve_distinct(
                     EquationProblem(handle, [ops[i] for i in comp_vars], z),
                     memo, depth + 1)
+                certs.append(target_side.certificate)
                 if target_side.is_empty():
                     continue
                 splits.append(Split(sub, zero_side, target_side))
-                certs.append(zero_side.certificate)
-                certs.append(target_side.certificate)
 
     if z != 0:
         assert not patterns, "inhomogeneous equation produced pattern families"
@@ -685,12 +642,11 @@ def solve_full(problem):
             continue
         sub = EquationProblem(handle, [collapsed[i] for i in active_pos], problem.z)
         dsol = _solve_distinct(sub, memo)
+        certs.append(dsol.certificate)
         if dsol.is_empty():
             continue
         cases.append(CaseSolution(classes, free_pos, active_pos, dsol))
-        certs.append(dsol.certificate)
-    cert = merge(certs, reason="dominance-bounds") if certs else Proved("dominance-bounds")
-    return SolutionDescription(problem, cases, cert)
+    return SolutionDescription(problem, cases, merge(certs, reason="dominance-bounds"))
 
 
 def _set_partitions(s):
@@ -733,159 +689,3 @@ def _case_tuples(problem, case, n):
                     tup[var] = assign[ci]
             out.append(tuple(tup))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Successor-structure interpretation
-# ---------------------------------------------------------------------------
-
-class SuccessorInterpretation:
-    """A SolutionDescription rendered with equality, the within-R successor
-    S, element constants, and pairwise-distinctness constraints.  evaluate()
-    re-enumerates the index tuples using only this successor-level data,
-    giving an independent round-trip check against the description."""
-
-    def __init__(self, handle, s, clauses):
-        self.handle = handle
-        self.s = s
-        self.clauses = clauses
-
-    def render(self):
-        return [cl.render(self.handle) for cl in self.clauses]
-
-    def evaluate(self, n):
-        out = set()
-        for cl in self.clauses:
-            out.update(cl.evaluate(n))
-        return out
-
-    def to_json(self):
-        return {"clauses": self.render()}
-
-
-class _SuccClause:
-    """One disjunct.  bound maps variables to anchor offsets ("pattern"
-    kind, the anchor ranging over R minus finitely many exceptions) or to
-    fixed indices ("constant" kind); equal_pairs are x_var = x_rep copies;
-    free variables range over R, distinct from everything else."""
-
-    def __init__(self, kind, s, bound, exceptions=(), equal_pairs=(), free=()):
-        self.kind = kind
-        self.s = s
-        self.bound = dict(bound)
-        self.exceptions = tuple(exceptions)
-        self.equal_pairs = tuple(equal_pairs)
-        self.free = tuple(free)
-
-    def render(self, handle):
-        parts = []
-        if self.kind == "constant":
-            for var in sorted(self.bound):
-                parts.append("x%d = %d" % (var + 1, handle.eval(self.bound[var])))
-        else:
-            anchor = min((v for v in self.bound if self.bound[v] == 0))
-            for var in sorted(self.bound):
-                if var == anchor:
-                    parts.append("x%d in R" % (var + 1))
-                    continue
-                off = self.bound[var]
-                if off == 0:
-                    parts.append("x%d = x%d" % (var + 1, anchor + 1))
-                else:
-                    parts.append("x%d = %s" % (var + 1,
-                                               _succ_chain("x%d" % (anchor + 1), off)))
-            for e in self.exceptions:
-                parts.append("x%d != %d" % (anchor + 1, handle.eval(e)))
-        for var, rep in self.equal_pairs:
-            parts.append("x%d = x%d" % (var + 1, rep + 1))
-        for var in self.free:
-            parts.append("x%d in R" % (var + 1))
-        others = sorted(self.bound) + [rep for _, rep in self.equal_pairs]
-        for i, var in enumerate(self.free):
-            for other in sorted(set(others)):
-                parts.append("x%d != x%d" % (var + 1, other + 1))
-            for prev in self.free[:i]:
-                parts.append("x%d != x%d" % (var + 1, prev + 1))
-        return " & ".join(parts)
-
-    def evaluate(self, n):
-        out = set()
-        if self.kind == "constant":
-            anchors = [0]
-        else:
-            max_off = max(self.bound.values())
-            anchors = [l for l in range(n - max_off + 1) if l not in self.exceptions]
-        for l in anchors:
-            assign = {}
-            ok = True
-            for var, off in self.bound.items():
-                idx = off if self.kind == "constant" else l + off
-                if idx > n:
-                    ok = False
-                    break
-                assign[var] = idx
-            if not ok:
-                continue
-            for var, rep in self.equal_pairs:
-                assign[var] = assign[rep]
-            used = set(assign.values())
-            pool = [v for v in range(n + 1) if v not in used]
-            if self.free:
-                for combo in itertools.permutations(pool, len(self.free)):
-                    full = dict(assign)
-                    full.update(zip(self.free, combo))
-                    for var, rep in self.equal_pairs:
-                        full[var] = full[rep]
-                    out.add(tuple(full[i] for i in range(self.s)))
-            else:
-                out.add(tuple(assign[i] for i in range(self.s)))
-        return out
-
-
-def _succ_chain(inner, k):
-    for _ in range(k):
-        inner = "S(%s)" % inner
-    return inner
-
-
-def interpret_in_successor(desc):
-    """Translate a SolutionDescription into successor-language clauses.
-
-    Index-level data becomes element-level data: an anchor ranges over R,
-    offset m becomes an m-fold within-R successor chain, sporadic tuples
-    become element constants, and free classes range over R under explicit
-    distinctness.  Finite splits are expanded to constants; infinite splits
-    have no flat successor rendering and are rejected.
-    """
-    problem = desc.problem
-    s = problem.s
-    clauses = []
-    for case in desc.cases:
-        classes = case.partition
-        free_reps = [classes[ci][0] for ci in case.free_positions]
-        equal_pairs = [(var, cls[0]) for cls in classes for var in cls[1:]]
-
-        def rep_map(class_values):
-            return {classes[ci][0]: class_values[i]
-                    for i, ci in enumerate(case.active_positions)}
-
-        if case.distinct is None:
-            clauses.append(_SuccClause("constant", s, {}, equal_pairs=equal_pairs,
-                                       free=free_reps))
-            continue
-        for p in case.distinct.patterns:
-            clauses.append(_SuccClause("pattern", s, rep_map(p.offsets),
-                                       exceptions=p.exceptions,
-                                       equal_pairs=equal_pairs, free=free_reps))
-        for t in case.distinct.sporadic:
-            clauses.append(_SuccClause("constant", s, rep_map(t),
-                                       equal_pairs=equal_pairs, free=free_reps))
-        for sp in case.distinct.splits:
-            if not sp.is_finite():
-                raise ValueError("structured split has no flat successor rendering")
-            top = max(max(t) for side in (sp.zero_side, sp.target_side)
-                      for t in side.sporadic)
-            for t in case.distinct.split_tuples(sp, top):
-                clauses.append(_SuccClause("constant", s, rep_map(t),
-                                           equal_pairs=equal_pairs, free=free_reps))
-    return SuccessorInterpretation(problem.handle, s, clauses)

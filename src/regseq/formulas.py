@@ -33,6 +33,11 @@ order abbreviation unfolded (t > c becomes the conjunction of t != i for
 
 import itertools
 
+MAX_FORMULA_SIZE = 65536
+# Nesting levels (quantifiers, parentheses, operator arguments, '!' and unary
+# '-'); deeper input is rejected before it can exhaust the interpreter stack.
+MAX_NESTING = 64
+
 
 class FormulaSyntaxError(ValueError):
     def __init__(self, message, pos):
@@ -219,6 +224,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -239,6 +245,18 @@ class _Parser:
         tok = self.peek()
         return tok[0] == "NAME" and tok[1] == word
 
+    def nested(self, parse):
+        """parse() one nesting level deeper; every recursion in the grammar
+        goes through here."""
+        if self.depth >= MAX_NESTING:
+            raise FormulaSyntaxError(
+                "formula nested deeper than %d levels" % MAX_NESTING, self.peek()[2])
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # formulas ------------------------------------------------------------
 
     def formula(self):
@@ -252,7 +270,7 @@ class _Parser:
                 if rtok[1] != "R":
                     raise FormulaSyntaxError("expected R", rtok[2])
                 self.expect(".", "'.'")
-                body = self.formula()
+                body = self.nested(self.formula)
                 return ExistsInR(var, body) if quant == "E" else ForallInR(var, body)
             if tok[0] == "<=":
                 if quant == "A":
@@ -261,7 +279,7 @@ class _Parser:
                 self.next()
                 bound = self.expect("NUM", "bound")[1]
                 self.expect(".", "'.'")
-                return ExistsBounded(var, bound, self.formula())
+                return ExistsBounded(var, bound, self.nested(self.formula))
             raise FormulaSyntaxError("expected 'in R' or '<='", tok[2])
         return self.disjunction()
 
@@ -282,7 +300,7 @@ class _Parser:
     def negation(self):
         if self.peek()[0] == "!":
             self.next()
-            return Not(self.negation())
+            return Not(self.nested(self.negation))
         return self.atom()
 
     def atom(self):
@@ -301,7 +319,7 @@ class _Parser:
             save = self.i
             self.next()
             try:
-                inner = self.formula()
+                inner = self.nested(self.formula)
                 self.expect(")", "')'")
                 if self.peek()[0] in ("=", "!=", ">") or self.at_name("in"):
                     raise FormulaSyntaxError("term context", tok[2])
@@ -391,7 +409,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "-":
             self.next()
-            return TNeg(self.product())
+            return TNeg(self.nested(self.product))
         if tok[0] == "NUM":
             self.next()
             if self.peek()[0] == "*":
@@ -411,13 +429,13 @@ class _Parser:
                 coeffs.append(self.signed_int())
             self.expect("]", "']'")
             self.expect("(", "'('")
-            arg = self.term()
+            arg = self.nested(self.term)
             self.expect(")", "')'")
             return TOp(coeffs, arg)
         if tok[0] == "NAME" and tok[1] == "S":
             self.next()
             self.expect("(", "'('")
-            arg = self.term()
+            arg = self.nested(self.term)
             self.expect(")", "')'")
             return TSucc(arg)
         if tok[0] == "NAME":
@@ -428,7 +446,7 @@ class _Parser:
             return TConst(tok[1])
         if tok[0] == "(":
             self.next()
-            t = self.term()
+            t = self.nested(self.term)
             self.expect(")", "')'")
             return t
         raise FormulaSyntaxError("expected a term", tok[2])
@@ -441,9 +459,9 @@ class _Parser:
         return sign * self.expect("NUM", "integer")[1]
 
 
-def parse(text, max_size=65536):
-    if len(text) > max_size:
-        raise FormulaSyntaxError("input exceeds configured size", max_size)
+def parse(text):
+    if len(text) > MAX_FORMULA_SIZE:
+        raise FormulaSyntaxError("input exceeds configured size", MAX_FORMULA_SIZE)
     parser = _Parser(_lex(text))
     out = parser.formula()
     parser.expect("EOF", "end of input")
@@ -483,12 +501,6 @@ class LinTerm:
         return LinTerm(self.const * k,
                        {v: tuple(c * k for c in cs) for v, cs in self.ops.items()})
 
-    def shift(self, k):
-        """Precompose every operator with S^k (used when the term's variables
-        are reinterpreted as anchor + k)."""
-        return LinTerm(self.const,
-                       {v: (0,) * k + cs for v, cs in self.ops.items()})
-
     def plus_const(self, k):
         return LinTerm(self.const + k, self.ops)
 
@@ -509,9 +521,6 @@ class LinTerm:
             raise SortError("operator applied to the integer variable %r" % var)
         ops = {v: c for v, c in self.ops.items() if v != var}
         return LinTerm(self.const + cs[0] * value, ops)
-
-    def key(self):
-        return (self.const, tuple(sorted(self.ops.items())))
 
     def render(self):
         parts = []

@@ -20,6 +20,7 @@ import itertools
 from fractions import Fraction
 
 from .certs import BoundedCheck
+from .equations import _vanishing_subset
 
 DEFAULT_EXPONENT = 64
 SCAN_CAP = 6_000_000
@@ -111,16 +112,6 @@ class MannMonoid:
 # Unit equations
 # ---------------------------------------------------------------------------
 
-def _nondegenerate(weighted):
-    """No proper nonempty sub-sum of the weighted terms vanishes."""
-    n = len(weighted)
-    for size in range(1, n):
-        for sub in itertools.combinations(range(n), size):
-            if sum(weighted[i] for i in sub) == 0:
-                return False
-    return True
-
-
 def solve_unit(coefficients, monoid, exp_bound=DEFAULT_EXPONENT):
     """All non-degenerate solutions of q_1 x_1 + ... + q_n x_n = 1 with
     every x_i a monoid element built from exponents <= exp_bound.
@@ -142,7 +133,7 @@ def solve_unit(coefficients, monoid, exp_bound=DEFAULT_EXPONENT):
         if last.denominator != 1 or last.numerator not in element_set:
             continue
         tup = head + (int(last),)
-        if _nondegenerate([q * x for q, x in zip(qs, tup)]):
+        if _vanishing_subset([q * x for q, x in zip(qs, tup)]) is None:
             out.append(tup)
     return sorted(set(out)), BoundedCheck(exp_bound)
 
@@ -274,7 +265,7 @@ def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT,
         if last not in element_set:
             continue
         tup = head + (last,)
-        if _nondegenerate([a * x for a, x in zip(coeffs, tup)]):
+        if _vanishing_subset([a * x for a, x in zip(coeffs, tup)]) is None:
             scanned.append(tup)
     base = sorted({_canonical(coeffs, monoid, t) for t in scanned})
     splits = []

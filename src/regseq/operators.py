@@ -119,9 +119,6 @@ class FiniteRoots:
     def kind(self):
         return "FiniteRoots"
 
-    def zero_at(self, n):
-        return n in self.roots
-
     def __repr__(self):
         return "FiniteRoots(roots=%s, cutoff=%d, %r)" % (self.roots, self.cutoff, self.cert)
 
@@ -146,9 +143,6 @@ class CofiniteZero:
     @property
     def kind(self):
         return "CofiniteZero"
-
-    def zero_at(self, n):
-        return n not in self.exceptions
 
     def __repr__(self):
         return "CofiniteZero(exceptions=%s, %r)" % (self.exceptions, self.cert)
@@ -211,13 +205,10 @@ def classify(op, handle, budget=DEFAULT_BUDGET):
 def _classify_geometric(op, handle, expansion):
     """Exact route for r_n = sum c_j q_j^n: f(n) = sum c_j v_j q_j^n with
     v_j = (op polynomial evaluated at q_j), a finite exact expression."""
-    terms = [(q, c, polyops.peval(op.poly(), q)) for q, c in expansion]
-    live = [(q, c, v) for q, c, v in terms if v != 0]
-    if not live:
+    live = _live_terms(op, expansion)
+    if live is None:
         return CofiniteZero((), Proved(REASON_MINPOLY_DIVIDES))
-    q_top, c_top, v_top = max(live)
-    lead = c_top * abs(v_top)
-    tail = [(q, c * abs(v)) for q, c, v in live if q != q_top]
+    q_top, lead, tail = live
     q_max = max(q for q, _ in expansion)
     total_mass = sum(c for _, c in expansion)
 
@@ -240,6 +231,18 @@ def _classify_geometric(op, handle, expansion):
         # r_n <= total_mass * q_max^n, so |f(n)| >= lead/(2 total_mass) r_n.
         lower_bound = Fraction(lead, 2 * total_mass)
     return FiniteRoots(roots, cutoff, Proved(REASON_NONVANISHING), lower_bound)
+
+
+def _live_terms(op, expansion):
+    """Split f(n) = sum c_j v_j q_j^n (v_j the operator polynomial at q_j)
+    into its top live base q_top, that base's mass c_top |v_top| and the
+    (base, mass) pairs of the other live bases; None when every v_j is 0."""
+    live = [(q, c, polyops.peval(op.poly(), q)) for q, c in expansion]
+    live = [(q, c, v) for q, c, v in live if v != 0]
+    if not live:
+        return None
+    q_top, c_top, v_top = max(live)
+    return q_top, c_top * abs(v_top), [(q, c * abs(v)) for q, c, v in live if q != q_top]
 
 
 def _classify_infinite(op, handle, budget):
@@ -363,11 +366,7 @@ def _target_cutoff(op, handle, cls, z):
     # top base killed; the surviving top term still runs away, just slower.
     expansion = sq.power_base_expansion(handle.spec)
     assert expansion is not None, "lower-bound-free Proved verdicts are geometric"
-    terms = [(q, c, polyops.peval(op.poly(), q)) for q, c in expansion]
-    live = [(q, c, v) for q, c, v in terms if v != 0]
-    q_top, c_top, v_top = max(live)
-    lead = c_top * abs(v_top)
-    tail = [(q, c * abs(v)) for q, c, v in live if q != q_top]
+    q_top, lead, tail = _live_terms(op, expansion)
     t_mass = sum(m for _, m in tail)
     q2 = max((q for q, _ in tail), default=1)
     n = cls.cutoff
@@ -377,16 +376,6 @@ def _target_cutoff(op, handle, cls, z):
         if envelope > abs(z) and growth_ok:
             return n
         n += 1
-
-
-def is_trivial(op, handle, budget=DEFAULT_BUDGET):
-    """(flag, c, certificate): flag iff f vanishes beyond some constant; c is
-    that constant for trivial operators and the roots cutoff otherwise."""
-    cls = classify(op, handle, budget)
-    if isinstance(cls, CofiniteZero):
-        c = (max(cls.exceptions) + 1) if cls.exceptions else 0
-        return True, c, cls.cert
-    return False, cls.cutoff, cls.cert
 
 
 # ---------------------------------------------------------------------------

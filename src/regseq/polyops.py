@@ -45,35 +45,8 @@ def peval(coeffs, x):
     return acc
 
 
-def padd(p, q):
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
 def pneg(p):
     return [-c for c in p]
-
-
-def pmul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
-
-
-def pshift(p, k):
-    """Multiply by X^k."""
-    return [0] * k + list(p) if p else []
 
 
 def to_sympy(coeffs):

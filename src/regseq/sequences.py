@@ -40,12 +40,12 @@ KIND_FACTORIAL = "factorial"
 KIND_SUM = "sum"
 KIND_TABLE = "table"
 
-# Default number of terms a ratio scan may evaluate.  Exponential sequences
-# exceed thousands of bits quickly, so this is intentionally modest.
+# Number of terms a ratio scan may evaluate.  Exponential sequences exceed
+# thousands of bits quickly, so this is intentionally modest.
 RATIO_SCAN_BUDGET = 512
 
-# Default width for isolating intervals of algebraic ratio limits.
-DEFAULT_EPS = Fraction(1, 1024)
+# Width of isolating intervals for algebraic ratio limits.
+KEPLER_EPS = Fraction(1, 1024)
 
 
 class MonotonicityError(ValueError):
@@ -174,20 +174,44 @@ class SequenceSpec:
 
     @staticmethod
     def from_json(obj):
+        """The spec a JSON object describes; ValueError for any malformed
+        object (integers must be JSON integers or decimal strings)."""
+        if not isinstance(obj, dict):
+            raise ValueError("sequence spec must be a JSON object")
         kind = obj.get("kind")
         if kind == KIND_RECURRENCE:
-            return SequenceSpec.recurrence([int(c) for c in obj["coeffs"]],
-                                           [int(c) for c in obj["initials"]])
+            return SequenceSpec.recurrence(_json_ints(obj, "coeffs"),
+                                           _json_ints(obj, "initials"))
         if kind == KIND_POWER:
-            return SequenceSpec.power(int(obj["q"]))
+            return SequenceSpec.power(_json_int(obj.get("q"), "q"))
         if kind == KIND_FACTORIAL:
             return SequenceSpec.factorial()
         if kind == KIND_SUM:
-            return SequenceSpec.sum_of([SequenceSpec.from_json(p) for p in obj["parts"]])
+            return SequenceSpec.sum_of([SequenceSpec.from_json(p)
+                                        for p in _json_list(obj, "parts")])
         if kind == KIND_TABLE:
-            return SequenceSpec.table([int(v) for v in obj.get("values", [])],
-                                      obj.get("generator"))
+            generator = obj.get("generator")
+            if generator is not None and not isinstance(generator, str):
+                raise ValueError("table generator must be a string")
+            return SequenceSpec.table(_json_ints(obj, "values", []), generator)
         raise ValueError("unknown sequence kind %r" % (kind,))
+
+
+def _json_int(value, field):
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError("%s must be an integer or a decimal string, not %r" % (field, value))
+
+
+def _json_list(obj, field, default=None):
+    value = obj.get(field, default)
+    if not isinstance(value, list):
+        raise ValueError("%s must be a JSON list" % field)
+    return value
+
+
+def _json_ints(obj, field, default=None):
+    return [_json_int(v, field) for v in _json_list(obj, field, default)]
 
 
 # Generator expressions for table sequences go through an AST whitelist:
@@ -329,11 +353,6 @@ def make_handle(spec):
     return SequenceHandle(spec)
 
 
-def evaluate(handle, n):
-    """Module-level spelling of handle.eval, for symmetry with the CLI."""
-    return handle.eval(n)
-
-
 # ---------------------------------------------------------------------------
 # Characteristic polynomial
 # ---------------------------------------------------------------------------
@@ -352,10 +371,6 @@ class CharPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def recurrence_coeffs(self):
-        """The a_i with r_{n+k} = sum a_i r_{n+i}."""
-        return [-c for c in self.coeffs[:-1]]
 
     def __eq__(self, other):
         return isinstance(other, CharPoly) and other.coeffs == self.coeffs
@@ -519,7 +534,7 @@ class RegularityReport:
                 "notes": self.notes}
 
 
-def kepler_limit(handle, eps=DEFAULT_EPS, scan_budget=RATIO_SCAN_BUDGET):
+def kepler_limit(handle):
     """The ratio limit with the strongest certification available.
 
     Factorial growth is Infinite outright.  Power bases are exact (degenerate
@@ -529,7 +544,6 @@ def kepler_limit(handle, eps=DEFAULT_EPS, scan_budget=RATIO_SCAN_BUDGET):
     to an empirical interval rather than fabricating an algebraic claim.
     Sums take the maximum of their parts' limits.
     """
-    eps = Fraction(eps)
     spec = handle.spec
     if spec.kind == KIND_FACTORIAL:
         return KeplerLimit.infinite()
@@ -537,9 +551,9 @@ def kepler_limit(handle, eps=DEFAULT_EPS, scan_budget=RATIO_SCAN_BUDGET):
         q = Fraction(spec.q)
         return KeplerLimit.algebraic(CharPoly([-spec.q, 1]), (q, q))
     if spec.kind == KIND_RECURRENCE:
-        return _kepler_recurrence(handle, eps, scan_budget)
+        return _kepler_recurrence(handle)
     if spec.kind == KIND_SUM:
-        limits = [kepler_limit(p, eps, scan_budget) for p in handle.parts]
+        limits = [kepler_limit(p) for p in handle.parts]
         if any(l.is_infinite for l in limits):
             return KeplerLimit.infinite()
         if all(l.is_algebraic for l in limits):
@@ -547,48 +561,41 @@ def kepler_limit(handle, eps=DEFAULT_EPS, scan_budget=RATIO_SCAN_BUDGET):
             for other in limits[1:]:
                 best = _max_algebraic(best, other)
             return best
-        return _empirical_scan(handle, scan_budget)
-    return _empirical_scan(handle, scan_budget)
+        return _empirical_scan(handle)
+    return _empirical_scan(handle)
 
 
-def _kepler_recurrence(handle, eps, scan_budget):
+def _kepler_recurrence(handle):
     spec = handle.spec
     if len(spec.coeffs) == 1:
         q = spec.coeffs[0]
         if q >= 2:
             return KeplerLimit.algebraic(CharPoly([-q, 1]), (Fraction(q), Fraction(q)))
-        return _empirical_scan(handle, scan_budget)
+        return _empirical_scan(handle)
     cp = char_poly(spec)
     if polyops.is_irreducible(cp.coeffs):
-        iso = polyops.isolate_largest_root_above(cp.coeffs, 1, eps)
+        iso = polyops.isolate_largest_root_above(cp.coeffs, 1, KEPLER_EPS)
         if iso is not None and iso[0] > 1:
             # Sanity: the actual ratios must settle into the claimed interval.
             lo, hi = iso
             ok = True
-            top = min(100, max(scan_budget, 20))
-            for n in range(10, top):
+            for n in range(10, 100):
                 r = handle.ratio(n)
-                if not (lo - eps < r < hi + eps):
+                if not (lo - KEPLER_EPS < r < hi + KEPLER_EPS):
                     ok = False
                     break
             if ok:
                 return KeplerLimit.algebraic(cp, iso)
-    return _empirical_scan(handle, scan_budget)
+    return _empirical_scan(handle)
 
 
-def _empirical_scan(handle, scan_budget):
+def _empirical_scan(handle):
     """Ratio scan fallback: report the spread of the last quarter of the
     window, flagging non-convergence when the spread stopped shrinking."""
-    n_terms = scan_budget
+    n_terms = RATIO_SCAN_BUDGET
     if handle.spec.kind == KIND_TABLE and handle._generator is None:
         n_terms = min(n_terms, len(handle.spec.values) - 1)
-    n_terms = max(n_terms, 4)
-    ratios = []
-    for n in range(n_terms):
-        try:
-            ratios.append(handle.ratio(n))
-        except (TableExhausted, MonotonicityError):
-            break
+    ratios = _window_ratios(handle, max(n_terms, 4))
     if len(ratios) < 2:
         raise ValueError("not enough terms for a ratio scan")
     q = max(2, len(ratios) // 4)
@@ -598,6 +605,18 @@ def _empirical_scan(handle, scan_budget):
     prev_spread = max(prev) - min(prev)
     warning = spread > 0 and spread >= prev_spread
     return KeplerLimit.empirical(min(tail), max(tail), len(ratios), warning)
+
+
+def _window_ratios(handle, budget):
+    """The ratios r_{n+1} / r_n for n < budget, stopping early where a table
+    runs out or the sequence stops increasing."""
+    ratios = []
+    for n in range(budget):
+        try:
+            ratios.append(handle.ratio(n))
+        except (TableExhausted, MonotonicityError):
+            break
+    return ratios
 
 
 def _max_algebraic(a, b):
@@ -624,11 +643,11 @@ def _refine(minpoly, interval):
     return polyops.refine_root_interval(minpoly.coeffs, lo, hi, (hi - lo) / 4)
 
 
-def certify(handle, eps=DEFAULT_EPS, scan_budget=RATIO_SCAN_BUDGET):
+def certify(handle):
     """Compute (and cache on the handle) the regularity report."""
     if handle.regularity_report is not None:
         return handle.regularity_report
-    kepler = _cached_kepler(handle, eps, scan_budget)
+    kepler = _cached_kepler(handle)
     notes = []
     if handle.spec.kind == KIND_FACTORIAL:
         notes.append("factorial evaluated as r_n = (n+2)!")
@@ -643,9 +662,9 @@ def certify(handle, eps=DEFAULT_EPS, scan_budget=RATIO_SCAN_BUDGET):
     return report
 
 
-def _cached_kepler(handle, eps=DEFAULT_EPS, scan_budget=RATIO_SCAN_BUDGET):
+def _cached_kepler(handle):
     if handle._kepler is None:
-        handle._kepler = kepler_limit(handle, eps, scan_budget)
+        handle._kepler = kepler_limit(handle)
     return handle._kepler
 
 
@@ -716,7 +735,7 @@ def _try_contraction(handle):
 # Dominance cutoffs
 # ---------------------------------------------------------------------------
 
-def dominance_cutoff(handle, eps, mode="proved", degree=1, budget=RATIO_SCAN_BUDGET):
+def dominance_cutoff(handle, eps, degree=1, budget=RATIO_SCAN_BUDGET):
     """Smallest certified k with, for all n >= k and 1 <= i <= degree,
 
         |r_{n+i} - theta^i r_n| < eps * r_n       (theta finite), or
@@ -746,7 +765,7 @@ def dominance_cutoff(handle, eps, mode="proved", degree=1, budget=RATIO_SCAN_BUD
     if expansion is not None:
         return _dominance_geometric(handle, expansion, eps, degree)
 
-    if kepler.is_algebraic and mode != "bounded":
+    if kepler.is_algebraic:
         data = _contraction_data(handle)
         if data is not None:
             return _dominance_contraction(handle, data, eps, degree, budget)
@@ -790,18 +809,13 @@ def _dominance_contraction(handle, data, eps, degree, budget):
 def _scan_ratio_cutoff(handle, threshold, budget):
     """Bounded fallback for infinite limits: first k with every scanned ratio
     beyond k above the threshold."""
-    last_bad = -1
-    for n in range(budget):
-        try:
-            if handle.ratio(n) <= threshold:
-                last_bad = n
-        except (TableExhausted, MonotonicityError):
-            budget = n
-            break
-    if last_bad + 1 >= budget:
+    ratios = _window_ratios(handle, budget)
+    top = len(ratios)
+    last_bad = max((n for n, r in enumerate(ratios) if r <= threshold), default=-1)
+    if last_bad + 1 >= top:
         raise ValueError("budget exhausted at %d without establishing the ratio bound"
-                         % budget)
-    return last_bad + 1, BoundedCheck(budget)
+                         % top)
+    return last_bad + 1, BoundedCheck(top)
 
 
 def _scan_dominance_cutoff(handle, kepler, eps, degree, budget):
@@ -866,15 +880,7 @@ def ratio_lower_bound(handle, budget=RATIO_SCAN_BUDGET):
                     return rho, n, Proved("contraction")
                 n += 1
     # Bounded scan: the smallest ratio over the window.
-    rho = None
-    top = budget
-    for n in range(budget):
-        try:
-            r = handle.ratio(n)
-        except (TableExhausted, MonotonicityError):
-            top = n
-            break
-        rho = r if rho is None else min(rho, r)
-    if rho is None or rho <= 1:
+    ratios = _window_ratios(handle, budget)
+    if not ratios or min(ratios) <= 1:
         raise ValueError("no ratio lower bound above 1 found in the window")
-    return rho, 0, BoundedCheck(top)
+    return min(ratios), 0, BoundedCheck(len(ratios))
