@@ -26,7 +26,9 @@ or exhibits solution pairs at unboundedly growing gaps, which no finite
 collection of offset patterns can absorb.
 """
 
+import heapq
 import itertools
+import math
 
 from . import certs
 from . import formulas as F
@@ -231,22 +233,15 @@ def decide(ast, handle, budget=64):
 def _prefix(node):
     rvars, ivars = [], []
     seen = set()
-    while True:
+    while isinstance(node, (F.ExistsInR, F.ExistsBounded)):
+        if node.var in seen:
+            raise OutOfFragment("duplicate-variable", node.var)
+        seen.add(node.var)
         if isinstance(node, F.ExistsInR):
-            name = node.var
-            if name in seen:
-                raise OutOfFragment("duplicate-variable", name)
-            seen.add(name)
-            rvars.append(name)
-            node = node.body
-        elif isinstance(node, F.ExistsBounded):
-            if node.var in seen:
-                raise OutOfFragment("duplicate-variable", node.var)
-            seen.add(node.var)
-            ivars.append((node.var, node.bound))
-            node = node.body
+            rvars.append(node.var)
         else:
-            break
+            ivars.append((node.var, node.bound))
+        node = node.body
     _reject_quantifiers(node)
     return rvars, ivars, node
 
@@ -423,13 +418,38 @@ def _check_assignment(handle, lits, assignment, budget):
     return F._eval(F.And(list(lits)), handle, dict(assignment), budget)
 
 
+def _smallest_combinations(heads):
+    """The first CANDIDATE_CAP tuples of the product of the strictly
+    increasing lists `heads`, in increasing (sum, tuple) order, built lazily.
+
+    Best-first over index vectors: the one parent of a vector lowers its last
+    nonzero position by one and has a smaller key, so each vector is pushed
+    once, when its parent is popped, and the pops come out in key order.
+    Index order is value order in every position, so ties on the sum break
+    on the index vector."""
+    heap = [(sum(h[0] for h in heads), (0,) * len(heads))] if all(heads) else []
+    for popped in range(1, CANDIDATE_CAP + 1):
+        if not heap:
+            return
+        total, idx = heapq.heappop(heap)
+        yield tuple(h[i] for h, i in zip(heads, idx))
+        last = max((j for j, i in enumerate(idx) if i), default=0)
+        for j in range(last, len(idx)):
+            i = idx[j]
+            if i + 1 < len(heads[j]):
+                heapq.heappush(heap, (total - heads[j][i] + heads[j][i + 1],
+                                      idx[:j] + (i + 1,) + idx[j + 1:]))
+        # Only the smallest CANDIDATE_CAP - popped entries can still be popped.
+        left = CANDIDATE_CAP - popped
+        if len(heap) > 2 * left:
+            heap = heapq.nsmallest(left, heap)
+
+
 def _independent_disjunct(handle, rvars, lits, constraints, side, budget):
     depth = STREAM_HEAD if len(rvars) <= 2 else 8
-    heads = {v: constraints[v].head(depth) for v in rvars}
-    combos = [dict(zip(rvars, combo))
-              for combo in itertools.product(*[heads[v] for v in rvars])]
-    combos.sort(key=lambda a: (sum(a.values()), tuple(a[v] for v in rvars)))
-    for assignment in combos[:CANDIDATE_CAP]:
+    heads = [constraints[v].head(depth) for v in rvars]
+    for combo in _smallest_combinations(heads):
+        assignment = dict(zip(rvars, combo))
         if _check_assignment(handle, lits, assignment, budget):
             witness = {v: ("index", n) for v, n in assignment.items()}
             return ("true", witness)
@@ -438,7 +458,7 @@ def _independent_disjunct(handle, rvars, lits, constraints, side, budget):
         # have produced a witness
         return ("unknown", "candidate-enumeration-exhausted")
     exhaustive = all(constraints[v].is_finite() for v in rvars) \
-        and len(combos) <= CANDIDATE_CAP
+        and math.prod(len(h) for h in heads) <= CANDIDATE_CAP
     if exhaustive and all(constraints[v].cert.is_proved for v in rvars):
         cert = certs.merge([constraints[v].cert for v in rvars],
                            reason="finite-exhaustion")

@@ -34,6 +34,10 @@ order abbreviation unfolded (t > c becomes the conjunction of t != i for
 import itertools
 
 MAX_FORMULA_SIZE = 65536
+# Most literals one atom may unfold into: t > c gives c + 1 of them and !Dm(t)
+# gives m - 1, so larger constants are rejected before normalization builds
+# them.  Positive Dm(t) atoms do not unfold and take any modulus.
+MAX_UNFOLD = 4096
 # Nesting levels (quantifiers, parentheses, operator arguments, '!' and unary
 # '-'); deeper input is rejected before it can exhaust the interpreter stack.
 MAX_NESTING = 64
@@ -614,6 +618,9 @@ class DivZ:
 
     def negate(self):
         # the divisibility remark: !Dm(t) <-> Dm(t+1) | ... | Dm(t+m-1)
+        if self.m - 1 > MAX_UNFOLD:
+            raise ValueError("!%s unfolds into %d literals, more than %d"
+                             % (self.render(), self.m - 1, MAX_UNFOLD))
         return Or([DivZ(self.m, self.lin.plus_const(k)) for k in range(1, self.m)])
 
     def render(self):
@@ -751,6 +758,9 @@ def _desugar_atom(node):
         c = rhs.const
         if c < 0:
             return TRUE
+        if c + 1 > MAX_UNFOLD:
+            raise ValueError("%s > %d unfolds into %d literals, more than %d"
+                             % (lhs.render(), c, c + 1, MAX_UNFOLD))
         return And([NeqZ(lhs.plus_const(-i)) for i in range(c + 1)])
     if isinstance(node, DivAtom):
         return DivZ(node.m, term_to_linear(node.term))
@@ -768,24 +778,15 @@ def _desugar_atom(node):
 
 
 def _flatten(node):
-    if isinstance(node, And):
+    if isinstance(node, (And, Or)):
         items = []
         for x in node.items:
-            x = _flatten(x) if isinstance(x, (And, Or)) else x
-            if isinstance(x, And):
+            x = _flatten(x)
+            if isinstance(x, type(node)):
                 items.extend(x.items)
             else:
                 items.append(x)
-        return And(items)
-    if isinstance(node, Or):
-        items = []
-        for x in node.items:
-            x = _flatten(x) if isinstance(x, (And, Or)) else x
-            if isinstance(x, Or):
-                items.extend(x.items)
-            else:
-                items.append(x)
-        return Or(items)
+        return type(node)(items)
     return node
 
 

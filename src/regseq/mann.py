@@ -17,6 +17,7 @@ that leaves all coordinates in the monoid; families are base x M.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .certs import BoundedCheck
@@ -109,6 +110,32 @@ class MannMonoid:
 
 
 # ---------------------------------------------------------------------------
+# The scan shared by unit and homogeneous equations
+# ---------------------------------------------------------------------------
+
+def _scan(coeffs, target, elements):
+    """Non-degenerate solutions of a_1 x_1 + ... + a_n x_n = target (integer
+    a_i) with every x_i in `elements`, in itertools.product order: x_n is
+    solved for from each head (x_1, ..., x_{n-1})."""
+    n = len(coeffs)
+    if len(elements) ** max(0, n - 1) > SCAN_CAP:
+        raise ValueError("monoid scan of %d unknowns exceeds the budget" % n)
+    element_set = set(elements)
+    out = []
+    for head in itertools.product(elements, repeat=n - 1):
+        num = target - sum(a * x for a, x in zip(coeffs, head))
+        if num % coeffs[-1] != 0:
+            continue
+        last = num // coeffs[-1]
+        if last not in element_set:
+            continue
+        tup = head + (last,)
+        if _vanishing_subset([a * x for a, x in zip(coeffs, tup)]) is None:
+            out.append(tup)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Unit equations
 # ---------------------------------------------------------------------------
 
@@ -121,21 +148,12 @@ def solve_unit(coefficients, monoid, exp_bound=DEFAULT_EXPONENT):
     qs = [Fraction(q) for q in coefficients]
     if not qs or any(q == 0 for q in qs):
         raise ValueError("coefficients must be nonzero")
-    elements = monoid.elements_with_exponents(exp_bound)
-    element_set = set(elements)
-    n = len(qs)
-    if len(elements) ** max(0, n - 1) > SCAN_CAP:
-        raise ValueError("unit-equation scan exceeds the budget")
-    out = []
-    for head in itertools.product(elements, repeat=n - 1):
-        rest = 1 - sum(q * x for q, x in zip(qs, head))
-        last = rest / qs[-1]
-        if last.denominator != 1 or last.numerator not in element_set:
-            continue
-        tup = head + (int(last),)
-        if _vanishing_subset([q * x for q, x in zip(qs, tup)]) is None:
-            out.append(tup)
-    return sorted(set(out)), BoundedCheck(exp_bound)
+    # Scaling by the common denominator D gives sum (D q_i) x_i = D, with the
+    # same solutions and the same vanishing sub-sums.
+    den = math.lcm(*(q.denominator for q in qs))
+    found = _scan([int(q * den) for q in qs], den,
+                  monoid.elements_with_exponents(exp_bound))
+    return sorted(set(found)), BoundedCheck(exp_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +225,18 @@ class MannSolutionSet:
                 "certificate": self.certificate.to_json()}
 
 
-def _coef_permutations(coeffs, tup):
-    """Images of the tuple under permutations of equal-coefficient slots."""
+def _slot_groups(coeffs):
+    """The slot indices of each distinct coefficient, by coefficient."""
     groups = {}
     for i, a in enumerate(coeffs):
         groups.setdefault(a, []).append(i)
-    slot_perms = []
-    for a, idxs in sorted(groups.items()):
-        slot_perms.append([dict(zip(idxs, p))
-                           for p in itertools.permutations(idxs)])
+    return [idxs for _, idxs in sorted(groups.items())]
+
+
+def _coef_permutations(coeffs, tup):
+    """Images of the tuple under permutations of equal-coefficient slots."""
+    slot_perms = [[dict(zip(idxs, p)) for p in itertools.permutations(idxs)]
+                  for idxs in _slot_groups(coeffs)]
     for combo in itertools.product(*slot_perms):
         mapping = {}
         for d in combo:
@@ -226,11 +247,8 @@ def _coef_permutations(coeffs, tup):
 def _canonical(coeffs, monoid, tup):
     """Sort equal-coefficient slots, then divide out the largest monoid
     element keeping all coordinates in the monoid."""
-    groups = {}
-    for i, a in enumerate(coeffs):
-        groups.setdefault(a, []).append(i)
     out = list(tup)
-    for a, idxs in groups.items():
+    for idxs in _slot_groups(coeffs):
         vals = sorted(out[i] for i in idxs)
         for i, v in zip(idxs, vals):
             out[i] = v
@@ -251,22 +269,8 @@ def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT,
     coeffs = [int(a) for a in coefficients]
     if len(coeffs) < 2 or any(a == 0 for a in coeffs):
         raise ValueError("need >= 2 nonzero integer coefficients")
-    elements = monoid.elements_with_exponents(exp_bound)
-    element_set = set(elements)
     n = len(coeffs)
-    if len(elements) ** (n - 1) > SCAN_CAP:
-        raise ValueError("homogeneous scan exceeds the budget")
-    scanned = []
-    for head in itertools.product(elements, repeat=n - 1):
-        num = -sum(a * x for a, x in zip(coeffs, head))
-        if num % coeffs[-1] != 0:
-            continue
-        last = num // coeffs[-1]
-        if last not in element_set:
-            continue
-        tup = head + (last,)
-        if _vanishing_subset([a * x for a, x in zip(coeffs, tup)]) is None:
-            scanned.append(tup)
+    scanned = _scan(coeffs, 0, monoid.elements_with_exponents(exp_bound))
     base = sorted({_canonical(coeffs, monoid, t) for t in scanned})
     splits = []
     if _depth < 2:

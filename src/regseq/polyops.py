@@ -9,8 +9,10 @@ The module provides
 * evaluation (point and interval),
 * Sturm chains with root counting on half-open intervals (a, b],
 * bisection isolation of the largest real root above 1,
-* irreducibility over Q and exact divisibility (delegated to sympy, which is
-  complete at every degree),
+* exact division, divisibility and lcm over Q,
+* rational roots of monic integer polynomials by Sturm bisection, and
+  irreducibility over Q (degree <= 3 from the rational roots; higher degrees
+  through sympy's factorization, imported only for them),
 * synthetic division of a monic polynomial by (X - t) with t known only as a
   rational interval.
 
@@ -18,10 +20,6 @@ Intervals are pairs (lo, hi) of Fractions with lo <= hi.
 """
 
 from fractions import Fraction
-
-import sympy
-
-_X = sympy.Symbol("X")
 
 
 def trim(coeffs):
@@ -45,16 +43,9 @@ def peval(coeffs, x):
     return acc
 
 
-def pneg(p):
-    return [-c for c in p]
-
-
-def to_sympy(coeffs):
-    return sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs])), _X)
-
-
-def from_sympy(poly):
-    return trim([Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())])
+def _require_monic_integer(cs):
+    if not cs or cs[-1] != 1 or any(Fraction(c).denominator != 1 for c in cs):
+        raise ValueError("expected a monic integer polynomial, got %r" % (cs,))
 
 
 def divides(p, q):
@@ -66,68 +57,64 @@ def divides(p, q):
         return True
     if degree(p) > degree(q):
         return False
-    _, rem = sympy.div(to_sympy(q), to_sympy(p), _X)
-    return rem.is_zero
+    return not _pdivmod(q, p)[1]
+
 
 def lcm(p, q):
-    """Least common multiple in Q[X], normalized monic with integer
-    coefficients (our uses always produce a monic integer result)."""
-    l = sympy.lcm(to_sympy(p).as_expr(), to_sympy(q).as_expr(), _X)
-    cs = [Fraction(c) for c in from_sympy(sympy.Poly(l, _X))]
-    lead = cs[-1]
-    cs = [c / lead for c in cs]
-    den = 1
-    for c in cs:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    return [int(c * den) for c in cs]
+    """Least common multiple of two monic integer polynomials.
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    The result is monic with integer coefficients: by Gauss's lemma every
+    monic factor of a monic integer polynomial has integer coefficients."""
+    p, q = trim(p), trim(q)
+    _require_monic_integer(p)
+    _require_monic_integer(q)
+    g, r = p, q
+    while r:
+        g, r = r, _pdivmod(g, r)[1]
+    g = [Fraction(c) / g[-1] for c in g]
+    quo, _ = _pdivmod(p, g)
+    out = [0] * (len(quo) + len(q) - 1)
+    for i, a in enumerate(quo):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return [int(c) for c in out]
 
 
 def rational_roots(coeffs):
-    """All rational roots of an integer polynomial (exact, via divisor pairs)."""
+    """All rational roots of a monic integer polynomial, ascending.
+
+    They are integers (rational root theorem), so Sturm counts on intervals
+    with half-integer ends -- never a root -- bisect [-B, B] down to unit
+    width, and the one integer inside each unit interval that holds a root
+    is tested exactly.  The cost grows with log B, not with B."""
     cs = trim(coeffs)
-    if not cs:
-        return []
-    # Strip X^v factors; 0 is a root when v > 0.
-    v = 0
-    while cs[v] == 0:
-        v += 1
-    roots = [Fraction(0)] if v else []
-    cs = cs[v:]
-    if len(cs) == 1:
-        return roots
-    a0, ad = abs(int(cs[0])), abs(int(cs[-1]))
-    for p in _divisors(a0):
-        for q in _divisors(ad):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if peval(cs, cand) == 0 and cand not in roots:
-                    roots.append(cand)
+    _require_monic_integer(cs)
+    chain = sturm_chain(cs)
+    half = Fraction(1, 2)
+    hi = cauchy_bound(cs) + half    # B is an integer for monic integer input
+    roots = []
+    # (lo, hi, sign variations at lo and at hi): a root lies between iff they differ
+    stack = [(-hi, hi, _sign_variations(chain, -hi), _sign_variations(chain, hi))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if peval(cs, lo + half) == 0:
+                roots.append(lo + half)
+            continue
+        mid = lo + (hi - lo) // 2
+        vmid = _sign_variations(chain, mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
     return sorted(roots)
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def is_irreducible(coeffs):
-    """Irreducibility over Q of a nonconstant integer polynomial.
+    """Irreducibility over Q of a nonconstant monic integer polynomial.
 
-    A rational-root pass handles the cheap rejections; the full factorization
-    (complete at every degree) settles the rest.
+    A reducible polynomial of degree 2 or 3 has a linear factor, so the
+    rational-root pass settles every degree up to 3; sympy's factorization
+    (complete at every degree) settles the rest and is imported only then.
     """
     cs = trim(coeffs)
     if degree(cs) < 1:
@@ -136,7 +123,10 @@ def is_irreducible(coeffs):
         return True
     if rational_roots(cs):
         return False
-    _, factors = to_sympy(cs).factor_list()
+    if degree(cs) <= 3:
+        return True
+    import sympy
+    _, factors = sympy.Poly(list(reversed(cs)), sympy.Symbol("X")).factor_list()
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -146,25 +136,16 @@ def is_irreducible(coeffs):
 
 def _pdivmod(p, q):
     """Polynomial division with remainder over Fractions."""
-    p = [Fraction(c) for c in trim(p)]
-    q = [Fraction(c) for c in trim(q)]
+    rem = [Fraction(c) for c in trim(p)]
+    q = trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    rem = p[:]
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and trim(rem):
-        rem = trim(rem)
-        if len(rem) - 1 < dq:
-            break
-        k = len(rem) - 1 - dq
-        f = rem[-1] / lead
-        quo[k] = f
+    quo = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
+    for k in reversed(range(len(quo))):
+        quo[k] = rem[k + len(q) - 1] / q[-1]
         for i, c in enumerate(q):
-            rem[i + k] -= f * c
-        rem = rem[:-1]
-    return trim(quo), trim(rem)
+            rem[k + i] -= quo[k] * c
+    return trim(quo), trim(rem[:len(q) - 1])
 
 
 def sturm_chain(coeffs):
@@ -176,7 +157,7 @@ def sturm_chain(coeffs):
         _, rem = _pdivmod(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(pneg(rem))
+        chain.append([-c for c in rem])
     return chain
 
 

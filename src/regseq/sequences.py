@@ -631,16 +631,10 @@ def _max_algebraic(a, b):
             return a
         if a.minpoly == b.minpoly:
             return a
-        a = KeplerLimit.algebraic(a.minpoly, _refine(a.minpoly, a.interval))
-        b = KeplerLimit.algebraic(b.minpoly, _refine(b.minpoly, b.interval))
+        a, b = [KeplerLimit.algebraic(lim.minpoly, polyops.refine_root_interval(
+                    lim.minpoly.coeffs, lo, hi, (hi - lo) / 4))
+                for lim, (lo, hi) in ((a, a.interval), (b, b.interval))]
     raise ValueError("could not separate algebraic ratio limits")
-
-
-def _refine(minpoly, interval):
-    lo, hi = interval
-    if lo == hi:
-        return interval
-    return polyops.refine_root_interval(minpoly.coeffs, lo, hi, (hi - lo) / 4)
 
 
 def certify(handle):
@@ -651,10 +645,9 @@ def certify(handle):
     notes = []
     if handle.spec.kind == KIND_FACTORIAL:
         notes.append("factorial evaluated as r_n = (n+2)!")
-    certified = False
-    if kepler.is_algebraic:
-        cp = char_poly(handle.spec)
-        certified = cp is not None and cp == kepler.minpoly and polyops.is_irreducible(cp.coeffs)
+    # kepler_limit returns a minpoly only once it is known irreducible
+    # (degree 1, or proved in _kepler_recurrence), so equality suffices.
+    certified = kepler.is_algebraic and char_poly(handle.spec) == kepler.minpoly
     if kepler.kind == KeplerLimit.EMPIRICAL and kepler.warning:
         notes.append("ratio scan did not show a shrinking spread")
     report = RegularityReport(kepler, certified, "; ".join(notes))

@@ -1,0 +1,157 @@
+"""The exact polynomial engine against sympy, which is the reference here.
+
+polyops does its own division, lcm, rational roots and degree <= 3
+irreducibility; sympy is imported only to factor a polynomial of degree >= 4
+that has no rational root.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from regseq import polyops
+
+X = sympy.Symbol("X")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def to_sympy(cs):
+    return sympy.Poly(list(reversed(cs)), X, domain="QQ")
+
+
+def product(*polys):
+    out = [1]
+    for p in polys:
+        acc = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                acc[i + j] += a * b
+        out = acc
+    return out
+
+
+def random_monic(rng, degree):
+    return [rng.randint(-9, 9) for _ in range(degree)] + [1]
+
+
+def battery(seed=20261018, count=150):
+    """Seeded monic integer polynomials of degree 1-6, half of them built as
+    products so that reducible cases and rational roots are common."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        if k % 2:
+            out.append(random_monic(rng, rng.randint(1, 6)))
+        else:
+            d1 = rng.randint(1, 3)
+            d2 = rng.randint(1, 6 - d1)
+            out.append(product(random_monic(rng, d1), random_monic(rng, d2)))
+    return out
+
+
+def test_rational_roots_match_sympy():
+    for cs in battery():
+        want = sorted(Fraction(int(r.p), int(r.q))
+                      for r in sympy.roots(to_sympy(cs), filter="Q"))
+        assert polyops.rational_roots(cs) == want, cs
+
+
+def test_is_irreducible_matches_sympy():
+    for cs in battery():
+        _, factors = to_sympy(cs).factor_list()
+        want = len(factors) == 1 and factors[0][1] == 1
+        assert polyops.is_irreducible(cs) == want, cs
+
+
+def test_divides_and_lcm_match_sympy():
+    polys = battery(seed=7, count=80)
+    for p, q in zip(polys, polys[1:]):
+        for a, b in ((p, q), (p, product(p, q)), (q, product(p, q))):
+            _, rem = sympy.div(to_sympy(b), to_sympy(a))
+            assert polyops.divides(a, b) == rem.is_zero, (a, b)
+        want = sympy.Poly(sympy.lcm(to_sympy(p), to_sympy(q)), X).monic()
+        got = polyops.lcm(p, q)
+        assert all(isinstance(c, int) for c in got)
+        assert got == [int(c) for c in reversed(want.all_coeffs())], (p, q)
+
+
+def test_fixed_cases():
+    quartic = [1, 0, -10, 0, 1]                    # X^4 - 10X^2 + 1
+    assert polyops.rational_roots(quartic) == []
+    assert polyops.is_irreducible(quartic)
+    split = product([1, 1, 1], [-2, 0, 1])         # (X^2 + X + 1)(X^2 - 2)
+    assert polyops.rational_roots(split) == []
+    assert not polyops.is_irreducible(split)
+    big = 10 ** 20
+    assert polyops.rational_roots([-big, -1, 1]) == []
+    assert polyops.is_irreducible([-big, -1, 1])
+    assert polyops.rational_roots([-big, 0, 1]) == [-10 ** 10, 10 ** 10]
+    assert not polyops.is_irreducible([-big, 0, 1])
+    assert polyops.rational_roots([0, 0, -1, 1]) == [0, 1]   # X^2 (X - 1)
+    assert polyops.lcm([-1, 1], [1, 1]) == [-1, 0, 1]
+    assert polyops.lcm([-1, 1], [1, -2, 1]) == [1, -2, 1]
+
+
+def test_non_monic_input_is_rejected():
+    with pytest.raises(ValueError):
+        polyops.rational_roots([1, 2])
+    with pytest.raises(ValueError):
+        polyops.rational_roots([Fraction(1, 2), 1])
+    with pytest.raises(ValueError):
+        polyops.lcm([1, 2], [1, 1])
+
+
+def run_python(code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_sympy_stays_off_the_import_path():
+    out = run_python(
+        "import sys\n"
+        "import regseq.cli\n"
+        "print('sympy' in sys.modules)\n"
+        "regseq.cli.run_suite()\n"
+        "print('sympy' in sys.modules)\n")
+    assert out.split() == ["False", "False"]
+
+
+def test_degree_four_irreducibility_still_uses_sympy(tmp_path):
+    spec = tmp_path / "tetranacci.json"
+    spec.write_text(json.dumps({"kind": "recurrence",
+                                "coeffs": ["1", "1", "1", "1"],
+                                "initials": ["1", "2", "4", "8"]}))
+    out = run_python(
+        "import sys\n"
+        "from regseq import cli\n"
+        "code = cli.main(['classify', '--seq', %r, '--op', '[-1,-1,-1,-1,1]'])\n"
+        "print('sympy' in sys.modules, code)\n" % str(spec))
+    report, loaded = out.splitlines()
+    assert json.loads(report) == {
+        "certificate": {"level": "Proved", "reason": "minpoly-divides"},
+        "exceptions": [], "kind": "CofiniteZero"}
+    assert loaded == "True 0"
+
+
+def test_huge_constant_coefficient_classifies(tmp_path):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"kind": "recurrence",
+                                "coeffs": ["100000000000000000000", "1"],
+                                "initials": ["1", "2"]}))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "regseq.cli", "classify",
+                           "--seq", str(spec), "--op", "[1]"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["kind"] == "FiniteRoots"
+    assert report["certificate"] == {"level": "BoundedCheck", "N": "300"}
