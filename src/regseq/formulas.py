@@ -34,9 +34,10 @@ order abbreviation unfolded (t > c becomes the conjunction of t != i for
 import itertools
 
 MAX_FORMULA_SIZE = 65536
-# Most literals one atom may unfold into: t > c gives c + 1 of them and !Dm(t)
-# gives m - 1, so larger constants are rejected before normalization builds
-# them.  Positive Dm(t) atoms do not unfold and take any modulus.
+# Most literals the atoms of one formula may unfold into together: t > c gives
+# c + 1 of them and !Dm(t) gives m - 1, and each atom is counted before
+# normalization builds its literals.  Positive Dm(t) atoms do not unfold and
+# take any modulus.
 MAX_UNFOLD = 4096
 # Nesting levels (quantifiers, parentheses, operator arguments, '!' and unary
 # '-'); deeper input is rejected before it can exhaust the interpreter stack.
@@ -618,9 +619,6 @@ class DivZ:
 
     def negate(self):
         # the divisibility remark: !Dm(t) <-> Dm(t+1) | ... | Dm(t+m-1)
-        if self.m - 1 > MAX_UNFOLD:
-            raise ValueError("!%s unfolds into %d literals, more than %d"
-                             % (self.render(), self.m - 1, MAX_UNFOLD))
         return Or([DivZ(self.m, self.lin.plus_const(k)) for k in range(1, self.m)])
 
     def render(self):
@@ -680,7 +678,7 @@ def normalize(ast):
     negation eliminated (pushed into atoms, divisibility expanded by the
     remark, > unfolded by the order abbreviation, double negation dropped,
     universals rewritten through their existential duals)."""
-    return _flatten_deep(_nnf(ast, False))
+    return _flatten_deep(_nnf(ast, False, _Unfolding()))
 
 
 def _flatten_deep(node):
@@ -700,33 +698,51 @@ def _flatten_deep(node):
     return node
 
 
-def _nnf(node, negate):
+class _Unfolding:
+    """The literals unfolded so far in one formula, against MAX_UNFOLD."""
+
+    def __init__(self):
+        self.total = 0
+
+    def take(self, text, count):
+        self.total += count
+        if self.total > MAX_UNFOLD:
+            raise ValueError("%s unfolds into %d literals, %d in the formula, "
+                             "more than %d"
+                             % (text, count, self.total, MAX_UNFOLD))
+
+
+def _nnf(node, negate, unfolding):
     if isinstance(node, And):
-        items = [_nnf(x, negate) for x in node.items]
+        items = [_nnf(x, negate, unfolding) for x in node.items]
         return Or(items) if negate else And(items)
     if isinstance(node, Or):
-        items = [_nnf(x, negate) for x in node.items]
+        items = [_nnf(x, negate, unfolding) for x in node.items]
         return And(items) if negate else Or(items)
     if isinstance(node, Not):
-        return _nnf(node.body, not negate)
+        return _nnf(node.body, not negate, unfolding)
     if isinstance(node, ExistsInR):
+        body = _nnf(node.body, False, unfolding)
         if negate:
-            return NotExists(ExistsInR(node.var, _nnf(node.body, False)))
-        return ExistsInR(node.var, _nnf(node.body, False))
+            return NotExists(ExistsInR(node.var, body))
+        return ExistsInR(node.var, body)
     if isinstance(node, ExistsBounded):
+        body = _nnf(node.body, False, unfolding)
         if negate:
-            return NotExists(ExistsBounded(node.var, node.bound,
-                                           _nnf(node.body, False)))
-        return ExistsBounded(node.var, node.bound, _nnf(node.body, False))
+            return NotExists(ExistsBounded(node.var, node.bound, body))
+        return ExistsBounded(node.var, node.bound, body)
     if isinstance(node, ForallInR):
         # A x in R. phi == ! E x in R. ! phi
-        return _nnf(Not(ExistsInR(node.var, Not(node.body))), negate)
-    atom = _desugar_atom(node)
+        return _nnf(Not(ExistsInR(node.var, Not(node.body))), negate,
+                    unfolding)
+    atom = _desugar_atom(node, unfolding)
     if isinstance(atom, (And, Or)):
         # desugaring may produce a connective (the order expansion);
         # push the pending negation through it
-        return _nnf(atom, negate)
+        return _nnf(atom, negate, unfolding)
     if negate:
+        if isinstance(atom, DivZ):
+            unfolding.take("!" + atom.render(), atom.m - 1)
         atom = atom.negate()
         if isinstance(atom, (And, Or)):
             return _flatten(atom)
@@ -744,7 +760,7 @@ class NotExists:
         return self.body
 
 
-def _desugar_atom(node):
+def _desugar_atom(node, unfolding):
     if isinstance(node, Eq):
         return EqZ(term_to_linear(node.left).add(term_to_linear(node.right).scale(-1)))
     if isinstance(node, Neq):
@@ -758,9 +774,7 @@ def _desugar_atom(node):
         c = rhs.const
         if c < 0:
             return TRUE
-        if c + 1 > MAX_UNFOLD:
-            raise ValueError("%s > %d unfolds into %d literals, more than %d"
-                             % (lhs.render(), c, c + 1, MAX_UNFOLD))
+        unfolding.take("%s > %d" % (lhs.render(), c), c + 1)
         return And([NeqZ(lhs.plus_const(-i)) for i in range(c + 1)])
     if isinstance(node, DivAtom):
         return DivZ(node.m, term_to_linear(node.term))

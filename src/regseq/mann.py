@@ -11,11 +11,18 @@ non-degenerate solutions organize into finitely many translate families
 No effective bound for the Mann property is available here, so every
 completeness claim is tagged BoundedCheck at the exponent level scanned:
 all tuples whose coordinates use generator exponents up to E are covered,
-nothing beyond is claimed.  Base tuples are canonicalized by sorting the
-slots that share a coefficient and dividing out the largest monoid element
-that leaves all coordinates in the monoid; families are base x M.
+nothing beyond is claimed.  A scan of n unknowns over a window of W
+elements makes W^(n-1) lookups; it is refused when that exceeds SCAN_CAP, as
+soon as the window being built passes the size the budget allows.
+
+Base tuples are canonicalized by sorting the slots that share a coefficient
+and dividing out the largest monoid element that leaves all coordinates in
+the monoid; families are base x M.  That element divides the gcd of the
+coordinates, so one enumeration of the monoid up to the largest gcd of a
+scan serves all of its tuples.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -56,20 +63,24 @@ class MannMonoid:
 
     def elements_with_exponents(self, exp_bound):
         """Sorted products of generators with every exponent <= exp_bound."""
+        return sorted(set(self._exponent_products(exp_bound)))
+
+    def _exponent_products(self, exp_bound):
+        """The products of elements_with_exponents in exponent-vector order,
+        duplicates included; the vector count is checked before the first
+        product is built."""
         if exp_bound < 0:
             raise ValueError("exponent bound must be >= 0")
         count = (exp_bound + 1) ** len(self.generators)
         if count > SCAN_CAP:
             raise ValueError("exponent window of %d elements exceeds the "
                              "scan budget" % count)
-        out = set()
         for exps in itertools.product(range(exp_bound + 1),
                                       repeat=len(self.generators)):
             v = 1
             for g, e in zip(self.generators, exps):
                 v *= g ** e
-            out.add(v)
-        return sorted(out)
+            yield v
 
     def contains(self, value):
         """Membership by generator-division search (exact, unbounded)."""
@@ -113,25 +124,58 @@ class MannMonoid:
 # The scan shared by unit and homogeneous equations
 # ---------------------------------------------------------------------------
 
+def _largest_window(unknowns):
+    """The most distinct elements a scan of this many unknowns accepts: the
+    largest L with L ** (unknowns - 1) <= SCAN_CAP; None when unlimited."""
+    k = unknowns - 1
+    if k <= 0:
+        return None
+    lo, hi = 1, SCAN_CAP
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** k <= SCAN_CAP:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _scan_window(monoid, exp_bound, unknowns):
+    """The monoid's exponent window for a scan of this many unknowns,
+    refused as soon as it holds more distinct elements than the scan
+    budget admits, before the rest of it is built."""
+    limit = _largest_window(unknowns)
+    window = set()
+    for v in monoid._exponent_products(exp_bound):
+        window.add(v)
+        if limit is not None and len(window) > limit:
+            raise ValueError("monoid scan of %d unknowns exceeds the budget"
+                             % unknowns)
+    return sorted(window)
+
+
 def _scan(coeffs, target, elements):
-    """Non-degenerate solutions of a_1 x_1 + ... + a_n x_n = target (integer
-    a_i) with every x_i in `elements`, in itertools.product order: x_n is
-    solved for from each head (x_1, ..., x_{n-1})."""
+    """Non-degenerate solutions of a_1 x_1 + ... + a_n x_n = target (nonzero
+    integer a_i) with every x_i in `elements`, in itertools.product order.
+    Each prefix (x_1, ..., x_{n-2}) carries its remainder; x_{n-1} runs over
+    pre-scaled elements and x_n is looked up by a_n x_n.  The budget is the
+    window's: see _scan_window."""
     n = len(coeffs)
-    if len(elements) ** max(0, n - 1) > SCAN_CAP:
-        raise ValueError("monoid scan of %d unknowns exceeds the budget" % n)
-    element_set = set(elements)
+    lasts = {coeffs[-1] * e: e for e in elements}
+    if n == 1:
+        return [(lasts[target],)] if target in lasts else []
+    head = coeffs[:-2]
+    nexts = {coeffs[-2] * x: x for x in elements}
+    scaled = list(nexts)
     out = []
-    for head in itertools.product(elements, repeat=n - 1):
-        num = target - sum(a * x for a, x in zip(coeffs, head))
-        if num % coeffs[-1] != 0:
-            continue
-        last = num // coeffs[-1]
-        if last not in element_set:
-            continue
-        tup = head + (last,)
-        if _vanishing_subset([a * x for a, x in zip(coeffs, tup)]) is None:
-            out.append(tup)
+    for prefix in itertools.product(elements, repeat=n - 2):
+        rest = target - sum(a * x for a, x in zip(head, prefix))
+        # the keys rest - a_{n-1} x in element order (so hits keep product
+        # order), kept where some a_n x_n equals them
+        for key in filter(lasts.__contains__, map(rest.__sub__, scaled)):
+            tup = prefix + (nexts[rest - key], lasts[key])
+            if _vanishing_subset([a * v for a, v in zip(coeffs, tup)]) is None:
+                out.append(tup)
     return out
 
 
@@ -152,7 +196,7 @@ def solve_unit(coefficients, monoid, exp_bound=DEFAULT_EXPONENT):
     # same solutions and the same vanishing sub-sums.
     den = math.lcm(*(q.denominator for q in qs))
     found = _scan([int(q * den) for q in qs], den,
-                  monoid.elements_with_exponents(exp_bound))
+                  _scan_window(monoid, exp_bound, len(qs)))
     return sorted(set(found)), BoundedCheck(exp_bound)
 
 
@@ -244,19 +288,29 @@ def _coef_permutations(coeffs, tup):
         yield tuple(tup[mapping[i]] for i in range(len(tup)))
 
 
-def _canonical(coeffs, monoid, tup):
+def _canonical(coeffs, monoid, tup, divisors=None):
     """Sort equal-coefficient slots, then divide out the largest monoid
-    element keeping all coordinates in the monoid."""
+    element keeping all coordinates in the monoid.  That element divides the
+    gcd g of the coordinates, so the candidates are the entries of
+    `divisors` (the sorted monoid elements up to at least g) in (1, g],
+    tried from g downward; without the list the monoid is enumerated up to
+    g."""
     out = list(tup)
     for idxs in _slot_groups(coeffs):
         vals = sorted(out[i] for i in idxs)
         for i, v in zip(idxs, vals):
             out[i] = v
     best = tuple(out)
-    divisors = [m for m in monoid.enumerate(max(abs(v) for v in best) or 1)
-                if m > 1]
-    for m in sorted(divisors, reverse=True):
-        if all(v % m == 0 and monoid.contains(v // m) for v in best):
+    g = math.gcd(*best)
+    if g < 2:
+        return best
+    if divisors is None:
+        divisors = monoid.enumerate(g)
+    for k in range(bisect.bisect_right(divisors, g) - 1, -1, -1):
+        m = divisors[k]
+        if m < 2:
+            break
+        if g % m == 0 and all(monoid.contains(v // m) for v in best):
             return tuple(v // m for v in best)
     return best
 
@@ -270,8 +324,10 @@ def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT,
     if len(coeffs) < 2 or any(a == 0 for a in coeffs):
         raise ValueError("need >= 2 nonzero integer coefficients")
     n = len(coeffs)
-    scanned = _scan(coeffs, 0, monoid.elements_with_exponents(exp_bound))
-    base = sorted({_canonical(coeffs, monoid, t) for t in scanned})
+    scanned = _scan(coeffs, 0, _scan_window(monoid, exp_bound, n))
+    top = max((math.gcd(*t) for t in scanned), default=0)
+    divisors = monoid.enumerate(top) if top > 1 else []
+    base = sorted({_canonical(coeffs, monoid, t, divisors) for t in scanned})
     splits = []
     if _depth < 2:
         for size in range(2, n - 1):

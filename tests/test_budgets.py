@@ -87,3 +87,21 @@ def test_unit_equation_with_fractional_coefficients():
         got, _cert = solve_unit(qs, monoid, 6)
         assert got == want, qs
         assert got
+
+
+def test_unfolding_is_counted_per_formula(tmp_path, capsys):
+    half = F.MAX_UNFOLD // 2
+    F.normalize(F.parse("E x in R. x > %d & x > %d" % (half - 1, half - 1)))
+    F.normalize(F.parse("E x in R. !D%d(x) | !(x > %d)" % (half + 1, half - 1)))
+    for text in ("E x in R. x > %d & x > %d" % (half - 1, half),
+                 "E x in R. !D%d(x) | !(x > %d)" % (half + 2, half - 1),
+                 "A x in R. !(x > %d) | D%d(x + 1)" % (half, half + 1)):
+        with pytest.raises(ValueError, match="unfolds into"):
+            F.normalize(F.parse(text))
+    text = "E x in R. " + " & ".join(["x > %d" % (F.MAX_UNFOLD - 1)] * 10)
+    formula = tmp_path / "formula.txt"
+    formula.write_text(text)
+    seq = tmp_path / "pow2.json"
+    seq.write_text('{"kind": "power", "q": "2"}')
+    assert cli.main(["decide", "--seq", str(seq), "--formula", str(formula)]) == 3
+    assert "in the formula, more than %d" % F.MAX_UNFOLD in capsys.readouterr().err

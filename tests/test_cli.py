@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: exit codes, JSON reports, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +232,13 @@ def test_suite_deterministic_across_processes(tmp_path):
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
     json.loads(runs[0])  # well-formed
+
+
+def test_readme_mann_examples_run(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line[2:] for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("$ regseq mann ")]
+    assert len(lines) >= 4
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()

@@ -6,12 +6,18 @@ for x1 + x2 = x3 the base families are (1,1,2), (1,2,3), (1,3,4), (1,8,9).
 """
 
 import itertools
+import math
 import random
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from regseq.mann import (DEFAULT_EXPONENT, MannMonoid, induced_trace,
-                         solve_homogeneous, solve_unit)
+from regseq import jsonio
+from regseq.mann import (DEFAULT_EXPONENT, SCAN_CAP, MannMonoid, _canonical,
+                         _largest_window, _scan, _scan_window, _slot_groups,
+                         induced_trace, solve_homogeneous, solve_unit)
 
 
 M23 = MannMonoid([2, 3])
@@ -154,3 +160,172 @@ def test_kfold_sumsets_grow_strictly():
 
 def test_default_exponent_is_reasonable():
     assert DEFAULT_EXPONENT >= 32
+
+
+# ---------------------------------------------------------------------------
+# The scan and the canonical form against plain reference versions
+# ---------------------------------------------------------------------------
+
+EQUIVALENCE_MONOIDS = ([2, 3], [-2, 3], [6, 10], [2, 4], [4, 6, 9], [2, 3, 5])
+
+
+def reference_canonical(coeffs, monoid, tup):
+    """The canonical form as first written: every monoid element up to the
+    largest coordinate is a candidate divisor."""
+    out = list(tup)
+    for idxs in _slot_groups(coeffs):
+        vals = sorted(out[i] for i in idxs)
+        for i, v in zip(idxs, vals):
+            out[i] = v
+    best = tuple(out)
+    divisors = [m for m in monoid.enumerate(max(abs(v) for v in best) or 1)
+                if m > 1]
+    for m in sorted(divisors, reverse=True):
+        if all(v % m == 0 and monoid.contains(v // m) for v in best):
+            return tuple(v // m for v in best)
+    return best
+
+
+def reference_scan(coeffs, target, elements):
+    """Every non-degenerate solution tuple, in itertools.product order."""
+    out = []
+    for tup in itertools.product(elements, repeat=len(coeffs)):
+        terms = [a * x for a, x in zip(coeffs, tup)]
+        if sum(terms) == target and not any(
+                sum(terms[i] for i in sub) == 0
+                for k in range(1, len(terms))
+                for sub in itertools.combinations(range(len(terms)), k)):
+            out.append(tup)
+    return out
+
+
+@pytest.mark.parametrize("gens", EQUIVALENCE_MONOIDS)
+def test_canonical_matches_reference(gens):
+    monoid = MannMonoid(gens)
+    rng = random.Random("canonical:%s" % gens)
+    window = monoid.elements_with_exponents(4)
+    small = [v for v in window if abs(v) <= 1000]
+    cases = []
+    for coeffs in ([1, 1, -1], [1, 2, -1], [1, -1, 1, -1], [2, -1]):
+        sols = solve_homogeneous(coeffs, monoid, 3)
+        cases += [(coeffs, t) for t in sols.scanned]
+        for _ in range(40):
+            # non-solutions, scaled copies and arbitrary integers
+            tup = tuple(rng.choice(small) for _ in coeffs)
+            cases.append((coeffs, tup))
+            cases.append((coeffs, tuple(rng.choice(small) * v for v in tup)))
+            cases.append((coeffs, tuple(rng.randint(-500, 500) or 1
+                                        for _ in coeffs)))
+    cases.append(([1, 1, -1], (0, 0, 0)))
+    cases.append(([1, 1, -1], (0, 6, 12)))
+    top = max(math.gcd(*t) for _, t in cases)
+    divisors = monoid.enumerate(top)
+    for coeffs, tup in cases:
+        want = reference_canonical(coeffs, monoid, tup)
+        assert _canonical(coeffs, monoid, tup) == want, (coeffs, tup)
+        assert _canonical(coeffs, monoid, tup, divisors) == want, (coeffs, tup)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_matches_product_order_reference(n):
+    rng = random.Random("scan:%d" % n)
+    for gens in ([2, 3], [-2, 3], [2, 4], [2, 3, 5]):
+        # windows whose full product stays below about 50000 tuples
+        e = {1: 6, 2: 6, 3: 3, 4: 2}[n] - (len(gens) > 2)
+        elements = MannMonoid(gens).elements_with_exponents(e)
+        for _ in range(6):
+            coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n - 1)]
+            coeffs.append(rng.choice([-6, -4, -3, -2, 2, 3, 4, 6]))
+            for target in (0, 1, rng.choice([-7, -1, 2, 5, 12, 36])):
+                want = reference_scan(coeffs, target, elements)
+                assert _scan(coeffs, target, elements) == want, (coeffs, target)
+
+
+# ---------------------------------------------------------------------------
+# The scan budget refuses a window before it is built in full
+# ---------------------------------------------------------------------------
+
+def test_largest_window_is_the_integer_root():
+    assert _largest_window(1) is None
+    for n in range(2, 9):
+        limit = _largest_window(n)
+        assert limit ** (n - 1) <= SCAN_CAP < (limit + 1) ** (n - 1)
+
+
+@pytest.mark.parametrize("gens,n,bounds", [
+    ([2, 3], 3, range(46, 51)),
+    ([2, 4], 4, range(58, 63)),
+    ([4, 6, 9], 4, range(11, 16)),
+    ([2, 3, 5], 4, range(3, 8)),
+    ([2, 3], 5, range(4, 10)),
+])
+def test_scan_window_accepts_what_the_full_window_allows(gens, n, bounds):
+    monoid = MannMonoid(gens)
+    for e in bounds:
+        full = monoid.elements_with_exponents(e)
+        if len(full) ** (n - 1) <= SCAN_CAP:
+            assert _scan_window(monoid, e, n) == full
+        else:
+            with pytest.raises(ValueError, match="monoid scan of %d unknowns "
+                                                 "exceeds the budget" % n):
+                _scan_window(monoid, e, n)
+
+
+def test_over_budget_scan_is_refused_before_the_window_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="monoid scan of 3 unknowns"):
+            solve_homogeneous([1, 1, -1], M23, 2448)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    with pytest.raises(ValueError, match="exponent window of 6002500 elements"):
+        solve_homogeneous([1, 1, -1], M23, 2449)
+    # duplicates shrink {2, 4} at exponent 60 to 181 elements
+    assert solve_homogeneous([1, 1, -1], MannMonoid([2, 4]), 60).base == [(1, 1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Golden battery: the answers of a reference build, byte for byte
+# ---------------------------------------------------------------------------
+
+GOLDEN_MANN = Path(__file__).parent / "data" / "mann.json"
+BATTERY_TWO = ([2, 3], [2, 5], [3, 5], [2, 7], [-2, 3])
+BATTERY_THREE = ([2, 3, 5], [2, 3, 7])
+
+
+def mann_battery():
+    """One JSON line per question: homogeneous solution sets with their
+    scanned tuples, unit solutions and induced traces."""
+    cases = [(g, e) for g in BATTERY_TWO for e in (8, 12)]
+    cases += [(g, 4) for g in BATTERY_THREE]
+    out = []
+    for gens, e in cases:
+        monoid = MannMonoid(gens)
+        for coeffs in ([1, 1, -1], [1, 2, -1], [1, -1, -1], [1, 2, -3], [2, -1]):
+            sols = solve_homogeneous(coeffs, monoid, e)
+            out.append({"kind": "homogeneous", "gens": gens, "exp": e,
+                        "coeffs": coeffs, "answer": sols.to_json(),
+                        "scanned": sols.scanned})
+        for coeffs in (["1", "-1"], ["1/2", "1/2"], ["2", "-1"], ["1", "1", "-1"]):
+            tuples, cert = solve_unit([Fraction(c) for c in coeffs], monoid, e)
+            out.append({"kind": "unit", "gens": gens, "exp": e,
+                        "coeffs": coeffs, "solutions": tuples,
+                        "certificate": cert.to_json()})
+        for coeffs in ([1, 1, -1], [1, 2, -1]):
+            trace = induced_trace(coeffs, monoid, e)
+            out.append({"kind": "trace", "gens": gens, "exp": e,
+                        "coeffs": coeffs, "answer": trace.to_json()})
+    for gens in BATTERY_TWO:
+        monoid = MannMonoid(gens)
+        for coeffs in ([1, -1, 1, -1], [1, 1, 1, -1]):
+            sols = solve_homogeneous(coeffs, monoid, 3)
+            out.append({"kind": "homogeneous", "gens": gens, "exp": 3,
+                        "coeffs": coeffs, "answer": sols.to_json(),
+                        "scanned": sols.scanned})
+    return "".join(jsonio.dumps(entry) + "\n" for entry in out)
+
+
+def test_mann_battery_matches_golden_answers():
+    assert mann_battery() == GOLDEN_MANN.read_text(encoding="utf-8")
