@@ -35,6 +35,12 @@ EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
+# Ranges of the numeric options.  Each admits every documented example; far
+# past the ceiling one call could take minutes or gigabytes (the 2**n + n
+# table at --budget 100000 took 16 s and 670 MB).  A value outside exits 3.
+OPTION_RANGES = {"budget": (1, 10_000), "horizon": (1, 2 ** 20),
+                 "bound": (1, 10 ** 12), "exp_bound": (0, 4096)}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; our convention reserves 2 for Unknown,
@@ -44,6 +50,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(EXIT_USAGE)
+
+
+def _check_ranges(args):
+    for name, (lo, hi) in OPTION_RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not lo <= value <= hi:
+            raise ValueError("--%s must be between %d and %d, not %d"
+                             % (name.replace("_", "-"), lo, hi, value))
 
 
 def _emit(obj, out_path=None):
@@ -425,6 +439,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.fn(args)
     except operators.NotFinitelySolvable as exc:
         _emit({"error": "not-finitely-solvable", "detail": str(exc)})

@@ -21,9 +21,15 @@ The quantitative skeleton used to certify completeness:
   everything below it plus z, so all indices stay below the box bound
   L* = L + (s-1)(G+1);
 * offset tuples with gaps <= G whose combined operator is killed exactly
-  (polynomial divisibility / vanishing at every base) are the families;
-  everything else inside the box [0, L*]^s is enumerated outright by a
-  meet-in-the-middle scan.
+  (polynomial divisibility / vanishing at every base) are the families.
+  Each (variable, offset) pair has one exact kill vector, packed into one
+  integer, and a tuple is killed when its vectors sum to zero; the killed
+  tuples are found by a meet-in-the-middle search over [0, (s-1)G]^s that
+  hashes the half-sums of the first s//2 variables, and only the hits are
+  checked for valid offsets (min 0, distinct, sorted gaps <= G) and for a
+  killed proper sub-block;
+* everything else inside the box [0, L*]^s is enumerated outright by the
+  same meet-in-the-middle on values.
 
 The resulting description instantiates to exactly the brute-force answer on
 any window, which is the invariant the test-suite oracles check.
@@ -402,74 +408,106 @@ def _uniform_cutoff(handle, A, max_degree):
 # ---------------------------------------------------------------------------
 
 class _KillTester:
-    """Per-variable, per-offset value vectors whose sums decide instantly
-    whether a combined operator is killed by the sequence (a family),
-    partially killed (only the dominant summand dies: a certification gap),
-    or clean."""
+    """One integer per (variable, offset) whose sums over a block of
+    variables decide whether the combined operator sum_j S^{m_j} f_j is
+    killed by the sequence (a family), partially killed (only the dominant
+    summand dies: a certification gap), or clean.
+
+    Each integer packs a vector of coordinates, all of which vanish exactly
+    when the operator is killed:
+
+    * geometric: f_j(q) q^m for each base q of the power-sum expansion;
+    * algebraic: the coefficients of X^m f_j reduced modulo the minimal
+      polynomial of theta;
+    * marker: the coefficients of X^m f_j itself (width max_offset + d_max
+      + 1), so only an identically cancelling combination is killed.
+
+    The coordinates are balanced base-2^bits digits with 2^(bits-1) above s
+    times the largest coordinate, so no sum of at most s vectors carries
+    between digits and a packed sum is 0 exactly when every coordinate is.
+    In geometric mode ``top_rows`` holds the dominant coordinate alone."""
 
     def __init__(self, handle, ops, max_offset):
-        self.ops = ops
-        expansion = sq.power_base_expansion(handle.spec)
-        if expansion is not None:
-            self.mode = "geometric"
-            bases = [q for q, _ in expansion]
-            self.top = len(bases) - 1
-            self.vectors = [
-                [tuple(polyops.peval(op.poly(), q) * q ** m for q in bases)
-                 for m in range(max_offset + 1)]
-                for op in ops]
-            return
-        kepler = sq._cached_kepler(handle)
-        if (kepler.kind == sq.KeplerLimit.ALGEBRAIC
-                and sq.certify(handle).recurrence_certified):
-            self.mode = "algebraic"
-            P = kepler.minpoly.coeffs
-            k = kepler.minpoly.degree
-            # X^m mod P (monic, integer coefficients) for every offset+shift
-            pows = []
-            cur = [1] + [0] * (k - 1)
-            for _ in range(max_offset + max(op.degree for op in ops) + 1):
-                pows.append(list(cur))
-                carry = cur[-1]
-                cur = [0] + cur[:-1]
-                for i in range(k):
-                    cur[i] -= carry * P[i]
-            self.vectors = []
-            for op in ops:
-                per_offset = []
-                for m in range(max_offset + 1):
-                    acc = [0] * k
-                    for i, a in enumerate(op.coeffs):
-                        if a:
-                            row = pows[m + i]
-                            for t in range(k):
-                                acc[t] += a * row[t]
-                    per_offset.append(tuple(acc))
-                self.vectors.append(per_offset)
-            return
-        self.mode = "marker"
+        self.mode, vectors = _kill_vectors(handle, ops, max_offset)
+        self.top_rows = ([[v[-1] for v in row] for row in vectors]
+                         if self.mode == "geometric" else None)
+        largest = max(abs(c) for row in vectors for v in row for c in v)
+        bits = (len(ops) * largest).bit_length() + 1
+        self.rows = [[sum(c << (bits * i) for i, c in enumerate(v)) for v in row]
+                     for row in vectors]
 
     def status(self, members, offsets):
         """'killed' | 'clean' | 'partial' for sum_j S^{m_j} f_j over members."""
-        if self.mode == "marker":
-            base = min(offsets)
-            g = op_mod.shift_combine([self.ops[j] for j in members],
-                                     [m - base for m in offsets])
-            return "killed" if g is op_mod.ZERO else "clean"
-        acc = None
-        for j, m in zip(members, offsets):
-            v = self.vectors[j][m]
-            acc = v if acc is None else tuple(a + b for a, b in zip(acc, v))
-        if all(c == 0 for c in acc):
+        if sum(self.rows[j][m] for j, m in zip(members, offsets)) == 0:
             return "killed"
-        if self.mode == "geometric" and acc[self.top] == 0:
+        if (self.top_rows is not None
+                and sum(self.top_rows[j][m] for j, m in zip(members, offsets)) == 0):
             return "partial"
         return "clean"
+
+
+def _kill_vectors(handle, ops, max_offset):
+    """The tester's mode and its coordinate vectors, indexed [variable][offset]."""
+    offsets = range(max_offset + 1)
+    expansion = sq.power_base_expansion(handle.spec)
+    if expansion is not None:
+        bases = [q for q, _ in expansion]
+        return "geometric", [[[polyops.peval(op.poly(), q) * q ** m for q in bases]
+                              for m in offsets]
+                             for op in ops]
+    kepler = sq._cached_kepler(handle)
+    if (kepler.kind == sq.KeplerLimit.ALGEBRAIC
+            and sq.certify(handle).recurrence_certified):
+        P = kepler.minpoly.coeffs
+        k = kepler.minpoly.degree
+        # X^m mod P (monic, integer coefficients) for every offset+shift
+        pows = []
+        cur = [1] + [0] * (k - 1)
+        for _ in range(max_offset + max(op.degree for op in ops) + 1):
+            pows.append(list(cur))
+            carry = cur[-1]
+            cur = [0] + cur[:-1]
+            for i in range(k):
+                cur[i] -= carry * P[i]
+        vectors = []
+        for op in ops:
+            per_offset = []
+            for m in offsets:
+                acc = [0] * k
+                for i, a in enumerate(op.coeffs):
+                    if a:
+                        row = pows[m + i]
+                        for t in range(k):
+                            acc[t] += a * row[t]
+                per_offset.append(acc)
+            vectors.append(per_offset)
+        return "algebraic", vectors
+    width = max_offset + max(op.degree for op in ops) + 1
+    return "marker", [[[0] * m + list(op.coeffs) + [0] * (width - m - len(op.coeffs))
+                       for m in offsets]
+                      for op in ops]
 
 
 # ---------------------------------------------------------------------------
 # Core solver over pairwise distinct indices
 # ---------------------------------------------------------------------------
+
+def _meet_in_the_middle(rows, target):
+    """Every index tuple t with sum_j rows[j][t_j] == target, all rows having
+    one length: the sums over the first half of the variables are hashed and
+    each sum over the second half looks up its complement (Horowitz and
+    Sahni).  Lazy, in no particular order."""
+    half = len(rows) // 2
+    idx = range(len(rows[0]))
+    table = {}
+    for tup, terms in zip(itertools.product(idx, repeat=half),
+                          itertools.product(*rows[:half])):
+        table.setdefault(sum(terms), []).append(tup)
+    for tup, terms in zip(itertools.product(idx, repeat=len(rows) - half),
+                          itertools.product(*rows[half:])):
+        for left in table.get(target - sum(terms), ()):
+            yield left + tup
+
 
 def _box_solutions(problem, top):
     """All non-degenerate tuples in [0, top]^s summing to z (pairwise
@@ -478,41 +516,49 @@ def _box_solutions(problem, top):
     compute them."""
     s = problem.s
     vals = _value_table(problem, top)
-    half = s // 2
-    table = {}
-    for tup in itertools.product(range(top + 1), repeat=half):
-        key = sum(vals[j][tup[j]] for j in range(half))
-        table.setdefault(key, []).append(tup)
-    out = []
-    for tup in itertools.product(range(top + 1), repeat=s - half):
-        rest = problem.z - sum(vals[half + j][tup[j]] for j in range(s - half))
-        for left in table.get(rest, ()):
-            full = left + tup
-            if len(set(full)) == s and _vanishing_subset(
-                    [row[v] for row, v in zip(vals, full)]) is None:
-                out.append(full)
+    out = [full for full in _meet_in_the_middle(vals, problem.z)
+           if len(set(full)) == s
+           and _vanishing_subset([row[v] for row, v in zip(vals, full)]) is None]
     out.sort()
     return out, vals
 
 
-def _offset_patterns(s, gap):
-    """Offset tuples: pairwise distinct, min 0, consecutive sorted gaps in
-    [1, gap]."""
-    if s == 1:
-        yield (0,)
-        return
-    for gaps in itertools.product(range(1, gap + 1), repeat=s - 1):
-        positions = [0]
-        for g in gaps:
-            positions.append(positions[-1] + g)
-        for perm in itertools.permutations(range(s)):
-            yield tuple(positions[perm[i]] for i in range(s))
+def _zero_patterns(rows, gap):
+    """Offset patterns m (min 0, pairwise distinct, consecutive sorted gaps
+    in [1, gap]) with sum_j rows[j][m_j] == 0, searched over
+    [0, (k-1) gap]^k for k rows.  Unless every row is identically zero, a
+    hit fixes its last offset, so there are at most ((k-1) gap + 1)^(k-1)."""
+    span = (len(rows) - 1) * gap + 1
+    for offsets in _meet_in_the_middle([row[:span] for row in rows], 0):
+        ordered = sorted(offsets)
+        if ordered[0] == 0 and all(1 <= b - a <= gap
+                                   for a, b in zip(ordered, ordered[1:])):
+            yield offsets
+
+
+def _family_offsets(tester, s, gap):
+    """Offset patterns whose combined operator the sequence kills, demoted
+    when some proper sub-block is killed too (every instance would then carry
+    a vanishing sub-sum).  A wholly killed variable is such a sub-block for
+    every pattern, so then there is nothing to search."""
+    if s > 1 and any(row[0] == 0 for row in tester.rows):
+        return []
+    return [offsets for offsets in _zero_patterns(tester.rows, gap)
+            if not any(tester.status(sub, [offsets[j] for j in sub]) == "killed"
+                       for size in range(1, s)
+                       for sub in itertools.combinations(range(s), size))]
 
 
 def _partial_kill_present(tester, s, gap):
+    """Whether some block of variables has an offset pattern that kills the
+    dominant coordinate but not the whole combined operator.  A block of
+    wholly killed variables can only be killed, so it is skipped."""
     for size in range(1, s + 1):
         for members in itertools.combinations(range(s), size):
-            for offsets in _offset_patterns(size, gap):
+            if all(tester.rows[j][0] == 0 for j in members):
+                continue
+            rows = [tester.top_rows[j] for j in members]
+            for offsets in _zero_patterns(rows, gap):
                 if tester.status(members, offsets) == "partial":
                     return True
     return False
@@ -538,25 +584,7 @@ def _solve_distinct(problem, memo, depth=0):
             box = max(comp.box, BOUNDED_BOX)
             comp = _Completeness(comp.gap, box, BoundedCheck(box))
 
-    # Families: offset tuples whose combined operator the sequence kills,
-    # demoted when some proper sub-block is killed too (every instance would
-    # then carry a vanishing sub-sum).
-    family_offsets = []
-    if z == 0:
-        for offsets in _offset_patterns(s, comp.gap):
-            if tester.status(range(s), offsets) != "killed":
-                continue
-            demoted = False
-            for size in range(1, s):
-                for sub in itertools.combinations(range(s), size):
-                    if tester.status(sub, [offsets[j] for j in sub]) == "killed":
-                        demoted = True
-                        break
-                if demoted:
-                    break
-            if not demoted:
-                family_offsets.append(offsets)
-
+    family_offsets = _family_offsets(tester, s, comp.gap) if z == 0 else []
     solutions, vals = _box_solutions(problem, comp.box + max_offset)
 
     # Exceptions: anchors whose instance degenerates.  Beyond the box every

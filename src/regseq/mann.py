@@ -13,7 +13,9 @@ completeness claim is tagged BoundedCheck at the exponent level scanned:
 all tuples whose coordinates use generator exponents up to E are covered,
 nothing beyond is claimed.  A scan of n unknowns over a window of W
 elements makes W^(n-1) lookups; it is refused when that exceeds SCAN_CAP, as
-soon as the window being built passes the size the budget allows.
+soon as the window being built passes the size the budget allows.  Every
+window is also refused once its distinct elements pass WINDOW_BITS bits in
+total, since with few unknowns the count alone admits gigabytes.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -32,6 +34,9 @@ from .equations import _vanishing_subset
 
 DEFAULT_EXPONENT = 64
 SCAN_CAP = 6_000_000
+# Cap on the summed bit lengths of a window's distinct elements; {2, 3}
+# passes it at exponent bound 235 (bound 234 gives 55,225 elements).
+WINDOW_BITS = 1 << 24
 
 
 class MannMonoid:
@@ -62,8 +67,9 @@ class MannMonoid:
         return sorted(seen)
 
     def elements_with_exponents(self, exp_bound):
-        """Sorted products of generators with every exponent <= exp_bound."""
-        return sorted(set(self._exponent_products(exp_bound)))
+        """Sorted products of generators with every exponent <= exp_bound,
+        within the WINDOW_BITS budget."""
+        return _scan_window(self, exp_bound, 1)
 
     def _exponent_products(self, exp_bound):
         """The products of elements_with_exponents in exponent-vector order,
@@ -143,14 +149,22 @@ def _largest_window(unknowns):
 def _scan_window(monoid, exp_bound, unknowns):
     """The monoid's exponent window for a scan of this many unknowns,
     refused as soon as it holds more distinct elements than the scan
-    budget admits, before the rest of it is built."""
+    budget admits, or more than WINDOW_BITS bits, before the rest of it is
+    built."""
     limit = _largest_window(unknowns)
     window = set()
+    bits = 0
     for v in monoid._exponent_products(exp_bound):
+        if v in window:
+            continue
         window.add(v)
+        bits += v.bit_length()
         if limit is not None and len(window) > limit:
             raise ValueError("monoid scan of %d unknowns exceeds the budget"
                              % unknowns)
+        if bits > WINDOW_BITS:
+            raise ValueError("monoid window at exponent bound %d exceeds %d bits"
+                             % (exp_bound, WINDOW_BITS))
     return sorted(window)
 
 

@@ -219,6 +219,12 @@ def _json_ints(obj, field, default=None):
 
 _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.FloorDiv, ast.Mod}
 
+# Largest power, in bits, that a generator's ``**`` may build (estimated as
+# exponent times the base's bit length).  2**n stays evaluable far past any
+# index the solvers reach; 10**10**10, about 4 GB, is refused before it is
+# built.  Negative exponents are refused too: they would yield floats.
+GENERATOR_POW_BITS = 1 << 20
+
 
 def _compile_generator(text):
     tree = ast.parse(text, mode="eval")
@@ -266,7 +272,14 @@ def _eval_node(node, n):
         if op is ast.Mult:
             return a * b
         if op is ast.Pow:
+            if b < 0:
+                raise ValueError("generator exponent is negative")
+            if b * a.bit_length() > GENERATOR_POW_BITS:
+                raise ValueError("generator power exceeds %d bits"
+                                 % GENERATOR_POW_BITS)
             return a ** b
+        if b == 0:
+            raise ValueError("generator divides by zero")
         if op is ast.FloorDiv:
             return a // b
         return a % b
@@ -299,6 +312,7 @@ class SequenceHandle:
                            if spec.kind == KIND_TABLE and spec.generator else None)
         self._kepler = None
         self._contraction = None  # False = tried and failed
+        self._ratio_bounds = {}   # budget -> ratio_lower_bound result or error
         self._profiles = {}
 
     def eval(self, n):
@@ -607,16 +621,23 @@ def _empirical_scan(handle):
     return KeplerLimit.empirical(min(tail), max(tail), len(ratios), warning)
 
 
+def _window_terms(handle, budget):
+    """The terms r_0, ..., r_budget, stopping early where a table runs out or
+    the sequence stops increasing."""
+    terms = []
+    for n in range(budget + 1):
+        try:
+            terms.append(handle.eval(n))
+        except (TableExhausted, MonotonicityError):
+            break
+    return terms
+
+
 def _window_ratios(handle, budget):
     """The ratios r_{n+1} / r_n for n < budget, stopping early where a table
     runs out or the sequence stops increasing."""
-    ratios = []
-    for n in range(budget):
-        try:
-            ratios.append(handle.ratio(n))
-        except (TableExhausted, MonotonicityError):
-            break
-    return ratios
+    terms = _window_terms(handle, budget)
+    return [Fraction(b, a) for a, b in zip(terms, terms[1:])]
 
 
 def _max_algebraic(a, b):
@@ -845,7 +866,21 @@ def _scan_dominance_cutoff(handle, kepler, eps, degree, budget):
 def ratio_lower_bound(handle, budget=RATIO_SCAN_BUDGET):
     """A certified (rho, n0, certificate) with r_{n+1} >= rho r_n for all
     n >= n0 and rho > 1.  Proved for exact-ratio kinds and contracting
-    recurrences; BoundedCheck (window only) otherwise."""
+    recurrences; BoundedCheck (window only) otherwise.  Computed once per
+    handle and budget; a ValueError is cached and raised again."""
+    cache = handle._ratio_bounds
+    if budget not in cache:
+        try:
+            cache[budget] = _ratio_lower_bound(handle, budget)
+        except ValueError as exc:
+            cache[budget] = exc
+    found = cache[budget]
+    if isinstance(found, ValueError):
+        raise found.with_traceback(None)
+    return found
+
+
+def _ratio_lower_bound(handle, budget):
     spec = handle.spec
     if spec.kind == KIND_POWER:
         return Fraction(spec.q), 0, Proved("exact-ratio")
@@ -872,8 +907,15 @@ def ratio_lower_bound(handle, budget=RATIO_SCAN_BUDGET):
                 if data.defect_bound(n) < margin * handle.eval(n):
                     return rho, n, Proved("contraction")
                 n += 1
-    # Bounded scan: the smallest ratio over the window.
-    ratios = _window_ratios(handle, budget)
-    if not ratios or min(ratios) <= 1:
+    # Bounded scan: the smallest ratio over the window, compared by
+    # cross-multiplication (every term is positive).
+    terms = _window_terms(handle, budget)
+    if len(terms) < 2:
         raise ValueError("no ratio lower bound above 1 found in the window")
-    return min(ratios), 0, BoundedCheck(len(ratios))
+    num, den = terms[1], terms[0]
+    for a, b in zip(terms[1:], terms[2:]):
+        if b * den < num * a:
+            num, den = b, a
+    if num <= den:
+        raise ValueError("no ratio lower bound above 1 found in the window")
+    return Fraction(num, den), 0, BoundedCheck(len(terms) - 1)

@@ -1,13 +1,16 @@
 """Malformed input gives exit 3 and a one-line error, never a traceback."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from regseq import cli
 from regseq import formulas as F
+from regseq import sequences
 from regseq.sequences import SequenceSpec
 
 MALFORMED_SPECS = [
@@ -79,3 +82,96 @@ def test_module_entry_point_runs_once(tmp_path):
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout)["element"] == "32"
     assert proc.stderr == ""
+
+
+GENERATOR_ERRORS = [
+    ("2**(0-n) + n", "generator exponent is negative"),
+    ("10**10**10", "generator power exceeds"),
+    ("n // (n - n)", "generator divides by zero"),
+    ("n % 0", "generator divides by zero"),
+]
+
+
+@pytest.mark.parametrize("generator,message", GENERATOR_ERRORS,
+                         ids=[g for g, _ in GENERATOR_ERRORS])
+def test_unsafe_generator_exits_three(tmp_path, capsys, generator, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"kind": "table", "values": [],
+                                "generator": generator}), encoding="utf-8")
+    code, err = _exit_and_stderr(capsys, ["eval", "--seq", str(path), "--n", "5"])
+    assert code == 3
+    assert err.startswith("error: " + message) and len(err.strip().splitlines()) == 1
+
+
+def test_generator_power_cap_boundary(tmp_path, capsys):
+    cap = sequences.GENERATOR_POW_BITS
+    edge = sequences.make_handle(SequenceSpec.table([], generator="2**%d" % (cap // 2)))
+    assert edge.eval(0) == 2 ** (cap // 2)
+    over = sequences.make_handle(SequenceSpec.table([], generator="2**%d" % (cap // 2 + 1)))
+    with pytest.raises(ValueError, match="generator power exceeds"):
+        over.eval(0)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"kind": "table", "values": [],
+                                "generator": "2**n + n"}), encoding="utf-8")
+    assert cli.main(["eval", "--seq", str(path), "--n", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["element"] == str(2 ** 100 + 100)
+
+
+# (argv prefix, option) for every option with a documented range
+RANGE_CASES = {
+    "classify": (["classify", "--seq", "{seq}", "--op", "[-2,1]"], "budget"),
+    "decide": (["decide", "--seq", "{seq}", "--formula", "{formula}"], "budget"),
+    "verify-ax5": (["verify-ax5", "--seq", "{seq}", "--op", "[-2,1]"], "budget"),
+    "verify-ax6": (["verify-ax6", "--seq", "{seq}", "--ops", "[2,-1];[-1]"], "budget"),
+    "gap-runs": (["syndetic", "gap-runs", "--set", "{set}", "--d", "4"], "horizon"),
+    "cover-check": (["syndetic", "cover-check", "--a", "1", "--d", "2",
+                     "--images", "{set}"], "horizon"),
+    "mann-enumerate": (["mann", "enumerate", "--gens", "2,3"], "bound"),
+    "mann-solve": (["mann", "solve", "--gens", "2,3", "--eq", "x1 - x2 = 1"],
+                   "exp-bound"),
+    "mann-trace": (["mann", "trace", "--gens", "2,3", "--eq", "x1 + x2 - x3 = 0"],
+                   "exp-bound"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_numeric_options_outside_their_range_exit_three(tmp_path, capsys, case):
+    prefix, option = RANGE_CASES[case]
+    files = {"seq": tmp_path / "pow2.json", "formula": tmp_path / "f.trf",
+             "set": tmp_path / "set.json"}
+    files["seq"].write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    files["formula"].write_text("E x in R. x = 4", encoding="utf-8")
+    files["set"].write_text(json.dumps({"kind": "progression", "a": "1", "d": "3"}),
+                            encoding="utf-8")
+    argv = [arg.format(**files) for arg in prefix]
+    lo, hi = cli.OPTION_RANGES[option.replace("-", "_")]
+    for value in (lo - 1, hi + 1, -10 ** 30):
+        code, err = _exit_and_stderr(capsys, argv + ["--" + option, str(value)])
+        assert code == 3, value
+        assert err == "error: --%s must be between %d and %d, not %d\n" % (
+            option, lo, hi, value)
+
+
+def test_numeric_option_ceilings_are_admitted(tmp_path, capsys):
+    seq = tmp_path / "pow2.json"
+    seq.write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    ranges = cli.OPTION_RANGES
+    assert cli.main(["classify", "--seq", str(seq), "--op", "[-2,1]",
+                     "--budget", str(ranges["budget"][1])]) == 0
+    assert cli.main(["mann", "enumerate", "--gens", "2,3",
+                     "--bound", str(ranges["bound"][1])]) == 0
+    assert cli.main(["mann", "solve", "--gens", "2", "--eq", "x1 - x2 = 1",
+                     "--exp-bound", str(ranges["exp_bound"][1])]) == 0
+    capsys.readouterr()
+
+
+def test_readme_and_benchmark_arguments_fit_the_ranges():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    used = re.findall(r"--(budget|horizon|bound|exp-bound) (\d+)", readme)
+    assert used
+    # the benchmark's CLI questions draw --bound up to 5000 and --horizon up
+    # to 2000 (perfbench/workloads.py)
+    used += [("bound", "5000"), ("horizon", "2000")]
+    for option, value in used:
+        lo, hi = cli.OPTION_RANGES[option.replace("-", "_")]
+        assert lo <= int(value) <= hi, (option, value)

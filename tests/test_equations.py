@@ -5,14 +5,20 @@ instantiate() must reproduce it verbatim, and for nonzero targets the
 non-degenerate answer must be purely sporadic.
 """
 
+import itertools
 import random
 
 import pytest
 
+from regseq import polyops
+from regseq import sequences as sq
+from regseq.certs import BoundedCheck
 from regseq.equations import (EquationProblem, ShiftPattern,
-                              TrivialOperatorPresent, brute_force,
+                              TrivialOperatorPresent, _family_offsets,
+                              _KillTester, _partial_kill_present, brute_force,
                               solve_full, solve_nondegenerate)
-from regseq.operators import CofiniteZero, classify
+from regseq.operators import (ZERO, CofiniteZero, Operator, classify,
+                              shift_combine)
 from regseq.sequences import SequenceSpec, make_handle
 
 HANDLES = {
@@ -139,3 +145,217 @@ def test_problem_json_round_trip():
     back = EquationProblem.from_json(HANDLES["fib"], problem.to_json())
     assert [op.coeffs for op in back.operators] == [(1,), (1,), (-1,)]
     assert back.z == 0
+
+
+# ---------------------------------------------------------------------------
+# Family search: meet-in-the-middle against the pattern-by-pattern loop
+# ---------------------------------------------------------------------------
+
+class ReferenceKillTester:
+    """The kill tester before the family search was rewritten: tuple
+    vectors summed coordinate by coordinate, and shift_combine in marker
+    mode."""
+
+    def __init__(self, handle, ops, max_offset):
+        self.ops = ops
+        expansion = sq.power_base_expansion(handle.spec)
+        if expansion is not None:
+            self.mode = "geometric"
+            bases = [q for q, _ in expansion]
+            self.top = len(bases) - 1
+            self.vectors = [
+                [tuple(polyops.peval(op.poly(), q) * q ** m for q in bases)
+                 for m in range(max_offset + 1)]
+                for op in ops]
+            return
+        kepler = sq._cached_kepler(handle)
+        if (kepler.kind == sq.KeplerLimit.ALGEBRAIC
+                and sq.certify(handle).recurrence_certified):
+            self.mode = "algebraic"
+            P = kepler.minpoly.coeffs
+            k = kepler.minpoly.degree
+            pows = []
+            cur = [1] + [0] * (k - 1)
+            for _ in range(max_offset + max(op.degree for op in ops) + 1):
+                pows.append(list(cur))
+                carry = cur[-1]
+                cur = [0] + cur[:-1]
+                for i in range(k):
+                    cur[i] -= carry * P[i]
+            self.vectors = []
+            for op in ops:
+                per_offset = []
+                for m in range(max_offset + 1):
+                    acc = [0] * k
+                    for i, a in enumerate(op.coeffs):
+                        if a:
+                            row = pows[m + i]
+                            for t in range(k):
+                                acc[t] += a * row[t]
+                    per_offset.append(tuple(acc))
+                self.vectors.append(per_offset)
+            return
+        self.mode = "marker"
+
+    def status(self, members, offsets):
+        if self.mode == "marker":
+            base = min(offsets)
+            g = shift_combine([self.ops[j] for j in members],
+                              [m - base for m in offsets])
+            return "killed" if g is ZERO else "clean"
+        acc = None
+        for j, m in zip(members, offsets):
+            v = self.vectors[j][m]
+            acc = v if acc is None else tuple(a + b for a, b in zip(acc, v))
+        if all(c == 0 for c in acc):
+            return "killed"
+        if self.mode == "geometric" and acc[self.top] == 0:
+            return "partial"
+        return "clean"
+
+
+def reference_offset_patterns(s, gap):
+    if s == 1:
+        yield (0,)
+        return
+    for gaps in itertools.product(range(1, gap + 1), repeat=s - 1):
+        positions = [0]
+        for g in gaps:
+            positions.append(positions[-1] + g)
+        for perm in itertools.permutations(range(s)):
+            yield tuple(positions[perm[i]] for i in range(s))
+
+
+def reference_families(tester, s, gap):
+    out = []
+    for offsets in reference_offset_patterns(s, gap):
+        if tester.status(range(s), offsets) != "killed":
+            continue
+        if not any(tester.status(sub, [offsets[j] for j in sub]) == "killed"
+                   for size in range(1, s)
+                   for sub in itertools.combinations(range(s), size)):
+            out.append(offsets)
+    return out
+
+
+def reference_partial_kill(tester, s, gap):
+    return any(tester.status(members, offsets) == "partial"
+               for size in range(1, s + 1)
+               for members in itertools.combinations(range(s), size)
+               for offsets in reference_offset_patterns(size, gap))
+
+
+KILL_HANDLES = {
+    "pow2": (SequenceSpec.power(2), "geometric"),
+    "sum23": (SequenceSpec.sum_of([SequenceSpec.power(2), SequenceSpec.power(3)]),
+              "geometric"),
+    "fib": (SequenceSpec.recurrence([1, 1], [1, 2]), "algebraic"),
+    "pell": (SequenceSpec.recurrence([1, 2], [1, 2]), "algebraic"),
+    "trib": (SequenceSpec.recurrence([1, 1, 1], [1, 2, 4]), "algebraic"),
+    "table": (SequenceSpec.table([], generator="2**n + n"), "marker"),
+    "factorial": (SequenceSpec.factorial(), "marker"),
+}
+
+# Operators that kill, partly kill or cancel in each mode: [2] against [-1]
+# one step up kills 2^n, [3] against [-1] kills only the 3^n summand of
+# 2^n + 3^n, [1, 1] against [-1] kills Fibonacci, [1] one step up cancels
+# [0, -1] identically, and [-2, 1] is killed by 2^n on its own.
+KILL_OPS = [[1], [-1], [2], [3], [1, 1], [0, -1], [1, 2], [-2, 1], [1, 1, 1]]
+
+
+def _kill_cases(rng, s):
+    cases = [[[1], [1], [-1], [-1]][:s], [[2], [-1], [1], [-3]][:s]]
+    for _ in range(3):
+        cases.append([rng.choice(KILL_OPS) for _ in range(s)])
+    return cases
+
+
+@pytest.mark.parametrize("label", sorted(KILL_HANDLES))
+def test_family_search_matches_reference(label):
+    spec, mode = KILL_HANDLES[label]
+    handle = make_handle(spec)
+    rng = random.Random("kill:" + label)
+    for s in range(1, 5):
+        gaps = range(1, 13) if s < 4 else (1, 3, 6)
+        for coeffs in _kill_cases(rng, s):
+            ops = [Operator(c) for c in coeffs]
+            for gap in gaps:
+                tester = _KillTester(handle, ops, (s - 1) * gap)
+                reference = ReferenceKillTester(handle, ops, (s - 1) * gap)
+                assert tester.mode == reference.mode == mode
+                assert (set(_family_offsets(tester, s, gap))
+                        == set(reference_families(reference, s, gap))), (coeffs, gap)
+                if mode == "geometric":
+                    assert (_partial_kill_present(tester, s, gap)
+                            == reference_partial_kill(reference, s, gap)), (coeffs, gap)
+
+
+def test_family_search_finds_known_families_and_partial_kills():
+    fib = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+    tester = _KillTester(fib, [Operator([1]), Operator([1]), Operator([-1])], 6)
+    assert sorted(_family_offsets(tester, 3, 3)) == [(0, 1, 2), (1, 0, 2)]
+    sum23 = make_handle(KILL_HANDLES["sum23"][0])
+    tester = _KillTester(sum23, [Operator([3]), Operator([-1])], 1)
+    assert _family_offsets(tester, 2, 1) == []
+    assert _partial_kill_present(tester, 2, 1)
+    table = make_handle(KILL_HANDLES["table"][0])
+    tester = _KillTester(table, [Operator([1]), Operator([0, -1])], 2)
+    assert _family_offsets(tester, 2, 2) == [(1, 0)]
+    # a variable killed on its own is a family alone and demotes every
+    # larger pattern
+    pow2 = make_handle(KILL_HANDLES["pow2"][0])
+    tester = _KillTester(pow2, [Operator([-2, 1])], 0)
+    assert _family_offsets(tester, 1, 1) == [(0,)]
+    tester = _KillTester(pow2, [Operator([-2, 1]), Operator([2]), Operator([-1])], 2)
+    assert _family_offsets(tester, 3, 1) == []
+    # 9 r_n - r_{n+2} kills the 3^n summand only, at a gap of 2 that a
+    # variable killed by 2^n + 3^n, (X - 2)(X - 3), bridges at offset 1
+    ops = [Operator([9]), Operator([6, -5, 1]), Operator([-1])]
+    assert not _partial_kill_present(_KillTester(sum23, ops[::2], 1), 2, 1)
+    assert _partial_kill_present(_KillTester(sum23, ops, 2), 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# ratio_lower_bound: one bounded scan per handle, the window's minimum
+# ---------------------------------------------------------------------------
+
+RATIO_SPECS = {
+    "trib": SequenceSpec.recurrence([1, 1, 1], [1, 2, 4]),
+    "table-2n-plus-n": SequenceSpec.table([], generator="2**n + n"),
+    "table-runs-out": SequenceSpec.table([1, 3, 4, 9, 20]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(RATIO_SPECS))
+def test_ratio_lower_bound_is_the_window_minimum(label):
+    spec = RATIO_SPECS[label]
+    for budget in (1, 2, 3, 7, 64, sq.RATIO_SCAN_BUDGET):
+        rho, n0, cert = sq.ratio_lower_bound(make_handle(spec), budget)
+        ratios = sq._window_ratios(make_handle(spec), budget)
+        assert (rho, n0, cert) == (min(ratios), 0, BoundedCheck(len(ratios)))
+    assert cert == BoundedCheck(4 if label == "table-runs-out" else sq.RATIO_SCAN_BUDGET)
+
+
+def _refuse_evaluation(n):
+    raise AssertionError("ratio_lower_bound scanned the handle again")
+
+
+def test_ratio_lower_bound_is_computed_once_per_handle():
+    handle = make_handle(RATIO_SPECS["trib"])
+    first = sq.ratio_lower_bound(handle)
+    small = sq.ratio_lower_bound(handle, 16)
+    handle.eval = _refuse_evaluation
+    assert sq.ratio_lower_bound(handle) == first
+    assert sq.ratio_lower_bound(handle, 16) == small
+    assert small != first
+
+
+def test_ratio_lower_bound_failure_is_cached():
+    handle = make_handle(SequenceSpec.table([7]))
+    with pytest.raises(ValueError) as first:
+        sq.ratio_lower_bound(handle)
+    handle.eval = _refuse_evaluation
+    for _ in range(3):
+        with pytest.raises(ValueError) as again:
+            sq.ratio_lower_bound(handle)
+        assert again.value is first.value

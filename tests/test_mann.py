@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from regseq import jsonio
-from regseq.mann import (DEFAULT_EXPONENT, SCAN_CAP, MannMonoid, _canonical,
+from regseq import cli, jsonio
+from regseq.mann import (DEFAULT_EXPONENT, SCAN_CAP, WINDOW_BITS, MannMonoid, _canonical,
                          _largest_window, _scan, _scan_window, _slot_groups,
                          induced_trace, solve_homogeneous, solve_unit)
 
@@ -284,6 +284,33 @@ def test_over_budget_scan_is_refused_before_the_window_is_built():
         solve_homogeneous([1, 1, -1], M23, 2449)
     # duplicates shrink {2, 4} at exponent 60 to 181 elements
     assert solve_homogeneous([1, 1, -1], MannMonoid([2, 4]), 60).base == [(1, 1, 2)]
+
+
+def test_window_bits_budget_boundary():
+    window = _scan_window(M23, 234, 2)
+    assert len(window) == 235 ** 2
+    assert sum(v.bit_length() for v in window) <= WINDOW_BITS
+    assert M23.elements_with_exponents(234) == window
+    message = "monoid window at exponent bound 235 exceeds %d bits" % WINDOW_BITS
+    for unknowns in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            _scan_window(M23, 235, unknowns)
+    with pytest.raises(ValueError, match=message):
+        M23.elements_with_exponents(235)
+
+
+def test_one_unknown_window_is_refused_by_size(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.main(["mann", "solve", "--gens", "2,3", "--eq", "2 x1 = 1",
+                         "--exp-bound", "2448"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: monoid window at exponent bound 2448 exceeds %d bits\n" % WINDOW_BITS)
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
