@@ -38,8 +38,11 @@ EXIT_USAGE = 3
 # Ranges of the numeric options.  Each admits every documented example; far
 # past the ceiling one call could take minutes or gigabytes (the 2**n + n
 # table at --budget 100000 took 16 s and 670 MB).  A value outside exits 3.
+# `eval` computes every term up to n, at a cost growing about as n^2; at the
+# ceiling of --n, 2^n has 3,011 digits, below the 4,300 that Python prints.
 OPTION_RANGES = {"budget": (1, 10_000), "horizon": (1, 2 ** 20),
-                 "bound": (1, 10 ** 12), "exp_bound": (0, 4096)}
+                 "bound": (1, 10 ** 12), "exp_bound": (0, 4096),
+                 "n": (0, 10_000)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,6 +140,10 @@ def _cmd_eval(args):
     handle = _load_handle(args.seq)
     if args.op:
         op = _parse_op(args.op)
+        top = OPTION_RANGES["n"][1]
+        if args.n + op.degree > top:
+            raise ValueError("--n plus the operator degree must be at most %d"
+                             % top)
         report = {"n": args.n, "op": op.to_json(),
                   "value": operators.apply(op, handle, args.n)}
     else:

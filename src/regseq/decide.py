@@ -457,7 +457,11 @@ def _independent_disjunct(handle, rvars, lits, constraints, side, budget):
         # with no cross-variable side conditions a nonempty product must
         # have produced a witness
         return ("unknown", "candidate-enumeration-exhausted")
-    exhaustive = all(constraints[v].is_finite() for v in rvars) \
+    # Exhausted only when every head is its whole finite set: a Proved set
+    # with more members than the head depth was checked on its head alone.
+    exhaustive = all(constraints[v].is_finite()
+                     and len(h) == len(constraints[v].members)
+                     for v, h in zip(rvars, heads)) \
         and math.prod(len(h) for h in heads) <= CANDIDATE_CAP
     if exhaustive and all(constraints[v].cert.is_proved for v in rvars):
         cert = certs.merge([constraints[v].cert for v in rvars],

@@ -29,7 +29,11 @@ The quantitative skeleton used to certify completeness:
   checked for valid offsets (min 0, distinct, sorted gaps <= G) and for a
   killed proper sub-block;
 * everything else inside the box [0, L*]^s is enumerated outright by the
-  same meet-in-the-middle on values.
+  same meet-in-the-middle on values.  For s >= 2 an index whose term is 0
+  is left out (a zero term is a vanishing singleton), so every term of a
+  hit is nonzero, and the vanishing sub-sum check is skipped where it
+  cannot fail: for s = 2, and for s = 3 with z = 0
+  (_proper_subsums_nonzero).
 
 The resulting description instantiates to exactly the brute-force answer on
 any window, which is the invariant the test-suite oracles check.
@@ -262,8 +266,17 @@ def brute_force(problem, n):
 
 
 def _value_table(problem, n):
-    return [[op_mod.apply(op, problem.handle, i) for i in range(n + 1)]
-            for op in problem.operators]
+    """Row j lists f_j(0), ..., f_j(n), summed slice by slice from one prefix
+    of the sequence (the values operators.apply gives, index by index)."""
+    prefix = problem.handle.values(n + max(op.degree for op in problem.operators))
+    table = []
+    for op in problem.operators:
+        row = [0] * (n + 1)
+        for i, a in enumerate(op.coeffs):
+            if a:
+                row = [acc + a * r for acc, r in zip(row, prefix[i:i + n + 1])]
+        table.append(row)
+    return table
 
 
 def _tag(s, vals, tup):
@@ -286,6 +299,15 @@ def _vanishing_subset(terms):
             if sum(terms[j] for j in sub) == 0:
                 return sub
     return None
+
+
+def _proper_subsums_nonzero(size, target):
+    """Whether no proper sub-sum of `size` nonzero terms summing to `target`
+    can vanish, whatever the terms: with one or two terms every proper
+    sub-sum is a single term, and with three terms summing to 0 a vanishing
+    pair would leave the third term 0.  Callers whose terms are all nonzero
+    skip _vanishing_subset when this holds."""
+    return size <= 2 or (size == 3 and target == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +514,20 @@ def _kill_vectors(handle, ops, max_offset):
 # Core solver over pairwise distinct indices
 # ---------------------------------------------------------------------------
 
-def _meet_in_the_middle(rows, target):
-    """Every index tuple t with sum_j rows[j][t_j] == target, all rows having
-    one length: the sums over the first half of the variables are hashed and
+def _meet_in_the_middle(rows, target, indices=None):
+    """Every index tuple t with sum_j rows[j][t_j] == target, where
+    indices[j] names the index of each entry of rows[j] (by default its
+    position): the sums over the first half of the variables are hashed and
     each sum over the second half looks up its complement (Horowitz and
     Sahni).  Lazy, in no particular order."""
+    if indices is None:
+        indices = [range(len(row)) for row in rows]
     half = len(rows) // 2
-    idx = range(len(rows[0]))
     table = {}
-    for tup, terms in zip(itertools.product(idx, repeat=half),
+    for tup, terms in zip(itertools.product(*indices[:half]),
                           itertools.product(*rows[:half])):
         table.setdefault(sum(terms), []).append(tup)
-    for tup, terms in zip(itertools.product(idx, repeat=len(rows) - half),
+    for tup, terms in zip(itertools.product(*indices[half:]),
                           itertools.product(*rows[half:])):
         for left in table.get(target - sum(terms), ()):
             yield left + tup
@@ -513,12 +537,22 @@ def _box_solutions(problem, top):
     """All non-degenerate tuples in [0, top]^s summing to z (pairwise
     distinct indices, no vanishing proper sub-sum), found by
     meet-in-the-middle and sorted, plus the per-variable value table used to
-    compute them."""
-    s = problem.s
+    compute them.  For s >= 2 an index whose term is 0 is left out of the
+    search, a zero term being a vanishing singleton; every term of a hit is
+    then nonzero, so the sub-sum check runs only where
+    _proper_subsums_nonzero does not settle it."""
+    s, z = problem.s, problem.z
     vals = _value_table(problem, top)
-    out = [full for full in _meet_in_the_middle(vals, problem.z)
-           if len(set(full)) == s
-           and _vanishing_subset([row[v] for row, v in zip(vals, full)]) is None]
+    if s == 1:
+        rows, indices = vals, None
+    else:
+        indices = [[i for i, v in enumerate(row) if v] for row in vals]
+        rows = [[row[i] for i in idx] for row, idx in zip(vals, indices)]
+    out = [full for full in _meet_in_the_middle(rows, z, indices)
+           if len(set(full)) == s]
+    if not _proper_subsums_nonzero(s, z):
+        out = [full for full in out
+               if _vanishing_subset([row[v] for row, v in zip(vals, full)]) is None]
     out.sort()
     return out, vals
 

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .certs import BoundedCheck
-from .equations import _vanishing_subset
+from .equations import _proper_subsums_nonzero, _vanishing_subset
 
 DEFAULT_EXPONENT = 64
 SCAN_CAP = 6_000_000
@@ -173,8 +173,11 @@ def _scan(coeffs, target, elements):
     integer a_i) with every x_i in `elements`, in itertools.product order.
     Each prefix (x_1, ..., x_{n-2}) carries its remainder; x_{n-1} runs over
     pre-scaled elements and x_n is looked up by a_n x_n.  The budget is the
-    window's: see _scan_window."""
+    window's: see _scan_window.  Coefficients and monoid elements being
+    nonzero, the sub-sum check runs only where _proper_subsums_nonzero does
+    not settle it."""
     n = len(coeffs)
+    settled = _proper_subsums_nonzero(n, target)
     lasts = {coeffs[-1] * e: e for e in elements}
     if n == 1:
         return [(lasts[target],)] if target in lasts else []
@@ -188,7 +191,8 @@ def _scan(coeffs, target, elements):
         # order), kept where some a_n x_n equals them
         for key in filter(lasts.__contains__, map(rest.__sub__, scaled)):
             tup = prefix + (nexts[rest - key], lasts[key])
-            if _vanishing_subset([a * v for a, v in zip(coeffs, tup)]) is None:
+            if settled or _vanishing_subset(
+                    [a * v for a, v in zip(coeffs, tup)]) is None:
                 out.append(tup)
     return out
 
@@ -302,15 +306,15 @@ def _coef_permutations(coeffs, tup):
         yield tuple(tup[mapping[i]] for i in range(len(tup)))
 
 
-def _canonical(coeffs, monoid, tup, divisors=None):
+def _canonical(coeffs, monoid, tup, divisors=None, groups=None):
     """Sort equal-coefficient slots, then divide out the largest monoid
     element keeping all coordinates in the monoid.  That element divides the
     gcd g of the coordinates, so the candidates are the entries of
     `divisors` (the sorted monoid elements up to at least g) in (1, g],
     tried from g downward; without the list the monoid is enumerated up to
-    g."""
+    g.  `groups` is _slot_groups(coeffs), computed here when not given."""
     out = list(tup)
-    for idxs in _slot_groups(coeffs):
+    for idxs in _slot_groups(coeffs) if groups is None else groups:
         vals = sorted(out[i] for i in idxs)
         for i, v in zip(idxs, vals):
             out[i] = v
@@ -341,7 +345,8 @@ def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT,
     scanned = _scan(coeffs, 0, _scan_window(monoid, exp_bound, n))
     top = max((math.gcd(*t) for t in scanned), default=0)
     divisors = monoid.enumerate(top) if top > 1 else []
-    base = sorted({_canonical(coeffs, monoid, t, divisors) for t in scanned})
+    groups = _slot_groups(coeffs)
+    base = sorted({_canonical(coeffs, monoid, t, divisors, groups) for t in scanned})
     splits = []
     if _depth < 2:
         for size in range(2, n - 1):

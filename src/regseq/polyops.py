@@ -174,11 +174,6 @@ def _sign_variations(chain, x):
     return flips
 
 
-def count_roots(chain, a, b):
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
 def cauchy_bound(coeffs):
     """All real roots lie in [-B, B] with B = 1 + max |c_i| / |lead|."""
     cs = trim(coeffs)
@@ -201,21 +196,22 @@ def isolate_largest_root_above(coeffs, floor, eps):
     if peval(cs, lo) == 0:
         # Nudge off an exact root at the floor.
         lo += Fraction(1, 10 ** 9)
-    if count_roots(chain, lo, hi) == 0:
+    # Sign variations at lo and hi, carried across the steps: the roots in
+    # (lo, hi] number v_lo - v_hi.
+    v_lo, v_hi = _sign_variations(chain, lo), _sign_variations(chain, hi)
+    if v_lo == v_hi:
         return None
-    while count_roots(chain, lo, hi) > 1 or hi - lo > eps:
+    while v_lo - v_hi > 1 or hi - lo > eps:
         mid = (lo + hi) / 2
-        if peval(cs, mid) == 0:
-            # Rational root hit exactly: return a degenerate-width interval
-            # around it once it is the largest root.
-            if count_roots(chain, mid, hi) == 0:
-                return (mid, mid)
-            lo = mid
-            continue
-        if count_roots(chain, mid, hi) >= 1:
-            lo = mid
+        v_mid = _sign_variations(chain, mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
+        elif peval(cs, mid) == 0:
+            # The largest root is rational and hit exactly: return a
+            # degenerate-width interval around it.
+            return (mid, mid)
         else:
-            hi = mid
+            hi = mid  # no root in (mid, hi], so v_hi stays
     return (lo, hi)
 
 

@@ -730,6 +730,11 @@ def _try_contraction(handle):
     iv = kepler.interval
     for _ in range(80):
         quot = polyops.synthetic_quotient_intervals(cp.coeffs, iv)
+        # The interval coefficients enclose q_i(theta) on every refinement:
+        # once their lower bounds already sum to 1, kappa(theta) >= 1 and no
+        # upper bound can ever drop below 1, so the route has failed.
+        if sum(polyops.iabs_lo(c) for c in quot[:-1]) >= 1:
+            return None
         kappa = sum(polyops.iabs_hi(c) for c in quot[:-1])
         if kappa < 1:
             k = cp.degree

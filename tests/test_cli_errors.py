@@ -175,3 +175,34 @@ def test_readme_and_benchmark_arguments_fit_the_ranges():
     for option, value in used:
         lo, hi = cli.OPTION_RANGES[option.replace("-", "_")]
         assert lo <= int(value) <= hi, (option, value)
+
+
+def test_eval_index_ceiling_boundary(tmp_path, capsys):
+    seq = tmp_path / "pow2.json"
+    seq.write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    lo, hi = cli.OPTION_RANGES["n"]
+    assert (lo, hi) == (0, 10_000)
+    assert cli.main(["eval", "--seq", str(seq), "--n", str(hi)]) == 0
+    assert json.loads(capsys.readouterr().out)["element"] == str(2 ** hi)
+    for value in (hi + 1, lo - 1):
+        code, err = _exit_and_stderr(capsys, ["eval", "--seq", str(seq), "--n", str(value)])
+        assert code == 3
+        assert err == "error: --n must be between %d and %d, not %d\n" % (lo, hi, value)
+    # with --op the highest term evaluated is n plus the operator's degree
+    assert cli.main(["eval", "--seq", str(seq), "--n", str(hi - 1), "--op", "[-2,1]"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
+    code, err = _exit_and_stderr(capsys, ["eval", "--seq", str(seq), "--n", str(hi - 1),
+                                          "--op", "[1,0,1]"])
+    assert code == 3
+    assert err == "error: --n plus the operator degree must be at most %d\n" % hi
+
+
+def test_eval_out_of_range_exits_before_evaluating(tmp_path, capsys, monkeypatch):
+    seq = tmp_path / "pow2.json"
+    seq.write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+
+    def refuse(self, n):
+        raise AssertionError("evaluated r_%d" % n)
+    monkeypatch.setattr(sequences.SequenceHandle, "eval", refuse)
+    code, _err = _exit_and_stderr(capsys, ["eval", "--seq", str(seq), "--n", str(10 ** 9)])
+    assert code == 3

@@ -10,7 +10,10 @@ import random
 import pytest
 
 from regseq import formulas as F
-from regseq.decide import OutOfFragment, Verdict, decide, verify_ax5, verify_ax6
+from regseq.certs import Proved
+from regseq.congruence import PeriodicIndexSet
+from regseq.decide import (STREAM_HEAD, OutOfFragment, Verdict, _independent_disjunct,
+                           decide, verify_ax5, verify_ax6)
 from regseq.operators import Operator
 from regseq.sequences import SequenceSpec, make_handle
 
@@ -188,3 +191,23 @@ def test_ax6_violation_on_table_sequence():
         assert b - a == gap
         assert f(a) == f(b)
     assert not report.certificate.is_proved
+
+
+def test_finite_exhaustion_needs_whole_sets_not_heads():
+    # x, y range over Proved finite sets of size + 1 members, the last of
+    # them far above the rest; the literals hold only at x = far, y != x.
+    # Past the head depth that member is never tried, so the search must not
+    # call the sets exhausted.  Within it every member is tried and, with
+    # the far member left out of the sets, the search refutes.
+    x, y = F.LinTerm(0, {"x": (1,)}), F.LinTerm(0, {"y": (1,)})
+    side = [F.NeqZ(x.add(y.scale(-1)))]
+    for size, far_member, want in ((STREAM_HEAD + 6, True, "unknown"),
+                                   (STREAM_HEAD - 4, False, "false")):
+        far = size + 3
+        lits = side + [F.EqZ(x.plus_const(-2 ** far))]
+        members = list(range(size)) + ([far] if far_member else [])
+        constraints = {v: PeriodicIndexSet.finite(members, Proved("test-finite"))
+                       for v in ("x", "y")}
+        verdict = _independent_disjunct(POW2, ["x", "y"], lits, constraints, side, 64)
+        assert verdict[0] == want, (size, verdict)
+        assert F.eval_ground(F.And(lits), POW2, {"x": far, "y": 0})

@@ -14,10 +14,12 @@ from regseq import polyops
 from regseq import sequences as sq
 from regseq.certs import BoundedCheck
 from regseq.equations import (EquationProblem, ShiftPattern,
-                              TrivialOperatorPresent, _family_offsets,
-                              _KillTester, _partial_kill_present, brute_force,
-                              solve_full, solve_nondegenerate)
-from regseq.operators import (ZERO, CofiniteZero, Operator, classify,
+                              TrivialOperatorPresent, _box_solutions,
+                              _family_offsets, _KillTester,
+                              _partial_kill_present, _proper_subsums_nonzero,
+                              _vanishing_subset, brute_force, solve_full,
+                              solve_nondegenerate)
+from regseq.operators import (ZERO, CofiniteZero, Operator, apply, classify,
                               shift_combine)
 from regseq.sequences import SequenceSpec, make_handle
 
@@ -359,3 +361,150 @@ def test_ratio_lower_bound_failure_is_cached():
         with pytest.raises(ValueError) as again:
             sq.ratio_lower_bound(handle)
         assert again.value is first.value
+
+
+# ---------------------------------------------------------------------------
+# _box_solutions: zero terms pruned, sub-sum checks only where they can fail
+# ---------------------------------------------------------------------------
+
+def reference_value_table(problem, n):
+    return [[apply(op, problem.handle, i) for i in range(n + 1)]
+            for op in problem.operators]
+
+
+def reference_meet_in_the_middle(rows, target):
+    half = len(rows) // 2
+    idx = range(len(rows[0]))
+    table = {}
+    for tup, terms in zip(itertools.product(idx, repeat=half),
+                          itertools.product(*rows[:half])):
+        table.setdefault(sum(terms), []).append(tup)
+    for tup, terms in zip(itertools.product(idx, repeat=len(rows) - half),
+                          itertools.product(*rows[half:])):
+        for left in table.get(target - sum(terms), ()):
+            yield left + tup
+
+
+def reference_box_solutions(problem, top):
+    s = problem.s
+    vals = reference_value_table(problem, top)
+    out = [full for full in reference_meet_in_the_middle(vals, problem.z)
+           if len(set(full)) == s
+           and _vanishing_subset([row[v] for row, v in zip(vals, full)]) is None]
+    out.sort()
+    return out, vals
+
+
+def assert_box_matches_reference(handle, ops, z, top):
+    problem = EquationProblem(handle, ops, z)
+    assert _box_solutions(problem, top) == reference_box_solutions(problem, top), (ops, z)
+
+
+def test_proper_subsums_nonzero_is_exact_on_small_terms():
+    # where the predicate holds, no nonzero terms summing to the target have
+    # a vanishing proper sub-sum; where it does not, some do
+    values = [v for v in range(-4, 5) if v]
+    for size in range(1, 5):
+        for terms in itertools.product(values, repeat=size):
+            if _proper_subsums_nonzero(size, sum(terms)):
+                assert _vanishing_subset(list(terms)) is None, terms
+    assert _vanishing_subset([1, -1, 2]) == (0, 1) and not _proper_subsums_nonzero(3, 2)
+    assert _vanishing_subset([1, -1, 2, -2]) == (0, 1) and not _proper_subsums_nonzero(4, 0)
+
+
+ZERO_HEAVY = {
+    "pow2": SequenceSpec.power(2),
+    "table-2n-plus-n": SequenceSpec.table([], generator="2**n + n"),
+    "table-n2-plus-1": SequenceSpec.table([], generator="n*n + 1"),
+}
+
+# (handle, operators, target): on pow2 [2, -1] is 0 everywhere; on 2**n + n
+# [2, -3, 1] is -1 and [-2, 3, -1] is 1 everywhere and [-2, 1] is 0 at n = 1;
+# on n*n + 1 [-2, 1] is 0 at n = 0 and 2 and [-1, 3, -3, 1] is 0 everywhere
+ZERO_HEAVY_CASES = [
+    ("pow2", [[2, -1]], 0),
+    ("pow2", [[2, -1], [1]], 4),
+    ("pow2", [[2, -1], [1], [-1]], 0),
+    ("pow2", [[1], [2, -1], [1], [-1]], 0),
+    ("table-2n-plus-n", [[2, -3, 1], [-2, 3, -1]], 0),
+    ("table-2n-plus-n", [[-2, 3, -1], [2, -3, 1]], 0),
+    ("table-2n-plus-n", [[2, -3, 1], [-2, 1]], -1),
+    ("table-2n-plus-n", [[-2, 1]], 0),
+    ("table-2n-plus-n", [[-2, 1], [2, -3, 1], [-2, 3, -1]], 0),
+    ("table-2n-plus-n", [[-2, 1], [2, -3, 1], [-2, 3, -1]], -3),
+    ("table-2n-plus-n", [[2, -3, 1], [-2, 3, -1], [1], [-1]], 0),
+    ("table-n2-plus-1", [[-2, 1]], 0),
+    ("table-n2-plus-1", [[-1, 3, -3, 1]], 0),
+    ("table-n2-plus-1", [[-2, 1], [1, -2, 1]], 2),
+    ("table-n2-plus-1", [[-2, 1], [1], [-1]], 0),
+    ("table-n2-plus-1", [[-2, 1], [-2, 1], [1, -2, 1]], 1),
+    ("table-n2-plus-1", [[-1, 3, -3, 1], [1], [-1], [1]], 5),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ZERO_HEAVY_CASES)))
+def test_box_matches_reference_on_zero_heavy_rows(case):
+    label, ops, z = ZERO_HEAVY_CASES[case]
+    handle = make_handle(ZERO_HEAVY[label])
+    for top in (0, 1, 2, 5, 17 if len(ops) == 4 else 40):
+        assert_box_matches_reference(handle, ops, z, top)
+
+
+def test_one_variable_box_keeps_every_index():
+    # with one variable a zero term is the whole sum, not a proper sub-sum
+    problem = EquationProblem(make_handle(SequenceSpec.power(2)), [[2, -1]], 0)
+    assert _box_solutions(problem, 30)[0] == [(n,) for n in range(31)]
+    problem = EquationProblem(make_handle(ZERO_HEAVY["table-n2-plus-1"]), [[-2, 1]], 0)
+    assert _box_solutions(problem, 30)[0] == [(0,), (2,)]
+
+
+BOX_SPECS = {
+    "fib": SequenceSpec.recurrence([1, 1], [1, 2]),
+    "trib": SequenceSpec.recurrence([1, 1, 1], [1, 2, 4]),
+    "pell": SequenceSpec.recurrence([1, 2], [1, 2]),
+    "sum23": SequenceSpec.sum_of([SequenceSpec.power(2), SequenceSpec.power(3)]),
+}
+BOX_OPS = [[1], [-1], [2], [-2], [1, 1], [1, -1], [-1, 0, 1], [3, -1]]
+
+
+@pytest.mark.parametrize("label", sorted(BOX_SPECS))
+def test_box_matches_reference_on_recurrences(label):
+    handle = make_handle(BOX_SPECS[label])
+    rng = random.Random("box:" + label)
+    for s in (2, 3, 4):
+        top = {2: 60, 3: 30, 4: 14}[s]
+        cases = [[[1]] * (s - 1) + [[-1]], [[2], [-1], [1], [-1]][:s]]
+        cases += [[rng.choice(BOX_OPS) for _ in range(s)] for _ in range(4)]
+        for ops in cases:
+            assert_box_matches_reference(handle, ops, 0, top)
+            # a target that some index tuple attains, so z != 0 has hits
+            for _ in range(2):
+                tup = [rng.randint(0, top) for _ in range(s)]
+                z = sum(apply(Operator(op), handle, n) for op, n in zip(ops, tup))
+                if z:
+                    assert_box_matches_reference(handle, ops, z, top)
+
+
+def test_box_checks_sub_sums_of_three_terms_with_a_target():
+    # 2 r_0 - r_1 = 0 on Fibonacci, so (0, 1, 5) sums to r_5 = 13 with a
+    # vanishing pair: it is degenerate and must be dropped
+    handle = make_handle(BOX_SPECS["fib"])
+    problem = EquationProblem(handle, [[2], [-1], [1]], 13)
+    found = _box_solutions(problem, 20)[0]
+    assert (0, 1, 5) not in found
+    assert found == reference_box_solutions(problem, 20)[0]
+
+
+def test_value_table_errors_match_reference():
+    for spec, top, ops in ((SequenceSpec.table([1, 3, 4, 9, 20]), 6, [[1], [0, 1]]),
+                           (SequenceSpec.table([1, 3, 4, 9, 20]), 3, [[1], [1, 0, 1]]),
+                           (SequenceSpec.table([1, 3, 2]), 5, [[1], [-1]]),
+                           (SequenceSpec.table([], generator="2**(n - 3)"), 4, [[1], [-1]])):
+        errors = []
+        for box in (_box_solutions, reference_box_solutions):
+            try:
+                box(EquationProblem(make_handle(spec), ops, 0), top)
+                errors.append(None)
+            except ValueError as exc:
+                errors.append((type(exc), str(exc)))
+        assert errors[0] is not None and errors[0] == errors[1], errors

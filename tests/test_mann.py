@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from regseq import cli, jsonio
+from regseq import cli, jsonio, mann
 from regseq.mann import (DEFAULT_EXPONENT, SCAN_CAP, WINDOW_BITS, MannMonoid, _canonical,
                          _largest_window, _scan, _scan_window, _slot_groups,
                          induced_trace, solve_homogeneous, solve_unit)
@@ -356,3 +356,20 @@ def mann_battery():
 
 def test_mann_battery_matches_golden_answers():
     assert mann_battery() == GOLDEN_MANN.read_text(encoding="utf-8")
+
+
+def test_slot_groups_are_computed_once_per_scan(monkeypatch):
+    calls = []
+    real = mann._slot_groups
+
+    def counting(coeffs):
+        calls.append(tuple(coeffs))
+        return real(coeffs)
+    monkeypatch.setattr(mann, "_slot_groups", counting)
+    sols = solve_homogeneous([1, 1, -1], M23, 12)
+    assert calls == [(1, 1, -1)]
+    assert len(sols.scanned) > len(sols.base) > 1
+    # given or computed, the groups canonicalise alike
+    groups = real([1, 1, -1])
+    for tup in sols.scanned:
+        assert _canonical([1, 1, -1], M23, tup, None, groups) == _canonical([1, 1, -1], M23, tup)

@@ -155,3 +155,60 @@ def test_huge_constant_coefficient_classifies(tmp_path):
     report = json.loads(done.stdout)
     assert report["kind"] == "FiniteRoots"
     assert report["certificate"] == {"level": "BoundedCheck", "N": "300"}
+
+
+# ---------------------------------------------------------------------------
+# isolate_largest_root_above: Sturm counts carried across bisection steps
+# ---------------------------------------------------------------------------
+
+def count_roots(chain, a, b):
+    return polyops._sign_variations(chain, a) - polyops._sign_variations(chain, b)
+
+
+def reference_isolate_largest_root_above(coeffs, floor, eps):
+    cs = polyops.trim(coeffs)
+    chain = polyops.sturm_chain(cs)
+    lo = Fraction(floor)
+    hi = Fraction(polyops.cauchy_bound(cs))
+    if polyops.peval(cs, lo) == 0:
+        lo += Fraction(1, 10 ** 9)
+    if count_roots(chain, lo, hi) == 0:
+        return None
+    while count_roots(chain, lo, hi) > 1 or hi - lo > eps:
+        mid = (lo + hi) / 2
+        if polyops.peval(cs, mid) == 0:
+            if count_roots(chain, mid, hi) == 0:
+                return (mid, mid)
+            lo = mid
+            continue
+        if count_roots(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+# Bisection midpoints that land exactly on a rational root below the largest
+# one: (X^2 - 1)(X^2 - 2) from 0, whose first midpoint is 1, and two quartics
+# with the roots 1 and -3 (and 2 or 1 +- sqrt 3) from -5.
+MIDPOINT_ROOT_POLYS = [[2, 0, -3, 0, 1], [6, -4, -5, 2, 1], [6, -3, -5, 1, 1],
+                       [0, 2, -2, -1, 1]]
+
+
+def test_isolation_matches_reference():
+    rng = random.Random("isolate")
+    epsilons = (Fraction(1), Fraction(1, 2 ** 12))
+    hits = {"none": 0, "interval": 0, "exact": 0}
+    for cs in MIDPOINT_ROOT_POLYS + battery(count=40):
+        floors = [Fraction(-5), Fraction(0), Fraction(1),
+                  Fraction(rng.randint(-40, 40), rng.randint(1, 8))]
+        floors += [Fraction(r) for r in polyops.rational_roots(cs)][:2]
+        for floor in floors:
+            for eps in epsilons:
+                got = polyops.isolate_largest_root_above(cs, floor, eps)
+                assert got == reference_isolate_largest_root_above(cs, floor, eps), (
+                    cs, floor, eps)
+                hits["none" if got is None else
+                     "exact" if got[0] == got[1] else "interval"] += 1
+    # the battery reaches every exit: no root, an interval, an exact root
+    assert min(hits.values()) > 0, hits

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from regseq import polyops
+from regseq import sequences as sq
 from regseq.sequences import (KeplerLimit, MonotonicityError, SequenceSpec,
                               TableExhausted, kepler_limit, make_handle)
 
@@ -135,3 +137,79 @@ def test_cache_interleaving_is_consistent():
     high = handle.eval(50)
     assert handle.eval(10) == handle.values(50)[10]
     assert handle.eval(50) == high
+
+
+# ---------------------------------------------------------------------------
+# _try_contraction: a certified early stop once kappa(theta) >= 1 is proved
+# ---------------------------------------------------------------------------
+
+def reference_try_contraction(handle):
+    kepler = sq._cached_kepler(handle)
+    if not kepler.is_algebraic or handle.spec.kind != sq.KIND_RECURRENCE:
+        return None
+    cp = sq.char_poly(handle.spec)
+    if cp is None or cp != kepler.minpoly or cp.degree < 2:
+        return None
+    iv = kepler.interval
+    for _ in range(80):
+        quot = polyops.synthetic_quotient_intervals(cp.coeffs, iv)
+        kappa = sum(polyops.iabs_hi(c) for c in quot[:-1])
+        if kappa < 1:
+            k = cp.degree
+            w0 = Fraction(0)
+            for t in range(k - 1):
+                e_iv = polyops.iadd(polyops.ival(handle.eval(t + 1)),
+                                    polyops.ineg(polyops.iscale(iv, handle.eval(t))))
+                w0 = max(w0, polyops.iabs_hi(e_iv))
+            return sq._Contraction(iv, kappa, w0, k - 1)
+        if iv[0] == iv[1]:
+            return None
+        iv = polyops.refine_root_interval(cp.coeffs, iv[0], iv[1], (iv[1] - iv[0]) / 4)
+    return None
+
+
+def contraction_fields(data):
+    if data is None:
+        return None
+    return (data.theta_iv, data.kappa, data.w0, data.step)
+
+
+CONTRACTION_SPECS = {
+    "fib": (SequenceSpec.recurrence([1, 1], [1, 2]), True),
+    "pell": (SequenceSpec.recurrence([1, 2], [1, 2]), True),
+    "trib": (SequenceSpec.recurrence([1, 1, 1], [1, 2, 4]), False),
+    "tetra": (SequenceSpec.recurrence([1, 1, 1, 1], [1, 2, 4, 8]), False),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CONTRACTION_SPECS))
+def test_contraction_matches_reference(label):
+    spec, contracts = CONTRACTION_SPECS[label]
+    got = contraction_fields(sq._try_contraction(make_handle(spec)))
+    assert got == contraction_fields(reference_try_contraction(make_handle(spec)))
+    assert (got is not None) == contracts
+
+
+def test_failing_contraction_stops_without_refining(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("refined after kappa >= 1 was proved")
+    monkeypatch.setattr(polyops, "refine_root_interval", refuse)
+    for label in ("trib", "tetra"):
+        assert sq._try_contraction(make_handle(CONTRACTION_SPECS[label][0])) is None
+
+
+@pytest.mark.parametrize("label", ["fib", "pell"])
+def test_contraction_from_a_wide_interval_still_refines(label):
+    # from [floor(theta), floor(theta) + 1] the upper bounds of kappa start at
+    # 1 or more while theta's kappa is below 1: only refining decides it
+    spec = CONTRACTION_SPECS[label][0]
+    results = []
+    for attempt in (sq._try_contraction, reference_try_contraction):
+        handle = make_handle(spec)
+        kepler = sq._cached_kepler(handle)
+        lo = Fraction(int(kepler.interval[0]))
+        handle._kepler = KeplerLimit.algebraic(kepler.minpoly, (lo, lo + 1))
+        quot = polyops.synthetic_quotient_intervals(kepler.minpoly.coeffs, (lo, lo + 1))
+        assert sum(polyops.iabs_hi(c) for c in quot[:-1]) >= 1
+        results.append(contraction_fields(attempt(handle)))
+    assert results[0] is not None and results[0] == results[1]
