@@ -10,15 +10,18 @@ period; a residue-level minimization pass afterwards shrinks them further
 when the state carries extra bookkeeping (factorial does, and sum parts with
 unequal preperiods do).
 
-Table-backed sequences have no finite state guarantee.  With a generator we
-detect the period empirically and insist on a 5-period verification window;
-without one the profile is refused outright (BoundedProfileError).
+Table-backed sequences, and sums with a table part, have no finite state
+guarantee.  Their terms are streamed instead: the period is detected
+empirically, with a 5-period verification window, and the profile is only
+evidence over the streamed window (a BoundedCheck certificate).  A table
+without a generator, or a part that runs out within the stream, is refused
+outright (BoundedProfileError).
 """
 
 from math import gcd
 
 from . import sequences as sq
-from .certs import Proved, merge
+from .certs import Proved, BoundedCheck, merge
 
 STREAM_BUDGET = 4096
 
@@ -33,13 +36,16 @@ class BoundedProfileError(ValueError):
 
 class CongruenceProfile:
     """(r_n mod m) is periodic with period p from preperiod rho on; the
-    residues table covers n < rho + p, which determines every value."""
+    residues table covers n < rho + p, which determines every value.  The
+    certificate is Proved for a state-machine profile and a BoundedCheck
+    over the streamed window for a detected one."""
 
-    def __init__(self, m, rho, p, residues):
+    def __init__(self, m, rho, p, residues, cert):
         self.m = int(m)
         self.rho = int(rho)
         self.p = int(p)
         self.residues = tuple(int(r) for r in residues)
+        self.cert = cert
         assert len(self.residues) == self.rho + self.p
 
     def predict(self, n):
@@ -217,22 +223,30 @@ def profile(handle, m):
             residues.append(residue_of(state))
             state = step(state)
         rho, p = _minimize(residues, rho0, p0)
+        cert = Proved("congruence-profile")
     else:
-        residues, rho, p = _table_profile(handle, m)
-    prof = CongruenceProfile(m, rho, p, residues[:rho + p])
+        residues, rho, p = _stream_profile(handle, m)
+        cert = BoundedCheck(STREAM_BUDGET)
+    prof = CongruenceProfile(m, rho, p, residues[:rho + p], cert)
     handle._profiles[key] = prof
     return prof
 
 
-def _table_profile(handle, m):
+def _stream_profile(handle, m):
+    """(residues, rho, p) detected on the first STREAM_BUDGET terms."""
     spec = handle.spec
-    if handle._generator is None:
+    if spec.kind == sq.KIND_TABLE and handle._generator is None:
         prefix = [v % m for v in spec.values]
         raise BoundedProfileError(
             "table sequence without generator: no certified profile "
             "(scanned %d residues)" % len(prefix), prefix)
     budget = STREAM_BUDGET
-    residues = [handle.eval(n) % m for n in range(budget)]
+    residues = []
+    try:
+        for n in range(budget):
+            residues.append(handle.eval(n) % m)
+    except sq.TableExhausted as exc:
+        raise BoundedProfileError("%s: no certified profile" % exc, residues)
     for p in range(1, budget // 6 + 1):
         # tail check first (cheap reject), then extend to the minimal rho
         if all(residues[n] == residues[n + p] for n in range(budget - 4 * p, budget - p)):
@@ -248,11 +262,12 @@ def _table_profile(handle, m):
 
 
 def divisibility_set(handle, op, k, m):
-    """{ n : m | f(n) + k } for the operator f, as an exact periodic index set.
+    """{ n : m | f(n) + k } for the operator f, as a periodic index set.
 
     Past the profile preperiod, f(n) + k mod m is a function of n mod p
     because every tap r_{n+i} is; below it the membership is listed
-    explicitly.
+    explicitly.  The set is exact when the profile is Proved; a streamed
+    profile vouches only for the indices whose taps it streamed.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -269,4 +284,7 @@ def divisibility_set(handle, op, k, m):
         if hit(n_c):
             classes.append(c)
     members = [n for n in range(rho) if hit(n)]
-    return PeriodicIndexSet(rho, p, classes, members, Proved("congruence-profile"))
+    cert = prof.cert
+    if not cert.is_proved:  # the taps of index n reach n + degree
+        cert = BoundedCheck(max(0, cert.n - op.degree))
+    return PeriodicIndexSet(rho, p, classes, members, cert)

@@ -66,12 +66,19 @@ class TrivialOperatorPresent(ValueError):
 
 
 class EquationProblem:
+    # Largest number of unknowns s accepted.  The split recursion visits
+    # every vanishing sub-block, and s = 7 on 2^n already takes about 10 s.
+    MAX_UNKNOWNS = 7
+
     def __init__(self, handle, operators, z):
         self.handle = handle
         self.operators = [op if isinstance(op, op_mod.Operator) else op_mod.Operator(op)
                           for op in operators]
         if not self.operators:
             raise ValueError("need at least one operator")
+        if len(self.operators) > self.MAX_UNKNOWNS:
+            raise ValueError("equation has %d unknowns; at most %d are supported"
+                             % (len(self.operators), self.MAX_UNKNOWNS))
         self.z = int(z)
 
     @property
@@ -395,19 +402,11 @@ def _uniform_cutoff(handle, A, max_degree):
     operator whose offsets plus degree stay below max_degree."""
     expansion = sq.power_base_expansion(handle.spec)
     if expansion is not None:
-        bases = [q for q, _ in expansion]
-        theta = bases[-1]
-        if len(bases) == 1:
+        if len(expansion) == 1:
             return 0
-        q2 = bases[-2]
-        w_max = 2 * A * theta ** max_degree  # bound on the competing value mass
-        k = 0
-        lhs, rhs = 1, w_max
-        while lhs <= rhs:
-            k += 1
-            lhs *= theta
-            rhs *= q2
-        return k
+        theta, q2 = expansion[-1][0], expansion[-2][0]
+        # theta^k must outgrow the competing value mass 2 A theta^max_degree q2^k
+        return sq._geometric_cutoff(1, 2 * A * theta ** max_degree, theta, q2)
     kepler = sq._cached_kepler(handle)
     if kepler.kind == sq.KeplerLimit.INFINITE:
         try:
@@ -598,7 +597,7 @@ def _partial_kill_present(tester, s, gap):
     return False
 
 
-def _solve_distinct(problem, memo, depth=0):
+def _solve_distinct(problem, memo):
     """Patterns + sporadic + splits over pairwise distinct indices."""
     key = (tuple(op.coeffs for op in problem.operators), problem.z)
     if key in memo:
@@ -635,28 +634,26 @@ def _solve_distinct(problem, memo, depth=0):
     sporadic = [tup for tup in solutions
                 if not any(p.matches(tup) for p in patterns)]
 
-    # Degenerate-but-distinct: recurse on the canonical vanishing subset.
+    # Degenerate-but-distinct: recurse on the canonical vanishing subset
+    # (each side has fewer unknowns, so the recursion ends).
     # An empty side still vouches for the emptiness of its split, so its
     # certificate is merged before the split is skipped.
     splits = []
     certs = [comp.cert]
-    if s >= 2 and depth < 6:
-        for size in range(1, s):
-            for sub in itertools.combinations(range(s), size):
-                zero_side = _solve_distinct(
-                    EquationProblem(handle, [ops[i] for i in sub], 0),
-                    memo, depth + 1)
-                certs.append(zero_side.certificate)
-                if zero_side.is_empty():
-                    continue
-                comp_vars = [i for i in range(s) if i not in sub]
-                target_side = _solve_distinct(
-                    EquationProblem(handle, [ops[i] for i in comp_vars], z),
-                    memo, depth + 1)
-                certs.append(target_side.certificate)
-                if target_side.is_empty():
-                    continue
-                splits.append(Split(sub, zero_side, target_side))
+    for size in range(1, s):
+        for sub in itertools.combinations(range(s), size):
+            zero_side = _solve_distinct(
+                EquationProblem(handle, [ops[i] for i in sub], 0), memo)
+            certs.append(zero_side.certificate)
+            if zero_side.is_empty():
+                continue
+            comp_vars = [i for i in range(s) if i not in sub]
+            target_side = _solve_distinct(
+                EquationProblem(handle, [ops[i] for i in comp_vars], z), memo)
+            certs.append(target_side.certificate)
+            if target_side.is_empty():
+                continue
+            splits.append(Split(sub, zero_side, target_side))
 
     if z != 0:
         assert not patterns, "inhomogeneous equation produced pattern families"

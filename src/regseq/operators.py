@@ -18,7 +18,7 @@ The certified reasons:
 * the minimal polynomial divides sum a_i X^i, which kills the sequence
   identically ("minpoly-divides").
 
-Sequences that certify none of this (bare tables, empirical ratio data) get
+Sequences that certify none of this (bare tables, Unknown ratio limits) get
 honest BoundedCheck verdicts from an exhaustive scan.
 """
 
@@ -212,18 +212,10 @@ def _classify_geometric(op, handle, expansion):
     q_max = max(q for q, _ in expansion)
     total_mass = sum(c for _, c in expansion)
 
-    if not tail:
-        cutoff = 0
-    else:
-        q2 = max(q for q, _ in tail)
-        t_mass = sum(m for _, m in tail)
-        # strict dominance: lead * q_top^n > 2 * t_mass * q2^n
-        cutoff = 0
-        a, b = lead, 2 * t_mass
-        while a <= b:
-            cutoff += 1
-            a *= q_top
-            b *= q2
+    # strict dominance: lead * q_top^n > 2 * t_mass * q2^n (lead > 0, so
+    # the cutoff is 0 when no other base is live)
+    cutoff = sq._geometric_cutoff(lead, 2 * sum(m for _, m in tail), q_top,
+                                  max((q for q, _ in tail), default=0))
     roots = [n for n in range(cutoff) if apply(op, handle, n) == 0]
     lower_bound = None
     if q_top == q_max:

@@ -12,13 +12,15 @@ theta in (1, oo].  Supported spec kinds:
 * ``sum``        -- pointwise sum of sub-specs;
 * ``table``      -- an explicit value table, optionally extended by a closed
   generator expression in n.  Table sequences exist as negative controls (for
-  instance 2^n + n); no growth claim is certified for them beyond a scan.
+  instance 2^n + n); no growth claim is certified for them.
 
 All arithmetic is exact (Python bignums and Fractions).  The certification
 layer provides three things the rest of the package builds on:
 
-* ``kepler_limit``     -- the ratio limit, as an isolated algebraic root with
-  a rational isolating interval whenever that is provable;
+* ``kepler_limit``     -- the ratio limit: algebraic (an isolated root of the
+  minimal polynomial with a rational isolating interval), infinite, or not
+  certified at all (Unknown: tables, sums with such a part, reducible
+  recurrences);
 * ``dominance_cutoff`` -- an index k beyond which |r_{n+i} - theta^i r_n| stays
   below eps * r_n (or ratios exceed 1/eps when theta = oo);
 * ``ratio_lower_bound`` -- a certified rho > 1 with r_{n+1} >= rho r_n for all
@@ -395,26 +397,6 @@ class CharPoly:
     def __repr__(self):
         return "CharPoly(%s)" % (self.coeffs,)
 
-    def render(self):
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "X^%d" % i if i > 1 else ("X" if i == 1 else "1")
-            if i == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = "%d%s" % (abs(c), mono)
-            terms.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(terms)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def to_json(self):
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
 
 def char_poly(spec):
     """Characteristic polynomial of the spec, or None when there is none
@@ -465,21 +447,16 @@ def power_base_expansion(spec):
 
 class KeplerLimit:
     """Limit of consecutive ratios: Infinite, an isolated algebraic root, or
-    an empirical interval from a bounded ratio scan."""
+    Unknown where neither is certified."""
 
     INFINITE = "infinite"
     ALGEBRAIC = "algebraic"
-    EMPIRICAL = "empirical"
+    UNKNOWN = "unknown"
 
-    def __init__(self, kind, minpoly=None, interval=None, lo=None, hi=None,
-                 checked_up_to=None, warning=False):
+    def __init__(self, kind, minpoly=None, interval=None):
         self.kind = kind
         self.minpoly = minpoly
         self.interval = interval
-        self.lo = lo
-        self.hi = hi
-        self.checked_up_to = checked_up_to
-        self.warning = warning
 
     @staticmethod
     def infinite():
@@ -489,11 +466,6 @@ class KeplerLimit:
     def algebraic(minpoly, interval):
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         return KeplerLimit(KeplerLimit.ALGEBRAIC, minpoly=minpoly, interval=(lo, hi))
-
-    @staticmethod
-    def empirical(lo, hi, checked_up_to, warning=False):
-        return KeplerLimit(KeplerLimit.EMPIRICAL, lo=Fraction(lo), hi=Fraction(hi),
-                           checked_up_to=checked_up_to, warning=warning)
 
     @property
     def is_infinite(self):
@@ -506,46 +478,19 @@ class KeplerLimit:
     def theta_interval(self):
         if self.is_algebraic:
             return self.interval
-        if self.kind == KeplerLimit.EMPIRICAL:
-            return (self.lo, self.hi)
-        raise ValueError("infinite limit has no interval")
+        raise ValueError("%s limit has no interval" % self.kind)
 
     def __repr__(self):
-        if self.is_infinite:
-            return "KeplerLimit(infinite)"
         if self.is_algebraic:
             return "KeplerLimit(algebraic %s in [%s, %s])" % (
-                self.minpoly.render(), self.interval[0], self.interval[1])
-        return "KeplerLimit(empirical [%s, %s] up to %s%s)" % (
-            self.lo, self.hi, self.checked_up_to, ", warning" if self.warning else "")
-
-    def to_json(self):
-        if self.is_infinite:
-            return {"kind": "infinite"}
-        if self.is_algebraic:
-            return {"kind": "algebraic",
-                    "minpoly": self.minpoly.to_json(),
-                    "interval": [_frac_str(self.interval[0]), _frac_str(self.interval[1])]}
-        return {"kind": "empirical", "lo": _frac_str(self.lo), "hi": _frac_str(self.hi),
-                "checked_up_to": str(self.checked_up_to),
-                "warning": bool(self.warning)}
-
-
-def _frac_str(f):
-    f = Fraction(f)
-    return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else str(f.numerator)
+                self.minpoly.coeffs, self.interval[0], self.interval[1])
+        return "KeplerLimit(%s)" % self.kind
 
 
 class RegularityReport:
-    def __init__(self, kepler, recurrence_certified, notes):
+    def __init__(self, kepler, recurrence_certified):
         self.kepler = kepler
         self.recurrence_certified = recurrence_certified
-        self.notes = notes
-
-    def to_json(self):
-        return {"kepler": self.kepler.to_json(),
-                "recurrence_certified": bool(self.recurrence_certified),
-                "notes": self.notes}
 
 
 def kepler_limit(handle):
@@ -554,9 +499,10 @@ def kepler_limit(handle):
     Factorial growth is Infinite outright.  Power bases are exact (degenerate
     interval).  Irreducible recurrences get the largest real root of the
     characteristic polynomial isolated by Sturm bisection, cross-checked
-    against an actual ratio scan -- if the scan disagrees the result degrades
-    to an empirical interval rather than fabricating an algebraic claim.
-    Sums take the maximum of their parts' limits.
+    against the actual ratios -- if they disagree the limit is Unknown rather
+    than a fabricated algebraic claim.  Sums take the maximum of their parts'
+    limits.  Everything else (tables, sums with an uncertified part,
+    reducible recurrences) is Unknown.
     """
     spec = handle.spec
     if spec.kind == KIND_FACTORIAL:
@@ -575,8 +521,7 @@ def kepler_limit(handle):
             for other in limits[1:]:
                 best = _max_algebraic(best, other)
             return best
-        return _empirical_scan(handle)
-    return _empirical_scan(handle)
+    return _unknown_limit(handle)
 
 
 def _kepler_recurrence(handle):
@@ -585,40 +530,25 @@ def _kepler_recurrence(handle):
         q = spec.coeffs[0]
         if q >= 2:
             return KeplerLimit.algebraic(CharPoly([-q, 1]), (Fraction(q), Fraction(q)))
-        return _empirical_scan(handle)
+        return _unknown_limit(handle)
     cp = char_poly(spec)
     if polyops.is_irreducible(cp.coeffs):
         iso = polyops.isolate_largest_root_above(cp.coeffs, 1, KEPLER_EPS)
         if iso is not None and iso[0] > 1:
             # Sanity: the actual ratios must settle into the claimed interval.
             lo, hi = iso
-            ok = True
-            for n in range(10, 100):
-                r = handle.ratio(n)
-                if not (lo - KEPLER_EPS < r < hi + KEPLER_EPS):
-                    ok = False
-                    break
-            if ok:
+            if all(lo - KEPLER_EPS < handle.ratio(n) < hi + KEPLER_EPS
+                   for n in range(10, 100)):
                 return KeplerLimit.algebraic(cp, iso)
-    return _empirical_scan(handle)
+    return _unknown_limit(handle)
 
 
-def _empirical_scan(handle):
-    """Ratio scan fallback: report the spread of the last quarter of the
-    window, flagging non-convergence when the spread stopped shrinking."""
-    n_terms = RATIO_SCAN_BUDGET
-    if handle.spec.kind == KIND_TABLE and handle._generator is None:
-        n_terms = min(n_terms, len(handle.spec.values) - 1)
-    ratios = _window_ratios(handle, max(n_terms, 4))
-    if len(ratios) < 2:
+def _unknown_limit(handle):
+    """The Unknown limit, for a sequence with at least three terms (two
+    ratios) before a table runs out or the sequence stops increasing."""
+    if len(_window_terms(handle, 2)) < 3:
         raise ValueError("not enough terms for a ratio scan")
-    q = max(2, len(ratios) // 4)
-    tail = ratios[-q:]
-    prev = ratios[-2 * q:-q] if len(ratios) >= 2 * q else ratios[:q]
-    spread = max(tail) - min(tail)
-    prev_spread = max(prev) - min(prev)
-    warning = spread > 0 and spread >= prev_spread
-    return KeplerLimit.empirical(min(tail), max(tail), len(ratios), warning)
+    return KeplerLimit(KeplerLimit.UNKNOWN)
 
 
 def _window_terms(handle, budget):
@@ -660,20 +590,13 @@ def _max_algebraic(a, b):
 
 def certify(handle):
     """Compute (and cache on the handle) the regularity report."""
-    if handle.regularity_report is not None:
-        return handle.regularity_report
-    kepler = _cached_kepler(handle)
-    notes = []
-    if handle.spec.kind == KIND_FACTORIAL:
-        notes.append("factorial evaluated as r_n = (n+2)!")
-    # kepler_limit returns a minpoly only once it is known irreducible
-    # (degree 1, or proved in _kepler_recurrence), so equality suffices.
-    certified = kepler.is_algebraic and char_poly(handle.spec) == kepler.minpoly
-    if kepler.kind == KeplerLimit.EMPIRICAL and kepler.warning:
-        notes.append("ratio scan did not show a shrinking spread")
-    report = RegularityReport(kepler, certified, "; ".join(notes))
-    handle.regularity_report = report
-    return report
+    if handle.regularity_report is None:
+        kepler = _cached_kepler(handle)
+        # kepler_limit returns a minpoly only once it is known irreducible
+        # (degree 1, or proved in _kepler_recurrence), so equality suffices.
+        handle.regularity_report = RegularityReport(
+            kepler, kepler.is_algebraic and char_poly(handle.spec) == kepler.minpoly)
+    return handle.regularity_report
 
 
 def _cached_kepler(handle):
@@ -709,6 +632,14 @@ class _Contraction:
         """Upper bound on |e_n| = |r_{n+1} - theta r_n|."""
         m = max(0, n - (self.step - 1))
         return self.w0 * self.kappa ** (m // self.step)
+
+    def first_index(self, handle, factor, margin, budget):
+        """The first n <= max(budget, 64) with
+        factor * defect_bound(n) < margin * r_n, or None."""
+        for n in range(max(budget, 64) + 1):
+            if factor * self.defect_bound(n) < margin * handle.eval(n):
+                return n
+        return None
 
 
 def _contraction_data(handle):
@@ -763,7 +694,8 @@ def dominance_cutoff(handle, eps, degree=1, budget=RATIO_SCAN_BUDGET):
     Returns (k, certificate).  Proved certificates come from exact ratio
     formulas (powers, factorial, geometric sums) or from the contraction
     argument; otherwise the inequality is verified on [k, budget] only and
-    the certificate is a BoundedCheck.
+    the certificate is a BoundedCheck.  An Unknown limit has no theta to
+    compare against and raises ValueError.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -782,47 +714,40 @@ def dominance_cutoff(handle, eps, degree=1, budget=RATIO_SCAN_BUDGET):
 
     expansion = power_base_expansion(spec)
     if expansion is not None:
-        return _dominance_geometric(handle, expansion, eps, degree)
+        return _dominance_geometric(expansion, eps, degree)
 
-    if kepler.is_algebraic:
-        data = _contraction_data(handle)
-        if data is not None:
-            return _dominance_contraction(handle, data, eps, degree, budget)
-
+    data = _contraction_data(handle)
+    if data is not None:
+        factor = degree * max(Fraction(1), data.theta_iv[1]) ** (degree - 1)
+        k = data.first_index(handle, factor, eps, budget)
+        if k is not None:
+            return k, Proved("contraction")
     return _scan_dominance_cutoff(handle, kepler, eps, degree, budget)
 
 
-def _dominance_geometric(handle, expansion, eps, degree):
+def _geometric_cutoff(a, b, p, q):
+    """The smallest k >= 0 with a * p^k > b * q^k (integers, p > q)."""
+    k = 0
+    while a <= b:
+        k += 1
+        a *= p
+        b *= q
+    return k
+
+
+def _dominance_geometric(expansion, eps, degree):
     """Exact route for r_n = sum c_j q_j^n: the non-dominant bases decay
     geometrically against the top one, so the cutoff is a plain power scan."""
     if len(expansion) == 1:
         return 0, Proved("exact-ratio")
-    bases = [q for q, _ in expansion]
-    theta = bases[-1]
-    q2 = bases[-2]
+    theta, q2 = expansion[-1][0], expansion[-2][0]
     mass = sum(c for q, c in expansion[:-1])
     # |r_{n+i} - theta^i r_n| <= sum_{j<J} c_j q_j^n (theta^i - q_j^i)
     #                        <= mass * theta^degree * q2^n,
     # and r_n >= theta^n; enough that mass * theta^degree * q2^n < eps theta^n.
-    target = Fraction(mass * theta ** degree) / eps
-    k = 0
-    lhs, rhs = 1, 1  # (theta/q2)^k as exact integer pair theta^k / q2^k
-    while Fraction(lhs, rhs) <= target:
-        k += 1
-        lhs *= theta
-        rhs *= q2
-    return k, Proved("exact-geometric")
-
-
-def _dominance_contraction(handle, data, eps, degree, budget):
-    hi = data.theta_iv[1]
-    factor = degree * max(Fraction(1), hi) ** (degree - 1)
-    n = 0
-    while n <= max(budget, 64):
-        if factor * data.defect_bound(n) < eps * handle.eval(n):
-            return n, Proved("contraction")
-        n += 1
-    return _scan_dominance_cutoff(handle, _cached_kepler(handle), eps, degree, budget)
+    return (_geometric_cutoff(eps.numerator, mass * theta ** degree * eps.denominator,
+                              theta, q2),
+            Proved("exact-geometric"))
 
 
 def _scan_ratio_cutoff(handle, threshold, budget):
@@ -838,10 +763,7 @@ def _scan_ratio_cutoff(handle, threshold, budget):
 
 
 def _scan_dominance_cutoff(handle, kepler, eps, degree, budget):
-    if kepler.is_infinite:
-        raise ValueError("scan cutoff needs a finite ratio interval")
-    lo, hi = kepler.theta_interval()
-    iv = (Fraction(lo), Fraction(hi))
+    iv = kepler.theta_interval()
     last_bad = -1
     top = budget
     for n in range(top):
@@ -900,18 +822,13 @@ def _ratio_lower_bound(handle, budget):
         n0 = max(p[1] for p in parts)
         if rho > 1:
             return rho, n0, merge([p[2] for p in parts], reason="exact-geometric")
-    kepler = _cached_kepler(handle)
-    if kepler.is_algebraic:
-        data = _contraction_data(handle)
-        if data is not None:
-            lo = data.theta_iv[0]
-            rho = 1 + (lo - 1) * Fraction(3, 4)
-            margin = lo - rho  # = (lo-1)/4 > 0
-            n = 0
-            while n <= max(budget, 64):
-                if data.defect_bound(n) < margin * handle.eval(n):
-                    return rho, n, Proved("contraction")
-                n += 1
+    data = _contraction_data(handle)
+    if data is not None:
+        lo = data.theta_iv[0]
+        rho = 1 + (lo - 1) * Fraction(3, 4)
+        n = data.first_index(handle, 1, lo - rho, budget)  # margin (lo-1)/4 > 0
+        if n is not None:
+            return rho, n, Proved("contraction")
     # Bounded scan: the smallest ratio over the window, compared by
     # cross-multiplication (every term is positive).
     terms = _window_terms(handle, budget)

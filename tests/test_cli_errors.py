@@ -206,3 +206,75 @@ def test_eval_out_of_range_exits_before_evaluating(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(sequences.SequenceHandle, "eval", refuse)
     code, _err = _exit_and_stderr(capsys, ["eval", "--seq", str(seq), "--n", str(10 ** 9)])
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# Robustness battery: awkward specs through every question subcommand
+# ---------------------------------------------------------------------------
+
+FIB_JSON = {"kind": "recurrence", "coeffs": ["1", "1"], "initials": ["1", "2"]}
+EDGE_SPECS = {
+    "table-2": {"kind": "table", "values": ["1", "2"]},
+    "table-3": {"kind": "table", "values": ["1", "2", "4"]},
+    "constant-recurrence": {"kind": "recurrence", "coeffs": ["1"], "initials": ["5"]},
+    "alternating-recurrence": {"kind": "recurrence", "coeffs": ["-2"], "initials": ["5"]},
+    "reducible": {"kind": "recurrence", "coeffs": ["-2", "3"], "initials": ["1", "3"]},
+    "fib+lucas": {"kind": "sum", "parts": [FIB_JSON, {"kind": "recurrence",
+                                                      "coeffs": ["1", "1"],
+                                                      "initials": ["1", "3"]}]},
+    "fib+table": {"kind": "sum", "parts": [FIB_JSON, {"kind": "table", "values": [],
+                                                      "generator": "n*n + 1"}]},
+    "factorial+2^n": {"kind": "sum", "parts": [{"kind": "factorial"},
+                                               {"kind": "power", "q": "2"}]},
+    "tribonacci": {"kind": "recurrence", "coeffs": ["1", "1", "1"],
+                   "initials": ["1", "2", "4"]},
+}
+EDGE_COMMANDS = {
+    "classify": ["classify", "--seq", "{seq}", "--op", "[-2,1]"],
+    "solve": ["solve", "--seq", "{seq}", "--problem", "{problem}", "--oracle", "10"],
+    "decide": ["decide", "--seq", "{seq}", "--formula", "{formula}"],
+    "periodicity": ["periodicity", "--seq", "{seq}", "--modulus", "3"],
+    "verify-ax5": ["verify-ax5", "--seq", "{seq}", "--op", "[-2,1]"],
+    "verify-ax6": ["verify-ax6", "--seq", "{seq}", "--ops", "[1];[-1]"],
+    "eval": ["eval", "--seq", "{seq}", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(EDGE_SPECS))
+def test_edge_specs_never_escape_the_exit_codes(tmp_path, capsys, label):
+    files = {"seq": tmp_path / "seq.json", "problem": tmp_path / "p.json",
+             "formula": tmp_path / "f.trf"}
+    files["seq"].write_text(json.dumps(EDGE_SPECS[label]), encoding="utf-8")
+    files["problem"].write_text(json.dumps({"operators": [["1"], ["1"], ["-1"]],
+                                            "target": "0"}), encoding="utf-8")
+    files["formula"].write_text("E x in R. D3(x + 1) & x > 2", encoding="utf-8")
+    for name, template in EDGE_COMMANDS.items():
+        code = cli.main([arg.format(**files) for arg in template])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (name, code)
+        if code == 3:
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, name
+
+
+def test_two_value_table_keeps_its_refusal(tmp_path, capsys):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(EDGE_SPECS["table-2"]), encoding="utf-8")
+    code, err = _exit_and_stderr(capsys, ["classify", "--seq", str(seq), "--op", "[-2,1]"])
+    assert (code, err) == (3, "error: not enough terms for a ratio scan\n")
+
+
+def test_eight_unknowns_exit_three_at_once(tmp_path, capsys):
+    seq = tmp_path / "pow2.json"
+    seq.write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"operators": [["1"]] * 7 + [["-1"]], "target": "0"}),
+                       encoding="utf-8")
+    names = ["x%d" % i for i in range(1, 9)]
+    formula = tmp_path / "f.trf"
+    formula.write_text("".join("E %s in R. " % v for v in names)
+                       + " + ".join(names[:7]) + " = x8", encoding="utf-8")
+    for argv in (["solve", "--seq", str(seq), "--problem", str(problem)],
+                 ["decide", "--seq", str(seq), "--formula", str(formula)],
+                 ["verify-ax6", "--seq", str(seq), "--ops", ";".join(["[1]"] * 7 + ["[-1]"])]):
+        code, err = _exit_and_stderr(capsys, argv)
+        assert (code, err) == (3, "error: equation has 8 unknowns; at most 7 are supported\n")

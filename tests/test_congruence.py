@@ -2,7 +2,12 @@
 
 import random
 
-from regseq.congruence import divisibility_set, profile
+import pytest
+
+from regseq import formulas
+from regseq.certs import BoundedCheck, Proved
+from regseq.congruence import STREAM_BUDGET, BoundedProfileError, divisibility_set, profile
+from regseq.decide import decide
 from regseq.operators import Operator, apply
 from regseq.sequences import SequenceSpec, make_handle
 
@@ -83,3 +88,53 @@ def test_divisibility_set_random_agreement():
         for n in range(80):
             expected = (apply(op, handle, n) + k) % m == 0
             assert pis.contains(n) == expected, (coeffs, k, m, n)
+
+
+# ---------------------------------------------------------------------------
+# Certificates: a state machine proves a profile, a stream only samples it
+# ---------------------------------------------------------------------------
+
+LATE_TABLE = SequenceSpec.table([], generator="2**n + n // 5000")
+FIB_PLUS_TABLE = SequenceSpec.sum_of([SequenceSpec.recurrence([1, 1], [1, 2]),
+                                      SequenceSpec.table([], generator="n*n + 1")])
+
+
+def test_state_machine_profiles_are_proved():
+    for handle in (POW2, FIB, FACT, SUM23):
+        assert profile(handle, 6).cert == Proved("congruence-profile")
+        assert divisibility_set(handle, Operator([1]), 1, 6).cert.is_proved
+
+
+def test_streamed_profile_is_window_evidence():
+    handle = make_handle(LATE_TABLE)
+    prof = profile(handle, 3)
+    assert prof.cert == BoundedCheck(STREAM_BUDGET)
+    assert "certificate" not in prof.to_json()
+    # the taps of S + 1 reach one index past the variable's own
+    assert divisibility_set(handle, Operator([1, 1]), 0, 3).cert == \
+        BoundedCheck(STREAM_BUDGET - 1)
+
+
+def test_streamed_period_is_not_a_proof_of_emptiness():
+    # The first 4096 terms are 2^n mod 6, where D2(x + 1) & D3(x) never
+    # holds; r_5001 = 2^5001 + 1 is divisible by 3 and r_5001 + 1 is even.
+    handle = make_handle(LATE_TABLE)
+    witness = handle.eval(5001)
+    assert witness % 3 == 0 and (witness + 1) % 2 == 0
+    verdict = decide(formulas.parse("E x in R. D2(x + 1) & D3(x)"), handle)
+    assert not (verdict.kind == "False" and verdict.certificate.is_proved)
+
+
+def test_sum_with_a_table_part_is_streamed():
+    handle = make_handle(FIB_PLUS_TABLE)
+    prof = check_profile(handle, 3)
+    assert prof.cert == BoundedCheck(STREAM_BUDGET)
+    verdict = decide(formulas.parse("E x in R. D3(x + 1) & x > 2"), handle)
+    assert verdict.kind == "True"
+
+
+def test_sum_with_a_short_table_part_is_refused():
+    spec = SequenceSpec.sum_of([SequenceSpec.power(2), SequenceSpec.table([1, 2, 3])])
+    with pytest.raises(BoundedProfileError, match="no certified profile") as info:
+        profile(make_handle(spec), 3)
+    assert info.value.prefix == [(2 ** n + n + 1) % 3 for n in range(3)]

@@ -508,3 +508,11 @@ def test_value_table_errors_match_reference():
             except ValueError as exc:
                 errors.append((type(exc), str(exc)))
         assert errors[0] is not None and errors[0] == errors[1], errors
+
+
+def test_unknowns_are_capped():
+    cap = EquationProblem.MAX_UNKNOWNS
+    assert cap == 7
+    assert EquationProblem(HANDLES["pow2"], [[1]] * (cap - 1) + [[-1]], 0).s == cap
+    with pytest.raises(ValueError, match="8 unknowns; at most 7"):
+        EquationProblem(HANDLES["pow2"], [[1]] * cap + [[-1]], 0)

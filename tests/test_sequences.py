@@ -213,3 +213,145 @@ def test_contraction_from_a_wide_interval_still_refines(label):
         assert sum(polyops.iabs_hi(c) for c in quot[:-1]) >= 1
         results.append(contraction_fields(attempt(handle)))
     assert results[0] is not None and results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# One geometric cutoff and one contraction walk, against the loops they
+# replaced
+# ---------------------------------------------------------------------------
+
+def reference_integer_cutoff(a, b, p, q):
+    # the loop of operators._classify_geometric and equations._uniform_cutoff
+    k = 0
+    while a <= b:
+        k += 1
+        a *= p
+        b *= q
+    return k
+
+
+def reference_dominance_geometric(expansion, eps, degree):
+    if len(expansion) == 1:
+        return 0
+    bases = [q for q, _ in expansion]
+    theta, q2 = bases[-1], bases[-2]
+    mass = sum(c for q, c in expansion[:-1])
+    target = Fraction(mass * theta ** degree) / eps
+    k = 0
+    lhs, rhs = 1, 1
+    while Fraction(lhs, rhs) <= target:
+        k += 1
+        lhs *= theta
+        rhs *= q2
+    return k
+
+
+def test_geometric_cutoff_matches_reference_on_a_grid():
+    for a in range(1, 7):
+        for b in range(0, 40, 3):
+            for p in range(2, 7):
+                for q in range(0, p):
+                    assert sq._geometric_cutoff(a, b, p, q) == \
+                        reference_integer_cutoff(a, b, p, q), (a, b, p, q)
+
+
+def test_geometric_dominance_matches_reference_on_fraction_eps():
+    expansions = [[(2, 1)], [(2, 1), (3, 1)], [(2, 5), (7, 2)],
+                  [(2, 1), (3, 4), (5, 1)], [(3, 1), (4, 1)]]
+    epsilons = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 1000),
+                Fraction(999, 1000), Fraction(5, 2), Fraction(1, 3 ** 20)]
+    for expansion in expansions:
+        for eps in epsilons:
+            for degree in (0, 1, 2, 4):
+                k, cert = sq._dominance_geometric(expansion, eps, degree)
+                assert k == reference_dominance_geometric(expansion, eps, degree)
+                assert cert.is_proved
+
+
+def reference_contraction_index(handle, data, eps, degree, budget):
+    # the loop of the former sequences._dominance_contraction
+    hi = data.theta_iv[1]
+    factor = degree * max(Fraction(1), hi) ** (degree - 1)
+    n = 0
+    while n <= max(budget, 64):
+        if factor * data.defect_bound(n) < eps * handle.eval(n):
+            return n
+        n += 1
+    return None
+
+
+def reference_ratio_index(handle, data, budget):
+    # the loop of sequences._ratio_lower_bound
+    lo = data.theta_iv[0]
+    margin = lo - (1 + (lo - 1) * Fraction(3, 4))
+    n = 0
+    while n <= max(budget, 64):
+        if data.defect_bound(n) < margin * handle.eval(n):
+            return n
+        n += 1
+    return None
+
+
+@pytest.mark.parametrize("label", ["fib", "pell"])
+def test_first_index_matches_both_old_walks(label):
+    handle = make_handle(CONTRACTION_SPECS[label][0])
+    data = sq._contraction_data(handle)
+    hits = set()
+    for budget in (0, 10, 64, 100):
+        for degree in (0, 1, 2, 5):
+            factor = degree * max(Fraction(1), data.theta_iv[1]) ** (degree - 1)
+            for eps in (Fraction(1, 2), Fraction(1, 10 ** 6), Fraction(1, 10 ** 30),
+                        Fraction(1, 10 ** 80)):
+                got = data.first_index(handle, factor, eps, budget)
+                assert got == reference_contraction_index(handle, data, eps,
+                                                          degree, budget)
+                hits.add(got is None)
+        lo = data.theta_iv[0]
+        margin = lo - (1 + (lo - 1) * Fraction(3, 4))
+        assert data.first_index(handle, 1, margin, budget) == \
+            reference_ratio_index(handle, data, budget)
+    assert hits == {True, False}  # both exits are reached
+
+
+def test_degree_zero_walk_stops_at_once():
+    # equations._uniform_cutoff asks for degree 0 when s = 1: factor 0
+    handle = make_handle(CONTRACTION_SPECS["fib"][0])
+    k, cert = sq.dominance_cutoff(handle, Fraction(1, 10 ** 9), degree=0)
+    assert (k, cert.is_proved) == (0, True)
+
+
+# ---------------------------------------------------------------------------
+# Uncertified limits: Unknown, from three evaluated terms
+# ---------------------------------------------------------------------------
+
+UNKNOWN_LIMIT_SPECS = {
+    "table-2^n+n": SequenceSpec.table([], generator="2**n + n"),
+    "reducible": SequenceSpec.recurrence([-2, 3], [1, 3]),
+    "fib+table": SequenceSpec.sum_of([SequenceSpec.recurrence([1, 1], [1, 2]),
+                                      SequenceSpec.table([], generator="n*n + 1")]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(UNKNOWN_LIMIT_SPECS))
+def test_uncertified_limit_is_unknown_after_three_terms(label):
+    handle = make_handle(UNKNOWN_LIMIT_SPECS[label])
+    limit = kepler_limit(handle)
+    assert limit.kind == KeplerLimit.UNKNOWN
+    assert not limit.is_algebraic and not limit.is_infinite
+    assert len(handle.cache) <= 3
+    with pytest.raises(ValueError):
+        limit.theta_interval()
+    assert sq.certify(handle).recurrence_certified is False
+
+
+@pytest.mark.parametrize("spec", [SequenceSpec.table([1, 2]),
+                                  SequenceSpec.recurrence([1], [5])],
+                         ids=["two-value-table", "constant-recurrence"])
+def test_short_sequences_are_refused(spec):
+    with pytest.raises(ValueError, match="^not enough terms for a ratio scan$"):
+        kepler_limit(make_handle(spec))
+
+
+def test_three_value_table_is_enough():
+    assert kepler_limit(make_handle(SequenceSpec.table([1, 2, 4]))).kind == \
+        KeplerLimit.UNKNOWN
