@@ -11,9 +11,12 @@ exact machinery available:
     eventually periodic index sets;
   * one multi-variable equality per disjunct goes through the equation
     solver, whose solution description is either enumerated for a witness
-    or certified empty.
+    or certified empty.  The enumeration runs in increasing index sum and
+    expands the description in stages (index sums up to 8, 16, 32, ...), so
+    it stops at the first stage that holds a witness.
 
-Everything else falls back to bounded search, and the verdict records the
+Everything else falls back to bounded search (at most
+BOUNDED_ASSIGNMENT_CAP assignments), and the verdict records the
 degradation: True always carries a witness that re-checks by direct
 arithmetic, False carries a completeness certificate, and anything resting
 on an exhausted budget is reported as UnknownBeyond rather than guessed.
@@ -50,6 +53,11 @@ BOX_BUDGETS = {
     "ax6-revalidation": (200, 200, 36, 16),
     "ax6-empirical": (200, 200, 60, 25),
 }
+
+# Most assignments the bounded search tries: the four-variable box, 9^4.
+# With five or more variables the side shrinks to stay within it (5, 4 and
+# 3 values per variable for five, six and seven).
+BOUNDED_ASSIGNMENT_CAP = 9 ** 4
 
 
 def _box_side(scan, nvars, budget):
@@ -481,12 +489,9 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
     except (TrivialOperatorPresent, NotFinitelySolvable):
         return _bounded_disjunct(handle, rvars, lits, budget)
 
-    window = max(16, budget)
-    tuples = sorted(description.instantiate(window),
-                    key=lambda t: (sum(t), t))
     other_heads = [constraints[v].head(8) for v in others]
     checked = 0
-    for tup in tuples:
+    for tup in _by_index_sum(description, max(16, budget)):
         if any(not constraints[v].contains(n) for v, n in zip(evars, tup)):
             continue
         for combo in itertools.product(*other_heads):
@@ -506,6 +511,29 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
             return ("false", certs.merge(used, reason="equation-completeness"))
         return ("unknown", "equation-emptiness-at-budget")
     return ("unknown", cert_or_reason)
+
+
+def _by_index_sum(description, window):
+    """The tuples of description.instantiate(window) in increasing
+    (index sum, tuple) order, expanded in stages S = 8, 16, 32, ... up to
+    the window: stage S yields the tuples of instantiate(S) whose index sum
+    lies in (previous S, S].  A tuple with index sum at most S lies in
+    [0, S]^s, so every stage is complete, and the last stage, at the window,
+    yields the rest.  A search that stops at a witness expands only the
+    stages up to it."""
+    done = -1
+    side = 8
+    while side < window:
+        yield from sorted((t for t in description.instantiate(side)
+                           if done < sum(t) <= side), key=_sum_key)
+        done = side
+        side *= 2
+    yield from sorted((t for t in description.instantiate(window) if sum(t) > done),
+                      key=_sum_key)
+
+
+def _sum_key(t):
+    return sum(t), t
 
 
 def _description_empty(handle, description, constraints, evars):
@@ -550,8 +578,11 @@ def _description_empty(handle, description, constraints, evars):
 
 
 def _bounded_disjunct(handle, rvars, lits, budget):
-    box = _box_side("bounded-search", len(rvars), budget) if rvars else 0
-    for combo in itertools.product(range(box + 1), repeat=len(rvars)):
+    k = len(rvars)
+    box = _box_side("bounded-search", k, budget) if rvars else 0
+    while (box + 1) ** k > BOUNDED_ASSIGNMENT_CAP:
+        box -= 1
+    for combo in itertools.product(range(box + 1), repeat=k):
         assignment = dict(zip(rvars, combo))
         if _check_assignment(handle, lits, assignment, budget):
             return ("true", {v: ("index", n) for v, n in assignment.items()})

@@ -35,6 +35,13 @@ The quantitative skeleton used to certify completeness:
   cannot fail: for s = 2, and for s = 3 with z = 0
   (_proper_subsums_nonzero).
 
+Both searches share one meet-in-the-middle kernel (Horowitz and Sahni 1974)
+whose inner loops run in C iterators: the sums over a half come from one
+list of prefix sums over all its rows but the last, paired with the last row
+by starmap(add, product(...)) in product order, and the second half's sums
+are filtered by compress over map(table.__contains__, ...), so Python code
+runs only to build the first half's table and for each hit.
+
 The resulting description instantiates to exactly the brute-force answer on
 any window, which is the invariant the test-suite oracles check.
 
@@ -47,6 +54,7 @@ flat pattern/sporadic shape cannot express an infinite product faithfully.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from . import polyops
@@ -513,22 +521,37 @@ def _kill_vectors(handle, ops, max_offset):
 # Core solver over pairwise distinct indices
 # ---------------------------------------------------------------------------
 
+def _half_sums(rows):
+    """sum(terms) for each terms of itertools.product(*rows), in the same
+    order and lazily, computed inside C iterators: every row but the last is
+    folded into one list of prefix sums, which is paired with the last row."""
+    if not rows:
+        return iter((0,))
+    prefix = [0]
+    for row in rows[:-1]:
+        prefix = list(itertools.starmap(operator.add, itertools.product(prefix, row)))
+    return itertools.starmap(operator.add, itertools.product(prefix, rows[-1]))
+
+
 def _meet_in_the_middle(rows, target, indices=None):
     """Every index tuple t with sum_j rows[j][t_j] == target, where
     indices[j] names the index of each entry of rows[j] (by default its
-    position): the sums over the first half of the variables are hashed and
-    each sum over the second half looks up its complement (Horowitz and
-    Sahni).  Lazy, in no particular order."""
+    position): the first half of the variables is hashed by target minus
+    its sum, and each sum over the second half looks itself up (Horowitz
+    and Sahni).  The lookups run inside C iterators (compress over a map of
+    dict membership), so Python code runs only for hits.  Lazy, in no
+    particular order."""
     if indices is None:
         indices = [range(len(row)) for row in rows]
     half = len(rows) // 2
     table = {}
-    for tup, terms in zip(itertools.product(*indices[:half]),
-                          itertools.product(*rows[:half])):
-        table.setdefault(sum(terms), []).append(tup)
-    for tup, terms in zip(itertools.product(*indices[half:]),
-                          itertools.product(*rows[half:])):
-        for left in table.get(target - sum(terms), ()):
+    for tup, key in zip(itertools.product(*indices[:half]),
+                        map(target.__sub__, _half_sums(rows[:half]))):
+        table.setdefault(key, []).append(tup)
+    sums, probes = itertools.tee(_half_sums(rows[half:]))
+    for tup, key in itertools.compress(zip(itertools.product(*indices[half:]), sums),
+                                       map(table.__contains__, probes)):
+        for left in table[key]:
             yield left + tup
 
 

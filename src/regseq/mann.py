@@ -333,14 +333,24 @@ def _canonical(coeffs, monoid, tup, divisors=None, groups=None):
     return best
 
 
-def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT,
-                      _depth=0):
+def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT):
     """Translate-family description of a_1 x_1 + ... + a_n x_n = 0 over the
     monoid: canonical base tuples (times M), plus recursive splits for the
     degenerate vanishing-sub-sum regimes."""
     coeffs = [int(a) for a in coefficients]
     if len(coeffs) < 2 or any(a == 0 for a in coeffs):
         raise ValueError("need >= 2 nonzero integer coefficients")
+    return _solve_homogeneous(coeffs, monoid, exp_bound, {})
+
+
+def _solve_homogeneous(coeffs, monoid, exp_bound, memo):
+    """solve_homogeneous over checked coefficients.  Each side of a split has
+    at least two and at most n - 2 unknowns, so the recursion ends; `memo`
+    keeps the solution set of every coefficient tuple solved in this call,
+    since the splits of different blocks meet the same sub-tuples."""
+    key = tuple(coeffs)
+    if key in memo:
+        return memo[key]
     n = len(coeffs)
     scanned = _scan(coeffs, 0, _scan_window(monoid, exp_bound, n))
     top = max((math.gcd(*t) for t in scanned), default=0)
@@ -348,18 +358,16 @@ def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT,
     groups = _slot_groups(coeffs)
     base = sorted({_canonical(coeffs, monoid, t, divisors, groups) for t in scanned})
     splits = []
-    if _depth < 2:
-        for size in range(2, n - 1):
-            for sub in itertools.combinations(range(n), size):
-                rest = tuple(i for i in range(n) if i not in sub)
-                left = solve_homogeneous([coeffs[i] for i in sub], monoid,
-                                         exp_bound, _depth + 1)
-                right = solve_homogeneous([coeffs[i] for i in rest], monoid,
-                                          exp_bound, _depth + 1)
-                if left.base and right.base:
-                    splits.append(MannSplit(sub, left, right))
-    return MannSolutionSet(coeffs, monoid, base, splits, exp_bound,
-                           BoundedCheck(exp_bound), scanned)
+    for size in range(2, n - 1):
+        for sub in itertools.combinations(range(n), size):
+            rest = tuple(i for i in range(n) if i not in sub)
+            left = _solve_homogeneous([coeffs[i] for i in sub], monoid, exp_bound, memo)
+            right = _solve_homogeneous([coeffs[i] for i in rest], monoid, exp_bound, memo)
+            if left.base and right.base:
+                splits.append(MannSplit(sub, left, right))
+    memo[key] = MannSolutionSet(coeffs, monoid, base, splits, exp_bound,
+                                BoundedCheck(exp_bound), scanned)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------

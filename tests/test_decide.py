@@ -6,14 +6,18 @@ certificates, and anything else must be explicitly UnknownBeyond.
 """
 
 import random
+import time
 
 import pytest
 
+from regseq import decide as decide_module
 from regseq import formulas as F
 from regseq.certs import Proved
 from regseq.congruence import PeriodicIndexSet
-from regseq.decide import (STREAM_HEAD, OutOfFragment, Verdict, _independent_disjunct,
-                           decide, verify_ax5, verify_ax6)
+from regseq.decide import (BOUNDED_ASSIGNMENT_CAP, STREAM_HEAD, OutOfFragment, Verdict,
+                           _by_index_sum, _independent_disjunct, decide, verify_ax5,
+                           verify_ax6)
+from regseq.equations import EquationProblem, solve_full
 from regseq.operators import Operator
 from regseq.sequences import SequenceSpec, make_handle
 
@@ -211,3 +215,53 @@ def test_finite_exhaustion_needs_whole_sets_not_heads():
         verdict = _independent_disjunct(POW2, ["x", "y"], lits, constraints, side, 64)
         assert verdict[0] == want, (size, verdict)
         assert F.eval_ground(F.And(lits), POW2, {"x": far, "y": 0})
+
+
+TRIB = make_handle(SequenceSpec.recurrence([1, 1, 1], [1, 2, 4]))
+
+# (handle, operators, target): s = 2 to 4, homogeneous and not; on the
+# 2**n + n table both operators of the last homogeneous pair are constant
+STAGED = [
+    (FIB, [[1], [-1]], 1), (FIB, [[1], [1], [-1]], 0), (FIB, [[1], [1], [-1]], 5),
+    (FIB, [[1], [1], [-1], [-1]], 0), (TRIB, [[1], [1], [-1]], 0),
+    (TRIB, [[2], [1], [-1]], 0), (TRIB, [[1], [-1], [1], [-1]], 3),
+    (TABLE, [[1], [1], [-1]], 0), (TABLE, [[2, -3, 1], [-2, 3, -1]], 0),
+    (TABLE, [[1], [1], [1], [-1]], 4),
+]
+
+
+@pytest.mark.parametrize("case", range(len(STAGED)))
+def test_staged_expansion_is_the_sorted_instantiation(case):
+    handle, ops, z = STAGED[case]
+    description = solve_full(EquationProblem(handle, ops, z))
+    for window in (16, 20, 40, 64):
+        want = sorted(description.instantiate(window), key=lambda t: (sum(t), t))
+        assert list(_by_index_sum(description, window)) == want, (ops, z, window)
+
+
+def test_staged_expansion_stops_at_the_first_stage_with_a_witness():
+    description = solve_full(EquationProblem(FIB, [[1], [1], [-1], [-1]], 0))
+    seen = []
+    real = description.instantiate
+    description.instantiate = lambda n: seen.append(n) or real(n)
+    assert sum(next(_by_index_sum(description, 64))) == 0
+    assert seen == [8]
+
+
+def test_bounded_search_assignments_are_capped(monkeypatch):
+    # a multi-variable D atom sends the sentence to the bounded search; with
+    # seven variables the side shrinks to 2, so 3^7 assignments are tried
+    names = ["x%d" % i for i in range(1, 8)]
+    text = "".join("E %s in R. " % v for v in names) + \
+        "D2(x1 + x2) & %s = 3" % " + ".join(names)
+    start = time.perf_counter()
+    verdict = run(text)
+    assert time.perf_counter() - start < 2
+    assert verdict.kind == Verdict.UNKNOWN
+    assert verdict.reason == "bounded-search-at-budget"
+    tried = []
+    real = decide_module._check_assignment
+    monkeypatch.setattr(decide_module, "_check_assignment",
+                        lambda *args: tried.append(args) or real(*args))
+    run(text)
+    assert len(tried) == 3 ** 7 <= BOUNDED_ASSIGNMENT_CAP

@@ -15,10 +15,10 @@ from regseq import sequences as sq
 from regseq.certs import BoundedCheck
 from regseq.equations import (EquationProblem, ShiftPattern,
                               TrivialOperatorPresent, _box_solutions,
-                              _family_offsets, _KillTester,
-                              _partial_kill_present, _proper_subsums_nonzero,
-                              _vanishing_subset, brute_force, solve_full,
-                              solve_nondegenerate)
+                              _family_offsets, _half_sums, _KillTester,
+                              _meet_in_the_middle, _partial_kill_present,
+                              _proper_subsums_nonzero, _vanishing_subset,
+                              brute_force, solve_full, solve_nondegenerate)
 from regseq.operators import (ZERO, CofiniteZero, Operator, apply, classify,
                               shift_combine)
 from regseq.sequences import SequenceSpec, make_handle
@@ -516,3 +516,48 @@ def test_unknowns_are_capped():
     assert EquationProblem(HANDLES["pow2"], [[1]] * (cap - 1) + [[-1]], 0).s == cap
     with pytest.raises(ValueError, match="8 unknowns; at most 7"):
         EquationProblem(HANDLES["pow2"], [[1]] * cap + [[-1]], 0)
+
+
+# ---------------------------------------------------------------------------
+# _meet_in_the_middle: half sums and lookups inside C iterators
+# ---------------------------------------------------------------------------
+
+def _mitm_rows(rng, s, length):
+    """Rows of small values with repeats, some rows equal to or the negation
+    of an earlier one, so that both halves have colliding sums."""
+    rows = []
+    for j in range(s):
+        pick = rng.random()
+        if j and pick < 0.25:
+            rows.append(list(rows[rng.randrange(j)]))
+        elif j and pick < 0.5:
+            rows.append([-v for v in rows[rng.randrange(j)]])
+        else:
+            rows.append([rng.randint(-4, 4) for _ in range(length)])
+    return rows
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_half_sums_follow_product_order(s):
+    rng = random.Random("half-sums:%d" % s)
+    rows = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(s)]
+    for k in range(s + 1):
+        assert list(_half_sums(rows[:k])) == [sum(t) for t in itertools.product(*rows[:k])]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_meet_in_the_middle_matches_reference(s):
+    rng = random.Random("mitm:%d" % s)
+    length = {1: 12, 2: 12, 3: 9, 4: 7, 5: 5}[s]
+    for _ in range(12):
+        rows = _mitm_rows(rng, s, length)
+        targets = {0, sum(rng.choice(row) for row in rows), rng.randint(-6, 6)}
+        for target in sorted(targets):
+            want = sorted(reference_meet_in_the_middle(rows, target))
+            assert sorted(_meet_in_the_middle(rows, target)) == want, (rows, target)
+            # pruned rows: the hits are the reference hits on the kept indices
+            indices = [[i for i, v in enumerate(row) if v] for row in rows]
+            pruned = [[row[i] for i in idx] for row, idx in zip(rows, indices)]
+            kept = [t for t in want if all(t[j] in indices[j] for j in range(s))]
+            assert sorted(_meet_in_the_middle(pruned, target, indices)) == kept, \
+                (rows, target)

@@ -373,3 +373,27 @@ def test_slot_groups_are_computed_once_per_scan(monkeypatch):
     groups = real([1, 1, -1])
     for tup in sols.scanned:
         assert _canonical([1, 1, -1], M23, tup, None, groups) == _canonical([1, 1, -1], M23, tup)
+
+
+def _split_depth(sols):
+    """How many levels of splits hang below a solution set."""
+    return max((1 + max(_split_depth(sp.left), _split_depth(sp.right))
+                for sp in sols.splits), default=0)
+
+
+def test_splits_recurse_below_depth_two():
+    # 8 unknowns = a 6-unknown block with its own base + [1, -1]; the block
+    # splits into x1 + x2 = x3 + x4 (base (1, 3, 2, 2)) and x5 = 3 x6, and
+    # x1 + x2 = x3 + x4 splits into x = y twice over: splits at depth 2
+    coeffs = [1, 1, -1, -1, 1, -3, 1, -1]
+    sols = solve_homogeneous(coeffs, M23, 1)
+    assert _split_depth(sols) == 3
+    block = next(sp.left for sp in sols.splits if sp.positions == (0, 1, 2, 3, 4, 5))
+    assert block.base
+    four = next(sp.left for sp in block.splits if sp.positions == (0, 1, 2, 3))
+    assert (1, 3, 2, 2) in four.base
+    assert [sp.positions for sp in four.splits] == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    # every split side is the solution set of its own sub-equation
+    for sp in four.splits:
+        assert sp.left.to_json() == solve_homogeneous(
+            [four.coefficients[i] for i in sp.positions], M23, 1).to_json()
