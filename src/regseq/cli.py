@@ -12,6 +12,15 @@ Set-spec files for the syndetic subcommands take
 {"kind": "progression", "a": ..., "d": ...},
 {"kind": "image-sum", "seq": <sequence spec>, "ops": [[..], ..], "z": ...},
 {"kind": "monoid", "generators": [..]}, or {"kind": "list", "values": [..]}.
+
+At module level only the standard library and jsonio are imported.  Each
+handler imports the layers it runs, and _load_set those of each set kind, so
+a call compiles only what its subcommand needs: `eval` loads sequences,
+polyops and certs; `mann` loads mann, subsums and certs; `syndetic` on a
+progression or list loads syndetic alone; `decide` loads every layer except
+mann and syndetic.  The parser defaults that come from a layer (operators'
+DEFAULT_BUDGET, mann's DEFAULT_EXPONENT) are None and are resolved in the
+handler, so those constants stay the one source of the values.
 """
 
 import argparse
@@ -20,15 +29,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import congruence
-from . import decide as decide_mod
-from . import equations
-from . import formulas
 from . import jsonio
-from . import mann
-from . import operators
-from . import syndetic
-from .sequences import SequenceSpec, make_handle
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -71,11 +72,17 @@ def _emit(obj, out_path=None):
     print(text)
 
 
+def _make_handle(obj):
+    from . import sequences
+    return sequences.make_handle(sequences.SequenceSpec.from_json(obj))
+
+
 def _load_handle(path):
-    return make_handle(SequenceSpec.from_json(jsonio.load_path(path)))
+    return _make_handle(jsonio.load_path(path))
 
 
 def _parse_op(text):
+    from . import operators
     coeffs = json.loads(text)
     if not isinstance(coeffs, list):
         raise ValueError("operator must be a JSON list of coefficients")
@@ -116,15 +123,17 @@ def _parse_equation(text):
 
 
 def _load_set(obj):
+    from . import syndetic
     kind = obj.get("kind")
     if kind == "progression":
         return syndetic.EnumerableSet.progression(int(obj["a"]), int(obj["d"]))
     if kind == "image-sum":
-        handle = make_handle(SequenceSpec.from_json(obj["seq"]))
+        handle = _make_handle(obj["seq"])
         ops = [[int(c) for c in row] for row in obj["ops"]]
         return syndetic.EnumerableSet.image_sum(handle, ops,
                                                 int(obj.get("z", 0)))
     if kind == "monoid":
+        from . import mann
         monoid = mann.MannMonoid([int(g) for g in obj["generators"]])
         return syndetic.EnumerableSet.monoid_stream(monoid)
     if kind == "list":
@@ -139,6 +148,7 @@ def _load_set(obj):
 def _cmd_eval(args):
     handle = _load_handle(args.seq)
     if args.op:
+        from . import operators
         op = _parse_op(args.op)
         top = OPTION_RANGES["n"][1]
         if args.n + op.degree > top:
@@ -153,13 +163,16 @@ def _cmd_eval(args):
 
 
 def _cmd_classify(args):
+    from . import operators
     handle = _load_handle(args.seq)
-    cls = operators.classify(_parse_op(args.op), handle, budget=args.budget)
+    budget = operators.DEFAULT_BUDGET if args.budget is None else args.budget
+    cls = operators.classify(_parse_op(args.op), handle, budget=budget)
     _emit(cls.to_json())
     return EXIT_TRUE
 
 
 def _cmd_solve(args):
+    from . import equations
     handle = _load_handle(args.seq)
     problem = equations.EquationProblem.from_json(handle,
                                                   jsonio.load_path(args.problem))
@@ -183,22 +196,24 @@ def _cmd_solve(args):
 
 
 def _cmd_decide(args):
+    from . import decide, formulas
     handle = _load_handle(args.seq)
     with open(args.formula, "r", encoding="utf-8") as fh:
         text = fh.read()
-    verdict = decide_mod.decide(formulas.parse(text), handle,
-                                budget=args.budget)
+    verdict = decide.decide(formulas.parse(text), handle, budget=args.budget)
     _emit(verdict.to_json(handle))
     return verdict.exit_code()
 
 
 def _cmd_periodicity(args):
+    from . import congruence
     handle = _load_handle(args.seq)
     _emit(congruence.profile(handle, args.modulus).to_json())
     return EXIT_TRUE
 
 
 def _cmd_gap_runs(args):
+    from . import syndetic
     enum_set = _load_set(jsonio.load_path(args.set))
     report = syndetic.gap_runs(enum_set, args.horizon, args.d,
                                by_gap=args.by_gap)
@@ -207,6 +222,7 @@ def _cmd_gap_runs(args):
 
 
 def _cmd_cover_check(args):
+    from . import syndetic
     images = jsonio.load_path(args.images)
     if isinstance(images, dict):
         images = [images]
@@ -218,6 +234,7 @@ def _cmd_cover_check(args):
 
 
 def _cmd_brown(args):
+    from . import syndetic
     enum_set = _load_set(jsonio.load_path(args.set))
     parts = [_load_set(obj) for obj in jsonio.load_path(args.parts)]
     report = syndetic.brown_decompose(enum_set, parts, args.horizon, args.d)
@@ -225,24 +242,32 @@ def _cmd_brown(args):
     return EXIT_TRUE
 
 
+def _exp_bound(args):
+    from .mann import DEFAULT_EXPONENT
+    return DEFAULT_EXPONENT if args.exp_bound is None else args.exp_bound
+
+
 def _cmd_mann_solve(args):
+    from . import mann
     monoid = mann.MannMonoid(int(g) for g in args.gens.split(","))
     coeffs, rhs = _parse_equation(args.eq)
+    exp_bound = _exp_bound(args)
     if rhs == 0:
-        sols = mann.solve_homogeneous(coeffs, monoid, args.exp_bound)
+        sols = mann.solve_homogeneous(coeffs, monoid, exp_bound)
         _emit(sols.to_json())
     else:
         qs = [Fraction(c, rhs) for c in coeffs]
-        tuples, cert = mann.solve_unit(qs, monoid, args.exp_bound)
+        tuples, cert = mann.solve_unit(qs, monoid, exp_bound)
         _emit({"equation": args.eq,
                "monoid": monoid.to_json(),
                "solutions": [list(t) for t in tuples],
-               "exponent_bound": args.exp_bound,
+               "exponent_bound": exp_bound,
                "certificate": cert.to_json()})
     return EXIT_TRUE
 
 
 def _cmd_mann_enumerate(args):
+    from . import mann
     monoid = mann.MannMonoid(int(g) for g in args.gens.split(","))
     _emit({"monoid": monoid.to_json(), "bound": args.bound,
            "elements": monoid.enumerate(args.bound)})
@@ -250,26 +275,27 @@ def _cmd_mann_enumerate(args):
 
 
 def _cmd_mann_trace(args):
+    from . import mann
     monoid = mann.MannMonoid(int(g) for g in args.gens.split(","))
     coeffs, rhs = _parse_equation(args.eq)
     if rhs != 0:
         raise ValueError("trace needs a homogeneous equation (rhs 0)")
-    _emit(mann.induced_trace(coeffs, monoid, args.exp_bound).to_json())
+    _emit(mann.induced_trace(coeffs, monoid, _exp_bound(args)).to_json())
     return EXIT_TRUE
 
 
 def _cmd_verify_ax5(args):
+    from . import decide
     handle = _load_handle(args.seq)
-    report = decide_mod.verify_ax5(handle, _parse_op(args.op),
-                                   budget=args.budget)
+    report = decide.verify_ax5(handle, _parse_op(args.op), budget=args.budget)
     _emit(report.to_json())
     return EXIT_TRUE
 
 
 def _cmd_verify_ax6(args):
+    from . import decide
     handle = _load_handle(args.seq)
-    report = decide_mod.verify_ax6(handle, _parse_ops(args.ops),
-                                   budget=args.budget)
+    report = decide.verify_ax6(handle, _parse_ops(args.ops), budget=args.budget)
     _emit(report.to_json())
     if report.status == "violation":
         return EXIT_FALSE
@@ -286,6 +312,9 @@ def _cmd_suite(args):
 
 def run_suite():
     """Fixed batch across every module; used for determinism checks."""
+    from . import congruence, decide, equations, formulas, mann, operators, \
+        syndetic
+    from .sequences import SequenceSpec, make_handle
     pow2 = make_handle(SequenceSpec.power(2))
     fib = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
     fact = make_handle(SequenceSpec.factorial())
@@ -307,7 +336,7 @@ def run_suite():
              "E x in R. D3(x + 2) & x > 1"]
     report["decide"] = [
         {"formula": text,
-         "verdict": decide_mod.decide(formulas.parse(text), pow2).to_json(pow2)}
+         "verdict": decide.decide(formulas.parse(text), pow2).to_json(pow2)}
         for text in texts]
 
     report["periodicity"] = [
@@ -315,9 +344,9 @@ def run_suite():
         for label, h, m in [("pow2", pow2, 3), ("fib", fib, 2),
                             ("factorial", fact, 4)]]
 
-    report["verify-ax5"] = decide_mod.verify_ax5(
+    report["verify-ax5"] = decide.verify_ax5(
         pow2, operators.Operator([-2, 1])).to_json()
-    report["verify-ax6"] = decide_mod.verify_ax6(
+    report["verify-ax6"] = decide.verify_ax6(
         table, [operators.Operator([2, -3, 1]),
                 operators.Operator([-2, 3, -1])]).to_json()
 
@@ -359,7 +388,7 @@ def _build_parser():
     p = sub.add_parser("classify", help="operator dichotomy verdict")
     p.add_argument("--seq", required=True)
     p.add_argument("--op", required=True)
-    p.add_argument("--budget", type=int, default=operators.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("solve", help="solution families of a linear equation")
@@ -410,7 +439,7 @@ def _build_parser():
     q = msub.add_parser("solve")
     q.add_argument("--gens", required=True)
     q.add_argument("--eq", required=True)
-    q.add_argument("--exp-bound", type=int, default=mann.DEFAULT_EXPONENT)
+    q.add_argument("--exp-bound", type=int)
     q.set_defaults(fn=_cmd_mann_solve)
     q = msub.add_parser("enumerate")
     q.add_argument("--gens", required=True)
@@ -419,7 +448,7 @@ def _build_parser():
     q = msub.add_parser("trace")
     q.add_argument("--gens", required=True)
     q.add_argument("--eq", required=True)
-    q.add_argument("--exp-bound", type=int, default=mann.DEFAULT_EXPONENT)
+    q.add_argument("--exp-bound", type=int)
     q.set_defaults(fn=_cmd_mann_trace)
 
     p = sub.add_parser("verify-ax5", help="constant-shift axiom instance")
@@ -448,10 +477,7 @@ def main(argv=None):
     try:
         _check_ranges(args)
         return args.fn(args)
-    except operators.NotFinitelySolvable as exc:
-        _emit({"error": "not-finitely-solvable", "detail": str(exc)})
-        return EXIT_FALSE
-    except (OSError, ValueError, KeyError, formulas.SortError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
 

@@ -61,6 +61,7 @@ from . import polyops
 from . import sequences as sq
 from . import operators as op_mod
 from .certs import Proved, BoundedCheck, merge
+from .subsums import _proper_subsums_nonzero, _vanishing_subset
 
 ORACLE_CEILING = 40
 OFFSET_BUDGET = 64          # cap on the certified gap bound G
@@ -303,26 +304,6 @@ def _tag(s, vals, tup):
     if sub is not None:
         return {"status": "vanishing", "subset": sub}
     return {"status": "non-degenerate"}
-
-
-def _vanishing_subset(terms):
-    """The canonical vanishing proper sub-sum of the terms: the positions of
-    the smallest one, the lexicographically first among equals; None when
-    the terms are non-degenerate (no proper sub-sum vanishes)."""
-    for size in range(1, len(terms)):
-        for sub in itertools.combinations(range(len(terms)), size):
-            if sum(terms[j] for j in sub) == 0:
-                return sub
-    return None
-
-
-def _proper_subsums_nonzero(size, target):
-    """Whether no proper sub-sum of `size` nonzero terms summing to `target`
-    can vanish, whatever the terms: with one or two terms every proper
-    sub-sum is a single term, and with three terms summing to 0 a vanishing
-    pair would leave the third term 0.  Callers whose terms are all nonzero
-    skip _vanishing_subset when this holds."""
-    return size <= 2 or (size == 3 and target == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .certs import BoundedCheck
-from .equations import _proper_subsums_nonzero, _vanishing_subset
+from .subsums import _proper_subsums_nonzero, _vanishing_subset
 
 DEFAULT_EXPONENT = 64
 SCAN_CAP = 6_000_000

@@ -361,9 +361,6 @@ class SequenceHandle:
                 % (len(s.values), n))
         return self._generator(n)
 
-    def ratio(self, n):
-        return Fraction(self.eval(n + 1), self.eval(n))
-
 
 def make_handle(spec):
     return SequenceHandle(spec)
@@ -537,10 +534,24 @@ def _kepler_recurrence(handle):
         if iso is not None and iso[0] > 1:
             # Sanity: the actual ratios must settle into the claimed interval.
             lo, hi = iso
-            if all(lo - KEPLER_EPS < handle.ratio(n) < hi + KEPLER_EPS
-                   for n in range(10, 100)):
+            if _ratios_within(handle, lo - KEPLER_EPS, hi + KEPLER_EPS):
                 return KeplerLimit.algebraic(cp, iso)
     return _unknown_limit(handle)
+
+
+def _ratios_within(handle, lo, hi):
+    """Whether lo < r_{n+1} / r_n < hi for n = 10, ..., 99, compared in
+    integers as lo r_n < r_{n+1} < hi r_n (terms are positive).  Stops at
+    the first ratio outside, so no term past it is evaluated."""
+    lo_num, lo_den = lo.numerator, lo.denominator
+    hi_num, hi_den = hi.numerator, hi.denominator
+    prev = handle.eval(10)
+    for n in range(11, 101):
+        cur = handle.eval(n)
+        if not (lo_num * prev < lo_den * cur and hi_den * cur < hi_num * prev):
+            return False
+        prev = cur
+    return True
 
 
 def _unknown_limit(handle):

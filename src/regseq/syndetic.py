@@ -8,12 +8,13 @@ window (the far-out region is what the definition cares about; the dense
 initial segment of most image sets would otherwise drown the statistic),
 cover_check hunts for a progression element missed by every image set, and
 brown_decompose picks the partition part whose runs dominate.
+
+Only operator-image sums need the operators layer, so it is imported where
+they are built and evaluated; until then syndetic loads no other regseq
+module.
 """
 
-import itertools
 from fractions import Fraction
-
-from .operators import Operator, apply
 
 VALUE_PATIENCE = 8
 INDEX_CEILING = 100000
@@ -47,6 +48,7 @@ class EnumerableSet:
 
     @staticmethod
     def image_sum(handle, ops, z=0, label=None):
+        from .operators import Operator
         ops = [op if isinstance(op, Operator) else Operator(op) for op in ops]
         name = label or "image-sum"
         return EnumerableSet(name, lambda n: _image_sums(handle, ops, z, n))
@@ -101,6 +103,7 @@ def _image_sums(handle, ops, z, n):
 def _op_values(handle, op, bound):
     """Operator values with |value| <= bound, scanned until the image has
     clearly left the window (a patience run of consecutive misses)."""
+    from .operators import apply
     vals = []
     misses = 0
     n = 0

@@ -10,6 +10,7 @@ import pytest
 
 from regseq import cli
 from regseq import formulas as F
+from regseq import operators
 from regseq import sequences
 from regseq.sequences import SequenceSpec
 
@@ -278,3 +279,41 @@ def test_eight_unknowns_exit_three_at_once(tmp_path, capsys):
                  ["verify-ax6", "--seq", str(seq), "--ops", ";".join(["[1]"] * 7 + ["[-1]"])]):
         code, err = _exit_and_stderr(capsys, argv)
         assert (code, err) == (3, "error: equation has 8 unknowns; at most 7 are supported\n")
+
+
+def test_cofinite_operator_value_gives_checked_witness(tmp_path, capsys):
+    # f[2,-3,1] maps 2**n + n to -1 at every index, so the finite solver
+    # gives up and decide falls back to its window scan
+    table = sequences.make_handle(SequenceSpec.table([], generator="2**n + n"))
+    with pytest.raises(operators.NotFinitelySolvable):
+        operators.solve_inhomogeneous(operators.Operator([2, -3, 1]), table, -1)
+    seq = tmp_path / "table.json"
+    seq.write_text(json.dumps({"kind": "table", "values": [],
+                               "generator": "2**n + n"}), encoding="utf-8")
+    formula = tmp_path / "f.trf"
+    formula.write_text("E x in R. f[2,-3,1](x) = -1", encoding="utf-8")
+    code = cli.main(["decide", "--seq", str(seq), "--formula", str(formula)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "certificate": {"level": "Proved", "reason": "checked-witness"},
+        "verdict": "True", "witness": {"x": {"element": "1", "index": "0"}}}
+
+
+# a SortError is a ValueError, so main reports it like any malformed input
+SORT_ERRORS = [
+    ("E x in R. f[1,1](3) = 2", "S and operators apply only to R-sorted variables"),
+    ("E k <= 5. S(k) = 2", "operator applied to the integer variable 'k'"),
+]
+
+
+@pytest.mark.parametrize("text,message", SORT_ERRORS, ids=["constant", "integer"])
+def test_sort_error_exits_three(tmp_path, capsys, text, message):
+    assert issubclass(F.SortError, ValueError)
+    seq = tmp_path / "pow2.json"
+    seq.write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    formula = tmp_path / "sort.trf"
+    formula.write_text(text, encoding="utf-8")
+    code, err = _exit_and_stderr(capsys, ["decide", "--seq", str(seq),
+                                          "--formula", str(formula)])
+    assert code == 3
+    assert err == "error: %s\n" % message

@@ -355,3 +355,47 @@ def test_short_sequences_are_refused(spec):
 def test_three_value_table_is_enough():
     assert kepler_limit(make_handle(SequenceSpec.table([1, 2, 4]))).kind == \
         KeplerLimit.UNKNOWN
+
+
+def _ratios_within_by_fractions(handle, lo, hi):
+    """The Kepler sanity check as it reads: lo < r_{n+1} / r_n < hi for
+    n = 10, ..., 99, each ratio an exact Fraction."""
+    return all(lo < Fraction(handle.eval(n + 1), handle.eval(n)) < hi
+               for n in range(10, 100))
+
+
+def test_integer_ratio_check_agrees_with_fractions_on_shifted_intervals():
+    specs = [SequenceSpec.power(2),
+             SequenceSpec.recurrence([1, 1], [1, 2]),
+             SequenceSpec.recurrence([1, 2], [1, 2]),
+             SequenceSpec.recurrence([1, 1, 1], [1, 2, 4]),
+             SequenceSpec.sum_of([SequenceSpec.power(2), SequenceSpec.power(3)]),
+             SequenceSpec.table([], generator="2**n + n")]
+    checked = set()
+    for spec in specs:
+        h = make_handle(spec)
+        ratios = [Fraction(h.eval(n + 1), h.eval(n)) for n in range(10, 100)]
+        low, high = min(ratios), max(ratios)
+        # the window's own extremes as bounds, where only strictness decides
+        intervals = [(low, high), (low, high + 1), (low - 1, high),
+                     (low - Fraction(1, 10 ** 40), high + Fraction(1, 10 ** 40))]
+        for shift in range(-6, 7):
+            for width in (Fraction(1, 1024), Fraction(1, 16), Fraction(1)):
+                mid = ratios[40] + shift * width / 4
+                intervals.append((mid - width, mid + width))
+        for lo, hi in intervals:
+            expected = _ratios_within_by_fractions(h, lo, hi)
+            assert sq._ratios_within(h, lo, hi) == expected, (spec.kind, lo, hi)
+            checked.add(expected)
+    assert checked == {True, False}
+
+
+@pytest.mark.parametrize("jump", [9, 10, 99, 100])
+def test_integer_ratio_check_window_is_ten_to_ninety_nine(jump):
+    # ratio 2 everywhere except r_{jump+1} / r_jump = 3/2
+    values = [2 ** n if n <= jump else 3 * 2 ** (n - 1) for n in range(120)]
+    h = make_handle(SequenceSpec.table(values))
+    lo, hi = Fraction(7, 4), Fraction(9, 4)
+    inside = not 10 <= jump <= 99
+    assert _ratios_within_by_fractions(h, lo, hi) == inside
+    assert sq._ratios_within(h, lo, hi) == inside
