@@ -11,7 +11,8 @@ for example {"kind": "power", "q": "2"} or
 Set-spec files for the syndetic subcommands take
 {"kind": "progression", "a": ..., "d": ...},
 {"kind": "image-sum", "seq": <sequence spec>, "ops": [[..], ..], "z": ...},
-{"kind": "monoid", "generators": [..]}, or {"kind": "list", "values": [..]}.
+{"kind": "monoid", "generators": [..]}, or {"kind": "list", "values": [..]};
+the --images and --parts files hold one set spec or a list of them.
 
 At module level only the standard library and jsonio are imported.  Each
 handler imports the layers it runs, and _load_set those of each set kind, so
@@ -30,6 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
+from .jsonio import _json_int, _json_ints, _json_list
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -124,21 +126,34 @@ def _parse_equation(text):
 
 def _load_set(obj):
     from . import syndetic
+    if not isinstance(obj, dict):
+        raise ValueError("set spec must be a JSON object")
     kind = obj.get("kind")
     if kind == "progression":
-        return syndetic.EnumerableSet.progression(int(obj["a"]), int(obj["d"]))
+        return syndetic.EnumerableSet.progression(_json_int(obj.get("a"), "a"),
+                                                  _json_int(obj.get("d"), "d"))
     if kind == "image-sum":
-        handle = _make_handle(obj["seq"])
-        ops = [[int(c) for c in row] for row in obj["ops"]]
+        handle = _make_handle(obj.get("seq"))
+        ops = [_json_ints(row, "ops") for row in _json_list(obj.get("ops"), "ops")]
         return syndetic.EnumerableSet.image_sum(handle, ops,
-                                                int(obj.get("z", 0)))
+                                                _json_int(obj.get("z", 0), "z"))
     if kind == "monoid":
         from . import mann
-        monoid = mann.MannMonoid([int(g) for g in obj["generators"]])
+        monoid = mann.MannMonoid(_json_ints(obj.get("generators"), "generators"))
         return syndetic.EnumerableSet.monoid_stream(monoid)
     if kind == "list":
-        return syndetic.EnumerableSet.from_list([int(v) for v in obj["values"]])
+        return syndetic.EnumerableSet.from_list(_json_ints(obj.get("values"), "values"))
     raise ValueError("unknown set kind %r" % (kind,))
+
+
+def _load_sets(path, option):
+    """The sets of a file holding one set spec or a list of them."""
+    specs = jsonio.load_path(path)
+    if isinstance(specs, dict):
+        specs = [specs]
+    if not isinstance(specs, list):
+        raise ValueError("%s must hold a set spec or a list of set specs" % option)
+    return [_load_set(obj) for obj in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +238,8 @@ def _cmd_gap_runs(args):
 
 def _cmd_cover_check(args):
     from . import syndetic
-    images = jsonio.load_path(args.images)
-    if isinstance(images, dict):
-        images = [images]
     report = syndetic.cover_check(args.a, args.d,
-                                  [_load_set(obj) for obj in images],
+                                  _load_sets(args.images, "--images"),
                                   args.horizon)
     _emit(report.to_json())
     return EXIT_TRUE if report.covered else EXIT_FALSE
@@ -236,8 +248,8 @@ def _cmd_cover_check(args):
 def _cmd_brown(args):
     from . import syndetic
     enum_set = _load_set(jsonio.load_path(args.set))
-    parts = [_load_set(obj) for obj in jsonio.load_path(args.parts)]
-    report = syndetic.brown_decompose(enum_set, parts, args.horizon, args.d)
+    report = syndetic.brown_decompose(enum_set, _load_sets(args.parts, "--parts"),
+                                      args.horizon, args.d)
     _emit(report.to_json())
     return EXIT_TRUE
 
@@ -428,7 +440,8 @@ def _build_parser():
     q = ssub.add_parser("brown")
     q.add_argument("--set", required=True)
     q.add_argument("--parts", required=True,
-                   help="JSON file: list of set specs partitioning the set")
+                   help="JSON file: set spec or list of set specs "
+                        "partitioning the set")
     q.add_argument("--horizon", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.set_defaults(fn=_cmd_brown)

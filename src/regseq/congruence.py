@@ -86,7 +86,8 @@ class PeriodicIndexSet:
     @staticmethod
     def cofinite(excluded, cert):
         rho = (max(excluded) + 1) if excluded else 0
-        members = [n for n in range(rho) if n not in set(excluded)]
+        excluded = set(excluded)
+        members = [n for n in range(rho) if n not in excluded]
         return PeriodicIndexSet(rho, 1, (0,), members, cert)
 
     def contains(self, n):

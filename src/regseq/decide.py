@@ -21,6 +21,13 @@ degradation: True always carries a witness that re-checks by direct
 arithmetic, False carries a completeness certificate, and anything resting
 on an exhausted budget is reported as UnknownBeyond rather than guessed.
 
+One rule, _disjunction, combines the parts both over the DNF disjuncts and
+over the assignments of the bounded integer variables: the first True part
+wins; otherwise the whole is UnknownBeyond if any part is, or if a negated
+Sigma atom was decided only within the budget (reason
+negated-sigma-at-budget, even when no disjunct is left); otherwise it is
+False on the merged certificates of the parts.
+
 verify_ax5 and verify_ax6 check the two shape axioms of the theory on a
 concrete sequence: the first reports the constant beyond which a unary
 operator either vanishes or stays nonzero, the second reports the offset
@@ -38,8 +45,8 @@ from . import formulas as F
 from .congruence import PeriodicIndexSet, divisibility_set
 from .equations import EquationProblem, TrivialOperatorPresent, \
     _box_solutions, solve_full, solve_nondegenerate
-from .operators import CofiniteZero, FiniteRoots, NotFinitelySolvable, \
-    Operator, apply, classify, solve_inhomogeneous
+from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, \
+    NotFinitelySolvable, Operator, apply, classify, solve_inhomogeneous
 
 DNF_CAP = 256
 INT_PRODUCT_CAP = 4096
@@ -121,25 +128,21 @@ class Verdict:
 # Literal compilation
 # ---------------------------------------------------------------------------
 
-def _ground_truth(handle, lit):
-    if isinstance(lit, F.EqZ):
-        return lit.lin.const == 0
-    if isinstance(lit, F.NeqZ):
-        return lit.lin.const != 0
-    if isinstance(lit, F.DivZ):
-        return lit.lin.const % lit.m == 0
-    if isinstance(lit, F.InRZ):
-        return F._in_r(handle, lit.lin.const) == lit.positive
-    raise OutOfFragment("unsupported-ground-literal", type(lit).__name__)
-
-
 def _single_var_set(handle, lit, budget):
-    """Compile a one-variable literal to an index set for that variable."""
+    """Compile a one-variable literal to an index set for that variable.
+
+    Where no exact route applies, the set is the window scan: the indices
+    n <= max(64, budget) where test(f(n) + c) holds, as BoundedCheck."""
     (var, g), = lit.lin.ops.items()
     c = lit.lin.const
     op = Operator(g)
+    window = max(64, budget)
+
+    def scan(test):
+        hits = [n for n in range(window + 1) if test(apply(op, handle, n) + c)]
+        return hits, certs.BoundedCheck(window)
+
     if isinstance(lit, (F.EqZ, F.NeqZ)):
-        want_zero = isinstance(lit, F.EqZ)
         if c == 0:
             cls = classify(op, handle)
             if isinstance(cls, FiniteRoots):
@@ -149,36 +152,28 @@ def _single_var_set(handle, lit, budget):
         else:
             try:
                 sols, cert = solve_inhomogeneous(op, handle, -c,
-                                                 budget=max(300, budget))
+                                                 budget=max(DEFAULT_BUDGET, budget))
                 zero_set = PeriodicIndexSet.finite(sols, cert)
             except NotFinitelySolvable:
-                window = max(64, budget)
-                hits = [n for n in range(window + 1) if apply(op, handle, n) == -c]
+                hits, cert = scan(lambda v: v == 0)
                 if len(hits) == window + 1:
                     # the scanned prefix is solid; treat the set as unknown
                     # beyond the window rather than pretending it is finite
-                    zero_set = PeriodicIndexSet(window + 1, 1, (0,), hits,
-                                                certs.BoundedCheck(window))
+                    zero_set = PeriodicIndexSet(window + 1, 1, (0,), hits, cert)
                 else:
-                    zero_set = PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
-        return zero_set if want_zero else zero_set.complement()
+                    zero_set = PeriodicIndexSet.finite(hits, cert)
+        return zero_set if isinstance(lit, F.EqZ) else zero_set.complement()
     if isinstance(lit, F.DivZ):
         try:
             return divisibility_set(handle, op, c, lit.m)
-        except (ValueError, NotImplementedError):
-            window = max(64, budget)
-            hits = [n for n in range(window + 1)
-                    if (apply(op, handle, n) + c) % lit.m == 0]
-            return PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
-    if isinstance(lit, F.InRZ):
-        if g == (1,) and c == 0:
-            return PeriodicIndexSet.full() if lit.positive else \
-                PeriodicIndexSet.finite((), certs.Proved("vacuous-constraint"))
-        window = max(64, budget)
-        hits = [n for n in range(window + 1)
-                if F._in_r(handle, apply(op, handle, n) + c) == lit.positive]
-        return PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
-    raise OutOfFragment("unsupported-literal", type(lit).__name__)
+        except ValueError:  # a refused profile or a MonotonicityError
+            return PeriodicIndexSet.finite(*scan(lambda v: v % lit.m == 0))
+    # an InRZ: _solve_disjunct admits no other literal type
+    if g == (1,) and c == 0:
+        return PeriodicIndexSet.full() if lit.positive else \
+            PeriodicIndexSet.finite((), certs.Proved("vacuous-constraint"))
+    return PeriodicIndexSet.finite(
+        *scan(lambda v: F._in_r(handle, v) == lit.positive))
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +208,24 @@ def decide(ast, handle, budget=64):
         if combos > INT_PRODUCT_CAP:
             raise OutOfFragment("bounded-product-too-large", str(combos))
 
-    certificates = []
-    unknown = None
-    for values in itertools.product(*[range(b + 1) for _, b in ivars]):
-        ground = matrix
-        int_witness = {}
-        for (var, _), v in zip(ivars, values):
-            ground = F._substitute(ground, var, v)
-            int_witness[var] = ("value", v)
-        result = _decide_matrix(handle, list(rvars), ground, budget)
-        if result[0] == "true":
-            witness = dict(result[1])
-            witness.update(int_witness)
-            return Verdict(Verdict.TRUE, witness=witness,
-                           certificate=certs.Proved("checked-witness"))
-        if result[0] == "false":
-            certificates.append(result[1])
-        else:
-            unknown = result[1]
-    if unknown is not None:
-        return Verdict(Verdict.UNKNOWN, horizon=budget, reason=unknown)
-    cert = certs.merge(certificates, reason="fragment-decision") \
-        if certificates else certs.Proved("empty-disjunction")
-    return Verdict(Verdict.FALSE, certificate=cert)
+    def assignments():
+        for values in itertools.product(*[range(b + 1) for _, b in ivars]):
+            ground = matrix
+            for (var, _), v in zip(ivars, values):
+                ground = F._substitute(ground, var, v)
+            kind, data = _decide_matrix(handle, list(rvars), ground, budget)
+            if kind == "true":
+                data = dict(data)
+                data.update((var, ("value", v)) for (var, _), v in zip(ivars, values))
+            yield kind, data
+
+    kind, data = _disjunction(assignments())
+    if kind == "true":
+        return Verdict(Verdict.TRUE, witness=data,
+                       certificate=certs.Proved("checked-witness"))
+    if kind == "false":
+        return Verdict(Verdict.FALSE, certificate=data)
+    return Verdict(Verdict.UNKNOWN, horizon=budget, reason=data)
 
 
 def _prefix(node):
@@ -262,31 +252,38 @@ def _reject_quantifiers(node):
         raise OutOfFragment("non-prenex-quantifier")
 
 
-def _decide_matrix(handle, rvars, matrix, budget):
-    """('true', witness) / ('false', cert) / ('unknown', reason) for an
-    existential R-prefix over a quantifier-free matrix."""
-    matrix, extra_vars, taint = _expand_sigma(handle, matrix, budget)
-    rvars = rvars + extra_vars
-    disjuncts = _dnf(matrix)
-    if not disjuncts:
-        return ("false", certs.Proved("empty-disjunction"))
+def _disjunction(outcomes, tainted=False):
+    """The one disjunction rule over ('true', witness) / ('false', cert) /
+    ('unknown', reason) outcomes, read lazily: the first True wins; otherwise
+    any Unknown part, or a taint from a negated Sigma decided only within
+    the budget, makes the whole Unknown (the last Unknown part names the
+    reason); otherwise it is False on the parts' merged certificates, Proved
+    for no parts at all."""
     certificates = []
     unknown = None
-    for lits in disjuncts:
-        outcome = _solve_disjunct(handle, rvars, lits, budget)
+    for outcome in outcomes:
         if outcome[0] == "true":
             return outcome
         if outcome[0] == "false":
             certificates.append(outcome[1])
         else:
             unknown = outcome[1]
+    if unknown is None and tainted:
+        unknown = "negated-sigma-at-budget"
     if unknown is not None:
         return ("unknown", unknown)
-    if taint:
-        return ("unknown", "negated-sigma-at-budget")
     cert = certs.merge(certificates, reason="fragment-decision") \
         if certificates else certs.Proved("empty-disjunction")
     return ("false", cert)
+
+
+def _decide_matrix(handle, rvars, matrix, budget):
+    """('true', witness) / ('false', cert) / ('unknown', reason) for an
+    existential R-prefix over a quantifier-free matrix."""
+    matrix, extra_vars, taint = _expand_sigma(handle, matrix, budget)
+    rvars = rvars + extra_vars
+    return _disjunction((_solve_disjunct(handle, rvars, lits, budget)
+                         for lits in _dnf(matrix)), taint)
 
 
 def _expand_sigma(handle, node, budget):
@@ -301,22 +298,15 @@ def _expand_sigma(handle, node, budget):
     counter = itertools.count()
 
     def walk(n):
-        if isinstance(n, F.And):
-            return F.And([walk(x) for x in n.items])
-        if isinstance(n, F.Or):
-            return F.Or([walk(x) for x in n.items])
+        if isinstance(n, (F.And, F.Or)):
+            return type(n)([walk(x) for x in n.items])
         if not isinstance(n, F.SigmaZ):
             return n
         if n.positive:
             tag = next(counter)
             renaming = {v: "_sig%d_%s" % (tag, v) for v in n.row_variables()}
             fresh_vars.extend(renaming[v] for v in sorted(renaming))
-            parts = []
-            for m, t in n.cdivs:
-                parts.append(F.DivZ(m, _rename(t, renaming)))
-            for row, arg in zip(n.rows, n.args):
-                parts.append(F.EqZ(_rename(row, renaming).add(arg.scale(-1))))
-            return F.And(parts)
+            return F.And(_sigma_parts(n, renaming))
         if any(not a.is_ground() for a in n.args):
             raise OutOfFragment("negated-sigma-with-variables")
         sub = _sigma_sentence(n)
@@ -341,11 +331,16 @@ def _rename(lin, renaming):
                      {renaming.get(v, v): cs for v, cs in lin.ops.items()})
 
 
+def _sigma_parts(sigma, renaming):
+    """The literals of a Sigma atom over its (renamed) row variables: the C
+    divisibilities, then row_i = arg_i for every row."""
+    return [F.DivZ(m, _rename(t, renaming)) for m, t in sigma.cdivs] + \
+        [F.EqZ(_rename(row, renaming).add(arg.scale(-1)))
+         for row, arg in zip(sigma.rows, sigma.args)]
+
+
 def _sigma_sentence(sigma):
-    parts = [F.DivZ(m, t) for m, t in sigma.cdivs]
-    parts += [F.EqZ(row.add(arg.scale(-1)))
-              for row, arg in zip(sigma.rows, sigma.args)]
-    body = F.And(parts)
+    body = F.And(_sigma_parts(sigma, {}))
     for v in reversed(sigma.row_variables()):
         body = F.ExistsInR(v, body)
     return body
@@ -391,7 +386,7 @@ def _solve_disjunct(handle, rvars, lits, budget):
             raise OutOfFragment("unsupported-literal", type(lit).__name__)
         mentioned = lit.lin.variables()
         if not mentioned:
-            if not _ground_truth(handle, lit):
+            if not F._eval(lit, handle, {}, budget):
                 return ("false", certs.Proved("ground-contradiction"))
             continue
         if len(mentioned) == 1:
@@ -481,14 +476,9 @@ def _independent_disjunct(handle, rvars, lits, constraints, side, budget):
 def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
     evars = eq.lin.variables()
     others = [v for v in rvars if v not in evars]
-    try:
-        problem = EquationProblem(handle,
-                                  [Operator(eq.lin.ops[v]) for v in evars],
-                                  -eq.lin.const)
-        description = solve_full(problem)
-    except (TrivialOperatorPresent, NotFinitelySolvable):
-        return _bounded_disjunct(handle, rvars, lits, budget)
-
+    problem = EquationProblem(handle, [Operator(eq.lin.ops[v]) for v in evars],
+                              -eq.lin.const)
+    description = solve_full(problem)
     other_heads = [constraints[v].head(8) for v in others]
     checked = 0
     for tup in _by_index_sum(description, max(16, budget)):
@@ -613,7 +603,7 @@ def verify_ax5(handle, op, budget=200):
     either vanishes identically or never vanishes.  Classification picks the
     branch; the constant is revalidated on a fresh index window."""
     op = op if isinstance(op, Operator) else Operator(op)
-    cls = classify(op, handle, budget=max(300, budget))
+    cls = classify(op, handle, budget=max(DEFAULT_BUDGET, budget))
     if isinstance(cls, CofiniteZero):
         branch = "vanishes-beyond"
         last = max(cls.exceptions) if cls.exceptions else None
@@ -673,9 +663,10 @@ def _ax6_constants(handle, problem, solutions, budget):
                 raise AssertionError("pattern fails at anchor %d" % l)
     # and a brute-force window finds nothing off-pattern
     window = _box_side("ax6-revalidation", problem.s, budget)
+    sporadic = set(solutions.sporadic)
     for tup in _box_solutions(problem, window)[0]:
         if not any(p.matches(tup) for p in solutions.patterns) \
-                and tup not in set(solutions.sporadic):
+                and tup not in sporadic:
             raise AssertionError("off-pattern solution %r" % (tup,))
     return AxiomReport("Ax6", "constants",
                        {"k": len(solutions.patterns),

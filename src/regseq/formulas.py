@@ -677,25 +677,22 @@ def normalize(ast):
     EqZ/NeqZ/DivZ/InRZ/SigmaZ atoms under And/Or and quantifier nodes, with
     negation eliminated (pushed into atoms, divisibility expanded by the
     remark, > unfolded by the order abbreviation, double negation dropped,
-    universals rewritten through their existential duals)."""
-    return _flatten_deep(_nnf(ast, False, _Unfolding()))
+    universals rewritten through their existential duals).  Connectives are
+    flat: no And directly under an And, no Or under an Or, and none with a
+    single item."""
+    return _nnf(ast, False, _Unfolding())
 
 
-def _flatten_deep(node):
-    if isinstance(node, (And, Or)):
-        node = _flatten(type(node)([_flatten_deep(x) for x in node.items]))
-        if isinstance(node, And) and len(node.items) == 1:
-            return node.items[0]
-        if isinstance(node, Or) and len(node.items) == 1:
-            return node.items[0]
-        return node
-    if isinstance(node, ExistsInR):
-        return ExistsInR(node.var, _flatten_deep(node.body))
-    if isinstance(node, ExistsBounded):
-        return ExistsBounded(node.var, node.bound, _flatten_deep(node.body))
-    if isinstance(node, NotExists):
-        return NotExists(_flatten_deep(node.body))
-    return node
+def _connective(kind, items):
+    """kind(items) with same-kind children spliced in; a single item comes
+    back bare, and an empty connective (TRUE or FALSE) stays as it is."""
+    flat = []
+    for x in items:
+        if isinstance(x, kind):
+            flat.extend(x.items)
+        else:
+            flat.append(x)
+    return flat[0] if len(flat) == 1 else kind(flat)
 
 
 class _Unfolding:
@@ -713,24 +710,18 @@ class _Unfolding:
 
 
 def _nnf(node, negate, unfolding):
-    if isinstance(node, And):
-        items = [_nnf(x, negate, unfolding) for x in node.items]
-        return Or(items) if negate else And(items)
-    if isinstance(node, Or):
-        items = [_nnf(x, negate, unfolding) for x in node.items]
-        return And(items) if negate else Or(items)
+    if isinstance(node, (And, Or)):
+        kind = type(node)
+        if negate:
+            kind = Or if kind is And else And
+        return _connective(kind, [_nnf(x, negate, unfolding) for x in node.items])
     if isinstance(node, Not):
         return _nnf(node.body, not negate, unfolding)
-    if isinstance(node, ExistsInR):
+    if isinstance(node, (ExistsInR, ExistsBounded)):
         body = _nnf(node.body, False, unfolding)
-        if negate:
-            return NotExists(ExistsInR(node.var, body))
-        return ExistsInR(node.var, body)
-    if isinstance(node, ExistsBounded):
-        body = _nnf(node.body, False, unfolding)
-        if negate:
-            return NotExists(ExistsBounded(node.var, node.bound, body))
-        return ExistsBounded(node.var, node.bound, body)
+        node = ExistsInR(node.var, body) if isinstance(node, ExistsInR) \
+            else ExistsBounded(node.var, node.bound, body)
+        return NotExists(node) if negate else node
     if isinstance(node, ForallInR):
         # A x in R. phi == ! E x in R. ! phi
         return _nnf(Not(ExistsInR(node.var, Not(node.body))), negate,
@@ -744,8 +735,8 @@ def _nnf(node, negate, unfolding):
         if isinstance(atom, DivZ):
             unfolding.take("!" + atom.render(), atom.m - 1)
         atom = atom.negate()
-        if isinstance(atom, (And, Or)):
-            return _flatten(atom)
+        if isinstance(atom, Or):  # the divisibility remark
+            return _connective(Or, atom.items)
     return atom
 
 
@@ -789,19 +780,6 @@ def _desugar_atom(node, unfolding):
     if isinstance(node, NotExists):
         return node
     raise SortError("unrecognized formula node %r" % (node,))
-
-
-def _flatten(node):
-    if isinstance(node, (And, Or)):
-        items = []
-        for x in node.items:
-            x = _flatten(x)
-            if isinstance(x, type(node)):
-                items.extend(x.items)
-            else:
-                items.append(x)
-        return type(node)(items)
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -855,10 +833,8 @@ def _eval(node, handle, assignment, budget):
 
 
 def _substitute(node, var, value):
-    if isinstance(node, And):
-        return And([_substitute(x, var, value) for x in node.items])
-    if isinstance(node, Or):
-        return Or([_substitute(x, var, value) for x in node.items])
+    if isinstance(node, (And, Or)):
+        return type(node)([_substitute(x, var, value) for x in node.items])
     if isinstance(node, EqZ):
         return EqZ(node.lin.substitute_int(var, value))
     if isinstance(node, NeqZ):
@@ -911,11 +887,7 @@ def free_variables(node):
         if isinstance(n, (And, Or)):
             for x in n.items:
                 walk(x, bound)
-        elif isinstance(n, (EqZ, NeqZ)):
-            out.update(v for v in n.lin.ops if v not in bound)
-        elif isinstance(n, DivZ):
-            out.update(v for v in n.lin.ops if v not in bound)
-        elif isinstance(n, InRZ):
+        elif isinstance(n, (EqZ, NeqZ, DivZ, InRZ)):
             out.update(v for v in n.lin.ops if v not in bound)
         elif isinstance(n, SigmaZ):
             row_bound = bound | set(n.row_variables())
@@ -925,9 +897,7 @@ def free_variables(node):
                 out.update(v for v in t.ops if v not in row_bound)
             for a in n.args:
                 out.update(v for v in a.ops if v not in bound)
-        elif isinstance(n, ExistsInR):
-            walk(n.body, bound | {n.var})
-        elif isinstance(n, ExistsBounded):
+        elif isinstance(n, (ExistsInR, ExistsBounded)):
             walk(n.body, bound | {n.var})
         elif isinstance(n, NotExists):
             walk(n.body, bound)

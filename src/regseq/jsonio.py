@@ -5,6 +5,10 @@ survive any JSON reader, fractions render as "p/q", and floats are rejected
 outright — all arithmetic in this package is exact and a float in a report
 is a bug.  Keys are sorted and separators fixed, so equal reports produce
 byte-identical output.
+
+The _json_* validators read the integer and list fields of input specs
+(sequence specs and set specs alike): an integer is a JSON integer or a
+decimal string, and anything else is a ValueError naming the field.
 """
 
 import json
@@ -37,6 +41,23 @@ def dumps(obj):
     """Canonical JSON text (no trailing newline)."""
     return json.dumps(canonical(obj), sort_keys=True,
                       separators=(",", ":"), ensure_ascii=True)
+
+
+def _json_int(value, field):
+    """A JSON integer or decimal string as an int; ValueError otherwise."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError("%s must be an integer or a decimal string, not %r" % (field, value))
+
+
+def _json_list(value, field):
+    if not isinstance(value, list):
+        raise ValueError("%s must be a JSON list" % field)
+    return value
+
+
+def _json_ints(value, field):
+    return [_json_int(v, field) for v in _json_list(value, field)]
 
 
 def load_path(path):

@@ -301,9 +301,10 @@ def _classify_scan(op, handle, budget):
             zeros.append(n)
     tail_start = max(1, top // 2)
     tail = range(tail_start, top)
-    tail_zero = sum(1 for n in tail if n in set(zeros))
+    zero_set = set(zeros)
+    tail_zero = sum(1 for n in tail if n in zero_set)
     if tail and tail_zero == len(tail):
-        exceptions = [n for n in range(tail_start) if n not in set(zeros)]
+        exceptions = [n for n in range(tail_start) if n not in zero_set]
         return CofiniteZero(exceptions, BoundedCheck(top))
     return FiniteRoots(zeros, top, BoundedCheck(top))
 
@@ -340,7 +341,8 @@ def solve_inhomogeneous(op, handle, z, budget=DEFAULT_BUDGET):
     matches = [n for n in range(top) if apply(op, handle, n) == z]
     tail_start = max(1, 3 * top // 4)
     tail = list(range(tail_start, top))
-    if tail and all(n in set(matches) for n in tail):
+    hit = set(matches)
+    if tail and all(n in hit for n in tail):
         raise NotFinitelySolvable(op, z, top, matches[:8])
     return matches, BoundedCheck(top)
 

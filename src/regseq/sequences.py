@@ -34,6 +34,7 @@ import ast
 from fractions import Fraction
 
 from . import polyops
+from .jsonio import _json_int, _json_ints, _json_list
 from .certs import Proved, BoundedCheck, merge
 
 KIND_RECURRENCE = "recurrence"
@@ -182,38 +183,22 @@ class SequenceSpec:
             raise ValueError("sequence spec must be a JSON object")
         kind = obj.get("kind")
         if kind == KIND_RECURRENCE:
-            return SequenceSpec.recurrence(_json_ints(obj, "coeffs"),
-                                           _json_ints(obj, "initials"))
+            return SequenceSpec.recurrence(_json_ints(obj.get("coeffs"), "coeffs"),
+                                           _json_ints(obj.get("initials"), "initials"))
         if kind == KIND_POWER:
             return SequenceSpec.power(_json_int(obj.get("q"), "q"))
         if kind == KIND_FACTORIAL:
             return SequenceSpec.factorial()
         if kind == KIND_SUM:
             return SequenceSpec.sum_of([SequenceSpec.from_json(p)
-                                        for p in _json_list(obj, "parts")])
+                                        for p in _json_list(obj.get("parts"), "parts")])
         if kind == KIND_TABLE:
             generator = obj.get("generator")
             if generator is not None and not isinstance(generator, str):
                 raise ValueError("table generator must be a string")
-            return SequenceSpec.table(_json_ints(obj, "values", []), generator)
+            return SequenceSpec.table(_json_ints(obj.get("values", []), "values"),
+                                      generator)
         raise ValueError("unknown sequence kind %r" % (kind,))
-
-
-def _json_int(value, field):
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return int(value)
-    raise ValueError("%s must be an integer or a decimal string, not %r" % (field, value))
-
-
-def _json_list(obj, field, default=None):
-    value = obj.get(field, default)
-    if not isinstance(value, list):
-        raise ValueError("%s must be a JSON list" % field)
-    return value
-
-
-def _json_ints(obj, field, default=None):
-    return [_json_int(v, field) for v in _json_list(obj, field, default)]
 
 
 # Generator expressions for table sequences go through an AST whitelist:

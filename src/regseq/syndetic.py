@@ -230,7 +230,8 @@ def brown_decompose(enum_set, parts, horizon, d):
     missing = [v for v in universe if v not in owner]
     if missing:
         raise ValueError("parts miss element %d" % missing[0])
-    extra = [v for v in owner if v not in set(universe)]
+    members = set(universe)
+    extra = [v for v in owner if v not in members]
     if extra:
         raise ValueError("part element %d outside the set" % min(extra))
     reports = [gap_runs(part, horizon, d) for part in parts]

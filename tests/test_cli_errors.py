@@ -317,3 +317,39 @@ def test_sort_error_exits_three(tmp_path, capsys, text, message):
                                           "--formula", str(formula)])
     assert code == 3
     assert err == "error: %s\n" % message
+
+
+MALFORMED_SETS = [
+    [1, 2],
+    {"kind": "progression", "a": [1], "d": "3"},
+    {"kind": "list", "values": "12"},
+    {"kind": "image-sum", "seq": {"kind": "power", "q": "2"}, "ops": "11"},
+    {"kind": "monoid", "generators": "23"},
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SETS, ids=json.dumps)
+def test_malformed_set_spec_exits_three(tmp_path, capsys, spec):
+    # a string where a list belongs is refused, not read digit by digit
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, err = _exit_and_stderr(capsys, ["syndetic", "gap-runs", "--set", str(path),
+                                          "--horizon", "100", "--d", "3"])
+    assert code == 3
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,option", [("brown", "--parts"),
+                                            ("cover-check", "--images")])
+def test_set_list_that_is_not_a_list_exits_three(tmp_path, capsys, command, option):
+    whole = tmp_path / "set.json"
+    whole.write_text(json.dumps({"kind": "progression", "a": "0", "d": "1"}),
+                     encoding="utf-8")
+    path = tmp_path / "sets.json"
+    path.write_text("5", encoding="utf-8")
+    argv = ["syndetic", command, option, str(path), "--horizon", "100"]
+    argv += ["--set", str(whole), "--d", "3"] if command == "brown" else \
+        ["--a", "0", "--d", "3"]
+    code, err = _exit_and_stderr(capsys, argv)
+    assert code == 3
+    assert err == "error: %s must hold a set spec or a list of set specs\n" % option

@@ -20,6 +20,11 @@ from regseq.decide import (BOUNDED_ASSIGNMENT_CAP, STREAM_HEAD, OutOfFragment, V
 from regseq.equations import EquationProblem, solve_full
 from regseq.operators import Operator
 from regseq.sequences import SequenceSpec, make_handle
+from regseq import certs
+from regseq.congruence import divisibility_set
+from regseq.decide import _disjunction, _single_var_set
+from regseq.operators import FiniteRoots, NotFinitelySolvable, apply, classify, \
+    solve_inhomogeneous
 
 POW2 = make_handle(SequenceSpec.power(2))
 FIB = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
@@ -265,3 +270,136 @@ def test_bounded_search_assignments_are_capped(monkeypatch):
                         lambda *args: tried.append(args) or real(*args))
     run(text)
     assert len(tried) == 3 ** 7 <= BOUNDED_ASSIGNMENT_CAP
+
+
+# ---------------------------------------------------------------------------
+# One disjunction rule
+# ---------------------------------------------------------------------------
+
+# 2^69 + 3 is no difference r_a - r_b of the 2**n + n table: a <= 69 leaves
+# it too large, a = 70 needs r_b = 2^69 + 67, and a >= 71 leaves it too small.
+NOT_A_DIFFERENCE = "!Sigma{D=[(y1 - y2)]}(%d)" % (2 ** 69 + 3)
+
+
+@pytest.mark.parametrize("text", [NOT_A_DIFFERENCE,
+                                  "E x in R. x = 3 & " + NOT_A_DIFFERENCE])
+def test_undecided_negated_sigma_with_no_disjunct_left_is_unknown(text):
+    # the membership search runs out of budget, so the negated atom is
+    # undecided and drops its branch; that leaves no disjunct, which must
+    # not read as a proof of falsity
+    verdict = run(text, handle=TABLE)
+    assert verdict.kind == Verdict.UNKNOWN
+    assert verdict.reason == "negated-sigma-at-budget"
+    assert verdict.exit_code() == 2
+
+
+def test_disjunction_rule():
+    proved, bounded = Proved("a"), certs.BoundedCheck(10)
+    read = []
+
+    def parts(*outcomes):
+        for outcome in outcomes:
+            read.append(outcome)
+            yield outcome
+
+    true = ("true", {"x": ("index", 1)})
+    assert _disjunction(parts(("unknown", "u"), true, ("false", proved))) == true
+    assert read == [("unknown", "u"), true]
+    assert _disjunction(parts(("unknown", "u"), ("false", proved),
+                              ("unknown", "v"))) == ("unknown", "v")
+    assert _disjunction(parts(("false", proved)), tainted=True) == \
+        ("unknown", "negated-sigma-at-budget")
+    assert _disjunction(parts(), tainted=True) == ("unknown", "negated-sigma-at-budget")
+    kind, cert = _disjunction(parts())
+    assert kind == "false" and cert.to_json() == Proved("empty-disjunction").to_json()
+    kind, cert = _disjunction(parts(("false", proved), ("false", bounded)))
+    assert kind == "false" and cert.to_json() == \
+        certs.merge([proved, bounded], reason="fragment-decision").to_json()
+
+
+# ---------------------------------------------------------------------------
+# One window scan for one-variable literals
+# ---------------------------------------------------------------------------
+
+def reference_single_var_set(handle, lit, budget):
+    """_single_var_set as it was with three separate window scans."""
+    (var, g), = lit.lin.ops.items()
+    c = lit.lin.const
+    op = Operator(g)
+    if isinstance(lit, (F.EqZ, F.NeqZ)):
+        want_zero = isinstance(lit, F.EqZ)
+        if c == 0:
+            cls = classify(op, handle)
+            if isinstance(cls, FiniteRoots):
+                zero_set = PeriodicIndexSet.finite(list(cls.roots), cls.cert)
+            else:
+                zero_set = PeriodicIndexSet.cofinite(list(cls.exceptions), cls.cert)
+        else:
+            try:
+                sols, cert = solve_inhomogeneous(op, handle, -c,
+                                                 budget=max(300, budget))
+                zero_set = PeriodicIndexSet.finite(sols, cert)
+            except NotFinitelySolvable:
+                window = max(64, budget)
+                hits = [n for n in range(window + 1) if apply(op, handle, n) == -c]
+                if len(hits) == window + 1:
+                    zero_set = PeriodicIndexSet(window + 1, 1, (0,), hits,
+                                                certs.BoundedCheck(window))
+                else:
+                    zero_set = PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
+        return zero_set if want_zero else zero_set.complement()
+    if isinstance(lit, F.DivZ):
+        try:
+            return divisibility_set(handle, op, c, lit.m)
+        except (ValueError, NotImplementedError):
+            window = max(64, budget)
+            hits = [n for n in range(window + 1)
+                    if (apply(op, handle, n) + c) % lit.m == 0]
+            return PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
+    if isinstance(lit, F.InRZ):
+        if g == (1,) and c == 0:
+            return PeriodicIndexSet.full() if lit.positive else \
+                PeriodicIndexSet.finite((), certs.Proved("vacuous-constraint"))
+        window = max(64, budget)
+        hits = [n for n in range(window + 1)
+                if F._in_r(handle, apply(op, handle, n) + c) == lit.positive]
+        return PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
+    raise OutOfFragment("unsupported-literal", type(lit).__name__)
+
+
+def index_set_shape(s):
+    return s.rho, s.p, sorted(s.classes), s.members, s.cert.to_json()
+
+
+WINDOW_LITERALS = [
+    # NotFinitelySolvable: the scanned prefix is solid, then not quite
+    ("n + 1", "S(x) = x + 1", "window"),
+    ("n + 1", "S(x) != x + 1", "window"),
+    ("3*n + 2 // (n + 1)", "S(x) = x + 3", "window"),
+    # a divisibility profile with no period inside its stream
+    ("n*n // 1009 + n + 1", "D3(x + 1)", "window"),
+    ("n*n // 1009 + n + 1", "!D3(S(x) + x)", "window"),
+    # a profile that fails monotonicity past the window
+    ("n % 1000 + 1", "D3(x)", "window"),
+    # membership in R
+    ("2**n + n", "x + 1 in R", "window"),
+    ("2**n + n", "!(S(x) + 2 in R)", "window"),
+    # routes that scan no window, for contrast
+    ("2**n + n", "x in R", "no-scan"),
+    ("2**n + n", "D3(x)", "no-scan"),
+]
+
+
+@pytest.mark.parametrize("generator,text,route", WINDOW_LITERALS,
+                         ids=["%s: %s" % (g, t) for g, t, _ in WINDOW_LITERALS])
+@pytest.mark.parametrize("budget", [64, 100])
+def test_one_window_scan_matches_the_three_old_scans(generator, text, route, budget):
+    handle = make_handle(SequenceSpec.table([], generator=generator))
+    matrix = F.normalize(F.parse("E x in R. " + text)).body
+    lits = matrix.items if isinstance(matrix, F.Or) else [matrix]
+    for lit in lits:
+        got = _single_var_set(handle, lit, budget)
+        assert index_set_shape(got) == \
+            index_set_shape(reference_single_var_set(handle, lit, budget))
+        window = got.cert.to_json() == certs.BoundedCheck(max(64, budget)).to_json()
+        assert window == (route == "window")

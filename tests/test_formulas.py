@@ -261,3 +261,138 @@ def test_normalize_idempotent_on_random_sentences():
         text = random_sentence(rng)
         once = F.normalize(F.parse(text))
         assert canon(F.normalize(once)) == canon(once), text
+
+
+# ---------------------------------------------------------------------------
+# Flat normal form by construction, against the old normalize-then-flatten
+# ---------------------------------------------------------------------------
+
+def reference_normalize(ast):
+    """normalize as it was: negation normal form first, then a second pass
+    that splices nested connectives and unwraps single-item ones."""
+    return _ref_flatten_deep(_ref_nnf(ast, False, F._Unfolding()))
+
+
+def _ref_flatten_deep(node):
+    if isinstance(node, (F.And, F.Or)):
+        node = _ref_flatten(type(node)([_ref_flatten_deep(x) for x in node.items]))
+        if len(node.items) == 1:
+            return node.items[0]
+        return node
+    if isinstance(node, F.ExistsInR):
+        return F.ExistsInR(node.var, _ref_flatten_deep(node.body))
+    if isinstance(node, F.ExistsBounded):
+        return F.ExistsBounded(node.var, node.bound, _ref_flatten_deep(node.body))
+    if isinstance(node, F.NotExists):
+        return F.NotExists(_ref_flatten_deep(node.body))
+    return node
+
+
+def _ref_flatten(node):
+    if isinstance(node, (F.And, F.Or)):
+        items = []
+        for x in node.items:
+            x = _ref_flatten(x)
+            if isinstance(x, type(node)):
+                items.extend(x.items)
+            else:
+                items.append(x)
+        return type(node)(items)
+    return node
+
+
+def _ref_nnf(node, negate, unfolding):
+    if isinstance(node, F.And):
+        items = [_ref_nnf(x, negate, unfolding) for x in node.items]
+        return F.Or(items) if negate else F.And(items)
+    if isinstance(node, F.Or):
+        items = [_ref_nnf(x, negate, unfolding) for x in node.items]
+        return F.And(items) if negate else F.Or(items)
+    if isinstance(node, F.Not):
+        return _ref_nnf(node.body, not negate, unfolding)
+    if isinstance(node, F.ExistsInR):
+        body = _ref_nnf(node.body, False, unfolding)
+        if negate:
+            return F.NotExists(F.ExistsInR(node.var, body))
+        return F.ExistsInR(node.var, body)
+    if isinstance(node, F.ExistsBounded):
+        body = _ref_nnf(node.body, False, unfolding)
+        if negate:
+            return F.NotExists(F.ExistsBounded(node.var, node.bound, body))
+        return F.ExistsBounded(node.var, node.bound, body)
+    if isinstance(node, F.ForallInR):
+        return _ref_nnf(F.Not(F.ExistsInR(node.var, F.Not(node.body))), negate,
+                        unfolding)
+    atom = F._desugar_atom(node, unfolding)
+    if isinstance(atom, (F.And, F.Or)):
+        return _ref_nnf(atom, negate, unfolding)
+    if negate:
+        if isinstance(atom, F.DivZ):
+            unfolding.take("!" + atom.render(), atom.m - 1)
+        atom = atom.negate()
+        if isinstance(atom, (F.And, F.Or)):
+            return _ref_flatten(atom)
+    return atom
+
+
+def random_formula(rng):
+    """Formula text over every construct normalize rewrites: > (including
+    empty and one-literal unfoldings), D2 to D5 under negation, nested !,
+    A, bounded E, Sigma atoms, and And/Or chains of any length."""
+    r_vars, k_vars = [], []
+
+    def term():
+        kind = rng.choice(["const", "var", "var", "succ", "op", "sum"])
+        if kind == "const" or not r_vars + k_vars:
+            return str(rng.randint(0, 9))
+        if kind == "var":
+            return rng.choice(r_vars + k_vars)
+        if kind in ("succ", "op") and r_vars:
+            x = rng.choice(r_vars)
+            return "S(%s)" % x if kind == "succ" else "f[1,-2](%s)" % x
+        return "%s + %d" % (rng.choice(r_vars + k_vars), rng.randint(1, 5))
+
+    def atom():
+        kind = rng.choice(["eq", "neq", "gt", "div", "inr", "sigma"])
+        if kind == "eq":
+            return "%s = %s" % (term(), term())
+        if kind == "neq":
+            return "%s != %s" % (term(), term())
+        if kind == "gt":
+            return "%s > %d" % (term(), rng.randint(-1, 3))
+        if kind == "div":
+            return "D%d(%s)" % (rng.randint(2, 5), term())
+        if kind == "inr":
+            return "%s in R" % term()
+        return rng.choice(["Sigma{D=[(y1 + y2)]}(%s)",
+                           "Sigma{C=[D2(y1)], D=[(y1 - y2)]}(%s)"]) % term()
+
+    def formula(depth):
+        kind = rng.choice(["atom", "atom", "not", "and", "or", "E", "A", "Ek"]
+                          if depth > 0 else ["atom"])
+        if kind == "atom":
+            return atom()
+        if kind == "not":
+            return "!" * rng.randint(1, 3) + "(%s)" % formula(depth - 1)
+        if kind in ("and", "or"):
+            join = " & " if kind == "and" else " | "
+            return "(%s)" % join.join(formula(depth - 1)
+                                      for _ in range(rng.randint(1, 4)))
+        pool = k_vars if kind == "Ek" else r_vars
+        var = ("k%d" if kind == "Ek" else "x%d") % len(pool)
+        pool.append(var)
+        head = "E %s <= %d. " % (var, rng.randint(0, 3)) if kind == "Ek" else \
+            "%s %s in R. " % (kind, var)
+        return "(%s%s)" % (head, formula(depth - 1))
+
+    return formula(rng.randint(1, 4))
+
+
+def test_flat_normal_form_matches_normalize_then_flatten():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        text = random_formula(rng)
+        ast = F.parse(text)
+        norm = F.normalize(ast)
+        assert canon(norm) == canon(reference_normalize(ast)), text
+        assert canon(F.normalize(norm)) == canon(reference_normalize(norm)), text

@@ -6,6 +6,7 @@ implementation here recomputes that chain definition from scratch.
 """
 
 import random
+import time
 
 from regseq.mann import MannMonoid
 from regseq.sequences import SequenceSpec, make_handle
@@ -158,3 +159,15 @@ def test_monoid_stream_as_enumerable_set():
     monoid = MannMonoid([2, 3])
     enum_set = EnumerableSet.monoid_stream(monoid)
     assert enum_set.up_to(12) == [1, 2, 3, 4, 6, 8, 9, 12]
+
+
+def test_brown_partition_check_is_linear():
+    # the partition check builds the set's members once, not once per part
+    # element: all naturals split into evens and odds at horizon 2^15
+    start = time.perf_counter()
+    report = brown_decompose(EnumerableSet.progression(0, 1),
+                             [EnumerableSet.progression(0, 2),
+                              EnumerableSet.progression(1, 2)], 2 ** 15, 3)
+    assert time.perf_counter() - start < 5
+    assert report.index == 0
+    assert [r.longest_run for r in report.reports] == [2 ** 13 - 1] * 2
