@@ -9,11 +9,13 @@ exact machinery available:
     inhomogeneous solving, producing finite or cofinite index sets;
   * divisibility atoms go through the congruence profiles, producing
     eventually periodic index sets;
-  * one multi-variable equality per disjunct goes through the equation
-    solver, whose solution description is either enumerated for a witness
-    or certified empty.  The enumeration runs in increasing index sum and
-    expands the description in stages (index sums up to 8, 16, 32, ...), so
-    it stops at the first stage that holds a witness.
+  * one multi-variable equality per disjunct is searched for a witness in
+    increasing index sum, in stages (index sums up to 8, 16, 32, ...), and
+    stops at the first stage that holds one.  A stage of side at most
+    equations.BOUNDED_BOX, on which every solution description is complete,
+    is solved from the equation itself by one box scan; only a search that
+    goes past those stages, or has to refute, builds the description with
+    the equation solver, walks its later stages and certifies it empty.
 
 Everything else falls back to bounded search (at most
 BOUNDED_ASSIGNMENT_CAP assignments), and the verdict records the
@@ -43,8 +45,9 @@ import math
 from . import certs
 from . import formulas as F
 from .congruence import PeriodicIndexSet, divisibility_set
-from .equations import EquationProblem, TrivialOperatorPresent, \
-    _box_solutions, solve_full, solve_nondegenerate
+from .equations import BOUNDED_BOX, EquationProblem, TrivialOperatorPresent, \
+    _box_solutions, _meet_in_the_middle, _value_table, solve_full, \
+    solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, \
     NotFinitelySolvable, Operator, apply, classify, solve_inhomogeneous
 
@@ -478,10 +481,10 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
     others = [v for v in rvars if v not in evars]
     problem = EquationProblem(handle, [Operator(eq.lin.ops[v]) for v in evars],
                               -eq.lin.const)
-    description = solve_full(problem)
+    solutions = _StagedSolutions(problem)
     other_heads = [constraints[v].head(8) for v in others]
     checked = 0
-    for tup in _by_index_sum(description, max(16, budget)):
+    for tup in _by_index_sum(solutions, max(16, budget)):
         if any(not constraints[v].contains(n) for v, n in zip(evars, tup)):
             continue
         for combo in itertools.product(*other_heads):
@@ -493,7 +496,7 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
             if checked > CANDIDATE_CAP:
                 return ("unknown", "equation-candidates-at-budget")
 
-    empty, cert_or_reason = _description_empty(handle, description,
+    empty, cert_or_reason = _description_empty(handle, solutions.description(),
                                                constraints, evars)
     if empty:
         used = [cert_or_reason] + [constraints[v].cert for v in rvars]
@@ -503,6 +506,31 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
     return ("unknown", cert_or_reason)
 
 
+class _StagedSolutions:
+    """The solutions of an equation in [0, S]^s, by stage side S, for
+    _by_index_sum.  Every description is complete on [0, BOUNDED_BOX] (a
+    Proved one everywhere, a bounded one on its box of at least that side),
+    so a stage of side at most BOUNDED_BOX is solved from the equation by
+    one box scan, repeated indices and zero terms included, as instantiate
+    gives them.  The description is built by solve_full on first need: a
+    later stage, or the emptiness check."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self._description = None
+
+    def instantiate(self, side):
+        if side <= BOUNDED_BOX:
+            return _meet_in_the_middle(_value_table(self.problem, side),
+                                       self.problem.z)
+        return self.description().instantiate(side)
+
+    def description(self):
+        if self._description is None:
+            self._description = solve_full(self.problem)
+        return self._description
+
+
 def _by_index_sum(description, window):
     """The tuples of description.instantiate(window) in increasing
     (index sum, tuple) order, expanded in stages S = 8, 16, 32, ... up to
@@ -510,7 +538,8 @@ def _by_index_sum(description, window):
     lies in (previous S, S].  A tuple with index sum at most S lies in
     [0, S]^s, so every stage is complete, and the last stage, at the window,
     yields the rest.  A search that stops at a witness expands only the
-    stages up to it."""
+    stages up to it.  Given a _StagedSolutions, the exact stages come from
+    box scans and the later ones from the description, each searched once."""
     done = -1
     side = 8
     while side < window:

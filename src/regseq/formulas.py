@@ -31,6 +31,7 @@ order abbreviation unfolded (t > c becomes the conjunction of t != i for
 0 <= i <= c).
 """
 
+import bisect
 import itertools
 
 MAX_FORMULA_SIZE = 65536
@@ -857,12 +858,16 @@ def _substitute(node, var, value):
 
 
 def _in_r(handle, value):
+    """Whether value is a term of the sequence.  The cache is extended one
+    term at a time until its last term is at least the value, which
+    evaluates the terms a walk from index 0 would, in the same order (so
+    the same error is raised), and then bisected."""
     if value < handle.eval(0):
         return False
-    n = 0
-    while handle.eval(n) < value:
-        n += 1
-    return handle.eval(n) == value
+    cache = handle.cache
+    while cache[-1] < value:
+        handle.eval(len(cache))
+    return cache[bisect.bisect_left(cache, value)] == value
 
 
 def _sigma_search(sigma, handle, assignment, budget):

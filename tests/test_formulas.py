@@ -396,3 +396,43 @@ def test_flat_normal_form_matches_normalize_then_flatten():
         norm = F.normalize(ast)
         assert canon(norm) == canon(reference_normalize(ast)), text
         assert canon(F.normalize(norm)) == canon(reference_normalize(norm)), text
+
+
+def reference_in_r(handle, value):
+    # the walk from index 0 that _in_r replaced
+    if value < handle.eval(0):
+        return False
+    n = 0
+    while handle.eval(n) < value:
+        n += 1
+    return handle.eval(n) == value
+
+
+def in_r_outcome(fn, spec, value):
+    handle = make_handle(spec)
+    try:
+        result = fn(handle, value)
+    except ValueError as exc:
+        result = (type(exc), str(exc))
+    return result, len(handle.cache)
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec.power(2), SequenceSpec.recurrence([1, 1], [1, 2]),
+    SequenceSpec.table([], generator="2**n + n"), SequenceSpec.table([1, 4, 9]),
+    SequenceSpec.table([1, 3], generator="4")])
+def test_membership_evaluates_the_terms_of_the_walk(spec):
+    # the same answer, the same terms cached and the same error as the walk
+    for value in list(range(-2, 40)) + [2 ** 20, 2 ** 20 + 1, 10946, 10947]:
+        assert in_r_outcome(F._in_r, spec, value) == \
+            in_r_outcome(reference_in_r, spec, value), value
+
+
+def test_membership_bisects_the_cached_terms():
+    handle = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+    handle.eval(3000)
+    calls = []
+    real = handle.eval
+    handle.eval = lambda n: calls.append(n) or real(n)
+    assert F._in_r(handle, real(2999)) and not F._in_r(handle, real(2999) + 1)
+    assert calls == [0, 0]
