@@ -85,10 +85,7 @@ def _load_handle(path):
 
 def _parse_op(text):
     from . import operators
-    coeffs = json.loads(text)
-    if not isinstance(coeffs, list):
-        raise ValueError("operator must be a JSON list of coefficients")
-    return operators.Operator([int(c) for c in coeffs])
+    return operators.Operator.from_json(json.loads(text))
 
 
 def _parse_ops(text):
@@ -254,6 +251,11 @@ def _cmd_brown(args):
     return EXIT_TRUE
 
 
+def _monoid(args):
+    from . import mann
+    return mann.MannMonoid(int(g) for g in args.gens.split(","))
+
+
 def _exp_bound(args):
     from .mann import DEFAULT_EXPONENT
     return DEFAULT_EXPONENT if args.exp_bound is None else args.exp_bound
@@ -261,7 +263,7 @@ def _exp_bound(args):
 
 def _cmd_mann_solve(args):
     from . import mann
-    monoid = mann.MannMonoid(int(g) for g in args.gens.split(","))
+    monoid = _monoid(args)
     coeffs, rhs = _parse_equation(args.eq)
     exp_bound = _exp_bound(args)
     if rhs == 0:
@@ -279,8 +281,7 @@ def _cmd_mann_solve(args):
 
 
 def _cmd_mann_enumerate(args):
-    from . import mann
-    monoid = mann.MannMonoid(int(g) for g in args.gens.split(","))
+    monoid = _monoid(args)
     _emit({"monoid": monoid.to_json(), "bound": args.bound,
            "elements": monoid.enumerate(args.bound)})
     return EXIT_TRUE
@@ -288,7 +289,7 @@ def _cmd_mann_enumerate(args):
 
 def _cmd_mann_trace(args):
     from . import mann
-    monoid = mann.MannMonoid(int(g) for g in args.gens.split(","))
+    monoid = _monoid(args)
     coeffs, rhs = _parse_equation(args.eq)
     if rhs != 0:
         raise ValueError("trace needs a homogeneous equation (rhs 0)")

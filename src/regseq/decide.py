@@ -20,13 +20,14 @@ exact machinery available:
 Everything else falls back to bounded search (at most
 BOUNDED_ASSIGNMENT_CAP assignments), and the verdict records the
 degradation: True always carries a witness that re-checks by direct
-arithmetic, False carries a completeness certificate, and anything resting
-on an exhausted budget is reported as UnknownBeyond rather than guessed.
+arithmetic, False always carries a Proved completeness certificate, and
+anything resting on an exhausted budget is reported as UnknownBeyond rather
+than guessed.
 
 One rule, _disjunction, combines the parts both over the DNF disjuncts and
 over the assignments of the bounded integer variables: the first True part
 wins; otherwise the whole is UnknownBeyond if any part is, or if a negated
-Sigma atom was decided only within the budget (reason
+Sigma atom was left undecided within the budget (reason
 negated-sigma-at-budget, even when no disjunct is left); otherwise it is
 False on the merged certificates of the parts.
 
@@ -46,10 +47,10 @@ from . import certs
 from . import formulas as F
 from .congruence import PeriodicIndexSet, divisibility_set
 from .equations import BOUNDED_BOX, EquationProblem, TrivialOperatorPresent, \
-    _box_solutions, _meet_in_the_middle, _value_table, solve_full, \
-    solve_nondegenerate
+    _box_solutions, _value_table, solve_full, solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, \
     NotFinitelySolvable, Operator, apply, classify, solve_inhomogeneous
+from .subsums import _meet_in_the_middle
 
 DNF_CAP = 256
 INT_PRODUCT_CAP = 4096
@@ -196,11 +197,9 @@ def decide(ast, handle, budget=64):
             return Verdict(Verdict.FALSE,
                            certificate=certs.Proved("witnessed-dual"))
         if inner.is_false():
-            if inner.certificate is not None and inner.certificate.is_proved:
-                return Verdict(Verdict.TRUE, witness={},
-                               certificate=inner.certificate)
-            return Verdict(Verdict.UNKNOWN, horizon=inner.horizon or budget,
-                           reason="dual-not-certified")
+            # every False verdict carries a Proved certificate
+            return Verdict(Verdict.TRUE, witness={},
+                           certificate=inner.certificate)
         return inner
 
     rvars, ivars, matrix = _prefix(node)
@@ -258,7 +257,7 @@ def _reject_quantifiers(node):
 def _disjunction(outcomes, tainted=False):
     """The one disjunction rule over ('true', witness) / ('false', cert) /
     ('unknown', reason) outcomes, read lazily: the first True wins; otherwise
-    any Unknown part, or a taint from a negated Sigma decided only within
+    any Unknown part, or a taint from a negated Sigma left undecided within
     the budget, makes the whole Unknown (the last Unknown part names the
     reason); otherwise it is False on the parts' merged certificates, Proved
     for no parts at all."""
@@ -295,7 +294,7 @@ def _expand_sigma(handle, node, budget):
     ground arguments are decided recursively and spliced in as constants.
 
     Returns (rewritten matrix, fresh R variables, taint flag for any
-    negative Sigma resolved only at bounded confidence)."""
+    negative Sigma left undecided within the budget)."""
     fresh_vars = []
     taint = [False]
     counter = itertools.count()
@@ -316,12 +315,7 @@ def _expand_sigma(handle, node, budget):
         verdict = decide(sub, handle, budget)
         if verdict.is_true():
             return F.FALSE
-        if verdict.is_false():
-            if not verdict.certificate.is_proved:
-                # non-membership held only up to the budget: a witness built
-                # on it cannot be certified, so poison the branch for True
-                taint[0] = True
-                return _BoundedTruth()
+        if verdict.is_false():  # non-membership, Proved like every False
             return F.TRUE
         taint[0] = True
         return F.FALSE  # undecided membership: this branch proves nothing
@@ -368,18 +362,7 @@ def _dnf(node):
     return [[node]]
 
 
-class _BoundedTruth:
-    """Stands for a negated Sigma atom that held up to the budget only; it
-    blocks certified True verdicts through its disjunct."""
-
-
 def _solve_disjunct(handle, rvars, lits, budget):
-    if any(isinstance(l, _BoundedTruth) for l in lits):
-        rest = [l for l in lits if not isinstance(l, _BoundedTruth)]
-        outcome = _solve_disjunct(handle, rvars, rest, budget)
-        if outcome[0] == "true":
-            return ("unknown", "negated-sigma-at-budget")
-        return outcome
     constraints = {v: PeriodicIndexSet.full() for v in rvars}
     equations = []
     side = []       # multi-variable disequalities, checked on candidates
@@ -668,7 +651,7 @@ def verify_ax6(handle, ops, budget=200):
                            {"reason": "trivial-operator-present"}, None)
     if solutions.certificate.is_proved:
         return _ax6_constants(handle, problem, solutions, budget)
-    return _ax6_empirical(handle, problem, solutions, budget)
+    return _ax6_empirical(problem, budget)
 
 
 def _ax6_constants(handle, problem, solutions, budget):
@@ -706,7 +689,7 @@ def _ax6_constants(handle, problem, solutions, budget):
                        solutions.certificate)
 
 
-def _ax6_empirical(handle, problem, solutions, budget):
+def _ax6_empirical(problem, budget):
     window = _box_side("ax6-empirical", problem.s, budget)
     found = _box_solutions(problem, window)[0]
     spans = {}

@@ -35,12 +35,10 @@ The quantitative skeleton used to certify completeness:
   cannot fail: for s = 2, and for s = 3 with z = 0
   (_proper_subsums_nonzero).
 
-Both searches share one meet-in-the-middle kernel (Horowitz and Sahni 1974)
-whose inner loops run in C iterators: the sums over a half come from one
-list of prefix sums over all its rows but the last, paired with the last row
-by starmap(add, product(...)) in product order, and the second half's sums
-are filtered by compress over map(table.__contains__, ...), so Python code
-runs only to build the first half's table and for each hit.
+Both searches run the package's one solution-scan kernel,
+subsums._meet_in_the_middle (Horowitz and Sahni 1974), which the Mann-monoid
+solver shares and which is re-exported here with _half_sums; its half sums
+and lookups run in C iterators.
 
 The resulting description instantiates to exactly the brute-force answer on
 any window, which is the invariant the test-suite oracles check.
@@ -54,14 +52,15 @@ flat pattern/sporadic shape cannot express an infinite product faithfully.
 """
 
 import itertools
-import operator
 from fractions import Fraction
 
 from . import polyops
 from . import sequences as sq
 from . import operators as op_mod
 from .certs import Proved, BoundedCheck, merge
-from .subsums import _proper_subsums_nonzero, _vanishing_subset
+from .jsonio import _json_int, _json_list
+from .subsums import _half_sums, _meet_in_the_middle, \
+    _proper_subsums_nonzero, _vanishing_subset
 
 ORACLE_CEILING = 40
 OFFSET_BUDGET = 64          # cap on the certified gap bound G
@@ -103,9 +102,12 @@ class EquationProblem:
 
     @staticmethod
     def from_json(handle, obj):
+        if not isinstance(obj, dict):
+            raise ValueError("problem must be a JSON object")
         return EquationProblem(handle,
-                               [op_mod.Operator.from_json(o) for o in obj["operators"]],
-                               int(obj["target"]))
+                               [op_mod.Operator.from_json(o)
+                                for o in _json_list(obj.get("operators"), "operators")],
+                               _json_int(obj.get("target"), "target"))
 
 
 # ---------------------------------------------------------------------------
@@ -501,40 +503,6 @@ def _kill_vectors(handle, ops, max_offset):
 # ---------------------------------------------------------------------------
 # Core solver over pairwise distinct indices
 # ---------------------------------------------------------------------------
-
-def _half_sums(rows):
-    """sum(terms) for each terms of itertools.product(*rows), in the same
-    order and lazily, computed inside C iterators: every row but the last is
-    folded into one list of prefix sums, which is paired with the last row."""
-    if not rows:
-        return iter((0,))
-    prefix = [0]
-    for row in rows[:-1]:
-        prefix = list(itertools.starmap(operator.add, itertools.product(prefix, row)))
-    return itertools.starmap(operator.add, itertools.product(prefix, rows[-1]))
-
-
-def _meet_in_the_middle(rows, target, indices=None):
-    """Every index tuple t with sum_j rows[j][t_j] == target, where
-    indices[j] names the index of each entry of rows[j] (by default its
-    position): the first half of the variables is hashed by target minus
-    its sum, and each sum over the second half looks itself up (Horowitz
-    and Sahni).  The lookups run inside C iterators (compress over a map of
-    dict membership), so Python code runs only for hits.  Lazy, in no
-    particular order."""
-    if indices is None:
-        indices = [range(len(row)) for row in rows]
-    half = len(rows) // 2
-    table = {}
-    for tup, key in zip(itertools.product(*indices[:half]),
-                        map(target.__sub__, _half_sums(rows[:half]))):
-        table.setdefault(key, []).append(tup)
-    sums, probes = itertools.tee(_half_sums(rows[half:]))
-    for tup, key in itertools.compress(zip(itertools.product(*indices[half:]), sums),
-                                       map(table.__contains__, probes)):
-        for left in table[key]:
-            yield left + tup
-
 
 def _box_solutions(problem, top):
     """All non-degenerate tuples in [0, top]^s summing to z (pairwise

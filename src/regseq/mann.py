@@ -12,10 +12,12 @@ No effective bound for the Mann property is available here, so every
 completeness claim is tagged BoundedCheck at the exponent level scanned:
 all tuples whose coordinates use generator exponents up to E are covered,
 nothing beyond is claimed.  A scan of n unknowns over a window of W
-elements makes W^(n-1) lookups; it is refused when that exceeds SCAN_CAP, as
-soon as the window being built passes the size the budget allows.  Every
-window is also refused once its distinct elements pass WINDOW_BITS bits in
-total, since with few unknowns the count alone admits gigabytes.
+elements is refused when W^(n-1) exceeds SCAN_CAP, as soon as the window
+being built passes that size, although the kernel it shares with the
+sequence solver, subsums._meet_in_the_middle, makes about W^ceil(n/2)
+lookups.  Every window is also refused once its distinct elements pass
+WINDOW_BITS bits in total, since with few unknowns the count alone admits
+gigabytes.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -30,7 +32,8 @@ import math
 from fractions import Fraction
 
 from .certs import BoundedCheck
-from .subsums import _proper_subsums_nonzero, _vanishing_subset
+from .subsums import _meet_in_the_middle, _proper_subsums_nonzero, \
+    _vanishing_subset
 
 DEFAULT_EXPONENT = 64
 SCAN_CAP = 6_000_000
@@ -170,31 +173,17 @@ def _scan_window(monoid, exp_bound, unknowns):
 
 def _scan(coeffs, target, elements):
     """Non-degenerate solutions of a_1 x_1 + ... + a_n x_n = target (nonzero
-    integer a_i) with every x_i in `elements`, in itertools.product order.
-    Each prefix (x_1, ..., x_{n-2}) carries its remainder; x_{n-1} runs over
-    pre-scaled elements and x_n is looked up by a_n x_n.  The budget is the
-    window's: see _scan_window.  Coefficients and monoid elements being
-    nonzero, the sub-sum check runs only where _proper_subsums_nonzero does
-    not settle it."""
-    n = len(coeffs)
-    settled = _proper_subsums_nonzero(n, target)
-    lasts = {coeffs[-1] * e: e for e in elements}
-    if n == 1:
-        return [(lasts[target],)] if target in lasts else []
-    head = coeffs[:-2]
-    nexts = {coeffs[-2] * x: x for x in elements}
-    scaled = list(nexts)
-    out = []
-    for prefix in itertools.product(elements, repeat=n - 2):
-        rest = target - sum(a * x for a, x in zip(head, prefix))
-        # the keys rest - a_{n-1} x in element order (so hits keep product
-        # order), kept where some a_n x_n equals them
-        for key in filter(lasts.__contains__, map(rest.__sub__, scaled)):
-            tup = prefix + (nexts[rest - key], lasts[key])
-            if settled or _vanishing_subset(
-                    [a * v for a, v in zip(coeffs, tup)]) is None:
-                out.append(tup)
-    return out
+    integer a_i) with every x_i in `elements`: the kernel's hits over the
+    rows a_i * elements, sorted, which is product order for a sorted window
+    without repeats.  The budget is the window's: see _scan_window.  The
+    terms being nonzero, the sub-sum check runs only where
+    _proper_subsums_nonzero does not settle it."""
+    found = sorted(_meet_in_the_middle([[a * x for x in elements] for a in coeffs],
+                                       target, [elements] * len(coeffs)))
+    if _proper_subsums_nonzero(len(coeffs), target):
+        return found
+    return [tup for tup in found
+            if _vanishing_subset([a * v for a, v in zip(coeffs, tup)]) is None]
 
 
 # ---------------------------------------------------------------------------

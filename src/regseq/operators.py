@@ -28,6 +28,7 @@ from . import polyops
 from . import sequences as sq
 from .certs import Proved, BoundedCheck, merge, \
     REASON_THETA_INFINITE, REASON_NONVANISHING, REASON_MINPOLY_DIVIDES
+from .jsonio import _json_int, _json_list
 
 DEFAULT_BUDGET = 300
 
@@ -87,7 +88,10 @@ class Operator:
 
     @staticmethod
     def from_json(obj):
-        return Operator([int(c) for c in obj])
+        """An operator from a JSON list of integers or decimal strings;
+        ValueError for anything else (a float, a bool, a nested list)."""
+        return Operator([_json_int(c, "operator coefficient")
+                         for c in _json_list(obj, "operator")])
 
 
 def apply(op, handle, n):

@@ -1,12 +1,58 @@
-"""Vanishing sub-sums: the non-degeneracy test shared by the sequence
+"""The solution scan and the non-degeneracy test shared by the sequence
 equation solver (equations) and the Mann-monoid solver (mann).
 
-A solution of a linear equation is non-degenerate when no proper sub-sum of
-its terms vanishes.  The test lives here, apart from both solvers, so that
-loading one solver does not load the other.
+Both solvers find the solutions of a linear equation over finite rows of
+values with one meet-in-the-middle kernel (Horowitz and Sahni 1974),
+_meet_in_the_middle: equations for its family search, its box scan and
+decide's exact stages, mann for every unit and homogeneous scan.  A solution
+of a linear equation is non-degenerate when no proper sub-sum of its terms
+vanishes, which _vanishing_subset tests.  Both live here, apart from both
+solvers, so that loading one solver does not load the other.
 """
 
 import itertools
+import operator
+
+
+def _half_sums(rows):
+    """sum(terms) for each terms of itertools.product(*rows), in the same
+    order and lazily, computed inside C iterators: every row but the last is
+    folded into one list of prefix sums, which is paired with the last row."""
+    if not rows:
+        return iter((0,))
+    prefix = [0]
+    for row in rows[:-1]:
+        prefix = list(itertools.starmap(operator.add, itertools.product(prefix, row)))
+    return itertools.starmap(operator.add, itertools.product(prefix, rows[-1]))
+
+
+def _meet_in_the_middle(rows, target, indices=None):
+    """Every index tuple t with sum_j rows[j][t_j] == target, where
+    indices[j] names the index of each entry of rows[j] (by default its
+    position).  The first half of the rows is hashed by target minus its
+    sum; the second half loops in Python over the sums of its middle rows
+    and completes each base in C iterators, over the distinct values v of
+    the last row (each standing for all its indices) with base + v a key.
+    With W entries a row, s rows make about W^ceil(s/2) lookups.  Lazy, in
+    no particular order."""
+    if indices is None:
+        indices = [range(len(row)) for row in rows]
+    half = len(rows) // 2
+    table = {}
+    for tup, key in zip(itertools.product(*indices[:half]),
+                        map(target.__sub__, _half_sums(rows[:half]))):
+        table.setdefault(key, []).append(tup)
+    last = {}
+    for i, v in zip(indices[-1], rows[-1]):
+        last.setdefault(v, []).append((i,))
+    values = list(last)
+    for mid, base in zip(itertools.product(*indices[half:-1]),
+                         _half_sums(rows[half:-1])):
+        for key in filter(table.__contains__, map(base.__add__, values)):
+            for tail in last[key - base]:
+                right = mid + tail
+                for left in table[key]:
+                    yield left + right
 
 
 def _vanishing_subset(terms):

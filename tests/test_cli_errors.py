@@ -12,6 +12,7 @@ from regseq import cli
 from regseq import formulas as F
 from regseq import operators
 from regseq import sequences
+from regseq.equations import EquationProblem
 from regseq.sequences import SequenceSpec
 
 MALFORMED_SPECS = [
@@ -353,3 +354,67 @@ def test_set_list_that_is_not_a_list_exits_three(tmp_path, capsys, command, opti
     code, err = _exit_and_stderr(capsys, argv)
     assert code == 3
     assert err == "error: %s must hold a set spec or a list of set specs\n" % option
+
+
+# An operator must be a JSON list of integers (or decimal strings), and a
+# problem file a JSON object with such operators and an integer target.
+MALFORMED_OPS = ["[[1]]", "[1.5]", "[true,1]", "[-2,null]", "5", '"12"', "{}"]
+MALFORMED_PROBLEMS = [
+    [1, 2],
+    {"operators": [["1"], ["1"], ["-1"]], "target": 2.7},
+    {"operators": [["1"], ["1"], ["-1"]], "target": True},
+    {"operators": [["1"], ["1"], ["-1"]]},
+    {"operators": [[1.5], ["-1"]], "target": "0"},
+    {"operators": [["1"], [[1]]], "target": "0"},
+    {"operators": "11", "target": "0"},
+]
+
+
+def _pow2_file(tmp_path):
+    seq = tmp_path / "pow2.json"
+    seq.write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    return str(seq)
+
+
+@pytest.mark.parametrize("command", ["classify", "eval", "verify-ax5", "verify-ax6"])
+@pytest.mark.parametrize("op", MALFORMED_OPS)
+def test_malformed_operator_exits_three(tmp_path, capsys, command, op):
+    with pytest.raises(ValueError):
+        operators.Operator.from_json(json.loads(op))
+    argv = [command, "--seq", _pow2_file(tmp_path)]
+    argv += ["--ops", "[1];" + op] if command == "verify-ax6" else ["--op", op]
+    if command == "eval":
+        argv += ["--n", "3"]
+    code, err = _exit_and_stderr(capsys, argv)
+    assert code == 3
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_operator_coefficients_take_integers_and_decimal_strings(tmp_path, capsys):
+    assert operators.Operator.from_json([-2, "1"]) == operators.Operator([-2, 1])
+    code, _ = _exit_and_stderr(capsys, ["classify", "--seq", _pow2_file(tmp_path),
+                                        "--op", '[-2,"1"]'])
+    assert code == 0
+
+
+@pytest.mark.parametrize("problem", MALFORMED_PROBLEMS, ids=json.dumps)
+def test_malformed_problem_exits_three(tmp_path, capsys, problem):
+    with pytest.raises(ValueError):
+        EquationProblem.from_json(None, problem)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    code, err = _exit_and_stderr(capsys, ["solve", "--seq", _pow2_file(tmp_path),
+                                          "--problem", str(path)])
+    assert code == 3
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["solve", "--eq", "x1 + x2 - x3 = 0"],
+                                     ["enumerate", "--bound", "50"],
+                                     ["trace", "--eq", "x1 + x2 - x3 = 0"]])
+@pytest.mark.parametrize("gens", ["2,x", "2,,3", "2.5,3", "1,3"])
+def test_malformed_generators_exit_three(capsys, command, gens):
+    code, err = _exit_and_stderr(capsys, ["mann", command[0], "--gens", gens]
+                                 + command[1:])
+    assert code == 3
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
