@@ -49,7 +49,7 @@ from .congruence import PeriodicIndexSet, divisibility_set
 from .equations import BOUNDED_BOX, EquationProblem, TrivialOperatorPresent, \
     _box_solutions, _value_table, solve_full, solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, \
-    NotFinitelySolvable, Operator, apply, classify, solve_inhomogeneous
+    NotFinitelySolvable, Operator, classify, solve_inhomogeneous, values
 from .subsums import _meet_in_the_middle
 
 DNF_CAP = 256
@@ -143,7 +143,8 @@ def _single_var_set(handle, lit, budget):
     window = max(64, budget)
 
     def scan(test):
-        hits = [n for n in range(window + 1) if test(apply(op, handle, n) + c)]
+        hits = [n for n, v in enumerate(values(op, handle, window + 1))
+                if test(v + c)]
         return hits, certs.BoundedCheck(window)
 
     if isinstance(lit, (F.EqZ, F.NeqZ)):
@@ -625,11 +626,10 @@ def verify_ax5(handle, op, budget=200):
     c_index = last if last is not None else -1
     constant = handle.eval(c_index) if c_index >= 0 else 0
     window = (c_index + 1, c_index + budget)
-    for n in range(window[0], window[1] + 1):
-        value = apply(op, handle, n)
-        if branch == "vanishes-beyond" and value != 0:
-            raise AssertionError("classification contradicted at index %d" % n)
-        if branch == "nonzero-beyond" and value == 0:
+    vanishes = branch == "vanishes-beyond"
+    for n, value in enumerate(values(op, handle, window[1] + 1)[window[0]:],
+                              window[0]):
+        if (value == 0) != vanishes:
             raise AssertionError("classification contradicted at index %d" % n)
     return AxiomReport("Ax5", "constants",
                        {"branch": branch, "c": constant, "c_index": c_index,
@@ -663,14 +663,12 @@ def _ax6_constants(handle, problem, solutions, budget):
         spill.extend(p.exceptions)
     c_index = max(spill) if spill else -1
     constant = handle.eval(c_index) if c_index >= 0 else 0
-    # fresh window: every pattern instance beyond the constant still solves
+    # every pattern instance past the constant (and its exceptions) solves
+    anchors = range(c_index + 1, c_index + 1 + budget)
     for p in solutions.patterns:
-        for l in range(c_index + 1, c_index + 1 + budget):
-            if not p.valid_anchor(l):
-                continue
-            tup = p.instantiate(l)
-            total = sum(apply(op, handle, n)
-                        for op, n in zip(problem.operators, tup))
+        rows = [values(op, handle, anchors.stop + m)[anchors.start + m:]
+                for op, m in zip(problem.operators, p.offsets)]
+        for l, total in zip(anchors, map(sum, zip(*rows))):
             if total != 0:
                 raise AssertionError("pattern fails at anchor %d" % l)
     # and a brute-force window finds nothing off-pattern

@@ -284,17 +284,8 @@ def brute_force(problem, n):
 
 
 def _value_table(problem, n):
-    """Row j lists f_j(0), ..., f_j(n), summed slice by slice from one prefix
-    of the sequence (the values operators.apply gives, index by index)."""
-    prefix = problem.handle.values(n + max(op.degree for op in problem.operators))
-    table = []
-    for op in problem.operators:
-        row = [0] * (n + 1)
-        for i, a in enumerate(op.coeffs):
-            if a:
-                row = [acc + a * r for acc, r in zip(row, prefix[i:i + n + 1])]
-        table.append(row)
-    return table
+    """Row j lists f_j(0), ..., f_j(n): one operators.values window each."""
+    return [op_mod.values(op, problem.handle, n + 1) for op in problem.operators]
 
 
 def _tag(s, vals, tup):

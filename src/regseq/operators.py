@@ -95,9 +95,28 @@ class Operator:
 
 
 def apply(op, handle, n):
-    """Exact value a_0 r_n + ... + a_d r_{n+d}."""
+    """Exact value a_0 r_n + ... + a_d r_{n+d}, at one index."""
     handle.eval(n + op.degree)
     return sum(a * handle.cache[n + i] for i, a in enumerate(op.coeffs))
+
+
+def values(op, handle, count):
+    """The window [f(0), ..., f(count - 1)], summed slice by slice from one
+    prefix of the sequence; it raises what apply would at the first term it
+    cannot reach."""
+    if count <= 0:
+        return []
+    prefix = handle.values(count - 1 + op.degree)
+    row = [0] * count
+    for i, a in enumerate(op.coeffs):
+        if a:
+            row = [acc + a * r for acc, r in zip(row, prefix[i:i + count])]
+    return row
+
+
+def _hits(op, handle, count, z=0):
+    """The indices n < count with f(n) = z."""
+    return [n for n, v in enumerate(values(op, handle, count)) if v == z]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +217,8 @@ def classify(op, handle, budget=DEFAULT_BUDGET):
             # The recurrence holds from index 0, so f is identically zero;
             # the window check below is a pure sanity assertion.
             window = minpoly.degree + op.degree + 8
-            exceptions = [n for n in range(window) if apply(op, handle, n) != 0]
-            assert not exceptions, "recurrence holds from 0, yet f missed zero"
+            assert not any(values(op, handle, window)), \
+                "recurrence holds from 0, yet f missed zero"
             return CofiniteZero((), Proved(REASON_MINPOLY_DIVIDES))
         return _classify_nonvanishing(op, handle, kepler, budget)
 
@@ -220,7 +239,7 @@ def _classify_geometric(op, handle, expansion):
     # the cutoff is 0 when no other base is live)
     cutoff = sq._geometric_cutoff(lead, 2 * sum(m for _, m in tail), q_top,
                                   max((q for q, _ in tail), default=0))
-    roots = [n for n in range(cutoff) if apply(op, handle, n) == 0]
+    roots = _hits(op, handle, cutoff)
     lower_bound = None
     if q_top == q_max:
         # |f(n)| >= lead q_top^n / 2 beyond the cutoff and
@@ -256,7 +275,7 @@ def _classify_infinite(op, handle, budget):
     eps = Fraction(a_d, 2 * lower_mass)
     k, cert = sq.dominance_cutoff(handle, eps, budget=budget)
     cutoff = max(0, k - d + 1)
-    roots = [n for n in range(cutoff) if apply(op, handle, n) == 0]
+    roots = _hits(op, handle, cutoff)
     return FiniteRoots(roots, cutoff,
                        merge([cert], reason=REASON_THETA_INFINITE),
                        Fraction(a_d, 2))
@@ -287,22 +306,15 @@ def _classify_nonvanishing(op, handle, kepler, budget):
         raise ValueError("could not separate operator value at theta from zero")
     eps = u / (2 * op.mass())
     k, cert = sq.dominance_cutoff(handle, eps, degree=max(1, op.degree), budget=budget)
-    roots = [n for n in range(k) if apply(op, handle, n) == 0]
+    roots = _hits(op, handle, k)
     return FiniteRoots(roots, k, merge([cert], reason=REASON_NONVANISHING), u / 2)
 
 
 def _classify_scan(op, handle, budget):
-    """Bounded verdict: look at where the zeros sit inside the window."""
-    zeros = []
-    top = budget
-    for n in range(budget):
-        try:
-            v = apply(op, handle, n)
-        except (sq.TableExhausted, sq.MonotonicityError):
-            top = n
-            break
-        if v == 0:
-            zeros.append(n)
+    """Bounded verdict: where the zeros sit in the window the terms reach."""
+    terms = sq._window_terms(handle, budget - 1 + op.degree)
+    top = min(budget, max(0, len(terms) - op.degree))
+    zeros = _hits(op, handle, top)
     tail_start = max(1, top // 2)
     tail = range(tail_start, top)
     zero_set = set(zeros)
@@ -336,13 +348,11 @@ def solve_inhomogeneous(op, handle, z, budget=DEFAULT_BUDGET):
         return sols, cls.cert
 
     if cls.cert.is_proved:
-        cutoff = _target_cutoff(op, handle, cls, z)
-        sols = [n for n in range(cutoff) if apply(op, handle, n) == z]
-        return sols, cls.cert
+        return _hits(op, handle, _target_cutoff(op, handle, cls, z), z), cls.cert
 
     # Bounded scan; detect the cofinitely-solvable anomaly.
     top = cls.cutoff
-    matches = [n for n in range(top) if apply(op, handle, n) == z]
+    matches = _hits(op, handle, top, z)
     tail_start = max(1, 3 * top // 4)
     tail = list(range(tail_start, top))
     hit = set(matches)

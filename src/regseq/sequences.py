@@ -759,22 +759,20 @@ def _scan_ratio_cutoff(handle, threshold, budget):
 
 
 def _scan_dominance_cutoff(handle, kepler, eps, degree, budget):
+    """Bounded fallback; the scan ends at the first n whose terms stop short
+    of r_{n+degree} (see _window_terms) with no bound broken before that."""
     iv = kepler.theta_interval()
+    powers = [polyops.ipow(iv, i) for i in range(1, degree + 1)]
+    terms = _window_terms(handle, budget - 1 + degree)
     last_bad = -1
-    top = budget
+    top = min(budget, len(terms))
     for n in range(top):
-        try:
-            rn = handle.eval(n)
-            bad = False
-            for i in range(1, degree + 1):
-                diff = polyops.iadd(polyops.ival(handle.eval(n + i)),
-                                    polyops.ineg(polyops.iscale(polyops.ipow(iv, i), rn)))
-                if polyops.iabs_hi(diff) >= eps * rn:
-                    bad = True
-                    break
-            if bad:
-                last_bad = n
-        except (TableExhausted, MonotonicityError):
+        rn = terms[n]
+        if any(polyops.iabs_hi(polyops.iadd(polyops.ival(r),
+                                            polyops.ineg(polyops.iscale(p, rn))))
+               >= eps * rn for p, r in zip(powers, terms[n + 1:n + 1 + degree])):
+            last_bad = n
+        elif n + degree >= len(terms):
             top = n
             break
     if last_bad + 1 >= top:
