@@ -20,8 +20,12 @@ a call compiles only what its subcommand needs: `eval` loads sequences,
 polyops and certs; `mann` loads mann, subsums and certs; `syndetic` on a
 progression or list loads syndetic alone; `decide` loads every layer except
 mann and syndetic.  The parser defaults that come from a layer (operators'
-DEFAULT_BUDGET, mann's DEFAULT_EXPONENT) are None and are resolved in the
-handler, so those constants stay the one source of the values.
+DEFAULT_BUDGET, decide's DECIDE_BUDGET and AXIOM_BUDGET, mann's
+DEFAULT_EXPONENT) are None and are resolved in the handler, so those
+constants stay the one source of the values.
+
+Integer options are parsed as text and read after parsing by jsonio's strict
+reader, so a malformed value, like one out of range, is a one-line error.
 """
 
 import argparse
@@ -31,7 +35,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .jsonio import _json_int, _json_ints, _json_list
+from .jsonio import _json_int, _json_ints, _json_list, _read_int
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -46,6 +50,8 @@ EXIT_USAGE = 3
 OPTION_RANGES = {"budget": (1, 10_000), "horizon": (1, 2 ** 20),
                  "bound": (1, 10 ** 12), "exp_bound": (0, 4096),
                  "n": (0, 10_000)}
+INT_OPTIONS = ("a", "budget", "bound", "d", "exp_bound", "horizon", "modulus",
+               "n", "oracle")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +64,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _check_ranges(args):
+def _read_options(args):
+    """Read the integer options strictly, then check their ranges."""
+    for name in INT_OPTIONS:
+        text = getattr(args, name, None)
+        if text is not None:
+            setattr(args, name, _read_int(text, "--" + name.replace("_", "-")))
     for name, (lo, hi) in OPTION_RANGES.items():
         value = getattr(args, name, None)
         if value is not None and not lo <= value <= hi:
@@ -92,7 +103,7 @@ def _parse_ops(text):
     return [_parse_op(part) for part in text.split(";") if part.strip()]
 
 
-_TERM_RE = re.compile(r"\s*([+-]?)\s*(\d*)\s*\*?\s*x(\d+)")
+_TERM_RE = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*\*?\s*x([0-9]+)")
 
 
 def _parse_equation(text):
@@ -100,7 +111,7 @@ def _parse_equation(text):
     if text.count("=") != 1:
         raise ValueError("equation needs exactly one '='")
     lhs, rhs_text = text.split("=")
-    rhs = int(rhs_text.strip())
+    rhs = _read_int(rhs_text.strip(), "right-hand side")
     coeffs = {}
     pos = 0
     lhs = lhs.strip()
@@ -109,8 +120,8 @@ def _parse_equation(text):
         if not m or m.end() == pos:
             raise ValueError("cannot parse equation near %r" % lhs[pos:])
         sign = -1 if m.group(1) == "-" else 1
-        coef = int(m.group(2)) if m.group(2) else 1
-        idx = int(m.group(3))
+        coef = _read_int(m.group(2), "coefficient") if m.group(2) else 1
+        idx = _read_int(m.group(3), "variable index")
         coeffs[idx] = coeffs.get(idx, 0) + sign * coef
         pos = m.end()
     if not coeffs or sorted(coeffs) != list(range(1, len(coeffs) + 1)):
@@ -212,7 +223,8 @@ def _cmd_decide(args):
     handle = _load_handle(args.seq)
     with open(args.formula, "r", encoding="utf-8") as fh:
         text = fh.read()
-    verdict = decide.decide(formulas.parse(text), handle, budget=args.budget)
+    budget = decide.DECIDE_BUDGET if args.budget is None else args.budget
+    verdict = decide.decide(formulas.parse(text), handle, budget=budget)
     _emit(verdict.to_json(handle))
     return verdict.exit_code()
 
@@ -253,7 +265,7 @@ def _cmd_brown(args):
 
 def _monoid(args):
     from . import mann
-    return mann.MannMonoid(int(g) for g in args.gens.split(","))
+    return mann.MannMonoid(_read_int(g, "--gens") for g in args.gens.split(","))
 
 
 def _exp_bound(args):
@@ -300,7 +312,8 @@ def _cmd_mann_trace(args):
 def _cmd_verify_ax5(args):
     from . import decide
     handle = _load_handle(args.seq)
-    report = decide.verify_ax5(handle, _parse_op(args.op), budget=args.budget)
+    budget = decide.AXIOM_BUDGET if args.budget is None else args.budget
+    report = decide.verify_ax5(handle, _parse_op(args.op), budget=budget)
     _emit(report.to_json())
     return EXIT_TRUE
 
@@ -308,7 +321,8 @@ def _cmd_verify_ax5(args):
 def _cmd_verify_ax6(args):
     from . import decide
     handle = _load_handle(args.seq)
-    report = decide.verify_ax6(handle, _parse_ops(args.ops), budget=args.budget)
+    budget = decide.AXIOM_BUDGET if args.budget is None else args.budget
+    report = decide.verify_ax6(handle, _parse_ops(args.ops), budget=budget)
     _emit(report.to_json())
     if report.status == "violation":
         return EXIT_FALSE
@@ -394,32 +408,32 @@ def _build_parser():
 
     p = sub.add_parser("eval", help="evaluate an element or operator value")
     p.add_argument("--seq", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--op", help="optional operator coefficient list")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("classify", help="operator dichotomy verdict")
     p.add_argument("--seq", required=True)
     p.add_argument("--op", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("solve", help="solution families of a linear equation")
     p.add_argument("--seq", required=True)
     p.add_argument("--problem", required=True)
-    p.add_argument("--oracle", type=int,
+    p.add_argument("--oracle",
                    help="cross-check against brute force on [0,N]^s")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("decide", help="bounded decision for a sentence")
     p.add_argument("--seq", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget")
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("periodicity", help="congruence profile mod m")
     p.add_argument("--seq", required=True)
-    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument("--modulus", required=True)
     p.set_defaults(fn=_cmd_periodicity)
 
     p = sub.add_parser("syndetic", help="gap-run and covering reports")
@@ -427,24 +441,24 @@ def _build_parser():
                             parser_class=_Parser)
     q = ssub.add_parser("gap-runs")
     q.add_argument("--set", required=True)
-    q.add_argument("--horizon", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--horizon", required=True)
+    q.add_argument("--d", required=True)
     q.add_argument("--by-gap", action="store_true")
     q.set_defaults(fn=_cmd_gap_runs)
     q = ssub.add_parser("cover-check")
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--a", required=True)
+    q.add_argument("--d", required=True)
     q.add_argument("--images", required=True,
                    help="JSON file: set spec or list of set specs")
-    q.add_argument("--horizon", type=int, required=True)
+    q.add_argument("--horizon", required=True)
     q.set_defaults(fn=_cmd_cover_check)
     q = ssub.add_parser("brown")
     q.add_argument("--set", required=True)
     q.add_argument("--parts", required=True,
                    help="JSON file: set spec or list of set specs "
                         "partitioning the set")
-    q.add_argument("--horizon", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--horizon", required=True)
+    q.add_argument("--d", required=True)
     q.set_defaults(fn=_cmd_brown)
 
     p = sub.add_parser("mann", help="equations over multiplicative monoids")
@@ -453,29 +467,29 @@ def _build_parser():
     q = msub.add_parser("solve")
     q.add_argument("--gens", required=True)
     q.add_argument("--eq", required=True)
-    q.add_argument("--exp-bound", type=int)
+    q.add_argument("--exp-bound")
     q.set_defaults(fn=_cmd_mann_solve)
     q = msub.add_parser("enumerate")
     q.add_argument("--gens", required=True)
-    q.add_argument("--bound", type=int, required=True)
+    q.add_argument("--bound", required=True)
     q.set_defaults(fn=_cmd_mann_enumerate)
     q = msub.add_parser("trace")
     q.add_argument("--gens", required=True)
     q.add_argument("--eq", required=True)
-    q.add_argument("--exp-bound", type=int)
+    q.add_argument("--exp-bound")
     q.set_defaults(fn=_cmd_mann_trace)
 
     p = sub.add_parser("verify-ax5", help="constant-shift axiom instance")
     p.add_argument("--seq", required=True)
     p.add_argument("--op", required=True)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget")
     p.set_defaults(fn=_cmd_verify_ax5)
 
     p = sub.add_parser("verify-ax6", help="offset-family axiom instance")
     p.add_argument("--seq", required=True)
     p.add_argument("--ops", required=True,
                    help="semicolon-separated operator lists, e.g. '[1];[-1]'")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget")
     p.set_defaults(fn=_cmd_verify_ax6)
 
     p = sub.add_parser("suite", help="fixed batch across all modules")
@@ -489,7 +503,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_ranges(args)
+        _read_options(args)
         return args.fn(args)
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -55,7 +55,18 @@ from .subsums import _meet_in_the_middle
 DNF_CAP = 256
 INT_PRODUCT_CAP = 4096
 CANDIDATE_CAP = 4096
+# Default budget of decide, and of verify_ax5 and verify_ax6.
+DECIDE_BUDGET = 64
+AXIOM_BUDGET = 200
+# Least windows, whatever the budget: of a one-variable literal's index scan
+# and of the witness search of an equation.
+LITERAL_WINDOW = 64
+EQUATION_WINDOW = 16
+# Members of an index set tried as candidates: STREAM_HEAD for one or two
+# independent variables, HEAD_DEPTH for more and for each variable outside
+# an equation.
 STREAM_HEAD = 24
+HEAD_DEPTH = 8
 
 # Side of the exhaustive index box, by number of variables (1, 2, 3, 4 or
 # more), for each bounded scan; a caller's budget can only shrink it.
@@ -136,11 +147,12 @@ def _single_var_set(handle, lit, budget):
     """Compile a one-variable literal to an index set for that variable.
 
     Where no exact route applies, the set is the window scan: the indices
-    n <= max(64, budget) where test(f(n) + c) holds, as BoundedCheck."""
+    n <= max(LITERAL_WINDOW, budget) where test(f(n) + c) holds, as
+    BoundedCheck."""
     (var, g), = lit.lin.ops.items()
     c = lit.lin.const
     op = Operator(g)
-    window = max(64, budget)
+    window = max(LITERAL_WINDOW, budget)
 
     def scan(test):
         hits = [n for n, v in enumerate(values(op, handle, window + 1))
@@ -185,7 +197,7 @@ def _single_var_set(handle, lit, budget):
 # The decision procedure
 # ---------------------------------------------------------------------------
 
-def decide(ast, handle, budget=64):
+def decide(ast, handle, budget=DECIDE_BUDGET):
     """Three-valued verdict for a sentence of the existential fragment."""
     node = F.normalize(ast)
     free = F.free_variables(node)
@@ -436,7 +448,7 @@ def _smallest_combinations(heads):
 
 
 def _independent_disjunct(handle, rvars, lits, constraints, side, budget):
-    depth = STREAM_HEAD if len(rvars) <= 2 else 8
+    depth = STREAM_HEAD if len(rvars) <= 2 else HEAD_DEPTH
     heads = [constraints[v].head(depth) for v in rvars]
     for combo in _smallest_combinations(heads):
         assignment = dict(zip(rvars, combo))
@@ -466,9 +478,9 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
     problem = EquationProblem(handle, [Operator(eq.lin.ops[v]) for v in evars],
                               -eq.lin.const)
     solutions = _StagedSolutions(problem)
-    other_heads = [constraints[v].head(8) for v in others]
+    other_heads = [constraints[v].head(HEAD_DEPTH) for v in others]
     checked = 0
-    for tup in _by_index_sum(solutions, max(16, budget)):
+    for tup in _by_index_sum(solutions, max(EQUATION_WINDOW, budget)):
         if any(not constraints[v].contains(n) for v, n in zip(evars, tup)):
             continue
         for combo in itertools.product(*other_heads):
@@ -611,7 +623,7 @@ class AxiomReport:
         return out
 
 
-def verify_ax5(handle, op, budget=200):
+def verify_ax5(handle, op, budget=AXIOM_BUDGET):
     """The unary shape axiom: beyond some element constant c the operator
     either vanishes identically or never vanishes.  Classification picks the
     branch; the constant is revalidated on a fresh index window."""
@@ -637,7 +649,7 @@ def verify_ax5(handle, op, budget=200):
                        cls.cert)
 
 
-def verify_ax6(handle, ops, budget=200):
+def verify_ax6(handle, ops, budget=AXIOM_BUDGET):
     """The solution-shape axiom for a homogeneous equation: either finitely
     many offset patterns (plus a constant) absorb all non-degenerate
     solutions, or solutions occur at gaps growing past any fixed offset set,

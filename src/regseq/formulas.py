@@ -34,6 +34,8 @@ order abbreviation unfolded (t > c becomes the conjunction of t != i for
 import bisect
 import itertools
 
+from .jsonio import _read_int
+
 MAX_FORMULA_SIZE = 65536
 # Most literals the atoms of one formula may unfold into together: t > c gives
 # c + 1 of them and !Dm(t) gives m - 1, and each atom is counted before
@@ -75,7 +77,7 @@ def _lex(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("NUM", int(text[i:j]), i))
+            tokens.append(("NUM", _read_int(text[i:j], "number"), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -85,7 +87,7 @@ def _lex(text):
             word = text[i:j]
             # D<m> is a divisibility head when the digits are glued on
             if word[0] == "D" and len(word) > 1 and word[1:].isdigit():
-                tokens.append(("DIV", int(word[1:]), i))
+                tokens.append(("DIV", _read_int(word[1:], "modulus"), i))
             else:
                 tokens.append(("NAME", word, i))
             i = j

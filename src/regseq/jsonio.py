@@ -9,6 +9,9 @@ byte-identical output.
 The _json_* validators read the integer and list fields of input specs
 (sequence specs and set specs alike): an integer is a JSON integer or a
 decimal string, and anything else is a ValueError naming the field.
+_read_int is the one reader of integers written as text, in specs, options,
+equations and formulas alike: an optional sign and ASCII digits, without the
+underscores, blanks and other scripts' digits that int() also accepts.
 """
 
 import json
@@ -43,10 +46,20 @@ def dumps(obj):
                       separators=(",", ":"), ensure_ascii=True)
 
 
+def _read_int(text, field):
+    """An optional sign and ASCII digits as an int; ValueError otherwise."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("%s must be a decimal integer, not %r" % (field, text))
+    return int(text)
+
+
 def _json_int(value, field):
     """A JSON integer or decimal string as an int; ValueError otherwise."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return int(value)
+    if isinstance(value, str):
+        return _read_int(value, field)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise ValueError("%s must be an integer or a decimal string, not %r" % (field, value))
 
 

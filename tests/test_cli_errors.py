@@ -10,6 +10,7 @@ import pytest
 
 from regseq import cli
 from regseq import formulas as F
+from regseq import jsonio
 from regseq import operators
 from regseq import sequences
 from regseq.equations import EquationProblem
@@ -418,3 +419,68 @@ def test_malformed_generators_exit_three(capsys, command, gens):
                                  + command[1:])
     assert code == 3
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+# Integers written as text are read strictly: an optional sign and ASCII
+# digits.  int() alone also takes underscores, surrounding blanks and the
+# digits of other scripts, which misread each of these without a word.
+MALFORMED_INTEGERS = {
+    "operator-underscore": ["eval", "--seq", "{pow2}", "--n", "3", "--op", '["1_0"," 2"]'],
+    "operator-blank": ["eval", "--seq", "{pow2}", "--n", "3", "--op", '["-2"," 1"]'],
+    "spec-underscore": ["eval", "--seq", "{pow10}", "--n", "3"],
+    "gens-underscore": ["mann", "enumerate", "--gens", "1_0,3", "--bound", "50"],
+    "gens-blank": ["mann", "enumerate", "--gens", "2, 3", "--bound", "50"],
+    "option-underscore": ["eval", "--seq", "{pow2}", "--n", " 1_0"],
+    "option-arabic-digit": ["classify", "--seq", "{pow2}", "--op", "[-2,1]",
+                            "--budget", "٣"],
+    "formula-arabic-digit": ["decide", "--seq", "{pow2}", "--formula", "{three}"],
+    "formula-arabic-modulus": ["decide", "--seq", "{pow2}", "--formula", "{divides}"],
+    "equation-arabic-index": ["mann", "solve", "--gens", "2,3",
+                              "--eq", "x1 - x٢ = 1"],
+    "equation-underscore-rhs": ["mann", "solve", "--gens", "2,3", "--eq", "x1 - x2 = 1_0"],
+}
+
+
+def _integer_files(tmp_path):
+    files = {"pow2": tmp_path / "pow2.json", "pow10": tmp_path / "pow10.json",
+             "three": tmp_path / "three.trf", "divides": tmp_path / "divides.trf"}
+    files["pow2"].write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    files["pow10"].write_text(json.dumps({"kind": "power", "q": "1_0"}), encoding="utf-8")
+    files["three"].write_text("E x in R. x = ٣", encoding="utf-8")
+    files["divides"].write_text("E x in R. D٣(x)", encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_INTEGERS))
+def test_malformed_integer_exits_three(tmp_path, capsys, label):
+    files = _integer_files(tmp_path)
+    argv = [arg.format(**files) for arg in MALFORMED_INTEGERS[label]]
+    code, err = _exit_and_stderr(capsys, argv)
+    assert code == 3, label
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+    assert "decimal integer" in err or "cannot parse equation" in err, err
+
+
+def test_signed_and_json_integers_still_read(tmp_path, capsys):
+    pow2 = _pow2_file(tmp_path)
+    code, _ = _exit_and_stderr(capsys, ["mann", "enumerate", "--gens=-2,3", "--bound", "20"])
+    assert code == 0
+    capsys.readouterr()
+    # -r_3 + 2 r_4 = -8 + 32
+    assert cli.main(["eval", "--seq", pow2, "--n", "+3", "--op", '["-1", 2]']) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": "3", "op": ["-1", "2"],
+                                                   "value": "24"}
+    assert cli.main(["eval", "--seq", pow2, "--n", "3", "--op", "[-1, 2]"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "24"
+    tokens = F._lex("D12(x + 30)")
+    assert ("DIV", 12, 0) in tokens and ("NUM", 30, 8) in tokens
+
+
+@pytest.mark.parametrize("text", ["1_0", " 2", "2 ", "٣", "", "-", "+-1", "1.0"])
+def test_read_int_refuses(text):
+    with pytest.raises(ValueError, match="decimal integer"):
+        jsonio._read_int(text, "field")
+
+
+def test_read_int_reads_a_sign_and_digits():
+    assert [jsonio._read_int(t, "field") for t in ("0", "-1", "+2", "0042")] == [0, -1, 2, 42]
