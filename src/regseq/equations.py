@@ -346,10 +346,9 @@ def _completeness_data(handle, ops, z, s):
     if k_dom is None:
         return _bounded_completeness(s)
 
+    # u* r_L > A + |z| already holds: r_L >= rho^(L - n0) and L - n0 exceeds
+    # G + 1 - d_max, so every term past the anchor bound outweighs the target.
     L = max(n0, k_dom) + G + d_max + 2
-    if z != 0:
-        while u_star * handle.eval(L) <= abs(z):
-            L += 1
     box = L + (s - 1) * (G + 1)
     if box > ANCHOR_SCAN_BUDGET:
         return _Completeness(G, ANCHOR_SCAN_BUDGET, BoundedCheck(ANCHOR_SCAN_BUDGET))

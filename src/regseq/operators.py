@@ -362,7 +362,7 @@ def solve_inhomogeneous(op, handle, z, budget=DEFAULT_BUDGET):
 
 
 def _target_cutoff(op, handle, cls, z):
-    """First index from which |f(n)| > |z| holds forever, given a Proved
+    """An index from which |f(n)| > |z| holds forever, given a Proved
     FiniteRoots classification."""
     if cls.lower_bound is not None:
         n = cls.cutoff
@@ -371,19 +371,13 @@ def _target_cutoff(op, handle, cls, z):
             n += 1
         return n
     # Partial-kill geometric case: f(n) = sum c_j v_j q_j^n with the overall
-    # top base killed; the surviving top term still runs away, just slower.
+    # top base killed.  Past cls.cutoff the surviving top term is more than
+    # twice the rest, so |f(n)| > lead q_top^n / 2, which exceeds |z| from
+    # the first n with lead q_top^n > 2 |z| on.
     expansion = sq.power_base_expansion(handle.spec)
     assert expansion is not None, "lower-bound-free Proved verdicts are geometric"
-    q_top, lead, tail = _live_terms(op, expansion)
-    t_mass = sum(m for _, m in tail)
-    q2 = max((q for q, _ in tail), default=1)
-    n = cls.cutoff
-    while True:
-        envelope = lead * q_top ** n - t_mass * q2 ** n
-        growth_ok = lead * (q_top - 1) * q_top ** n > t_mass * max(1, q2 - 1) * q2 ** n
-        if envelope > abs(z) and growth_ok:
-            return n
-        n += 1
+    q_top, lead, _ = _live_terms(op, expansion)
+    return max(cls.cutoff, sq._geometric_cutoff(lead, 2 * abs(z), q_top, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,249 @@
+"""Reachable branches pinned one by one, each against an oracle.
+
+Every test here drives one branch that no other test runs and checks the
+answer with formulas.eval_ground or equations.brute_force (or, for a single
+operator, a direct scan of operators.apply):
+
+* operators._target_cutoff when a geometric sequence's top base is killed;
+* decide._single_var_set on a cofinitely vanishing operator, and on a
+  negated bare membership;
+* a ground literal inside a disjunct;
+* decide._bounded_disjunct finding a witness;
+* the {"value": v} witness of a bounded integer variable;
+* substitution of a bounded integer into Sigma arguments;
+* verify-ax6 reporting "inconclusive" (exit 2);
+* solve_inhomogeneous on a cofinitely vanishing operator;
+* an order-1 recurrence c * q^n;
+* a large target, whose anchor bound must already outgrow it.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from regseq import cli
+from regseq import equations as E
+from regseq import formulas as F
+from regseq import sequences as S
+from regseq.decide import decide
+from regseq.operators import CofiniteZero, FiniteRoots, Operator, _target_cutoff, \
+    apply, classify, solve_inhomogeneous
+from regseq.sequences import SequenceSpec, make_handle
+
+POW2 = make_handle(SequenceSpec.power(2))
+SUM23 = SequenceSpec.from_json({"kind": "sum", "parts": [{"kind": "power", "q": "2"},
+                                                         {"kind": "power", "q": "3"}]})
+SUM235 = SequenceSpec.from_json({"kind": "sum",
+                                 "parts": [{"kind": "power", "q": "2"},
+                                           {"kind": "power", "q": "3"},
+                                           {"kind": "power", "q": "5"}]})
+WINDOW = 120
+
+
+def scan(op, handle, z, top=WINDOW):
+    return [n for n in range(top) if apply(op, handle, n) == z]
+
+
+def matrix_holds(text, handle, witness):
+    """Whether the matrix under the leading R-quantifiers holds at the
+    witness indices."""
+    node = F.parse(text)
+    while isinstance(node, F.ExistsInR):
+        node = node.body
+    return F.eval_ground(node, handle, {v: n for v, (_, n) in witness.items()})
+
+
+# ---------------------------------------------------------------------------
+# operators._target_cutoff: the top base killed
+# ---------------------------------------------------------------------------
+
+# (spec, operator): each operator kills the top base of the sequence but not
+# every base, so classify proves FiniteRoots without a lower bound in r_n.
+PARTIAL_KILLS = [
+    (SUM23, [-3, 1]),          # -2^n
+    (SUM23, [0, -3, 1]),       # -2^(n+1)
+    (SUM23, [3, -4, 1]),       # (X - 1)(X - 3): -2^n
+    (SUM23, [-9, 0, 1]),       # (X - 3)(X + 3): -5 * 2^n
+    (SUM235, [-5, 1]),         # -3 * 2^n - 2 * 3^n
+    (SUM235, [15, -8, 1]),     # (X - 3)(X - 5): 3 * 2^n
+    (SUM235, [25, -15, 2]),    # (X - 5)(2X - 5): -2 * 3^n + 3 * 2^n
+]
+TARGETS = [-8, -2, 1, 3, 5, -7, -18, 24, -2 ** 40, -(2 ** 40) - 1, 3 * 2 ** 30,
+           -3 * 2 ** 20 - 2 * 3 ** 20, -3 * 2 ** 7 - 2 * 3 ** 7 + 1]
+
+
+@pytest.mark.parametrize("spec,coeffs", PARTIAL_KILLS, ids=lambda v: json.dumps(
+    v.to_json() if hasattr(v, "to_json") else v))
+def test_partial_kill_solutions_match_a_scan(spec, coeffs):
+    handle = make_handle(spec)
+    op = Operator(coeffs)
+    cls = classify(op, handle)
+    assert isinstance(cls, FiniteRoots) and cls.cert.is_proved
+    assert cls.lower_bound is None
+    for z in TARGETS:
+        sols, cert = solve_inhomogeneous(op, handle, z)
+        assert cert.is_proved
+        assert sols == scan(op, handle, z), (coeffs, z)
+        # the cutoff is a true bound: |f| stays above |z| past it
+        cut = _target_cutoff(op, handle, cls, z)
+        assert all(abs(apply(op, handle, n)) > abs(z) for n in range(cut, cut + 40))
+
+
+def test_partial_kill_finds_far_solutions():
+    handle = make_handle(SUM23)
+    op = Operator([-3, 1])
+    assert solve_inhomogeneous(op, handle, -8)[0] == [3]
+    assert solve_inhomogeneous(op, handle, -2 ** 40)[0] == [40]
+    assert solve_inhomogeneous(op, handle, -2 ** 90)[0] == [90]
+    assert solve_inhomogeneous(op, handle, 2 ** 40)[0] == []
+    for coeffs in ([-5, 1], [25, -15, 2]):
+        mixed, handle = Operator(coeffs), make_handle(SUM235)
+        for m in range(3, 60):
+            # the surviving bases cancel in part when their signs differ, so
+            # |f(m)| falls below lead * 3^m: the cutoff must allow for it
+            assert solve_inhomogeneous(mixed, handle, apply(mixed, handle, m))[0] == [m]
+
+
+# ---------------------------------------------------------------------------
+# decide: literal compilation and disjunct routes
+# ---------------------------------------------------------------------------
+
+def test_cofinitely_vanishing_literal_compiles_to_a_cofinite_set():
+    # f[-2,1] vanishes on every power of two; x > 3 then picks the witness
+    text = "E x in R. f[-2,1](x) = 0 & x > 3"
+    verdict = decide(F.parse(text), POW2)
+    assert verdict.is_true()
+    assert matrix_holds(text, POW2, verdict.witness)
+    assert F.eval_ground(F.parse(text), POW2, budget=20)
+    # the negation has no witness in any window
+    refuted = decide(F.parse("E x in R. f[-2,1](x) != 0"), POW2)
+    assert refuted.is_false() and refuted.certificate.is_proved
+    assert not F.eval_ground(F.parse("E x in R. f[-2,1](x) != 0"), POW2, budget=40)
+
+
+def test_negated_bare_membership_is_empty():
+    text = "E x in R. !(x in R)"
+    verdict = decide(F.parse(text), POW2)
+    assert verdict.is_false() and verdict.certificate.is_proved
+    assert not F.eval_ground(F.parse(text), POW2, budget=40)
+
+
+def test_ground_literal_inside_a_disjunct():
+    text = "E x in R. x = 4 & 1 = 2"
+    verdict = decide(F.parse(text), POW2)
+    assert verdict.is_false() and verdict.certificate.is_proved
+    assert verdict.certificate.to_json() == {"level": "Proved",
+                                             "reason": "fragment-decision"}
+    assert not F.eval_ground(F.parse(text), POW2, budget=40)
+    # the same literal true leaves the other conjunct to decide
+    kept = decide(F.parse("E x in R. x = 4 & 2 = 2"), POW2)
+    assert kept.is_true() and kept.witness == {"x": ("index", 2)}
+
+
+def test_bounded_disjunct_finds_the_witness():
+    # two equations in one disjunct go to the bounded search
+    text = "E x in R. E y in R. x + y = 6 & y - x = 2"
+    verdict = decide(F.parse(text), POW2)
+    assert verdict.is_true()
+    assert verdict.witness == {"x": ("index", 1), "y": ("index", 2)}
+    assert matrix_holds(text, POW2, verdict.witness)
+    assert F.eval_ground(F.parse(text), POW2, budget=20)
+
+
+def test_bounded_integer_witness_is_a_value():
+    text = "E k <= 3. E x in R. x = k + 1"
+    verdict = decide(F.parse(text), POW2)
+    assert verdict.is_true()
+    report = verdict.to_json(POW2)
+    k = report["witness"]["k"]
+    assert k == {"value": 0}
+    x = report["witness"]["x"]
+    assert x["element"] == POW2.eval(x["index"]) == k["value"] + 1
+    body = F.parse("E x in R. x = %d + 1" % k["value"])
+    assert F.eval_ground(body, POW2, budget=20)
+
+
+def test_bounded_integer_substituted_into_sigma_arguments():
+    text = "E k <= 3. Sigma{D=[(y1 + y2)]}(k + 5)"
+    verdict = decide(F.parse(text), POW2)
+    assert verdict.is_true()
+    witness = verdict.to_json(POW2)["witness"]
+    k = witness.pop("k")["value"]
+    y1, y2 = (witness[v]["element"] for v in sorted(witness))
+    assert y1 + y2 == k + 5
+    assert F.eval_ground(F.parse("Sigma{D=[(y1 + y2)]}(%d)" % (k + 5)), POW2, budget=20)
+    # 7 is no sum of two powers of two, so the witness of k + 7 is k = 1
+    assert not F.eval_ground(F.parse("Sigma{D=[(y1 + y2)]}(7)"), POW2, budget=20)
+    later = decide(F.parse("E k <= 3. Sigma{D=[(y1 + y2)]}(k + 7)"), POW2)
+    assert later.is_true() and later.witness["k"] == ("value", 1)
+    assert F.eval_ground(F.parse("Sigma{D=[(y1 + y2)]}(8)"), POW2, budget=20)
+
+
+# ---------------------------------------------------------------------------
+# verify-ax6, solve_inhomogeneous and an order-1 recurrence
+# ---------------------------------------------------------------------------
+
+def test_verify_ax6_with_a_trivial_operator_is_inconclusive(tmp_path, capsys):
+    seq = tmp_path / "pow2.json"
+    seq.write_text(json.dumps({"kind": "power", "q": "2"}), encoding="utf-8")
+    code = cli.main(["verify-ax6", "--seq", str(seq), "--ops", "[-2,1];[1]"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report == {"axiom": "Ax6", "status": "inconclusive",
+                      "reason": "trivial-operator-present"}
+    # f[-2,1] vanishes at every index of the window: a trivial operator
+    problem = E.EquationProblem(POW2, [[-2, 1]], 0)
+    assert len(E.brute_force(problem, 30)) == 31
+
+
+def test_solve_inhomogeneous_on_a_cofinitely_vanishing_operator():
+    # r = 1, 3, 4, 8, 16, ...: f[-2,1] is 1, -2, then 0 from index 2 on
+    table = make_handle(SequenceSpec.table([1, 3] + [2 ** k for k in range(2, 61)]))
+    op = Operator([-2, 1])
+    cls = classify(op, table)
+    assert isinstance(cls, CofiniteZero) and cls.exceptions == (0, 1)
+    for z in (1, -2, 5, -1):
+        sols, cert = solve_inhomogeneous(op, table, z)
+        expected = sorted(n for (n,), _ in E.brute_force(E.EquationProblem(table, [op], z), 40))
+        assert sols == expected, z
+        assert cert == cls.cert
+    assert solve_inhomogeneous(op, POW2, 3) == ([], classify(op, POW2).cert)
+
+
+def test_order_one_recurrence_is_geometric():
+    spec = SequenceSpec.recurrence([3], [2])          # 2 * 3^n
+    handle = make_handle(spec)
+    assert S.power_base_expansion(spec) == [(3, 2)]
+    assert handle.values(4) == [2, 6, 18, 54, 162]
+    killed = classify(Operator([-3, 1]), handle)
+    assert isinstance(killed, CofiniteZero) and killed.cert.is_proved
+    kept = classify(Operator([-2, 1]), handle)
+    assert isinstance(kept, FiniteRoots) and kept.cert.is_proved
+    assert kept.lower_bound == Fraction(1, 2)      # lead 2 over twice the mass 2
+    assert solve_inhomogeneous(Operator([-2, 1]), handle, 54)[0] == scan(
+        Operator([-2, 1]), handle, 54)
+    problem = E.EquationProblem(handle, [[1], [1], [-1]], 0)
+    description = E.solve_full(problem)
+    assert description.certificate.is_proved
+    assert description.instantiate(12) == {t for t, _ in E.brute_force(problem, 12)}
+
+
+@pytest.mark.parametrize("spec,ops,z", [
+    (SequenceSpec.power(2), [[1], [1]], 2 ** 30 + 2 ** 5),
+    (SequenceSpec.power(2), [[1], [-1]], 2 ** 35 - 2 ** 3),
+    (SequenceSpec.recurrence([1, 1], [1, 2]), [[1], [1]], 10 ** 6),
+    (SUM23, [[1], [1], [1]], 3 ** 20),
+])
+def test_large_target_lies_below_the_anchor_bound(spec, ops, z):
+    handle = make_handle(spec)
+    problem = E.EquationProblem(handle, ops, z)
+    s = problem.s
+    data = E._completeness_data(handle, problem.operators, z, s)
+    assert data.cert.is_proved
+    # the anchor bound L already outweighs the target (no extension needed)
+    anchor = data.box - (s - 1) * (data.gap + 1)
+    u_star = E._uniform_value_bound(handle, sum(op.mass() for op in problem.operators))
+    assert u_star * handle.eval(anchor) > abs(z)
+    description = E.solve_full(problem)
+    assert description.instantiate(40) == {t for t, _ in E.brute_force(problem, 40)}
