@@ -65,6 +65,15 @@ _SYMBOLS = ("!=", "<=", "+", "-", "*", "=", ">", "(", ")", "[", "]",
             "{", "}", ",", ".", "&", "|", "!")
 
 
+def _lex_int(digits, field, pos):
+    """The digits of a number or a D<m> modulus, read by the one strict
+    integer reader (so digits of other scripts are refused)."""
+    try:
+        return _read_int(digits, field)
+    except ValueError as exc:
+        raise FormulaSyntaxError(str(exc), pos) from None
+
+
 def _lex(text):
     tokens = []
     i, n = 0, len(text)
@@ -77,7 +86,7 @@ def _lex(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("NUM", _read_int(text[i:j], "number"), i))
+            tokens.append(("NUM", _lex_int(text[i:j], "number", i), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -87,7 +96,7 @@ def _lex(text):
             word = text[i:j]
             # D<m> is a divisibility head when the digits are glued on
             if word[0] == "D" and len(word) > 1 and word[1:].isdigit():
-                tokens.append(("DIV", _read_int(word[1:], "modulus"), i))
+                tokens.append(("DIV", _lex_int(word[1:], "modulus", i), i))
             else:
                 tokens.append(("NAME", word, i))
             i = j

@@ -484,3 +484,9 @@ def test_read_int_refuses(text):
 
 def test_read_int_reads_a_sign_and_digits():
     assert [jsonio._read_int(t, "field") for t in ("0", "-1", "+2", "0042")] == [0, -1, 2, 42]
+
+
+@pytest.mark.parametrize("text", ["E x in R. x = ٣", "E x in R. D٣(x)", "E x in R. x = ²"])
+def test_formula_digits_of_other_scripts_are_syntax_errors(text):
+    with pytest.raises(F.FormulaSyntaxError, match="decimal integer"):
+        F.parse(text)
