@@ -29,7 +29,8 @@ The quantitative skeleton used to certify completeness:
   checked for valid offsets (min 0, distinct, sorted gaps <= G) and for a
   killed proper sub-block;
 * everything else inside the box [0, L*]^s is enumerated outright by the
-  same meet-in-the-middle on values.  For s >= 2 an index whose term is 0
+  same meet-in-the-middle on values, whose table holds one
+  operators.values window per variable.  For s >= 2 an index whose term is 0
   is left out (a zero term is a vanishing singleton), so every term of a
   hit is nonzero, and the vanishing sub-sum check is skipped where it
   cannot fail: for s = 2, and for s = 3 with z = 0

@@ -20,6 +20,12 @@ The certified reasons:
 
 Sequences that certify none of this (bare tables, Unknown ratio limits) get
 honest BoundedCheck verdicts from an exhaustive scan.
+
+values() is the one window evaluator: every scan of f over [0, N) (root and
+solution scans, the bounded verdict, the equation solver's value table,
+decide's literal windows and the axiom revalidations) sums slices of one
+sequence prefix, and raises what apply would at the first missing term.
+apply evaluates f at a single index.
 """
 
 from fractions import Fraction
