@@ -56,10 +56,10 @@ INT_OPTIONS = ("a", "budget", "bound", "d", "exp_bound", "horizon", "modulus",
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; our convention reserves 2 for Unknown,
-    so usage errors are remapped to 3."""
+    so usage errors are remapped to 3, with the one-line error and without
+    the usage line (``--help`` prints that)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(EXIT_USAGE)
 

@@ -55,8 +55,9 @@ from .subsums import _meet_in_the_middle
 DNF_CAP = 256
 INT_PRODUCT_CAP = 4096
 CANDIDATE_CAP = 4096
-# Default budget of decide, and of verify_ax5 and verify_ax6.
-DECIDE_BUDGET = 64
+# Default budget of decide (formulas' own, which eval_ground shares), and of
+# verify_ax5 and verify_ax6.
+DECIDE_BUDGET = F.DECIDE_BUDGET
 AXIOM_BUDGET = 200
 # Least windows, whatever the budget: of a one-variable literal's index scan
 # and of the witness search of an equation.
@@ -399,9 +400,8 @@ def _solve_disjunct(handle, rvars, lits, budget):
         else:
             bounded.append(lit)
 
-    if bounded or len(equations) > 1:
-        return _bounded_disjunct(handle, rvars, lits, budget)
-
+    # before the route is chosen: a window constraint is exact on the
+    # bounded box, whose side is at most the budget
     empty_exact = [v for v in rvars
                    if constraints[v].is_empty() and constraints[v].cert.is_proved]
     if empty_exact:
@@ -409,6 +409,8 @@ def _solve_disjunct(handle, rvars, lits, budget):
     if any(constraints[v].is_empty() for v in rvars):
         return ("unknown", "bounded-constraint-empty")
 
+    if bounded or len(equations) > 1:
+        return _bounded_disjunct(handle, rvars, lits, budget)
     if not equations:
         return _independent_disjunct(handle, rvars, lits, constraints, side,
                                      budget)

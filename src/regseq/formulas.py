@@ -45,6 +45,9 @@ MAX_UNFOLD = 4096
 # Nesting levels (quantifiers, parentheses, operator arguments, '!' and unary
 # '-'); deeper input is rejected before it can exhaust the interpreter stack.
 MAX_NESTING = 64
+# Default search budget of decide (decide.DECIDE_BUDGET is this constant) and
+# of eval_ground.
+DECIDE_BUDGET = 64
 
 
 class FormulaSyntaxError(ValueError):
@@ -798,7 +801,7 @@ def _desugar_atom(node, unfolding):
 # Ground evaluation
 # ---------------------------------------------------------------------------
 
-def eval_ground(node, handle, assignment=None, budget=64):
+def eval_ground(node, handle, assignment=None, budget=DECIDE_BUDGET):
     """Direct big-integer evaluation of a (normalized or raw) formula under
     an index assignment for its R-variables.
 

@@ -12,7 +12,8 @@ The module provides
 * exact division, divisibility and lcm over Q,
 * rational roots of monic integer polynomials by Sturm bisection, and
   irreducibility over Q (degree <= 3 from the rational roots; higher degrees
-  through sympy's factorization, imported only for them),
+  by factoring modulo a prime, Hensel lifting and recombination, in exact
+  integer arithmetic),
 * synthetic division of a monic polynomial by (X - t) with t known only as a
   rational interval.
 
@@ -20,6 +21,12 @@ Intervals are pairs (lo, hi) of Fractions with lo <= hi.
 """
 
 from fractions import Fraction
+from itertools import combinations, zip_longest
+from math import isqrt
+
+# odd primes that keep P squarefree, tried before Hensel lifting (the
+# one with the fewest factors is lifted)
+IRREDUCIBILITY_PRIMES = 5
 
 
 def trim(coeffs):
@@ -68,11 +75,7 @@ def lcm(p, q):
     p, q = trim(p), trim(q)
     _require_monic_integer(p)
     _require_monic_integer(q)
-    g, r = p, q
-    while r:
-        g, r = r, _pdivmod(g, r)[1]
-    g = [Fraction(c) / g[-1] for c in g]
-    quo, _ = _pdivmod(p, g)
+    quo, _ = _pdivmod(p, _gcd(p, q))
     out = [0] * (len(quo) + len(q) - 1)
     for i, a in enumerate(quo):
         for j, b in enumerate(q):
@@ -113,21 +116,164 @@ def is_irreducible(coeffs):
     """Irreducibility over Q of a nonconstant monic integer polynomial.
 
     A reducible polynomial of degree 2 or 3 has a linear factor, so the
-    rational-root pass settles every degree up to 3; sympy's factorization
-    (complete at every degree) settles the rest and is imported only then.
+    rational-root pass settles every degree up to 3.  From degree 4 on, the
+    test is Zassenhaus's (1969) and complete:
+    * a square factor shows in gcd(P, P');
+    * else P is factored modulo the first IRREDUCIBILITY_PRIMES odd primes
+      that keep it squarefree (distinct-degree factorisation, then
+      Cantor-Zassenhaus splitting with probes in a fixed order), and P
+      irreducible modulo one of them is irreducible;
+    * else the factors modulo the prime with the fewest are Hensel-lifted
+      past twice the Mignotte bound, and P is reducible exactly when the
+      product of some subset of total degree <= n/2, in symmetric residues,
+      divides it over Z.
     """
     cs = trim(coeffs)
-    if degree(cs) < 1:
+    n = degree(cs)
+    if n < 1:
         return False
-    if degree(cs) == 1:
-        return True
-    if rational_roots(cs):
+    if n <= 3:
+        return n == 1 or not rational_roots(cs)
+    _require_monic_integer(cs)
+    deriv = [i * c for i, c in enumerate(cs)][1:]
+    if degree(_gcd(cs, deriv)) > 0:
         return False
-    if degree(cs) <= 3:
-        return True
-    import sympy
-    _, factors = sympy.Poly(list(reversed(cs)), sympy.Symbol("X")).factor_list()
-    return len(factors) == 1 and factors[0][1] == 1
+    best, p = None, 1
+    for _ in range(IRREDUCIBILITY_PRIMES):
+        while True:     # P is squarefree, so only finitely many primes are skipped
+            p += 2
+            if (all(p % q for q in range(3, isqrt(p) + 1, 2))
+                    and degree(_gcd_mod(cs, deriv, p)) == 0):
+                break
+        ddf = _distinct_degree(cs, p)
+        count = sum(degree(g) // d for g, d in ddf)
+        if count == 1:
+            return True
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
+    _, p, ddf = best
+    factors = [u for g, d in ddf for u in _equal_degree(g, d, p)]
+    # a monic factor of degree k <= n/2 has |coefficients| <= 2^k ||P||_2
+    bound = 2 ** (n // 2) * (isqrt(sum(c * c for c in cs)) + 1)
+    # Hensel lifting, linear.  a_i = (P/g_i)^(p^deg g_i - 2) inverts P/g_i
+    # modulo the irreducible g_i, so sum_i a_i P/g_i = 1 (mod p), and the
+    # error e = (P - prod g_i) / m corrects each g_i by m (a_i e mod g_i).
+    inv = [_pow_mod(_divmod_mod(cs, g, p)[0], p ** degree(g) - 2, g, p) for g in factors]
+    lifted, m = list(map(list, factors)), p
+    while m <= 2 * bound:
+        prod = [1]
+        for h in lifted:
+            prod = _mul_mod(prod, h, m * p)
+        err = [c // m for c in _sub(cs, prod)]
+        for h, g, a in zip(lifted, factors, inv):
+            for j, c in enumerate(_divmod_mod(_mul_mod(a, err, p), g, p)[1]):
+                h[j] += m * c
+        m *= p
+    for size in range(1, n // 2 + 1):
+        for subset in combinations(lifted, size):
+            if sum(map(degree, subset)) <= n // 2:
+                g = [1]
+                for h in subset:
+                    g = _mul_mod(g, h, m)
+                if divides([c - m if 2 * c > m else c for c in g], cs):
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Polynomials modulo an integer m (a prime, or a prime power for monic divisors)
+# ---------------------------------------------------------------------------
+
+def _gcd(p, q):
+    """Monic gcd over Q by Euclid's algorithm."""
+    g, r = trim(p), trim(q)
+    while r:
+        g, r = r, _pdivmod(g, r)[1]
+    return [Fraction(c) / g[-1] for c in g]
+
+
+def _sub(a, b):
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _mod(a, m):
+    return trim([c % m for c in a])
+
+
+def _mul_mod(a, b, m):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _mod(out, m)
+
+
+def _divmod_mod(a, b, m):
+    """Quotient and remainder modulo m; the lead of b is a unit mod m."""
+    rem, b = _mod(a, m), _mod(b, m)
+    inv = pow(b[-1], -1, m)
+    quo = [0] * max(0, len(rem) - len(b) + 1)
+    for k in reversed(range(len(quo))):
+        quo[k] = c = rem[k + len(b) - 1] * inv % m
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % m
+    return trim(quo), trim(rem[:len(b) - 1])
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd modulo the prime p."""
+    a, b = _mod(a, p), _mod(b, p)
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a]
+
+
+def _pow_mod(a, e, f, p):
+    """a^e modulo (f, p)."""
+    out, a = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, a, p), f, p)[1]
+        a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _distinct_degree(f, p):
+    """[(g, d)]: g the product of the monic degree-d factors of the
+    squarefree f modulo p, one entry per degree that occurs."""
+    f, h, d, out = _mod(f, p), [0, 1], 0, []
+    while 2 * (d + 1) <= degree(f):
+        d += 1
+        h = _pow_mod(h, p, f, p)
+        g = _gcd_mod(f, _sub(h, [0, 1]), p)
+        if degree(g) > 0:
+            out.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if degree(f) > 0:
+        out.append((f, degree(f)))
+    return out
+
+
+def _equal_degree(g, d, p):
+    """The monic irreducible factors, all of degree d, of g modulo the odd
+    prime p.  The probes a run through every nonconstant polynomial of degree
+    < deg g in base-p order; one with a = 0 mod one factor and a = 1 mod
+    another splits g, so the search ends."""
+    if degree(g) == d:
+        return [g]
+    k = p
+    while True:
+        a, j = [], k
+        while j:
+            j, c = divmod(j, p)
+            a.append(c)
+        k += 1
+        b = _pow_mod(a, (p ** d - 1) // 2, g, p)
+        u = _gcd_mod(g, _sub(b, [1]), p)
+        if 0 < degree(u) < degree(g):
+            return _equal_degree(u, d, p) + _equal_degree(_divmod_mod(g, u, p)[0], d, p)
 
 
 # ---------------------------------------------------------------------------

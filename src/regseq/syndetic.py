@@ -18,6 +18,9 @@ from fractions import Fraction
 
 VALUE_PATIENCE = 8
 INDEX_CEILING = 100000
+# partial sums z + f_1(n_1) + ... + f_i(n_i) one image-sum enumeration may
+# visit: k operators with w values each in the window make up to w^k of them
+PARTIAL_SUM_CAP = 10 ** 6
 
 
 class EnumerableSet:
@@ -86,7 +89,10 @@ def _image_sums(handle, ops, z, n):
             acc += min(lst) if lst else 0
         tails.reverse()
 
+    visited = 0
+
     def rec(i, acc):
+        nonlocal visited
         if i == len(lists):
             if 0 <= acc <= n:
                 out.add(acc)
@@ -94,6 +100,11 @@ def _image_sums(handle, ops, z, n):
         for v in lists[i]:
             if nonneg and acc + v + tails[i] > n:
                 break
+            visited += 1
+            if visited > PARTIAL_SUM_CAP:
+                raise ValueError("image sum visits more than %d partial sums "
+                                 "(syndetic.PARTIAL_SUM_CAP); use fewer operators "
+                                 "or a smaller horizon" % PARTIAL_SUM_CAP)
             rec(i + 1, acc + v)
 
     rec(0, z)

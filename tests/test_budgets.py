@@ -1,15 +1,19 @@
 """Inputs whose cost used to grow without a stated budget, and the one scan
 behind both kinds of Mann equation."""
 
+import inspect
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from regseq import cli
 from regseq import formulas as F
-from regseq.decide import CANDIDATE_CAP, Verdict, _smallest_combinations, decide
+from regseq.decide import CANDIDATE_CAP, DECIDE_BUDGET, Verdict, _smallest_combinations, \
+    decide
 from regseq.mann import MannMonoid, solve_unit
 from regseq.sequences import SequenceSpec, make_handle
 
@@ -105,3 +109,24 @@ def test_unfolding_is_counted_per_formula(tmp_path, capsys):
     seq.write_text('{"kind": "power", "q": "2"}')
     assert cli.main(["decide", "--seq", str(seq), "--formula", str(formula)]) == 3
     assert "in the formula, more than %d" % F.MAX_UNFOLD in capsys.readouterr().err
+
+
+def test_decide_and_eval_ground_share_one_default_budget():
+    default = inspect.signature(F.eval_ground).parameters["budget"].default
+    assert DECIDE_BUDGET is F.DECIDE_BUDGET is default
+    assert inspect.signature(decide).parameters["budget"].default is default
+
+
+def test_image_sum_stops_at_the_partial_sum_cap(tmp_path, capsys):
+    # eight copies of [1, -1] on pow2: 21 values each within the horizon, so
+    # about 21^8 partial sums, hours of enumeration without the cap
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"kind": "image-sum", "seq": {"kind": "power", "q": "2"},
+                                "ops": [["1", "-1"]] * 8}), encoding="utf-8")
+    start = time.perf_counter()
+    code = cli.main(["syndetic", "gap-runs", "--set", str(path),
+                     "--horizon", "1048576", "--d", "3"])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: image sum visits more than") and err.count("\n") == 1

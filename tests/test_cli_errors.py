@@ -490,3 +490,12 @@ def test_read_int_reads_a_sign_and_digits():
 def test_formula_digits_of_other_scripts_are_syntax_errors(text):
     with pytest.raises(F.FormulaSyntaxError, match="decimal integer"):
         F.parse(text)
+
+
+@pytest.mark.parametrize("argv", [["decide", "--seq", "pow2.json"], [], ["classify", "--bogus"]])
+def test_usage_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

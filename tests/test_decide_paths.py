@@ -2,9 +2,10 @@
 
 The first tests walk the case loop of decide._description_empty (a family
 that survives the constraints, and families excluded by them), a negated
-Sigma atom that is refuted or proved, and an UnknownBeyond passed through a
-universal quantifier.  Each pinned answer is checked against a bounded
-evaluation with formulas.eval_ground.  The battery then asks seeded
+Sigma atom that is refuted or proved, an UnknownBeyond passed through a
+universal quantifier, and a constraint Proved empty on the bounded route.
+Each pinned answer is checked against a bounded evaluation with
+formulas.eval_ground.  The battery then asks seeded
 sentences over four sequences: every False verdict must carry a Proved
 certificate and fail a bounded evaluation, and every True witness of an
 existential sentence must satisfy its matrix.
@@ -94,6 +95,15 @@ def test_universal_passes_an_unknown_dual_through():
     assert verdict.to_json(POW2) == dual.to_json(POW2)
     # 2^a + 5 is odd, so no counterexample exists in any window
     assert F.eval_ground(F.parse(text), POW2, budget=64)
+
+
+def test_empty_constraint_is_read_before_the_bounded_route():
+    # D2(x + y) sends the disjunct to bounded search; x = 4 is Proved empty
+    # on fib, and the answer must say so whatever the route
+    text = "E x in R. E y in R. D2(x + y) & x = 4"
+    verdict = run(text, FIB)
+    assert verdict.is_false() and verdict.certificate.is_proved
+    assert not F.eval_ground(F.parse(text), FIB, budget=40)
 
 
 # ---------------------------------------------------------------------------

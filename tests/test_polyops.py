@@ -1,8 +1,8 @@
 """The exact polynomial engine against sympy, which is the reference here.
 
-polyops does its own division, lcm, rational roots and degree <= 3
-irreducibility; sympy is imported only to factor a polynomial of degree >= 4
-that has no rational root.
+polyops does its own division, lcm, rational roots and irreducibility at
+every degree (Zassenhaus from degree 4 on); the program never imports sympy,
+only these tests do.
 """
 
 import json
@@ -69,6 +69,52 @@ def test_is_irreducible_matches_sympy():
         assert polyops.is_irreducible(cs) == want, cs
 
 
+# Fixed degree >= 4 cases: X^4 + 1 and X^4 - 10X^2 + 1 are irreducible but
+# reducible modulo every prime, and so is (X - 1)^4 - 10(X - 1)^2 + 1, whose
+# dominant real root is 1 + sqrt 2 + sqrt 3; the degree-8 minimal polynomial
+# of sqrt 2 + sqrt 3 + sqrt 5; tetranacci and pentanacci.
+ZASSENHAUS_CASES = [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-8, 16, -4, -4, 1],
+                    [576, 0, -960, 0, 352, 0, -40, 0, 1],
+                    [-1, -1, -1, -1, 1], [-1, -1, -1, -1, -1, 1]]
+
+
+def zassenhaus_battery(seed=20261019, count=140):
+    """Seeded monic polynomials of degree 4-10: random ones, products of two
+    factors, products with a repeated factor, and both kinds with coefficients
+    near 10^30, after the fixed cases and the cyclotomic polynomials."""
+    rng = random.Random(seed)
+    out = list(ZASSENHAUS_CASES)
+    out += [[int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(k, X), X).all_coeffs())]
+            for k in (5, 7, 8, 9, 11, 12, 15, 16, 20, 22, 24, 30)]
+    for k in range(count):
+        n, kind = 4 + k % 7, k // 7 % 5
+        a = rng.randint(1, n // 2)
+        if kind == 0:
+            out.append(random_monic(rng, n))
+        elif kind == 1:
+            out.append(product(random_monic(rng, a), random_monic(rng, n - a)))
+        elif kind == 2:
+            g = random_monic(rng, a)
+            out.append(product(g, g, random_monic(rng, n - 2 * a)))
+        elif kind == 3:
+            out.append([rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)] + [1])
+        else:
+            big = [rng.randint(-10 ** 15, 10 ** 15) for _ in range(n)]
+            out.append(product(big[:a] + [1], big[a:] + [1]))
+    return out
+
+
+def test_is_irreducible_matches_sympy_from_degree_four():
+    answers = []
+    for cs in zassenhaus_battery():
+        _, factors = to_sympy(cs).factor_list()
+        want = len(factors) == 1 and factors[0][1] == 1
+        assert polyops.is_irreducible(cs) == want, cs
+        answers.append(want)
+    assert answers[:len(ZASSENHAUS_CASES)] == [True] * len(ZASSENHAUS_CASES)
+    assert 40 < sum(answers) < len(answers) - 40
+
+
 def test_divides_and_lcm_match_sympy():
     polys = battery(seed=7, count=80)
     for p, q in zip(polys, polys[1:]):
@@ -125,7 +171,7 @@ def test_sympy_stays_off_the_import_path():
     assert out.split() == ["False", "False"]
 
 
-def test_degree_four_irreducibility_still_uses_sympy(tmp_path):
+def test_degree_four_irreducibility_needs_no_sympy(tmp_path):
     spec = tmp_path / "tetranacci.json"
     spec.write_text(json.dumps({"kind": "recurrence",
                                 "coeffs": ["1", "1", "1", "1"],
@@ -139,7 +185,7 @@ def test_degree_four_irreducibility_still_uses_sympy(tmp_path):
     assert json.loads(report) == {
         "certificate": {"level": "Proved", "reason": "minpoly-divides"},
         "exceptions": [], "kind": "CofiniteZero"}
-    assert loaded == "True 0"
+    assert loaded == "False 0"
 
 
 def test_huge_constant_coefficient_classifies(tmp_path):
