@@ -45,8 +45,11 @@ EXIT_USAGE = 3
 # Ranges of the numeric options.  Each admits every documented example; far
 # past the ceiling one call could take minutes or gigabytes (the 2**n + n
 # table at --budget 100000 took 16 s and 670 MB).  A value outside exits 3.
-# `eval` computes every term up to n, at a cost growing about as n^2; at the
-# ceiling of --n, 2^n has 3,011 digits, below the 4,300 that Python prints.
+# `eval` computes every term up to n, at a cost growing about as n^2.  Reports
+# print integers of up to jsonio.MAX_DIGITS digits, which covers the built-in
+# kinds at the ceiling of --n (factorial's r_10000 = 10002!, 35,668 digits);
+# a longer element, such as a power of a 100-digit base, exits 3.  The
+# congruence walk stops at the same ceiling (congruence.MAX_STATES).
 OPTION_RANGES = {"budget": (1, 10_000), "horizon": (1, 2 ** 20),
                  "bound": (1, 10 ** 12), "exp_bound": (0, 4096),
                  "n": (0, 10_000)}

@@ -3,12 +3,14 @@
 Every supported sequence kind reduces to a finite-state machine modulo m:
 a recurrence walks its window of k residues, a power base multiplies one
 residue, factorial growth carries (residue, n mod m) since the step
-multiplier n+3 only matters mod m, and sums run their parts' machines in
-lockstep.  The finite state space forces the orbit onto a rho-shaped tail,
-which a first-repeat dictionary walk finds with minimal state preperiod and
-period; a residue-level minimization pass afterwards shrinks them further
-when the state carries extra bookkeeping (factorial does, and sum parts with
-unequal preperiods do).
+multiplier n+3 only matters mod m (until the residue is 0), and sums run
+their parts' machines in lockstep.  The finite state space forces the orbit
+onto a rho-shaped tail, which a first-repeat dictionary walk finds with
+minimal state preperiod and period; a residue-level minimization pass
+afterwards shrinks them further when the state carries extra bookkeeping
+(factorial does, and sum parts with unequal preperiods do).  The walk stops
+at MAX_STATES states: a longer orbit is refused (BoundedProfileError), and
+decide then scans its window instead.
 
 Table-backed sequences, and sums with a table part, have no finite state
 guarantee.  Their terms are streamed instead: the period is detected
@@ -24,6 +26,12 @@ from . import sequences as sq
 from .certs import Proved, BoundedCheck, merge
 
 STREAM_BUDGET = 4096
+# Most states a state-machine profile walks; past it the profile is refused
+# (BoundedProfileError).  It matches the ceiling of `eval --n`
+# (cli.OPTION_RANGES), so no index a profile hands to decide costs more to
+# evaluate than the CLI admits.  Without it, fib mod 1000003 would walk its
+# whole period of 2,000,008 states.
+MAX_STATES = 10_000
 
 
 class BoundedProfileError(ValueError):
@@ -159,10 +167,13 @@ def _machine(spec, m):
 
         return init, step, (lambda s: s[0])
     if spec.kind == sq.KIND_FACTORIAL:
-        # r_0 = 2 and r_{n+1} = (n+3) r_n; the multiplier is n+3 mod m.
+        # r_0 = 2 and r_{n+1} = (n+3) r_n; the multiplier is n+3 mod m.  A
+        # residue 0 stays 0, so its counter is dropped: (0, 0) is a fixed
+        # point, and mod a prime p the walk takes p states, not 2p - 1.
         def step(s):
             res, nm = s
-            return ((res * ((nm + 3) % m)) % m, (nm + 1) % m)
+            res = (res * ((nm + 3) % m)) % m
+            return (res, (nm + 1) % m if res else 0)
 
         return (2 % m, 0), step, (lambda s: s[0])
     if spec.kind == sq.KIND_SUM:
@@ -213,6 +224,11 @@ def profile(handle, m):
         residues = []
         n = 0
         while state not in seen:
+            if n == MAX_STATES:
+                raise BoundedProfileError(
+                    "no state repeats within %d steps modulo %d "
+                    "(congruence.MAX_STATES): no certified profile"
+                    % (MAX_STATES, m), residues)
             seen[state] = n
             residues.append(residue_of(state))
             state = step(state)
@@ -256,8 +272,7 @@ def _stream_profile(handle, m):
                 rho -= 1
             if all(residues[n] == residues[n + p] for n in range(rho, budget - p)) \
                     and rho + 5 * p <= budget:
-                rho2, p2 = _minimize(residues, rho, p)
-                return residues, rho2, p2
+                return residues, rho, p
     raise BoundedProfileError(
         "no period detected within the stream budget", residues[:64])
 

@@ -40,7 +40,8 @@ MAX_FORMULA_SIZE = 65536
 # Most literals the atoms of one formula may unfold into together: t > c gives
 # c + 1 of them and !Dm(t) gives m - 1, and each atom is counted before
 # normalization builds its literals.  Positive Dm(t) atoms do not unfold and
-# take any modulus.
+# take any modulus; their congruence profile walks at most
+# congruence.MAX_STATES states, and past that decide scans its window.
 MAX_UNFOLD = 4096
 # Nesting levels (quantifiers, parentheses, operator arguments, '!' and unary
 # '-'); deeper input is rejected before it can exhaust the interpreter stack.

@@ -4,7 +4,8 @@ Every integer is rendered as a decimal string so arbitrary-precision values
 survive any JSON reader, fractions render as "p/q", and floats are rejected
 outright — all arithmetic in this package is exact and a float in a report
 is a bug.  Keys are sorted and separators fixed, so equal reports produce
-byte-identical output.
+byte-identical output.  An integer of more than MAX_DIGITS digits is refused
+with a ValueError naming the ceiling.
 
 The _json_* validators read the integer and list fields of input specs
 (sequence specs and set specs alike): an integer is a JSON integer or a
@@ -17,15 +18,32 @@ underscores, blanks and other scripts' digits that int() also accepts.
 import json
 from fractions import Fraction
 
+# Most digits of an integer in a report.  It covers the built-in sequence
+# kinds at the ceiling of `eval --n` (cli.OPTION_RANGES): the factorial kind's
+# r_10000 is 10002!, 35,668 digits.
+MAX_DIGITS = 40_000
+
+
+def _decimal(n):
+    """n in decimal.  str() converts at most 4,300 digits, so a longer n (past
+    14,000 bits) goes through decimal, which has no such limit."""
+    if n.bit_length() <= 14_000:
+        return str(n)
+    if abs(n) >= 10 ** MAX_DIGITS:
+        raise ValueError("an integer in the report has more than %d digits "
+                         "(jsonio.MAX_DIGITS)" % MAX_DIGITS)
+    from decimal import Decimal
+    return str(Decimal(n))
+
 
 def canonical(obj):
     """Recursively convert a report structure to its canonical form."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        return _decimal(obj)
     if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator)
+        return "%s/%s" % (_decimal(obj.numerator), _decimal(obj.denominator))
     if isinstance(obj, float):
         raise TypeError("floats are not canonical; use int or Fraction")
     if isinstance(obj, dict):

@@ -10,10 +10,9 @@ The module provides
 * Sturm chains with root counting on half-open intervals (a, b],
 * bisection isolation of the largest real root above 1,
 * exact division, divisibility and lcm over Q,
-* rational roots of monic integer polynomials by Sturm bisection, and
-  irreducibility over Q (degree <= 3 from the rational roots; higher degrees
-  by factoring modulo a prime, Hensel lifting and recombination, in exact
-  integer arithmetic),
+* irreducibility over Q of monic integer polynomials, at every degree by
+  factoring modulo a prime, Hensel lifting and recombination, in exact
+  integer arithmetic,
 * synthetic division of a monic polynomial by (X - t) with t known only as a
   rational interval.
 
@@ -83,41 +82,11 @@ def lcm(p, q):
     return [int(c) for c in out]
 
 
-def rational_roots(coeffs):
-    """All rational roots of a monic integer polynomial, ascending.
-
-    They are integers (rational root theorem), so Sturm counts on intervals
-    with half-integer ends -- never a root -- bisect [-B, B] down to unit
-    width, and the one integer inside each unit interval that holds a root
-    is tested exactly.  The cost grows with log B, not with B."""
-    cs = trim(coeffs)
-    _require_monic_integer(cs)
-    chain = sturm_chain(cs)
-    half = Fraction(1, 2)
-    hi = cauchy_bound(cs) + half    # B is an integer for monic integer input
-    roots = []
-    # (lo, hi, sign variations at lo and at hi): a root lies between iff they differ
-    stack = [(-hi, hi, _sign_variations(chain, -hi), _sign_variations(chain, hi))]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        if vlo == vhi:
-            continue
-        if hi - lo == 1:
-            if peval(cs, lo + half) == 0:
-                roots.append(lo + half)
-            continue
-        mid = lo + (hi - lo) // 2
-        vmid = _sign_variations(chain, mid)
-        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-    return sorted(roots)
-
-
 def is_irreducible(coeffs):
     """Irreducibility over Q of a nonconstant monic integer polynomial.
 
-    A reducible polynomial of degree 2 or 3 has a linear factor, so the
-    rational-root pass settles every degree up to 3.  From degree 4 on, the
-    test is Zassenhaus's (1969) and complete:
+    Degree 1 is irreducible.  From degree 2 on, the test is Zassenhaus's
+    (1969) and complete:
     * a square factor shows in gcd(P, P');
     * else P is factored modulo the first IRREDUCIBILITY_PRIMES odd primes
       that keep it squarefree (distinct-degree factorisation, then
@@ -132,8 +101,8 @@ def is_irreducible(coeffs):
     n = degree(cs)
     if n < 1:
         return False
-    if n <= 3:
-        return n == 1 or not rational_roots(cs)
+    if n == 1:
+        return True
     _require_monic_integer(cs)
     deriv = [i * c for i, c in enumerate(cs)][1:]
     if degree(_gcd(cs, deriv)) > 0:

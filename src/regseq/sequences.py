@@ -325,7 +325,9 @@ class SequenceHandle:
     def _raw(self, n):
         s = self.spec
         if s.kind == KIND_POWER:
-            return s.q ** n
+            if n == 0:
+                return 1
+            return self.cache[n - 1] * s.q
         if s.kind == KIND_FACTORIAL:
             if n == 0:
                 return 2

@@ -12,6 +12,7 @@ import pytest
 
 from regseq import cli
 from regseq import formulas as F
+from regseq.congruence import MAX_STATES, BoundedProfileError, profile
 from regseq.decide import CANDIDATE_CAP, DECIDE_BUDGET, Verdict, _smallest_combinations, \
     decide
 from regseq.mann import MannMonoid, solve_unit
@@ -130,3 +131,45 @@ def test_image_sum_stops_at_the_partial_sum_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: image sum visits more than") and err.count("\n") == 1
+
+
+def test_congruence_walk_stops_at_the_state_cap(tmp_path, capsys):
+    # 2^n modulo 2^k - 1 has period exactly k, so its walk takes k states
+    assert MAX_STATES == 10_000
+    assert profile(POW2, 2 ** MAX_STATES - 1).p == MAX_STATES
+    with pytest.raises(BoundedProfileError, match="MAX_STATES") as info:
+        profile(POW2, 2 ** (MAX_STATES + 1) - 1)
+    assert info.value.prefix == [2 ** n for n in range(MAX_STATES)]
+    # the Pisano period of 10007 is 20016; decide scans its window instead
+    fib = {"kind": "recurrence", "coeffs": ["1", "1"], "initials": ["1", "2"]}
+    handle = make_handle(SequenceSpec.from_json(fib))
+    with pytest.raises(BoundedProfileError):
+        profile(handle, 10007)
+    verdict = decide(F.parse("E x in R. D10007(x + %d)" % (10007 - 89)), handle)
+    assert verdict.is_true() and verdict.witness["x"] == ("index", 9)
+    seq = tmp_path / "fib.json"
+    seq.write_text(json.dumps(fib), encoding="utf-8")
+    start = time.perf_counter()
+    code = cli.main(["periodicity", "--seq", str(seq), "--modulus", "10007"])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: no state repeats within %d steps" % MAX_STATES)
+    assert err.count("\n") == 1
+
+
+def test_factorial_walk_ends_at_its_first_zero():
+    # (n + 2)! mod the prime 9973 is 0 from n = 9971 on; the walk stops at
+    # the first repeat, well under the cap, as the residue 0 drops its counter
+    prof = profile(make_handle(SequenceSpec.factorial()), 9973)
+    assert (prof.rho, prof.p) == (9971, 1)
+
+
+def test_benchmark_moduli_stay_under_the_state_cap():
+    specs = [SequenceSpec.power(2), SequenceSpec.factorial(),
+             SequenceSpec.sum_of([SequenceSpec.power(2), SequenceSpec.power(3)])]
+    specs += [SequenceSpec.recurrence(c, i) for c, i in
+              (([1, 1], [1, 2]), ([1, 2], [1, 2]), ([1, 1, 1], [1, 2, 4]))]
+    for spec in specs:
+        for m in range(2, 25):
+            assert profile(make_handle(spec), m).p <= MAX_STATES

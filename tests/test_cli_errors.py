@@ -1,9 +1,12 @@
 """Malformed input gives exit 3 and a one-line error, never a traceback."""
 
 import json
+import math
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,6 +201,36 @@ def test_eval_index_ceiling_boundary(tmp_path, capsys):
                                           "--op", "[1,0,1]"])
     assert code == 3
     assert err == "error: --n plus the operator degree must be at most %d\n" % hi
+
+
+def test_eval_prints_elements_past_the_str_limit(tmp_path, capsys):
+    # r_n of the factorial kind is (n + 2)!: 35,668 digits at the ceiling of
+    # --n, more than the 4,300 that str() converts
+    seq = tmp_path / "factorial.json"
+    seq.write_text(json.dumps({"kind": "factorial"}), encoding="utf-8")
+    hi = cli.OPTION_RANGES["n"][1]
+    assert cli.main(["eval", "--seq", str(seq), "--n", str(hi)]) == 0
+    element = json.loads(capsys.readouterr().out)["element"]
+    assert len(element) == 35_668 <= jsonio.MAX_DIGITS
+    assert Decimal(element) == Decimal(math.factorial(hi + 2))
+    # a power of a 100-digit base passes the ceiling at n = 400
+    seq.write_text(json.dumps({"kind": "power", "q": str(10 ** 100)}), encoding="utf-8")
+    assert cli.main(["eval", "--seq", str(seq), "--n", "399"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["element"]) == 39_901
+    code, err = _exit_and_stderr(capsys, ["eval", "--seq", str(seq), "--n", "400"])
+    assert code == 3
+    assert err == "error: an integer in the report has more than %d digits " \
+        "(jsonio.MAX_DIGITS)\n" % jsonio.MAX_DIGITS
+
+
+def test_digit_ceiling_boundary():
+    top = 10 ** jsonio.MAX_DIGITS
+    for n in (top - 1, -(top - 1), 10 ** 4300, -10 ** 5000 - 7):
+        assert Decimal(jsonio.canonical(n)) == Decimal(n)
+    assert jsonio.canonical(Fraction(1, top - 1)) == "1/" + "9" * jsonio.MAX_DIGITS
+    for n in (top, -top, Fraction(top, 3)):
+        with pytest.raises(ValueError, match="jsonio.MAX_DIGITS"):
+            jsonio.canonical(n)
 
 
 def test_eval_out_of_range_exits_before_evaluating(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """The exact polynomial engine against sympy, which is the reference here.
 
-polyops does its own division, lcm, rational roots and irreducibility at
-every degree (Zassenhaus from degree 4 on); the program never imports sympy,
+polyops does its own division, lcm and irreducibility, the last by
+Zassenhaus's test at every degree from 2 on; the program never imports sympy,
 only these tests do.
 """
 
@@ -55,18 +55,46 @@ def battery(seed=20261018, count=150):
     return out
 
 
-def test_rational_roots_match_sympy():
-    for cs in battery():
-        want = sorted(Fraction(int(r.p), int(r.q))
-                      for r in sympy.roots(to_sympy(cs), filter="Q"))
-        assert polyops.rational_roots(cs) == want, cs
-
-
 def test_is_irreducible_matches_sympy():
     for cs in battery():
         _, factors = to_sympy(cs).factor_list()
         want = len(factors) == 1 and factors[0][1] == 1
         assert polyops.is_irreducible(cs) == want, cs
+
+
+def low_degree_battery(seed=20261020, count=200):
+    """Seeded monic polynomials of degree 2 and 3: random ones, products with
+    a linear factor, repeated roots such as X^2 (X - 1), coefficients near
+    10^30, and integer roots near 10^10 such as those of X^2 - 10^20."""
+    rng = random.Random(seed)
+    out = [[-10 ** 20, 0, 1], [-10 ** 20, -1, 1], [0, 0, -1, 1]]
+    for k in range(count):
+        n, kind = 2 + k % 2, k // 2 % 5
+        linear = [[rng.randint(-9, 9), 1] for _ in range(2)]
+        if kind == 0:
+            out.append(random_monic(rng, n))
+        elif kind == 1:
+            out.append(product(linear[0], random_monic(rng, n - 1)))
+        elif kind == 2:
+            out.append(product(linear[0], *linear[:n - 1]))
+        elif kind == 3:
+            out.append([rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)] + [1])
+        else:
+            roots = [rng.choice((-1, 1)) * (10 ** 10 + rng.randint(-10 ** 5, 10 ** 5))
+                     for _ in range(n)]
+            split = product(*[[-r, 1] for r in roots])
+            out += [split, [split[0] + 1] + split[1:]]
+    return out
+
+
+def test_is_irreducible_matches_sympy_at_degrees_two_and_three():
+    answers = []
+    for cs in low_degree_battery():
+        _, factors = to_sympy(cs).factor_list()
+        want = len(factors) == 1 and factors[0][1] == 1
+        assert polyops.is_irreducible(cs) == want, cs
+        answers.append(want)
+    assert 40 < sum(answers) < len(answers) - 40
 
 
 # Fixed degree >= 4 cases: X^4 + 1 and X^4 - 10X^2 + 1 are irreducible but
@@ -129,26 +157,21 @@ def test_divides_and_lcm_match_sympy():
 
 def test_fixed_cases():
     quartic = [1, 0, -10, 0, 1]                    # X^4 - 10X^2 + 1
-    assert polyops.rational_roots(quartic) == []
     assert polyops.is_irreducible(quartic)
     split = product([1, 1, 1], [-2, 0, 1])         # (X^2 + X + 1)(X^2 - 2)
-    assert polyops.rational_roots(split) == []
     assert not polyops.is_irreducible(split)
     big = 10 ** 20
-    assert polyops.rational_roots([-big, -1, 1]) == []
     assert polyops.is_irreducible([-big, -1, 1])
-    assert polyops.rational_roots([-big, 0, 1]) == [-10 ** 10, 10 ** 10]
     assert not polyops.is_irreducible([-big, 0, 1])
-    assert polyops.rational_roots([0, 0, -1, 1]) == [0, 1]   # X^2 (X - 1)
     assert polyops.lcm([-1, 1], [1, 1]) == [-1, 0, 1]
     assert polyops.lcm([-1, 1], [1, -2, 1]) == [1, -2, 1]
 
 
 def test_non_monic_input_is_rejected():
     with pytest.raises(ValueError):
-        polyops.rational_roots([1, 2])
+        polyops.is_irreducible([1, 0, 2])                     # 2X^2 + 1
     with pytest.raises(ValueError):
-        polyops.rational_roots([Fraction(1, 2), 1])
+        polyops.is_irreducible([Fraction(1, 2), 0, 0, 1])     # X^3 + 1/2
     with pytest.raises(ValueError):
         polyops.lcm([1, 2], [1, 1])
 
@@ -234,6 +257,12 @@ def reference_isolate_largest_root_above(coeffs, floor, eps):
     return (lo, hi)
 
 
+def sympy_rational_roots(cs):
+    """sympy's rational roots, ascending."""
+    return sorted(Fraction(int(r.p), int(r.q))
+                  for r in sympy.roots(to_sympy(cs), filter="Q"))
+
+
 # Bisection midpoints that land exactly on a rational root below the largest
 # one: (X^2 - 1)(X^2 - 2) from 0, whose first midpoint is 1, and two quartics
 # with the roots 1 and -3 (and 2 or 1 +- sqrt 3) from -5.
@@ -248,7 +277,7 @@ def test_isolation_matches_reference():
     for cs in MIDPOINT_ROOT_POLYS + battery(count=40):
         floors = [Fraction(-5), Fraction(0), Fraction(1),
                   Fraction(rng.randint(-40, 40), rng.randint(1, 8))]
-        floors += [Fraction(r) for r in polyops.rational_roots(cs)][:2]
+        floors += sympy_rational_roots(cs)[:2]
         for floor in floors:
             for eps in epsilons:
                 got = polyops.isolate_largest_root_above(cs, floor, eps)
