@@ -2,8 +2,11 @@
 
 Exit codes are uniform across subcommands: 0 for success / a True verdict,
 1 for a False verdict or a reported violation, 2 for Unknown, 3 for usage,
-IO, or parse errors.  All reports go through the canonical serializer, so a
-fixed invocation produces byte-identical output across runs.
+IO, or parse errors and for every other exception (a MemoryError, a
+RecursionError, a failed self-check), which is reported on one stderr line
+that names its class: exit 1 never comes from an error.  All reports go
+through the canonical serializer, so a fixed invocation produces
+byte-identical output across runs.
 
 Sequence-spec files are JSON objects with integer fields as decimal strings,
 for example {"kind": "power", "q": "2"} or
@@ -510,6 +513,13 @@ def main(argv=None):
         return args.fn(args)
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return EXIT_USAGE
+    except Exception as exc:
+        # anything else (an exhausted resource, a failed self-check) is an
+        # error too, and exit 1 would read as a False verdict
+        detail = " ".join(str(exc).split())
+        sys.stderr.write("error: %s%s\n" % (type(exc).__name__,
+                                             ": " + detail if detail else ""))
         return EXIT_USAGE
 
 

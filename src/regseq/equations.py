@@ -32,14 +32,28 @@ The quantitative skeleton used to certify completeness:
   same meet-in-the-middle on values, whose table holds one
   operators.values window per variable.  For s >= 2 an index whose term is 0
   is left out (a zero term is a vanishing singleton), so every term of a
-  hit is nonzero, and the vanishing sub-sum check is skipped where it
-  cannot fail: for s = 2, and for s = 3 with z = 0
-  (_proper_subsums_nonzero).
+  hit is nonzero.  A hit that lies on a family is dropped by one lookup of
+  its offsets, and the vanishing sub-sum check (subsums._degenerate) runs
+  on the rest only where it can fail: not for s = 2, nor for s = 3 with
+  z = 0 (_proper_subsums_nonzero).
 
 Both searches run the package's one solution-scan kernel,
 subsums._meet_in_the_middle (Horowitz and Sahni 1974), which the Mann-monoid
 solver shares and which is re-exported here with _half_sums; its half sums
-and lookups run in C iterators.
+and lookups run in C iterators.  The one exception is a mirrored equation:
+z = 0 and operators that are each other's negations two by two, in any
+order (x + y = z + w, [f, -f]).  Its box is a join of one hashed half with
+itself (_mirror_join): entries are stored once per orbit under equal rows,
+only buckets of two or more entries are joined, and the orbits are
+expanded in C iterators, so no hit with a repeated index is ever built.
+
+Everything but the split casework (completeness data, kill tester and
+partial-kill check, families with their exceptions, box scan) is computed
+once per canonical form of the problem, its operators sorted under the
+global sign that gives the smaller key (_canonical_form), and mapped back to
+the asked order of the unknowns: a permuted or negated problem is the same
+problem.  The split recursion runs in the asked order, so the splits, the
+certificates and the JSON are those of a solver without the sharing.
 
 The resulting description instantiates to exactly the brute-force answer on
 any window, which is the invariant the test-suite oracles check.
@@ -53,6 +67,7 @@ flat pattern/sporadic shape cannot express an infinite product faithfully.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from . import polyops
@@ -60,7 +75,7 @@ from . import sequences as sq
 from . import operators as op_mod
 from .certs import Proved, BoundedCheck, merge
 from .jsonio import _json_int, _json_list
-from .subsums import _half_sums, _meet_in_the_middle, \
+from .subsums import _degenerate, _half_sums, _meet_in_the_middle, \
     _proper_subsums_nonzero, _vanishing_subset
 
 ORACLE_CEILING = 40
@@ -76,7 +91,9 @@ class TrivialOperatorPresent(ValueError):
 
 class EquationProblem:
     # Largest number of unknowns s accepted.  The split recursion visits
-    # every vanishing sub-block, and s = 7 on 2^n already takes about 10 s.
+    # every vanishing sub-block: x1 + ... + x6 = x7 on 2^n takes about 1.8 s
+    # (Python 3.11, 2 CPUs), six unknowns x1 + x2 + x3 = x4 + x5 + x6 on
+    # Fibonacci about 3 s.
     MAX_UNKNOWNS = 7
 
     def __init__(self, handle, operators, z):
@@ -497,26 +514,168 @@ def _kill_vectors(handle, ops, max_offset):
 
 def _box_solutions(problem, top):
     """All non-degenerate tuples in [0, top]^s summing to z (pairwise
-    distinct indices, no vanishing proper sub-sum), found by
-    meet-in-the-middle and sorted, plus the per-variable value table used to
-    compute them.  For s >= 2 an index whose term is 0 is left out of the
-    search, a zero term being a vanishing singleton; every term of a hit is
-    then nonzero, so the sub-sum check runs only where
-    _proper_subsums_nonzero does not settle it."""
-    s, z = problem.s, problem.z
+    distinct indices, no vanishing proper sub-sum), sorted, plus the
+    per-variable value table used to compute them (see _box_scan)."""
     vals = _value_table(problem, top)
-    if s == 1:
-        rows, indices = vals, None
+    return _box_scan(problem, vals), vals
+
+
+def _box_scan(problem, vals, patterns=()):
+    """The non-degenerate tuples over the value table `vals` that sum to z
+    and lie on none of `patterns` (at an anchor it does not except), sorted.
+    For s >= 2 an index whose term is 0 is left out of the search, a zero
+    term being a vanishing singleton; every term of a hit is then nonzero,
+    so the sub-sum check runs only where _proper_subsums_nonzero does not
+    settle it.  A tuple on a pattern is dropped, by one lookup of its
+    offsets, before that check.  A mirrored equation (see _mirror_pairs)
+    is solved by _mirror_join; any other by the kernel."""
+    s, z = problem.s, problem.z
+    runs = _mirror_pairs(problem.operators, z, vals)
+    if runs is not None:
+        out = _mirror_join(vals, runs)
     else:
-        indices = [[i for i, v in enumerate(row) if v] for row in vals]
-        rows = [[row[i] for i in idx] for row, idx in zip(vals, indices)]
-    out = [full for full in _meet_in_the_middle(rows, z, indices)
-           if len(set(full)) == s]
-    if not _proper_subsums_nonzero(s, z):
+        if s == 1:
+            rows, indices = vals, None
+        else:
+            indices = [[i for i, v in enumerate(row) if v] for row in vals]
+            rows = [[row[i] for i in idx] for row, idx in zip(vals, indices)]
+        out = [full for full in _meet_in_the_middle(rows, z, indices)
+               if len(set(full)) == s]
+    if patterns:
+        by_offsets = {p.offsets: p for p in patterns}
+        out = [full for full in out if not _on_pattern(by_offsets, full)]
+    if runs is None and not _proper_subsums_nonzero(s, z):
         out = [full for full in out
-               if _vanishing_subset([row[v] for row, v in zip(vals, full)]) is None]
+               if not _degenerate([row[v] for row, v in zip(vals, full)])]
     out.sort()
-    return out, vals
+    return out
+
+
+def _on_pattern(by_offsets, tup):
+    """Whether tup instantiates the pattern stored under its offsets."""
+    l = min(tup)
+    p = by_offsets.get(tuple(v - l for v in tup))
+    return p is not None and p.valid_anchor(l)
+
+
+def _mirror_pairs(ops, z, vals):
+    """For z = 0 and operators that are the negations of each other two by
+    two, in any order (x + y = z + w, [f, -f], ...): the pairs (l, r) of
+    positions with f_r = -f_l, as runs of equal rows f_l; else None.  The
+    equation is then sum f_l(x_l) = sum f_l(x_r)."""
+    s = len(ops)
+    if z != 0 or s % 2:
+        return None
+    coeffs = [op.coeffs for op in ops]
+    waiting = {}
+    pairs = []
+    for r in sorted(range(s), key=coeffs.__getitem__):
+        partners = waiting.get(tuple(-c for c in coeffs[r]))
+        if partners:
+            pairs.append((partners.pop(0), r))
+        else:
+            waiting.setdefault(coeffs[r], []).append(r)
+    if 2 * len(pairs) != s:
+        return None
+    runs = {}
+    for l, r in pairs:
+        runs.setdefault(tuple(vals[l]), []).append((l, r))
+    return list(runs.values())
+
+
+def _mirror_join(vals, runs):
+    """The hits of a mirrored equation (see _mirror_pairs) with pairwise
+    distinct indices and no vanishing proper sub-sum, in no particular order.
+
+    One half is hashed once by its sum, each entry stored canonically: the
+    indices within a run of equal rows increase, and an entry is left out
+    when it repeats an index, has a zero term, or sums to 0 (a vanishing
+    half).  A solution is two disjoint entries A != B of one bucket, each
+    permuted within its runs.  Its terms are those of (A, B) in some order,
+    and those of (B, A) negated, so one sub-sum test per unordered pair
+    settles every orbit and the mirror.  Only buckets of two or more entries
+    are joined, and the orbits are expanded in C iterators."""
+    pairs = [pair for run in runs for pair in run]
+    k = len(pairs)
+    combos, run_sums = [], []
+    for run in runs:
+        row = vals[run[0][0]]
+        nonzero = [i for i, v in enumerate(row) if v]
+        combos.append(list(itertools.combinations(nonzero, len(run))))
+        run_sums.append(list(map(sum, itertools.combinations([row[i] for i in nonzero],
+                                                             len(run)))))
+    if len(runs) == 1:
+        entries, sums = combos[0], run_sums[0]
+    else:
+        entries = map(_flatten, itertools.product(*combos))
+        sums = list(_half_sums(run_sums))
+    # only sums that two or more entries share can be joined: find them by
+    # sorting, and hash only their entries
+    ordered = sorted(sums)
+    shared = set(itertools.compress(ordered, map(operator.eq, ordered,
+                                                 itertools.islice(ordered, 1, None))))
+    shared.discard(0)
+    table = {}
+    for entry, total in itertools.compress(zip(entries, sums),
+                                           map(shared.__contains__, sums)):
+        if len(runs) == 1 or len(set(entry)) == k:
+            table.setdefault(total, []).append(entry)
+
+    # an entry lists the left indices in pair order; a hit is the left
+    # positions ascending, then the right positions ascending, put back
+    # into position order by one itemgetter when the two interleave
+    left_pos = [l for l, _ in pairs]
+    right_pos = [r for _, r in pairs]
+    at_left = sorted(range(k), key=left_pos.__getitem__)
+    at_right = sorted(range(k), key=right_pos.__getitem__)
+    place = [left_pos[i] for i in at_left] + [right_pos[i] for i in at_right]
+    order = sorted(range(2 * k), key=place.__getitem__)
+    restore = None if order == sorted(order) else operator.itemgetter(*order)
+    left_rows = [vals[l] for l in left_pos]
+    orbits = {}
+
+    def orbit(entry):
+        """Every permutation of entry within its runs, oriented as the left
+        half and as the right half."""
+        got = orbits.get(entry)
+        if got is None:
+            perms, start = [], 0
+            for run in runs:
+                perms.append(itertools.permutations(entry[start:start + len(run)]))
+                start += len(run)
+            members = list(map(_flatten, itertools.product(*perms)))
+            got = orbits[entry] = ([tuple(m[i] for i in at_left) for m in members],
+                                   [tuple(m[i] for i in at_right) for m in members])
+        return got
+
+    out = []
+    for bucket in table.values():
+        if k == 1:
+            # one index a side, its term nonzero: any two entries solve
+            for i, entry in enumerate(bucket):
+                hits = itertools.starmap(operator.add, itertools.product(
+                    (entry,), bucket[:i] + bucket[i + 1:]))
+                out.extend(hits if restore is None else map(restore, hits))
+            continue
+        partners = [[] for _ in bucket]
+        terms = [[row[v] for row, v in zip(left_rows, entry)] for entry in bucket]
+        for i, j in itertools.combinations(range(len(bucket)), 2):
+            if set(bucket[i]).isdisjoint(bucket[j]) \
+                    and not _degenerate(terms[i] + [-t for t in terms[j]]):
+                partners[i].append(j)
+                partners[j].append(i)
+        for entry, js in zip(bucket, partners):
+            if js:
+                right = [t for j in js for t in orbit(bucket[j])[1]]
+                hits = itertools.starmap(operator.add, itertools.product(
+                    orbit(entry)[0], right))
+                out.extend(hits if restore is None else map(restore, hits))
+    return out
+
+
+def _flatten(parts):
+    """One tuple from a tuple of tuples."""
+    return tuple(itertools.chain.from_iterable(parts))
 
 
 def _zero_patterns(rows, gap):
@@ -560,11 +719,45 @@ def _partial_kill_present(tester, s, gap):
     return False
 
 
-def _solve_distinct(problem, memo):
-    """Patterns + sporadic + splits over pairwise distinct indices."""
-    key = (tuple(op.coeffs for op in problem.operators), problem.z)
-    if key in memo:
-        return memo[key]
+def _core(problem, memo):
+    """(completeness, patterns, sporadic) of the problem, computed once per
+    canonical form (see _canonical_form) and mapped back to the asked order
+    of the unknowns.  Every part of it is equivariant: permuting the
+    unknowns permutes offsets and tuples alike, and negating every operator
+    and z changes none of it."""
+    ckey, order = _canonical_form(problem)
+    core = memo.get(("core", ckey))
+    if core is None:
+        core = memo[("core", ckey)] = _solve_core(EquationProblem(problem.handle, *ckey))
+    if order is None:
+        return core
+    comp, patterns, sporadic = core
+    back = operator.itemgetter(*order)
+    patterns = sorted((ShiftPattern(back(p.offsets), p.exceptions) for p in patterns),
+                      key=lambda p: p.offsets)
+    return comp, patterns, list(map(back, sporadic))
+
+
+def _canonical_form(problem):
+    """(key, order): the key is (operator coefficients sorted, z) under the
+    global sign, keeping or negating every operator and z, that gives the
+    smaller key; asked unknown i is canonical unknown order[i], and order
+    is None when they are the same unknown for every i."""
+    coeffs = [op.coeffs for op in problem.operators]
+    negated = [tuple(-c for c in cs) for cs in coeffs]
+    candidates = []
+    for signed, z in ((coeffs, problem.z), (negated, -problem.z)):
+        rank = sorted(range(len(signed)), key=signed.__getitem__)
+        candidates.append(((tuple(signed[i] for i in rank), z), rank))
+    ckey, rank = min(candidates, key=lambda cand: cand[0])
+    if rank == sorted(rank):
+        return ckey, None
+    return ckey, sorted(range(len(rank)), key=rank.__getitem__)
+
+
+def _solve_core(problem):
+    """Completeness data, families with their exceptions and the sporadic
+    tuples of the problem: everything of _solve_distinct but the splits."""
     handle = problem.handle
     ops = problem.operators
     s, z = problem.s, problem.z
@@ -581,7 +774,7 @@ def _solve_distinct(problem, memo):
             comp = _Completeness(comp.gap, box, BoundedCheck(box))
 
     family_offsets = _family_offsets(tester, s, comp.gap) if z == 0 else []
-    solutions, vals = _box_solutions(problem, comp.box + max_offset)
+    vals = _value_table(problem, comp.box + max_offset)
 
     # Exceptions: anchors whose instance degenerates.  Beyond the box every
     # proper sub-sum of a family is certified nonzero (non-killed blocks obey
@@ -589,13 +782,22 @@ def _solve_distinct(problem, memo):
     patterns = []
     for offsets in sorted(family_offsets):
         exceptions = [l for l in range(comp.box + 1)
-                      if _vanishing_subset([row[l + m] for row, m in zip(vals, offsets)])
-                      is not None]
+                      if _degenerate([row[l + m] for row, m in zip(vals, offsets)])]
         patterns.append(ShiftPattern(offsets, exceptions))
 
     # Sporadic: non-degenerate box solutions not riding a family.
-    sporadic = [tup for tup in solutions
-                if not any(p.matches(tup) for p in patterns)]
+    return comp, patterns, _box_scan(problem, vals, patterns)
+
+
+def _solve_distinct(problem, memo):
+    """Patterns + sporadic + splits over pairwise distinct indices."""
+    key = (tuple(op.coeffs for op in problem.operators), problem.z)
+    if key in memo:
+        return memo[key]
+    handle = problem.handle
+    ops = problem.operators
+    s, z = problem.s, problem.z
+    comp, patterns, sporadic = _core(problem, memo)
 
     # Degenerate-but-distinct: recurse on the canonical vanishing subset
     # (each side has fewer unknowns, so the recursion ends).

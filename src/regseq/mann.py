@@ -32,8 +32,7 @@ import math
 from fractions import Fraction
 
 from .certs import BoundedCheck
-from .subsums import _meet_in_the_middle, _proper_subsums_nonzero, \
-    _vanishing_subset
+from .subsums import _degenerate, _meet_in_the_middle, _proper_subsums_nonzero
 
 DEFAULT_EXPONENT = 64
 SCAN_CAP = 6_000_000
@@ -183,7 +182,7 @@ def _scan(coeffs, target, elements):
     if _proper_subsums_nonzero(len(coeffs), target):
         return found
     return [tup for tup in found
-            if _vanishing_subset([a * v for a, v in zip(coeffs, tup)]) is None]
+            if not _degenerate([a * v for a, v in zip(coeffs, tup)])]
 
 
 # ---------------------------------------------------------------------------

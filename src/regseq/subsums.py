@@ -6,8 +6,12 @@ values with one meet-in-the-middle kernel (Horowitz and Sahni 1974),
 _meet_in_the_middle: equations for its family search, its box scan and
 decide's exact stages, mann for every unit and homogeneous scan.  A solution
 of a linear equation is non-degenerate when no proper sub-sum of its terms
-vanishes, which _vanishing_subset tests.  Both live here, apart from both
-solvers, so that loading one solver does not load the other.
+vanishes.  _degenerate answers whether one does, from all 2^s sub-sums built
+by doubling one list; the scans (the box filter, the pattern exceptions and
+the Mann scans) need only that.  _vanishing_subset names the canonical
+vanishing subset, for the callers that read it (the split casework and the
+brute-force tags).  All of it lives here, apart from both solvers, so that
+loading one solver does not load the other.
 """
 
 import itertools
@@ -66,10 +70,21 @@ def _vanishing_subset(terms):
     return None
 
 
+def _degenerate(terms):
+    """Whether some proper sub-sum of the terms vanishes, which is when
+    _vanishing_subset is not None: the 2^s sub-sums are built by doubling
+    one list (the empty sum first, the full sum last), and 0 is looked for
+    among the others."""
+    sums = [0]
+    for t in terms:
+        sums += [t + v for v in sums]
+    return 0 in sums[1:-1]
+
+
 def _proper_subsums_nonzero(size, target):
     """Whether no proper sub-sum of `size` nonzero terms summing to `target`
     can vanish, whatever the terms: with one or two terms every proper
     sub-sum is a single term, and with three terms summing to 0 a vanishing
     pair would leave the third term 0.  Callers whose terms are all nonzero
-    skip _vanishing_subset when this holds."""
+    skip _degenerate when this holds."""
     return size <= 2 or (size == 3 and target == 0)

@@ -68,6 +68,20 @@ def test_solve_with_oracle_check(capsys, tmp_path, fib):
             assert p["exceptions"] == []
 
 
+def test_solve_on_a_short_table_fails_alike_under_a_permutation(capsys, tmp_path):
+    table = write_json(tmp_path / "table.json",
+                       {"kind": "table", "values": ["1", "3", "4", "9", "20"]})
+    outcomes = set()
+    for ops, z in (([["1"], ["0", "1"], ["-1"]], "2"), ([["0", "1"], ["-1"], ["1"]], "2"),
+                   ([["-1"], ["1"], ["0", "1"]], "2"), ([["-1"], ["0", "-1"], ["1"]], "-2")):
+        problem = write_json(tmp_path / "p.json", {"operators": ops, "target": z})
+        code = cli.main(["solve", "--seq", table, "--problem", problem])
+        captured = capsys.readouterr()
+        outcomes.add((code, captured.out, captured.err))
+    assert outcomes == {(3, "", "error: table sequence has 5 values and no generator "
+                                "(asked for r_5)\n")}
+
+
 def test_solve_oracle_mismatch_aborts(capsys, tmp_path, fib, monkeypatch):
     problem = write_json(tmp_path / "sum3.json",
                          {"operators": [["1"], ["1"], ["-1"]], "target": "0"})
@@ -213,6 +227,25 @@ def test_usage_errors_exit_three(capsys, tmp_path, pow2):
     code = cli.main(["classify", "--seq", pow2, "--op", "votes"])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: MemoryError\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+    (AssertionError("case overlap on (1, 2)"),
+     "error: AssertionError: case overlap on (1, 2)\n"),
+    (AssertionError("pattern fails at anchor 7"),
+     "error: AssertionError: pattern fails at anchor 7\n"),
+    (TypeError("two\nlines"), "error: TypeError: two lines\n"),
+])
+def test_unexpected_exceptions_exit_three_on_one_line(capsys, monkeypatch, pow2, exc, line):
+    def broken(args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_eval", broken)
+    code = cli.main(["eval", "--seq", pow2, "--n", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (3, line, "")
 
 
 def test_suite_deterministic_in_process(capsys):

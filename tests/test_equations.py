@@ -14,7 +14,7 @@ from regseq import polyops
 from regseq import sequences as sq
 from regseq.certs import BoundedCheck
 from regseq.equations import (EquationProblem, ShiftPattern,
-                              TrivialOperatorPresent, _box_solutions,
+                              TrivialOperatorPresent, _box_solutions, _degenerate,
                               _family_offsets, _half_sums, _KillTester,
                               _meet_in_the_middle, _partial_kill_present,
                               _proper_subsums_nonzero, _vanishing_subset,
@@ -140,6 +140,49 @@ def test_nonzero_sporadic_completeness_random():
         got = {t for t in dsol.sporadic if max(t) <= 20}
         assert got == want, (ops, z)
         done += 1
+
+
+# One solver core per canonical form: a problem with its unknowns permuted,
+# or with every operator and z negated, reads its families and sporadic
+# tuples from the same core.  [9], [6, -5, 1] on 2^n + 3^n kills only the
+# 3^n summand at a gap of 1 (a partial kill: a bounded description).  The
+# sequences are those of KILL_HANDLES below.
+SYMMETRY_CASES = [
+    ("fib", [[1], [1], [-1], [-1]], 0),
+    ("fib", [[1], [-1], [2]], 5),
+    ("fib", [[1, 1], [1], [-2]], 0),
+    ("trib", [[1], [1], [1], [-1]], 0),
+    ("pow2", [[2], [-1], [1], [-1]], 0),
+    ("sum23", [[9], [6, -5, 1], [-1]], 0),
+    ("table", [[1], [1], [-1], [-1]], 0),
+    ("table", [[2, -3, 1], [1], [-1]], 2),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SYMMETRY_CASES)))
+def test_permuted_and_negated_problems_share_one_core(case):
+    label, ops, z = SYMMETRY_CASES[case]
+    handle = make_handle(KILL_HANDLES[label][0])
+    s = len(ops)
+    window = 12 if s == 4 else 20
+    base = solve_full(EquationProblem(handle, ops, z))
+    want = base.instantiate(window)
+    assert want == oracle_tuples(EquationProblem(handle, ops, z), window)
+    perms = list(itertools.permutations(range(s)))
+    if s == 4:
+        rng = random.Random("symmetry:%d" % case)
+        perms = [perms[-1]] + rng.sample(perms[1:-1], 3)
+    for perm in perms:
+        permuted = solve_full(EquationProblem(handle, [ops[i] for i in perm], z))
+        assert permuted.instantiate(window) == {tuple(t[i] for i in perm) for t in want}
+        assert permuted.certificate == base.certificate
+        for c in permuted.cases:
+            if c.distinct is not None:
+                offsets = [p.offsets for p in c.distinct.patterns]
+                assert offsets == sorted(offsets)
+    negated = solve_full(EquationProblem(handle, [[-c for c in op] for op in ops], -z))
+    assert negated.to_json()["cases"] == base.to_json()["cases"]
+    assert negated.certificate == base.certificate
 
 
 def test_problem_json_round_trip():
@@ -410,6 +453,12 @@ def test_proper_subsums_nonzero_is_exact_on_small_terms():
                 assert _vanishing_subset(list(terms)) is None, terms
     assert _vanishing_subset([1, -1, 2]) == (0, 1) and not _proper_subsums_nonzero(3, 2)
     assert _vanishing_subset([1, -1, 2, -2]) == (0, 1) and not _proper_subsums_nonzero(4, 0)
+    # _degenerate is the existence half of _vanishing_subset, zero terms and
+    # vanishing full sums included
+    for size in range(7):
+        for terms in itertools.product((-2, -1, 0, 1, 3), repeat=size):
+            assert _degenerate(list(terms)) == (_vanishing_subset(list(terms)) is not None), \
+                terms
 
 
 ZERO_HEAVY = {
@@ -439,6 +488,9 @@ ZERO_HEAVY_CASES = [
     ("table-n2-plus-1", [[-2, 1], [1], [-1]], 0),
     ("table-n2-plus-1", [[-2, 1], [-2, 1], [1, -2, 1]], 1),
     ("table-n2-plus-1", [[-1, 3, -3, 1], [1], [-1], [1]], 5),
+    # mirrored: a^2 + b^2 = c^2 + d^2 has solutions with distinct indices
+    ("table-n2-plus-1", [[1], [1], [-1], [-1]], 0),
+    ("table-n2-plus-1", [[-1], [1], [-1], [1], [-1], [1]], 0),
 ]
 
 
@@ -446,7 +498,7 @@ ZERO_HEAVY_CASES = [
 def test_box_matches_reference_on_zero_heavy_rows(case):
     label, ops, z = ZERO_HEAVY_CASES[case]
     handle = make_handle(ZERO_HEAVY[label])
-    for top in (0, 1, 2, 5, 17 if len(ops) == 4 else 40):
+    for top in (0, 1, 2, 5, {4: 17, 6: 11}.get(len(ops), 40)):
         assert_box_matches_reference(handle, ops, z, top)
 
 
@@ -483,6 +535,18 @@ def test_box_matches_reference_on_recurrences(label):
                 z = sum(apply(Operator(op), handle, n) for op, n in zip(ops, tup))
                 if z:
                     assert_box_matches_reference(handle, ops, z, top)
+    # mirrored equations, which the box scan joins half against half: equal
+    # rows within a half, and halves in any order
+    rng = random.Random("mirror:" + label)
+    for half, top in ((1, 60), (2, 14), (3, 8)):
+        cases = [[[1]] * half + [[-1]] * half, [[1], [-1]] * half]
+        for _ in range(4):
+            ops = [rng.choice(BOX_OPS) for _ in range(half)]
+            ops += [[-c for c in op] for op in ops]
+            rng.shuffle(ops)
+            cases.append(ops)
+        for ops in cases:
+            assert_box_matches_reference(handle, ops, 0, top)
 
 
 def test_box_checks_sub_sums_of_three_terms_with_a_target():
