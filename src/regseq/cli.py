@@ -515,12 +515,17 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except Exception as exc:
-        # anything else (an exhausted resource, a failed self-check) is an
-        # error too, and exit 1 would read as a False verdict
-        detail = " ".join(str(exc).split())
-        sys.stderr.write("error: %s%s\n" % (type(exc).__name__,
-                                             ": " + detail if detail else ""))
-        return EXIT_USAGE
+        return _report_crash(exc)
+
+
+def _report_crash(exc):
+    """Any other exception (an exhausted resource, a failed self-check) is
+    an error too, and exit 1 would read as a False verdict: exit 3, with one
+    stderr line that names its class."""
+    detail = " ".join(str(exc).split())
+    sys.stderr.write("error: %s%s\n" % (type(exc).__name__,
+                                         ": " + detail if detail else ""))
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

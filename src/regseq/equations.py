@@ -555,7 +555,7 @@ def _on_pattern(by_offsets, tup):
     """Whether tup instantiates the pattern stored under its offsets."""
     l = min(tup)
     p = by_offsets.get(tuple(v - l for v in tup))
-    return p is not None and p.valid_anchor(l)
+    return p is not None and p.matches(tup)
 
 
 def _mirror_pairs(ops, z, vals):

@@ -6,12 +6,12 @@ values with one meet-in-the-middle kernel (Horowitz and Sahni 1974),
 _meet_in_the_middle: equations for its family search, its box scan and
 decide's exact stages, mann for every unit and homogeneous scan.  A solution
 of a linear equation is non-degenerate when no proper sub-sum of its terms
-vanishes.  _degenerate answers whether one does, from all 2^s sub-sums built
-by doubling one list; the scans (the box filter, the pattern exceptions and
-the Mann scans) need only that.  _vanishing_subset names the canonical
-vanishing subset, for the callers that read it (the split casework and the
-brute-force tags).  All of it lives here, apart from both solvers, so that
-loading one solver does not load the other.
+vanishes.  _degenerate answers whether one does, from the sub-sums built
+by doubling one list until a batch holds 0; the scans (the box filter, the
+pattern exceptions and the Mann scans) need only that.  _vanishing_subset
+names the canonical vanishing subset, for the callers that read it (the
+split casework and the brute-force tags).  All of it lives here, apart from
+both solvers, so that loading one solver does not load the other.
 """
 
 import itertools
@@ -70,15 +70,31 @@ def _vanishing_subset(terms):
     return None
 
 
+# Most terms _degenerate doubles a list for: 2^15 sub-sums at most.
+DOUBLING_TERMS = 16
+
+
 def _degenerate(terms):
     """Whether some proper sub-sum of the terms vanishes, which is when
-    _vanishing_subset is not None: the 2^s sub-sums are built by doubling
-    one list (the empty sum first, the full sum last), and 0 is looked for
-    among the others."""
+    _vanishing_subset is not None.  The sub-sums are built by doubling one
+    list, term by term, and the search stops at the first batch that holds
+    0.  The last term needs no batch: it lies in a vanishing proper sub-sum
+    exactly when minus it is a sub-sum of the others, other than their full
+    sum (which it matches only when the terms sum to 0, and then the
+    complement of a vanishing proper sub-sum with the last term is one
+    without it).  Past DOUBLING_TERMS terms the list would not fit in
+    memory, and _vanishing_subset searches subset by subset."""
+    if len(terms) > DOUBLING_TERMS:
+        return _vanishing_subset(terms) is not None
+    if not terms:
+        return False
     sums = [0]
-    for t in terms:
-        sums += [t + v for v in sums]
-    return 0 in sums[1:-1]
+    for t in terms[:-1]:
+        batch = [t + v for v in sums]
+        if 0 in batch:
+            return True
+        sums += batch
+    return sum(terms) != 0 and -terms[-1] in sums
 
 
 def _proper_subsums_nonzero(size, target):

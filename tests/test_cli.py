@@ -239,6 +239,7 @@ def test_usage_errors_exit_three(capsys, tmp_path, pow2):
      "error: AssertionError: pattern fails at anchor 7\n"),
     (TypeError("two\nlines"), "error: TypeError: two lines\n"),
 ])
+@pytest.mark.crash_report
 def test_unexpected_exceptions_exit_three_on_one_line(capsys, monkeypatch, pow2, exc, line):
     def broken(args):
         raise exc
@@ -246,6 +247,15 @@ def test_unexpected_exceptions_exit_three_on_one_line(capsys, monkeypatch, pow2,
     code = cli.main(["eval", "--seq", pow2, "--n", "3"])
     captured = capsys.readouterr()
     assert (code, captured.err, captured.out) == (3, line, "")
+
+
+def test_crashes_escape_cli_main_in_unmarked_tests(monkeypatch, pow2):
+    # tests/conftest.py: a test that expects exit 3 fails on a crash
+    def broken(args):
+        raise TypeError("crash")
+    monkeypatch.setattr(cli, "_cmd_eval", broken)
+    with pytest.raises(TypeError, match="crash"):
+        cli.main(["eval", "--seq", pow2, "--n", "3"])
 
 
 def test_suite_deterministic_in_process(capsys):

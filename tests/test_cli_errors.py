@@ -240,8 +240,8 @@ def test_eval_out_of_range_exits_before_evaluating(tmp_path, capsys, monkeypatch
     def refuse(self, n):
         raise AssertionError("evaluated r_%d" % n)
     monkeypatch.setattr(sequences.SequenceHandle, "eval", refuse)
-    code, _err = _exit_and_stderr(capsys, ["eval", "--seq", str(seq), "--n", str(10 ** 9)])
-    assert code == 3
+    code, err = _exit_and_stderr(capsys, ["eval", "--seq", str(seq), "--n", str(10 ** 9)])
+    assert code == 3 and "evaluated r_" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ non-degenerate answer must be purely sporadic.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from regseq.equations import (EquationProblem, ShiftPattern,
 from regseq.operators import (ZERO, CofiniteZero, Operator, apply, classify,
                               shift_combine)
 from regseq.sequences import SequenceSpec, make_handle
+from regseq.subsums import DOUBLING_TERMS
 
 HANDLES = {
     "pow2": make_handle(SequenceSpec.power(2)),
@@ -459,6 +461,19 @@ def test_proper_subsums_nonzero_is_exact_on_small_terms():
         for terms in itertools.product((-2, -1, 0, 1, 3), repeat=size):
             assert _degenerate(list(terms)) == (_vanishing_subset(list(terms)) is not None), \
                 terms
+
+def test_degenerate_holds_no_list_past_its_term_cap():
+    # 16 terms double a list up to 2^15 sums, 17 are searched subset by
+    # subset: no list of 2^16 sums is built
+    assert DOUBLING_TERMS == 16
+    assert _degenerate([1] * 16 + [-1] * 15)
+    tracemalloc.start()
+    try:
+        assert not _degenerate([3 ** i for i in range(17)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 ZERO_HEAVY = {

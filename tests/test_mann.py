@@ -6,6 +6,7 @@ for x1 + x2 = x3 the base families are (1,1,2), (1,2,3), (1,3,4), (1,8,9).
 """
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -297,6 +298,23 @@ def test_window_bits_budget_boundary():
             _scan_window(M23, 235, unknowns)
     with pytest.raises(ValueError, match=message):
         M23.elements_with_exponents(235)
+
+
+def test_many_unknowns_at_exponent_bound_zero(capsys):
+    # the window is {1}: the one hit x_i = 1 has the vanishing pair
+    # x1 - x17, which the degeneracy test finds without building all 2^31
+    # sub-sums
+    eq = "+".join("x%d" % i for i in range(1, 17)) + \
+        "".join("-x%d" % i for i in range(17, 32)) + " = 1"
+    tracemalloc.start()
+    try:
+        code = cli.main(["mann", "solve", "--gens", "2,3", "--eq", eq, "--exp-bound", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["solutions"] == []
+    assert peak < 16 * 2 ** 20
 
 
 def test_one_unknown_window_is_refused_by_size(capsys):
