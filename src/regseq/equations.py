@@ -20,32 +20,33 @@ The quantitative skeleton used to certify completeness:
   sits past the anchor bound L would let the block above the gap outweigh
   everything below it plus z, so all indices stay below the box bound
   L* = L + (s-1)(G+1);
-* offset tuples with gaps <= G whose combined operator is killed exactly
-  (polynomial divisibility / vanishing at every base) are the families.
-  Each (variable, offset) pair has one exact kill vector, packed into one
-  integer, and a tuple is killed when its vectors sum to zero; the killed
-  tuples are found by a meet-in-the-middle search over [0, (s-1)G]^s that
-  hashes the half-sums of the first s//2 variables, and only the hits are
-  checked for valid offsets (min 0, distinct, sorted gaps <= G) and for a
-  killed proper sub-block;
-* everything else inside the box [0, L*]^s is enumerated outright by the
-  same meet-in-the-middle on values, whose table holds one
-  operators.values window per variable.  For s >= 2 an index whose term is 0
-  is left out (a zero term is a vanishing singleton), so every term of a
-  hit is nonzero.  A hit that lies on a family is dropped by one lookup of
-  its offsets, and the vanishing sub-sum check (subsums._degenerate) runs
-  on the rest only where it can fail: not for s = 2, nor for s = 3 with
-  z = 0 (_proper_subsums_nonzero).
+* one non-degenerate scan, _box_scan (one entry of each row, pairwise
+  distinct indices, no vanishing proper sub-sum), finds both kinds of
+  solution.  Over the kill rows, one packed integer per (variable, offset)
+  in [0, (s-1)G], with target 0, it finds the families: a sum of at most s
+  kill vectors is 0 exactly when its block is killed (polynomial
+  divisibility / vanishing at every base), so a non-degenerate zero is a
+  killed block with no killed proper sub-block, and the hits shaped like a
+  pattern (min 0, sorted gaps <= G) are kept.  Over the value table of the
+  box [0, L*]^s, one operators.values window per variable, it finds
+  everything else, a hit that lies on a family being dropped by one lookup
+  of its offsets;
+* for s >= 2 the scan leaves out an index whose term is 0 (a zero term is a
+  vanishing singleton, and a zero kill vector a wholly killed variable), so
+  every term of a hit is nonzero, and the sub-sum check (subsums._degenerate)
+  runs only where it can fail: not for s = 2, nor for s = 3 with z = 0
+  (_proper_subsums_nonzero).
 
-Both searches run the package's one solution-scan kernel,
+The scan runs the package's one solution-scan kernel,
 subsums._meet_in_the_middle (Horowitz and Sahni 1974), which the Mann-monoid
 solver shares and which is re-exported here with _half_sums; its half sums
-and lookups run in C iterators.  The one exception is a mirrored equation:
-z = 0 and operators that are each other's negations two by two, in any
-order (x + y = z + w, [f, -f]).  Its box is a join of one hashed half with
-itself (_mirror_join): entries are stored once per orbit under equal rows,
-only buckets of two or more entries are joined, and the orbits are
-expanded in C iterators, so no hit with a repeated index is ever built.
+and lookups run in C iterators.  The one exception is a mirrored scan: z = 0
+and rows that are each other's negations two by two, in any order
+(x + y = z + w, [f, -f]); kill rows are negations wherever value rows are.
+Its hits come from a join of one hashed half with itself (_mirror_join):
+entries are stored once per orbit under equal rows, only buckets of two or
+more entries are joined, and the orbits are expanded in C iterators, so no
+hit with a repeated index is ever built.
 
 Everything but the split casework (completeness data, kill tester and
 partial-kill check, families with their exceptions, box scan) is computed
@@ -93,7 +94,7 @@ class EquationProblem:
     # Largest number of unknowns s accepted.  The split recursion visits
     # every vanishing sub-block: x1 + ... + x6 = x7 on 2^n takes about 1.8 s
     # (Python 3.11, 2 CPUs), six unknowns x1 + x2 + x3 = x4 + x5 + x6 on
-    # Fibonacci about 3 s.
+    # Fibonacci about 2 s.
     MAX_UNKNOWNS = 7
 
     def __init__(self, handle, operators, z):
@@ -456,14 +457,12 @@ class _KillTester:
         self.rows = [[sum(c << (bits * i) for i, c in enumerate(v)) for v in row]
                      for row in vectors]
 
-    def status(self, members, offsets):
-        """'killed' | 'clean' | 'partial' for sum_j S^{m_j} f_j over members."""
-        if sum(self.rows[j][m] for j, m in zip(members, offsets)) == 0:
-            return "killed"
-        if (self.top_rows is not None
-                and sum(self.top_rows[j][m] for j, m in zip(members, offsets)) == 0):
-            return "partial"
-        return "clean"
+    def partial(self, members, offsets):
+        """Whether sum_j S^{m_j} f_j over members kills the dominant
+        coordinate but not the whole operator (geometric mode only)."""
+        terms = list(zip(members, offsets))
+        return (sum(self.top_rows[j][m] for j, m in terms) == 0
+                and sum(self.rows[j][m] for j, m in terms) != 0)
 
 
 def _kill_vectors(handle, ops, max_offset):
@@ -517,20 +516,20 @@ def _box_solutions(problem, top):
     distinct indices, no vanishing proper sub-sum), sorted, plus the
     per-variable value table used to compute them (see _box_scan)."""
     vals = _value_table(problem, top)
-    return _box_scan(problem, vals), vals
+    return _box_scan(vals, problem.z), vals
 
 
-def _box_scan(problem, vals, patterns=()):
-    """The non-degenerate tuples over the value table `vals` that sum to z
-    and lie on none of `patterns` (at an anchor it does not except), sorted.
-    For s >= 2 an index whose term is 0 is left out of the search, a zero
-    term being a vanishing singleton; every term of a hit is then nonzero,
-    so the sub-sum check runs only where _proper_subsums_nonzero does not
-    settle it.  A tuple on a pattern is dropped, by one lookup of its
-    offsets, before that check.  A mirrored equation (see _mirror_pairs)
-    is solved by _mirror_join; any other by the kernel."""
-    s, z = problem.s, problem.z
-    runs = _mirror_pairs(problem.operators, z, vals)
+def _box_scan(vals, z, keep=None):
+    """The non-degenerate index tuples over the rows `vals` (one entry of
+    each row, pairwise distinct indices, no vanishing proper sub-sum) that
+    sum to z and pass `keep`, sorted.  For s >= 2 an index whose term is 0
+    is left out of the search, a zero term being a vanishing singleton;
+    every term of a hit is then nonzero, so the sub-sum check runs only
+    where _proper_subsums_nonzero does not settle it, and after `keep`.
+    Mirrored rows (see _mirror_pairs) are solved by _mirror_join; any
+    others by the kernel."""
+    s = len(vals)
+    runs = _mirror_pairs(vals, z)
     if runs is not None:
         out = _mirror_join(vals, runs)
     else:
@@ -541,9 +540,8 @@ def _box_scan(problem, vals, patterns=()):
             rows = [[row[i] for i in idx] for row, idx in zip(vals, indices)]
         out = [full for full in _meet_in_the_middle(rows, z, indices)
                if len(set(full)) == s]
-    if patterns:
-        by_offsets = {p.offsets: p for p in patterns}
-        out = [full for full in out if not _on_pattern(by_offsets, full)]
+    if keep is not None:
+        out = list(filter(keep, out))
     if runs is None and not _proper_subsums_nonzero(s, z):
         out = [full for full in out
                if not _degenerate([row[v] for row, v in zip(vals, full)])]
@@ -558,28 +556,32 @@ def _on_pattern(by_offsets, tup):
     return p is not None and p.matches(tup)
 
 
-def _mirror_pairs(ops, z, vals):
-    """For z = 0 and operators that are the negations of each other two by
-    two, in any order (x + y = z + w, [f, -f], ...): the pairs (l, r) of
-    positions with f_r = -f_l, as runs of equal rows f_l; else None.  The
-    equation is then sum f_l(x_l) = sum f_l(x_r)."""
-    s = len(ops)
+def _pattern_shaped(offsets, gap):
+    """Whether offsets have min 0 and consecutive sorted gaps in [1, gap]."""
+    ordered = sorted(offsets)
+    return ordered[0] == 0 and all(1 <= b - a <= gap
+                                   for a, b in zip(ordered, ordered[1:]))
+
+
+def _mirror_pairs(vals, z):
+    """For z = 0 and rows that are the negations of each other two by two,
+    in any order (x + y = z + w, [f, -f], ...): the pairs (l, r) of
+    positions with row r = -row l, as runs of equal rows l; else None.  The
+    equation is then sum row_l(x_l) = sum row_l(x_r)."""
+    s = len(vals)
     if z != 0 or s % 2:
         return None
-    coeffs = [op.coeffs for op in ops]
-    waiting = {}
-    pairs = []
-    for r in sorted(range(s), key=coeffs.__getitem__):
-        partners = waiting.get(tuple(-c for c in coeffs[r]))
+    rows = [tuple(row) for row in vals]
+    waiting, runs = {}, {}
+    for r in sorted(range(s), key=rows.__getitem__):
+        partners = waiting.get(tuple(-v for v in rows[r]))
         if partners:
-            pairs.append((partners.pop(0), r))
+            l = partners.pop(0)
+            runs.setdefault(rows[l], []).append((l, r))
         else:
-            waiting.setdefault(coeffs[r], []).append(r)
-    if 2 * len(pairs) != s:
+            waiting.setdefault(rows[r], []).append(r)
+    if 2 * sum(map(len, runs.values())) != s:
         return None
-    runs = {}
-    for l, r in pairs:
-        runs.setdefault(tuple(vals[l]), []).append((l, r))
     return list(runs.values())
 
 
@@ -678,43 +680,33 @@ def _flatten(parts):
     return tuple(itertools.chain.from_iterable(parts))
 
 
-def _zero_patterns(rows, gap):
-    """Offset patterns m (min 0, pairwise distinct, consecutive sorted gaps
-    in [1, gap]) with sum_j rows[j][m_j] == 0, searched over
-    [0, (k-1) gap]^k for k rows.  Unless every row is identically zero, a
-    hit fixes its last offset, so there are at most ((k-1) gap + 1)^(k-1)."""
-    span = (len(rows) - 1) * gap + 1
-    for offsets in _meet_in_the_middle([row[:span] for row in rows], 0):
-        ordered = sorted(offsets)
-        if ordered[0] == 0 and all(1 <= b - a <= gap
-                                   for a, b in zip(ordered, ordered[1:])):
-            yield offsets
-
-
 def _family_offsets(tester, s, gap):
-    """Offset patterns whose combined operator the sequence kills, demoted
-    when some proper sub-block is killed too (every instance would then carry
-    a vanishing sub-sum).  A wholly killed variable is such a sub-block for
-    every pattern, so then there is nothing to search."""
-    if s > 1 and any(row[0] == 0 for row in tester.rows):
-        return []
-    return [offsets for offsets in _zero_patterns(tester.rows, gap)
-            if not any(tester.status(sub, [offsets[j] for j in sub]) == "killed"
-                       for size in range(1, s)
-                       for sub in itertools.combinations(range(s), size))]
+    """Offset patterns (min 0, sorted gaps <= gap) whose combined operator
+    the sequence kills and no proper sub-block of which it kills: the box
+    scan of the kill rows over the span (s-1) gap + 1, target 0.  A sum of
+    at most s packed kill vectors is 0 exactly when its block is killed, so
+    a vanishing proper sub-sum is a killed proper sub-block (every instance
+    would carry a vanishing sub-sum) and a zero term a wholly killed
+    variable."""
+    span = (s - 1) * gap + 1
+    return _box_scan([row[:span] for row in tester.rows], 0,
+                     lambda offsets: _pattern_shaped(offsets, gap))
 
 
 def _partial_kill_present(tester, s, gap):
     """Whether some block of variables has an offset pattern that kills the
-    dominant coordinate but not the whole combined operator.  A block of
-    wholly killed variables can only be killed, so it is skipped."""
+    dominant coordinate but not the whole combined operator.  Every
+    pattern-shaped zero of the dominant coordinate counts, degenerate ones
+    included.  A block of wholly killed variables can only be killed, so it
+    is skipped."""
     for size in range(1, s + 1):
+        span = (size - 1) * gap + 1
         for members in itertools.combinations(range(s), size):
             if all(tester.rows[j][0] == 0 for j in members):
                 continue
-            rows = [tester.top_rows[j] for j in members]
-            for offsets in _zero_patterns(rows, gap):
-                if tester.status(members, offsets) == "partial":
+            rows = [tester.top_rows[j][:span] for j in members]
+            for offsets in _meet_in_the_middle(rows, 0):
+                if _pattern_shaped(offsets, gap) and tester.partial(members, offsets):
                     return True
     return False
 
@@ -786,7 +778,11 @@ def _solve_core(problem):
         patterns.append(ShiftPattern(offsets, exceptions))
 
     # Sporadic: non-degenerate box solutions not riding a family.
-    return comp, patterns, _box_scan(problem, vals, patterns)
+    keep = None
+    if patterns:
+        by_offsets = {p.offsets: p for p in patterns}
+        keep = lambda tup: not _on_pattern(by_offsets, tup)
+    return comp, patterns, _box_scan(vals, z, keep)
 
 
 def _solve_distinct(problem, memo):

@@ -17,7 +17,8 @@ being built passes that size, although the kernel it shares with the
 sequence solver, subsums._meet_in_the_middle, makes about W^ceil(n/2)
 lookups.  Every window is also refused once its distinct elements pass
 WINDOW_BITS bits in total, since with few unknowns the count alone admits
-gigabytes.
+gigabytes, and every scan of more than MAX_UNKNOWNS unknowns, past which
+the degeneracy test of one hit would list too many sub-sums.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -32,13 +33,17 @@ import math
 from fractions import Fraction
 
 from .certs import BoundedCheck
-from .subsums import _degenerate, _meet_in_the_middle, _proper_subsums_nonzero
+from .subsums import DOUBLING_TERMS, _degenerate, _meet_in_the_middle, \
+    _proper_subsums_nonzero
 
 DEFAULT_EXPONENT = 64
 SCAN_CAP = 6_000_000
 # Cap on the summed bit lengths of a window's distinct elements; {2, 3}
 # passes it at exponent bound 235 (bound 234 gives 55,225 elements).
 WINDOW_BITS = 1 << 24
+# Most unknowns a scan accepts: the degeneracy test of a hit lists the
+# 2^16 sub-sums of each half of its terms at most.
+MAX_UNKNOWNS = 2 * DOUBLING_TERMS
 
 
 class MannMonoid:
@@ -152,7 +157,10 @@ def _scan_window(monoid, exp_bound, unknowns):
     """The monoid's exponent window for a scan of this many unknowns,
     refused as soon as it holds more distinct elements than the scan
     budget admits, or more than WINDOW_BITS bits, before the rest of it is
-    built."""
+    built.  More than MAX_UNKNOWNS unknowns are refused outright."""
+    if unknowns > MAX_UNKNOWNS:
+        raise ValueError("equation has %d unknowns; at most %d are supported"
+                         % (unknowns, MAX_UNKNOWNS))
     limit = _largest_window(unknowns)
     window = set()
     bits = 0

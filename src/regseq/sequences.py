@@ -50,6 +50,12 @@ RATIO_SCAN_BUDGET = 512
 # Width of isolating intervals for algebraic ratio limits.
 KEPLER_EPS = Fraction(1, 1024)
 
+# Budget on the summed bit lengths of one handle's cached terms.  At the
+# ceiling of `eval --n` (10,000) factorial caches about 531 Mbit, 2^n about
+# 48 Mbit and Fibonacci about 33 Mbit; a power of 10^100 reaches the budget
+# near n = 2,540.
+MAX_CACHE_BITS = 1 << 30
+
 
 class MonotonicityError(ValueError):
     """The evaluated prefix stopped being strictly increasing and positive."""
@@ -63,6 +69,10 @@ class MonotonicityError(ValueError):
 
 class TableExhausted(ValueError):
     """A table-backed sequence was asked past its data and has no generator."""
+
+
+class CacheBudgetExceeded(ValueError):
+    """The cached prefix of a handle would pass MAX_CACHE_BITS bits."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +297,15 @@ class SequenceHandle:
 
     The cache is append-only and every freshly computed value is checked to be
     strictly larger than its predecessor (and positive); a violation raises
-    MonotonicityError naming the index, per the regularity contract.
+    MonotonicityError naming the index, per the regularity contract.  A term
+    that would take the cache past MAX_CACHE_BITS bits raises
+    CacheBudgetExceeded instead of being cached.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self.cache = []
+        self._cache_bits = 0
         self.regularity_report = None
         self.parts = [SequenceHandle(p) for p in spec.parts] if spec.kind == KIND_SUM else None
         self._generator = (_compile_generator(spec.generator)
@@ -320,6 +333,11 @@ class SequenceHandle:
         prev = self.cache[-1] if self.cache else 0
         if v <= prev:
             raise MonotonicityError(n, v, prev)
+        self._cache_bits += v.bit_length()
+        if self._cache_bits > MAX_CACHE_BITS:
+            raise CacheBudgetExceeded(
+                "terms r_0..r_%d exceed the cache budget of %d bits"
+                % (n, MAX_CACHE_BITS))
         self.cache.append(v)
 
     def _raw(self, n):

@@ -7,11 +7,13 @@ _meet_in_the_middle: equations for its family search, its box scan and
 decide's exact stages, mann for every unit and homogeneous scan.  A solution
 of a linear equation is non-degenerate when no proper sub-sum of its terms
 vanishes.  _degenerate answers whether one does, from the sub-sums built
-by doubling one list until a batch holds 0; the scans (the box filter, the
-pattern exceptions and the Mann scans) need only that.  _vanishing_subset
-names the canonical vanishing subset, for the callers that read it (the
-split casework and the brute-force tags).  All of it lives here, apart from
-both solvers, so that loading one solver does not load the other.
+by doubling one list until a batch holds 0, or past DOUBLING_TERMS terms
+from the sub-sums of each half, met in the middle; the scans (the box
+filter, the family search, the pattern exceptions and the Mann scans) need
+only that.  _vanishing_subset names the canonical vanishing subset, for the
+callers that read it (the split casework and the brute-force tags).  All of
+it lives here, apart from both solvers, so that loading one solver does not
+load the other.
 """
 
 import itertools
@@ -70,7 +72,9 @@ def _vanishing_subset(terms):
     return None
 
 
-# Most terms _degenerate doubles a list for: 2^15 sub-sums at most.
+# Most terms _degenerate doubles one list for: 2^15 sub-sums at most.  Past
+# it each half of the terms is doubled on its own, so callers keep to
+# 2 * DOUBLING_TERMS terms: 2^16 sub-sums a half.
 DOUBLING_TERMS = 16
 
 
@@ -82,10 +86,17 @@ def _degenerate(terms):
     exactly when minus it is a sub-sum of the others, other than their full
     sum (which it matches only when the terms sum to 0, and then the
     complement of a vanishing proper sub-sum with the last term is one
-    without it).  Past DOUBLING_TERMS terms the list would not fit in
-    memory, and _vanishing_subset searches subset by subset."""
+    without it).  Past DOUBLING_TERMS terms that list would not fit in
+    memory: each half lists its own sub-sums, and they meet in the middle.
+    A proper non-empty subset is any pair of half subsets but (empty,
+    empty) and (full, full)."""
     if len(terms) > DOUBLING_TERMS:
-        return _vanishing_subset(terms) is not None
+        half = len(terms) // 2
+        left = list(_half_sums([(0, t) for t in terms[:half]]))
+        right = list(_half_sums([(0, t) for t in terms[half:]]))
+        # both lists run from the empty sub-sum to the full one
+        return (0 in left[1:] or -right[-1] in left[:-1]
+                or not set(map(operator.neg, right[1:-1])).isdisjoint(left))
     if not terms:
         return False
     sums = [0]

@@ -5,6 +5,8 @@ import inspect
 import itertools
 import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -12,11 +14,12 @@ import pytest
 
 from regseq import cli
 from regseq import formulas as F
+from regseq import sequences as sq
 from regseq.congruence import MAX_STATES, BoundedProfileError, profile
 from regseq.decide import CANDIDATE_CAP, DECIDE_BUDGET, Verdict, _smallest_combinations, \
     decide
 from regseq.mann import MannMonoid, solve_unit
-from regseq.sequences import SequenceSpec, make_handle
+from regseq.sequences import CacheBudgetExceeded, SequenceSpec, make_handle
 
 POW2 = make_handle(SequenceSpec.power(2))
 
@@ -173,3 +176,36 @@ def test_benchmark_moduli_stay_under_the_state_cap():
     for spec in specs:
         for m in range(2, 25):
             assert profile(make_handle(spec), m).p <= MAX_STATES
+
+
+def test_term_cache_stops_at_its_bit_budget(monkeypatch):
+    # r_n = 2^n has n + 1 bits, so r_0..r_9 take 55 bits and r_10 11 more
+    monkeypatch.setattr(sq, "MAX_CACHE_BITS", 55)
+    handle = make_handle(SequenceSpec.power(2))
+    assert handle.eval(9) == 512
+    with pytest.raises(CacheBudgetExceeded, match=r"r_0\.\.r_10 exceed the cache budget of 55"):
+        handle.eval(10)
+    assert len(handle.cache) == 10 and handle.values(9)[-1] == 512
+
+
+def test_factorial_eval_at_the_n_ceiling_fits_the_cache_budget(tmp_path, capsys):
+    # r_0..r_10000 of (n + 2)! take about 531 Mbit of the 1024 Mbit budget
+    assert sq.MAX_CACHE_BITS == 2 ** 30
+    seq = tmp_path / "factorial.json"
+    seq.write_text(json.dumps({"kind": "factorial"}), encoding="utf-8")
+    assert cli.main(["eval", "--seq", str(seq), "--n", "10000"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["element"]) == 35668
+
+
+def test_large_base_scan_exits_three_at_the_cache_budget(tmp_path):
+    # r_n = 10^(99 n) has about 329 n bits: the budget stops the InR scan
+    # near n = 2,550, where the whole window would need gigabytes
+    seq = tmp_path / "big.json"
+    seq.write_text(json.dumps({"kind": "power", "q": str(10 ** 99)}), encoding="utf-8")
+    formula = tmp_path / "next.trf"
+    formula.write_text("E x in R. x + 1 in R & x > 5", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "regseq.cli", "decide", "--seq", str(seq),
+                           "--formula", str(formula), "--budget", "10000"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: terms r_0..r_") and proc.stderr.count("\n") == 1

@@ -14,11 +14,12 @@ import pytest
 from regseq import polyops
 from regseq import sequences as sq
 from regseq.certs import BoundedCheck
+from regseq import equations
 from regseq.equations import (EquationProblem, ShiftPattern,
                               TrivialOperatorPresent, _box_solutions, _degenerate,
                               _family_offsets, _half_sums, _KillTester,
-                              _meet_in_the_middle, _partial_kill_present,
-                              _proper_subsums_nonzero, _vanishing_subset,
+                              _meet_in_the_middle, _mirror_pairs, _partial_kill_present,
+                              _proper_subsums_nonzero, _value_table, _vanishing_subset,
                               brute_force, solve_full, solve_nondegenerate)
 from regseq.operators import (ZERO, CofiniteZero, Operator, apply, classify,
                               shift_combine)
@@ -362,6 +363,32 @@ def test_family_search_finds_known_families_and_partial_kills():
     assert _partial_kill_present(_KillTester(sum23, ops, 2), 3, 1)
 
 
+def _refuse_kernel(*args):
+    raise AssertionError("the kernel ran on a mirrored problem")
+
+
+def test_family_search_joins_mirrored_kill_rows(monkeypatch):
+    # kill rows that are negations two by two take the mirror join, as value
+    # rows do: the kernel never runs.  On Fibonacci 1 + 2 phi^5 = phi^6 +
+    # 2 phi^2, so [1], [2] against their negations have families; so do
+    # [1, 1] and [0, 0, -1], whose kill rows are negations although the
+    # operators differ
+    monkeypatch.setattr(equations, "_meet_in_the_middle", _refuse_kernel)
+    fib = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+    cases = [([[1]] * 3 + [[-1]] * 3, 2), ([[1], [2], [-1], [-2]], 3),
+             ([[1], [-2], [2], [-1]], 4), ([[1, 1], [-1], [1], [0, 0, -1]], 4)]
+    found = []
+    for coeffs, gap in cases:
+        s = len(coeffs)
+        ops = [Operator(c) for c in coeffs]
+        got = _family_offsets(_KillTester(fib, ops, (s - 1) * gap), s, gap)
+        reference = ReferenceKillTester(fib, ops, (s - 1) * gap)
+        assert got == sorted(reference_families(reference, s, gap)), coeffs
+        found.append(got)
+    assert found[0] == [] and found[1] == [(0, 5, 6, 2), (6, 2, 0, 5)]
+    assert all(found[1:])
+
+
 # ---------------------------------------------------------------------------
 # ratio_lower_bound: one bounded scan per handle, the window's minimum
 # ---------------------------------------------------------------------------
@@ -476,6 +503,33 @@ def test_degenerate_holds_no_list_past_its_term_cap():
     assert peak < 2 ** 20
 
 
+def test_degenerate_meets_in_the_middle_past_its_term_cap():
+    # past DOUBLING_TERMS each half lists its own sub-sums: every pair of
+    # half subsets counts but (empty, empty) and (full, full).  Distinct
+    # powers of 3 with signs have no vanishing sub-sum; a term set to minus
+    # a sub-sum of the others makes one, at a random place
+    rng = random.Random("degenerate-halves")
+    powers = [2 ** i for i in range(8)]
+    cases = [[2 ** i for i in range(17)] + [1 - 2 ** 17],   # only the full sum is 0
+             powers[:7] + [-127] + [1000] * 9,              # the whole left half
+             [1000] * 8 + powers + [-255],                  # the whole right half
+             [1] * 8 + [-8] + [100] * 8,                    # the left half and one term
+             [100] * 8 + [1, 2, -3, 7, 11, 13, 17, 19, 23]]  # part of the right half
+    for size in (17, 18) * 4:
+        terms = [rng.choice((1, -1)) * 3 ** e for e in rng.sample(range(40), size)]
+        if rng.random() < 0.5:
+            picked = rng.sample(range(size - 1), rng.randint(1, size - 2))
+            terms[-1] = -sum(terms[i] for i in picked)
+            rng.shuffle(terms)
+        cases.append(terms)
+    verdicts = set()
+    for terms in cases:
+        verdict = _degenerate(terms)
+        assert verdict == (_vanishing_subset(terms) is not None), terms
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 ZERO_HEAVY = {
     "pow2": SequenceSpec.power(2),
     "table-2n-plus-n": SequenceSpec.table([], generator="2**n + n"),
@@ -562,6 +616,30 @@ def test_box_matches_reference_on_recurrences(label):
             cases.append(ops)
         for ops in cases:
             assert_box_matches_reference(handle, ops, 0, top)
+
+
+# rows that are negations two by two, from operators that are not: on
+# Fibonacci [1, 1] is r_{n+2} and [0, 0, -1] is -r_{n+2}; on 2**n + n,
+# [0, 2, -3, 1] is -1 and [-2, 3, -1] is 1 everywhere
+ROW_MIRRORS = [
+    ("fib", [[1, 1], [0, 0, -1]]),
+    ("fib", [[1, 1], [-1], [1], [0, 0, -1]]),
+    ("table-2n-plus-n", [[0, 2, -3, 1], [-2, 3, -1]]),
+    ("table-2n-plus-n", [[1], [0, -2, 3, -1], [-1], [2, -3, 1]]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ROW_MIRRORS)))
+def test_mirror_pairs_are_read_from_the_rows(case, monkeypatch):
+    label, ops = ROW_MIRRORS[case]
+    spec = BOX_SPECS.get(label) or ZERO_HEAVY.get(label)
+    problem = EquationProblem(make_handle(spec), ops, 0)
+    assert _mirror_pairs(_value_table(problem, 10), 0) is not None
+    assert _mirror_pairs(_value_table(problem, 10), 1) is None
+    assert solve_full(problem).instantiate(14) == {t for t, _ in brute_force(problem, 14)}
+    top = 40 if len(ops) == 2 else 14
+    monkeypatch.setattr(equations, "_meet_in_the_middle", _refuse_kernel)
+    assert _box_solutions(problem, top) == reference_box_solutions(problem, top)
 
 
 def test_box_checks_sub_sums_of_three_terms_with_a_target():

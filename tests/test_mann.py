@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -315,6 +316,31 @@ def test_many_unknowns_at_exponent_bound_zero(capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["solutions"] == []
     assert peak < 16 * 2 ** 20
+
+
+def test_many_distinct_terms_meet_in_the_middle(capsys):
+    # 24 unknowns 2^i x_i = 2^24 - 1 at exponent bound 0: the one hit x_i = 1
+    # has 2^24 distinct sub-sums, none 0, and each half of its terms lists
+    # its own 2^12
+    eq = "+".join("%d x%d" % (2 ** i, i + 1) for i in range(24)) + " = %d" % (2 ** 24 - 1)
+    start = time.perf_counter()
+    code = cli.main(["mann", "solve", "--gens", "2,3", "--eq", eq, "--exp-bound", "0"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["solutions"] == [["1"] * 24]
+
+
+def test_unknowns_are_capped(capsys):
+    assert mann.MAX_UNKNOWNS == 32
+    eq = "+".join("x%d" % i for i in range(1, 34)) + " = 1"
+    code = cli.main(["mann", "solve", "--gens", "2,3", "--eq", eq, "--exp-bound", "0"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: equation has 33 unknowns; at most 32 are supported\n"
+    with pytest.raises(ValueError, match="33 unknowns; at most 32"):
+        solve_homogeneous([1] * 17 + [-1] * 16, M23, 0)
+    # at the cap each half of a hit's terms lists 2^16 sub-sums
+    assert solve_unit([Fraction(1, 32)] * 32, M23, 0)[0] == [(1,) * 32]
 
 
 def test_one_unknown_window_is_refused_by_size(capsys):
