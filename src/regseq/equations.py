@@ -31,22 +31,26 @@ The quantitative skeleton used to certify completeness:
   box [0, L*]^s, one operators.values window per variable, it finds
   everything else, a hit that lies on a family being dropped by one lookup
   of its offsets;
+* the scan takes the positions in the order of their rows, so that equal
+  rows form runs, and lists the first s // 2 of them once per orbit under
+  permutations within the runs, the indices increasing within each run
+  (_half_entries): a permuted hit has the same terms, so each orbit is
+  tested once and then expanded (_orbit);
 * for s >= 2 the scan leaves out an index whose term is 0 (a zero term is a
   vanishing singleton, and a zero kill vector a wholly killed variable), so
   every term of a hit is nonzero, and the sub-sum check (subsums._degenerate)
   runs only where it can fail: not for s = 2, nor for s = 3 with z = 0
   (_proper_subsums_nonzero).
 
-The scan runs the package's one solution-scan kernel,
-subsums._meet_in_the_middle (Horowitz and Sahni 1974), which the Mann-monoid
-solver shares and which is re-exported here with _half_sums; its half sums
-and lookups run in C iterators.  The one exception is a mirrored scan: z = 0
-and rows that are each other's negations two by two, in any order
-(x + y = z + w, [f, -f]); kill rows are negations wherever value rows are.
-Its hits come from a join of one hashed half with itself (_mirror_join):
-entries are stored once per orbit under equal rows, only buckets of two or
-more entries are joined, and the orbits are expanded in C iterators, so no
-hit with a repeated index is ever built.
+A mirrored scan, z = 0 and rows that are each other's negations two by two
+in any order (x + y = z + w, [f, -f]; kill rows are negations wherever value
+rows are), has sorted rows whose second half is the first negated and
+reversed, so the listed half is joined with itself (_self_join).  Any other
+scan passes it as one hashed row to the package's one solution-scan kernel,
+subsums._meet_in_the_middle (Horowitz and Sahni 1974), which streams the
+other rows; the Mann-monoid solver shares it, and it is re-exported here
+with _half_sums.  Half sums, lookups and orbit expansions run in C
+iterators.
 
 Everything but the split casework (completeness data, kill tester and
 partial-kill check, families with their exceptions, box scan) is computed
@@ -92,9 +96,10 @@ class TrivialOperatorPresent(ValueError):
 
 class EquationProblem:
     # Largest number of unknowns s accepted.  The split recursion visits
-    # every vanishing sub-block: x1 + ... + x6 = x7 on 2^n takes about 1.8 s
-    # (Python 3.11, 2 CPUs), six unknowns x1 + x2 + x3 = x4 + x5 + x6 on
-    # Fibonacci about 2 s.
+    # every vanishing sub-block: x1 + ... + x6 = x7 on 2^n takes about 1 s
+    # (whole `regseq solve` calls, Python 3.11, 2 CPUs); on Fibonacci six
+    # unknowns x1 + x2 + x3 = x4 + x5 + x6 take about 1.7 s and
+    # x1 + ... + x5 = x6 about 4.5 s.
     MAX_UNKNOWNS = 7
 
     def __init__(self, handle, operators, z):
@@ -522,31 +527,76 @@ def _box_solutions(problem, top):
 def _box_scan(vals, z, keep=None):
     """The non-degenerate index tuples over the rows `vals` (one entry of
     each row, pairwise distinct indices, no vanishing proper sub-sum) that
-    sum to z and pass `keep`, sorted.  For s >= 2 an index whose term is 0
-    is left out of the search, a zero term being a vanishing singleton;
-    every term of a hit is then nonzero, so the sub-sum check runs only
-    where _proper_subsums_nonzero does not settle it, and after `keep`.
-    Mirrored rows (see _mirror_pairs) are solved by _mirror_join; any
-    others by the kernel."""
+    sum to z and pass `keep`, sorted.  The positions are taken in the order
+    of their rows, so that equal rows form runs; the first s // 2 are listed
+    once per orbit under permutations within the runs (_half_entries), a
+    list that mirrored rows (_mirror_pairs) join with itself (_self_join)
+    and any others pass to the kernel as one hashed row.  Each hit is tested
+    once, where _proper_subsums_nonzero does not settle it, then expanded
+    (_orbit)."""
     s = len(vals)
-    runs = _mirror_pairs(vals, z)
-    if runs is not None:
-        out = _mirror_join(vals, runs)
+    half = s // 2
+    order = sorted(range(s), key=vals.__getitem__)
+    rows = [vals[j] for j in order]
+    runs = [len(list(run)) for _, run in itertools.groupby(rows[:half])]
+    entries, sums = _half_entries(rows[:half], runs)
+    if _mirror_pairs(vals, z) is not None:
+        joined = _self_join(entries, sums, rows[:half], runs)
     else:
-        if s == 1:
-            rows, indices = vals, None
-        else:
-            indices = [[i for i, v in enumerate(row) if v] for row in vals]
-            rows = [[row[i] for i in idx] for row, idx in zip(vals, indices)]
-        out = [full for full in _meet_in_the_middle(rows, z, indices)
-               if len(set(full)) == s]
+        check = not _proper_subsums_nonzero(s, z)
+        streamed = [[i for i, v in enumerate(row) if v or s == 1] for row in rows[half:]]
+        values = [[row[i] for i in idx] for row, idx in zip(rows[half:], streamed)]
+        grouped = {}
+        for hit in _meet_in_the_middle([sums] + values, z, [entries] + streamed, half=1):
+            full = hit[0] + hit[1:]
+            if len(set(full)) == s and not (
+                    check and _degenerate([row[v] for row, v in zip(rows, full)])):
+                grouped.setdefault(hit[0], []).append(hit[1:])
+        joined = grouped.items()
+    # back from row order to position order
+    restore = (None if order == sorted(order)
+               else operator.itemgetter(*sorted(range(s), key=order.__getitem__)))
+    out = []
+    for entry, rights in joined:
+        hits = itertools.starmap(operator.add, itertools.product(_orbit(entry, runs), rights))
+        out.extend(hits if restore is None else map(restore, hits))
     if keep is not None:
         out = list(filter(keep, out))
-    if runs is None and not _proper_subsums_nonzero(s, z):
-        out = [full for full in out
-               if not _degenerate([row[v] for row, v in zip(vals, full)])]
     out.sort()
     return out
+
+
+def _half_entries(rows, runs):
+    """The hashed half of a box scan over `rows`, whose equal rows are
+    adjacent in runs of the given lengths: one index tuple per orbit under
+    permutations within the runs (its indices increasing within each run),
+    none with a repeated index or a zero term, and the sum of each one's
+    terms.  No rows give the one empty tuple, summing to 0."""
+    combos, run_sums, start = [], [], 0
+    for length in runs:
+        row = rows[start]
+        start += length
+        nonzero = [i for i, v in enumerate(row) if v]
+        combos.append(list(itertools.combinations(nonzero, length)))
+        run_sums.append(list(map(sum, itertools.combinations([row[i] for i in nonzero],
+                                                             length))))
+    if len(runs) == 1:
+        return combos[0], run_sums[0]
+    entries = list(map(_flatten, itertools.product(*combos)))
+    distinct = list(map(len(rows).__eq__, map(len, map(set, entries))))
+    return (list(itertools.compress(entries, distinct)),
+            list(itertools.compress(_half_sums(run_sums), distinct)))
+
+
+def _orbit(entry, runs):
+    """Every permutation of entry within runs of the given lengths."""
+    if len(entry) == len(runs):
+        return [entry]
+    perms, start = [], 0
+    for length in runs:
+        perms.append(itertools.permutations(entry[start:start + length]))
+        start += length
+    return list(map(_flatten, itertools.product(*perms)))
 
 
 def _on_pattern(by_offsets, tup):
@@ -566,113 +616,55 @@ def _pattern_shaped(offsets, gap):
 def _mirror_pairs(vals, z):
     """For z = 0 and rows that are the negations of each other two by two,
     in any order (x + y = z + w, [f, -f], ...): the pairs (l, r) of
-    positions with row r = -row l, as runs of equal rows l; else None.  The
-    equation is then sum row_l(x_l) = sum row_l(x_r)."""
+    positions with row r = -row l; else None.  Negation reverses
+    lexicographic order, so the sorted rows are mirrored exactly when the
+    second half is the first half negated and reversed."""
     s = len(vals)
     if z != 0 or s % 2:
         return None
-    rows = [tuple(row) for row in vals]
-    waiting, runs = {}, {}
-    for r in sorted(range(s), key=rows.__getitem__):
-        partners = waiting.get(tuple(-v for v in rows[r]))
-        if partners:
-            l = partners.pop(0)
-            runs.setdefault(rows[l], []).append((l, r))
-        else:
-            waiting.setdefault(rows[r], []).append(r)
-    if 2 * sum(map(len, runs.values())) != s:
-        return None
-    return list(runs.values())
+    order = sorted(range(s), key=vals.__getitem__)
+    pairs = list(zip(order[:s // 2], reversed(order[s // 2:])))
+    if all(vals[r] == list(map(operator.neg, vals[l])) for l, r in pairs):
+        return pairs
+    return None
 
 
-def _mirror_join(vals, runs):
-    """The hits of a mirrored equation (see _mirror_pairs) with pairwise
-    distinct indices and no vanishing proper sub-sum, in no particular order.
-
-    One half is hashed once by its sum, each entry stored canonically: the
-    indices within a run of equal rows increase, and an entry is left out
-    when it repeats an index, has a zero term, or sums to 0 (a vanishing
-    half).  A solution is two disjoint entries A != B of one bucket, each
-    permuted within its runs.  Its terms are those of (A, B) in some order,
-    and those of (B, A) negated, so one sub-sum test per unordered pair
-    settles every orbit and the mirror.  Only buckets of two or more entries
-    are joined, and the orbits are expanded in C iterators."""
-    pairs = [pair for run in runs for pair in run]
-    k = len(pairs)
-    combos, run_sums = [], []
-    for run in runs:
-        row = vals[run[0][0]]
-        nonzero = [i for i, v in enumerate(row) if v]
-        combos.append(list(itertools.combinations(nonzero, len(run))))
-        run_sums.append(list(map(sum, itertools.combinations([row[i] for i in nonzero],
-                                                             len(run)))))
-    if len(runs) == 1:
-        entries, sums = combos[0], run_sums[0]
-    else:
-        entries = map(_flatten, itertools.product(*combos))
-        sums = list(_half_sums(run_sums))
-    # only sums that two or more entries share can be joined: find them by
-    # sorting, and hash only their entries
+def _self_join(entries, sums, rows, runs):
+    """The hits of a mirrored scan (see _mirror_pairs) over the listed half
+    `entries` of the sorted `rows`, as (entry, right halves) pairs.  The
+    sorted second half is the first negated and reversed, so a solution is
+    two disjoint entries A != B of one sum, each permuted within its runs, B
+    reversed on the right.  One sub-sum test per unordered pair settles
+    every orbit and the mirror, the terms being those of (A, B) or of (B, A)
+    negated.  Only sums that two or more entries share are hashed, found by
+    sorting; a zero sum is a vanishing half."""
     ordered = sorted(sums)
     shared = set(itertools.compress(ordered, map(operator.eq, ordered,
                                                  itertools.islice(ordered, 1, None))))
     shared.discard(0)
     table = {}
-    for entry, total in itertools.compress(zip(entries, sums),
-                                           map(shared.__contains__, sums)):
-        if len(runs) == 1 or len(set(entry)) == k:
-            table.setdefault(total, []).append(entry)
-
-    # an entry lists the left indices in pair order; a hit is the left
-    # positions ascending, then the right positions ascending, put back
-    # into position order by one itemgetter when the two interleave
-    left_pos = [l for l, _ in pairs]
-    right_pos = [r for _, r in pairs]
-    at_left = sorted(range(k), key=left_pos.__getitem__)
-    at_right = sorted(range(k), key=right_pos.__getitem__)
-    place = [left_pos[i] for i in at_left] + [right_pos[i] for i in at_right]
-    order = sorted(range(2 * k), key=place.__getitem__)
-    restore = None if order == sorted(order) else operator.itemgetter(*order)
-    left_rows = [vals[l] for l in left_pos]
-    orbits = {}
-
-    def orbit(entry):
-        """Every permutation of entry within its runs, oriented as the left
-        half and as the right half."""
-        got = orbits.get(entry)
-        if got is None:
-            perms, start = [], 0
-            for run in runs:
-                perms.append(itertools.permutations(entry[start:start + len(run)]))
-                start += len(run)
-            members = list(map(_flatten, itertools.product(*perms)))
-            got = orbits[entry] = ([tuple(m[i] for i in at_left) for m in members],
-                                   [tuple(m[i] for i in at_right) for m in members])
-        return got
-
-    out = []
+    for entry, total in itertools.compress(zip(entries, sums), map(shared.__contains__, sums)):
+        table.setdefault(total, []).append(entry)
+    joined = []
     for bucket in table.values():
-        if k == 1:
+        if len(rows) == 1:
             # one index a side, its term nonzero: any two entries solve
-            for i, entry in enumerate(bucket):
-                hits = itertools.starmap(operator.add, itertools.product(
-                    (entry,), bucket[:i] + bucket[i + 1:]))
-                out.extend(hits if restore is None else map(restore, hits))
+            joined.extend((entry, bucket[:i] + bucket[i + 1:])
+                          for i, entry in enumerate(bucket))
             continue
         partners = [[] for _ in bucket]
-        terms = [[row[v] for row, v in zip(left_rows, entry)] for entry in bucket]
+        terms = [[row[v] for row, v in zip(rows, entry)] for entry in bucket]
         for i, j in itertools.combinations(range(len(bucket)), 2):
             if set(bucket[i]).isdisjoint(bucket[j]) \
                     and not _degenerate(terms[i] + [-t for t in terms[j]]):
                 partners[i].append(j)
                 partners[j].append(i)
-        for entry, js in zip(bucket, partners):
-            if js:
-                right = [t for j in js for t in orbit(bucket[j])[1]]
-                hits = itertools.starmap(operator.add, itertools.product(
-                    orbit(entry)[0], right))
-                out.extend(hits if restore is None else map(restore, hits))
-    return out
+        # the partner relation is symmetric: an entry with partners is one
+        flipped = [[m[::-1] for m in _orbit(entry, runs)] if js else None
+                   for entry, js in zip(bucket, partners)]
+        joined.extend((entry, [m for j in js for m in flipped[j]])
+                      for entry, js in zip(bucket, partners) if js)
+    return joined
 
 
 def _flatten(parts):

@@ -18,7 +18,9 @@ sequence solver, subsums._meet_in_the_middle, makes about W^ceil(n/2)
 lookups.  Every window is also refused once its distinct elements pass
 WINDOW_BITS bits in total, since with few unknowns the count alone admits
 gigabytes, and every scan of more than MAX_UNKNOWNS unknowns, past which
-the degeneracy test of one hit would list too many sub-sums.
+the degeneracy test of one hit would list too many sub-sums.  A homogeneous
+solve is refused once its split search counts more than SPLIT_CAP
+candidates.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -44,6 +46,11 @@ WINDOW_BITS = 1 << 24
 # Most unknowns a scan accepts: the degeneracy test of a hit lists the
 # 2^16 sub-sums of each half of its terms at most.
 MAX_UNKNOWNS = 2 * DOUBLING_TERMS
+# Most split candidates one homogeneous solve visits, memo hits included.
+# n unknowns with distinct coefficients visit about 3^n: 449,966 at n = 12
+# (1.3 s at exponent bound 0 over {2, 3}, Python 3.11, 2 CPUs) and
+# 1,418,716 at n = 13.
+SPLIT_CAP = 500_000
 
 
 class MannMonoid:
@@ -343,12 +350,20 @@ def _solve_homogeneous(coeffs, monoid, exp_bound, memo):
     """solve_homogeneous over checked coefficients.  Each side of a split has
     at least two and at most n - 2 unknowns, so the recursion ends; `memo`
     keeps the solution set of every coefficient tuple solved in this call,
-    since the splits of different blocks meet the same sub-tuples."""
+    since the splits of different blocks meet the same sub-tuples, and under
+    "splits" the split candidates counted so far, refused past SPLIT_CAP
+    before the loop that would visit them runs."""
     key = tuple(coeffs)
     if key in memo:
         return memo[key]
     n = len(coeffs)
-    scanned = _scan(coeffs, 0, _scan_window(monoid, exp_bound, n))
+    window = _scan_window(monoid, exp_bound, n)
+    memo["splits"] = memo.get("splits", 0) + sum(math.comb(n, size)
+                                                 for size in range(2, n - 1))
+    if memo["splits"] > SPLIT_CAP:
+        raise ValueError("homogeneous solve visits more than %d split candidates "
+                         "(mann.SPLIT_CAP)" % SPLIT_CAP)
+    scanned = _scan(coeffs, 0, window)
     top = max((math.gcd(*t) for t in scanned), default=0)
     divisors = monoid.enumerate(top) if top > 1 else []
     groups = _slot_groups(coeffs)

@@ -32,18 +32,21 @@ def _half_sums(rows):
     return itertools.starmap(operator.add, itertools.product(prefix, rows[-1]))
 
 
-def _meet_in_the_middle(rows, target, indices=None):
+def _meet_in_the_middle(rows, target, indices=None, half=None):
     """Every index tuple t with sum_j rows[j][t_j] == target, where
     indices[j] names the index of each entry of rows[j] (by default its
-    position).  The first half of the rows is hashed by target minus its
-    sum; the second half loops in Python over the sums of its middle rows
-    and completes each base in C iterators, over the distinct values v of
-    the last row (each standing for all its indices) with base + v a key.
-    With W entries a row, s rows make about W^ceil(s/2) lookups.  Lazy, in
-    no particular order."""
+    position).  The first `half` rows (by default len(rows) // 2; fewer
+    than all) are hashed by target minus their sum; the rest loop in Python
+    over the sums of their middle rows and complete each base in C
+    iterators, over the distinct values v of the last row (each standing
+    for all its indices) with base + v a key.  With W entries a row, s rows
+    make about W^ceil(s/2) lookups.  A caller that lists its hashed half
+    itself passes it as one row, its entries as that row's indices, with
+    half = 1.  Lazy, in no particular order."""
     if indices is None:
         indices = [range(len(row)) for row in rows]
-    half = len(rows) // 2
+    if half is None:
+        half = len(rows) // 2
     table = {}
     for tup, key in zip(itertools.product(*indices[:half]),
                         map(target.__sub__, _half_sums(rows[:half]))):

@@ -9,6 +9,8 @@ operator, a direct scan of operators.apply):
   negated bare membership;
 * a ground literal inside a disjunct;
 * decide._bounded_disjunct finding a witness;
+* decide._description_empty skipping a case whose class constraint is
+  proved empty;
 * the {"value": v} witness of a bounded integer variable;
 * substitution of a bounded integer into Sigma arguments;
 * verify-ax6 reporting "inconclusive" (exit 2);
@@ -178,6 +180,19 @@ def test_bounded_integer_substituted_into_sigma_arguments():
     later = decide(F.parse("E k <= 3. Sigma{D=[(y1 + y2)]}(k + 7)"), POW2)
     assert later.is_true() and later.witness["k"] == ("value", 1)
     assert F.eval_ground(F.parse("Sigma{D=[(y1 + y2)]}(8)"), POW2, budget=20)
+
+
+def test_case_with_an_empty_class_constraint_is_skipped():
+    # x - y = 0 collapses to one class {x, y}, whose collapsed operator
+    # cancels: any index solves it, but D7(x) & !D7(y) on one shared index is
+    # proved empty, so the case is skipped instead of reported as a free case
+    fib = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+    text = "E x in R. E y in R. x - y = 0 & D7(x) & !D7(y)"
+    verdict = decide(F.parse(text), fib)
+    assert verdict.is_false() and verdict.certificate.is_proved
+    body = F.parse(text).body.body
+    assert not any(F.eval_ground(body, fib, {"x": a, "y": b})
+                   for a in range(61) for b in range(61))
 
 
 # ---------------------------------------------------------------------------

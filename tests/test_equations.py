@@ -17,8 +17,9 @@ from regseq.certs import BoundedCheck
 from regseq import equations
 from regseq.equations import (EquationProblem, ShiftPattern,
                               TrivialOperatorPresent, _box_solutions, _degenerate,
-                              _family_offsets, _half_sums, _KillTester,
-                              _meet_in_the_middle, _mirror_pairs, _partial_kill_present,
+                              _family_offsets, _half_entries, _half_sums, _KillTester,
+                              _meet_in_the_middle, _mirror_pairs, _orbit,
+                              _partial_kill_present,
                               _proper_subsums_nonzero, _value_table, _vanishing_subset,
                               brute_force, solve_full, solve_nondegenerate)
 from regseq.operators import (ZERO, CofiniteZero, Operator, apply, classify,
@@ -718,3 +719,138 @@ def test_meet_in_the_middle_matches_reference(s):
             kept = [t for t in want if all(t[j] in indices[j] for j in range(s))]
             assert sorted(_meet_in_the_middle(pruned, target, indices)) == kept, \
                 (rows, target)
+
+
+# ---------------------------------------------------------------------------
+# _box_scan: the hashed half listed once per orbit of equal rows
+# ---------------------------------------------------------------------------
+
+def reference_mirror_pairs(vals, z):
+    """Rows paired with their negations one by one, waiting rows matched in
+    sorted order: the pairs, or None when some row is left unpaired."""
+    s = len(vals)
+    if z != 0 or s % 2:
+        return None
+    rows = [tuple(row) for row in vals]
+    waiting, runs = {}, {}
+    for r in sorted(range(s), key=rows.__getitem__):
+        partners = waiting.get(tuple(-v for v in rows[r]))
+        if partners:
+            l = partners.pop(0)
+            runs.setdefault(rows[l], []).append((l, r))
+        else:
+            waiting.setdefault(rows[r], []).append(r)
+    if 2 * sum(map(len, runs.values())) != s:
+        return None
+    return list(runs.values())
+
+
+def _seeded_rows(rng):
+    """Rows of length 4 that are mirrored as often as not: negations
+    shuffled in, zero rows, rows that start with zeros, one entry nudged."""
+    s = rng.randint(1, 7)
+    pool = [[0, 0, 0, 0], [0, 0, 1, -2], [0, 0, -1, 2], [1, -1, 0, 3], [-1, 2, 2, 0],
+            [2, 0, 0, 0], [0, 1, 0, 0]]
+    if rng.random() < 0.5:
+        rows = [list(rng.choice(pool)) for _ in range(s // 2)]
+        rows += [[-v for v in row] for row in rows]
+        if s % 2:
+            rows.append(list(rng.choice(pool)))
+    else:
+        rows = [list(rng.choice(pool)) for _ in range(s)]
+    if rng.random() < 0.2:
+        row = rng.choice(rows)
+        row[rng.randrange(4)] += rng.choice((1, -1))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_mirror_pairs_agree_with_the_pairing_reference():
+    rng = random.Random("mirror-pairs")
+    verdicts = set()
+    for _ in range(600):
+        vals = _seeded_rows(rng)
+        for z in (0, 0, rng.choice((1, -2))):
+            pairs = _mirror_pairs(vals, z)
+            assert (pairs is None) == (reference_mirror_pairs(vals, z) is None), (vals, z)
+            if pairs is not None:
+                assert sorted(p for pair in pairs for p in pair) == list(range(len(vals)))
+                assert all(vals[r] == [-v for v in vals[l]] for l, r in pairs)
+            verdicts.add((z, pairs is None))
+    assert verdicts == {(0, True), (0, False), (1, True), (-2, True)}
+
+
+def test_half_entries_list_each_orbit_once():
+    # the orbits of the listed entries are exactly the index tuples with
+    # distinct indices and nonzero terms, each once, and each entry carries
+    # the sum of its terms
+    rng = random.Random("half-entries")
+    for _ in range(40):
+        runs = [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]
+        rows = []
+        for length in runs:
+            row = [rng.choice((0, 1, -1, 2, 5)) for _ in range(6)]
+            rows += [row] * length
+        entries, sums = _half_entries(rows, runs)
+        assert sums == [sum(row[v] for row, v in zip(rows, e)) for e in entries]
+        expanded = [t for e in entries for t in _orbit(e, runs)]
+        want = [t for t in itertools.product(range(6), repeat=len(rows))
+                if len(set(t)) == len(t) and all(row[v] for row, v in zip(rows, t))]
+        assert sorted(expanded) == want, (rows, runs)
+
+
+def test_equal_rows_are_searched_once_per_orbit(monkeypatch):
+    # a run of equal rows in the hashed half lists its indices increasing,
+    # so the kernel yields at most half the ordered tuples that sum to z:
+    # a plain kernel over the full rows yields every one of them
+    fib = make_handle(BOX_SPECS["fib"])
+    hits = []
+
+    def counting(*args, **kwargs):
+        for hit in _meet_in_the_middle(*args, **kwargs):
+            hits.append(hit)
+            yield hit
+
+    monkeypatch.setattr(equations, "_meet_in_the_middle", counting)
+    for ops, z, solutions in (([[-1]] * 3 + [[1]], 0, 162), ([[1], [1], [-1], [-1]], 3, 8)):
+        problem = EquationProblem(fib, ops, z)
+        hits.clear()
+        found, vals = _box_solutions(problem, 30)
+        ordered = sum(1 for _ in reference_meet_in_the_middle(vals, z))
+        assert 2 * len(hits) <= ordered, (ops, z, len(hits), ordered)
+        assert len(found) == solutions
+        monkeypatch.setattr(equations, "_meet_in_the_middle", _meet_in_the_middle)
+        assert found == reference_box_solutions(problem, 30)[0]
+        monkeypatch.setattr(equations, "_meet_in_the_middle", counting)
+
+
+# Runs of 2 to 5 equal rows that are not mirrored, in the hashed half, across
+# the halves and in the streamed half; zero-heavy rows; and rows that are
+# equal although their operators differ (on Fibonacci [1, 1] and [0, 0, 1]
+# are both r_{n+2}; on 2**n + n [2, -3, 1] is -1 everywhere)
+RUN_CASES = [
+    ("fib", [[-1], [-1], [1], [2]], 0, 16),
+    ("fib", [[-1]] * 3 + [[1]], 0, 16),
+    ("fib", [[1]] * 4, 40, 16),
+    ("fib", [[-1]] * 4 + [[1]], 0, 10),
+    ("fib", [[-1]] * 5 + [[1]], 0, 7),
+    ("fib", [[1]] * 5 + [[-2]], 3, 7),
+    ("fib", [[-1], [-1], [1], [1], [1], [2]], 0, 7),
+    ("fib", [[-1, -1], [0, 0, -1], [1], [2]], 0, 16),
+    ("fib", [[1, 1], [0, 0, 1], [-1], [-1], [1]], 4, 10),
+    ("pell", [[-1]] * 2 + [[1]] * 2 + [[2]], 0, 10),
+    ("pow2", [[2, -1], [2, -1], [1], [-2]], 0, 14),
+    ("table-2n-plus-n", [[2, -3, 1]] * 3 + [[1]], 0, 14),
+    ("table-2n-plus-n", [[2, -3, 1], [2, -3, 1], [-2, 3, -1], [1], [1]], 7, 9),
+    ("table-n2-plus-1", [[-2, 1]] * 3 + [[1]], 0, 14),
+    ("table-n2-plus-1", [[-2, 1]] * 4 + [[1, -2, 1]], 8, 9),
+]
+
+
+@pytest.mark.parametrize("case", range(len(RUN_CASES)))
+def test_box_matches_reference_on_runs_of_equal_rows(case):
+    label, ops, z, top = RUN_CASES[case]
+    handle = make_handle(BOX_SPECS.get(label) or ZERO_HEAVY.get(label))
+    assert _mirror_pairs(_value_table(EquationProblem(handle, ops, z), top), z) is None
+    for side in (0, 3, top):
+        assert_box_matches_reference(handle, ops, z, side)

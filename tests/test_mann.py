@@ -441,3 +441,63 @@ def test_splits_recurse_below_depth_two():
     for sp in four.splits:
         assert sp.left.to_json() == solve_homogeneous(
             [four.coefficients[i] for i in sp.positions], M23, 1).to_json()
+
+
+def reference_split_visits(coeffs):
+    """The split candidates a homogeneous solve visits, memo hits included:
+    each coefficient tuple loops over its subsets of 2 to n - 2 positions
+    once, the first time it is met."""
+    seen = set()
+
+    def visit(key):
+        if key in seen:
+            return 0
+        seen.add(key)
+        n, total = len(key), 0
+        for size in range(2, n - 1):
+            for sub in itertools.combinations(range(n), size):
+                rest = [i for i in range(n) if i not in sub]
+                total += 1 + visit(tuple(key[i] for i in sub)) + visit(tuple(key[i] for i in rest))
+        return total
+
+    return visit(tuple(coeffs))
+
+
+def test_split_budget_boundary(monkeypatch):
+    coeffs = [1, 2, 3, 4, 5, 6, 7, -28]
+    visits = reference_split_visits(coeffs)
+    assert visits == 3178
+    want = solve_homogeneous(coeffs, M23, 1).to_json()
+    monkeypatch.setattr(mann, "SPLIT_CAP", visits)
+    assert solve_homogeneous(coeffs, M23, 1).to_json() == want
+    monkeypatch.setattr(mann, "SPLIT_CAP", visits - 1)
+    with pytest.raises(ValueError, match="more than 3177 split candidates"):
+        solve_homogeneous(coeffs, M23, 1)
+    # equal coefficients share their sub-tuples, so they visit fewer
+    assert reference_split_visits([1] * 7 + [-7]) < visits
+
+
+def _split_equation(coeffs):
+    return " ".join("%+d x%d" % (a, i) for i, a in enumerate(coeffs, 1)) + " = 0"
+
+
+@pytest.mark.parametrize("coeffs", [list(range(1, 16)) + [-120], [1] * 31 + [-31]],
+                         ids=["16-distinct", "32-equal"])
+def test_split_search_past_its_budget_exits_three(coeffs, capsys):
+    # about 3^n split candidates for n distinct coefficients: 16 of them, or
+    # 32 equal ones, would run for minutes
+    start = time.perf_counter()
+    code = cli.main(["mann", "solve", "--gens", "2,3", "--eq", _split_equation(coeffs),
+                     "--exp-bound", "0"])
+    assert time.perf_counter() - start < 10
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == ("error: homogeneous solve visits more than %d split candidates "
+                   "(mann.SPLIT_CAP)\n" % mann.SPLIT_CAP)
+
+
+def test_twelve_distinct_coefficients_fit_the_split_budget():
+    # 449,966 split candidates, about 3^12; only the full sum of
+    # 1 + 2 + ... + 11 = 66 vanishes
+    sols = solve_homogeneous(list(range(1, 12)) + [-66], M23, 0)
+    assert sols.base == [(1,) * 12] and sols.splits == []
