@@ -5,8 +5,11 @@ decide() takes a normalized sentence whose quantifier prefix is existential
 disjunction of literal conjunctions, and resolves each disjunct with the
 exact machinery available:
 
-  * single-variable equalities go through operator classification and
-    inhomogeneous solving, producing finite or cofinite index sets;
+  * single-variable equalities and disequalities go through operator
+    classification and inhomogeneous solving, producing finite or cofinite
+    index sets: those on one variable and one operator compile together,
+    on one classification (made once per decide() call) and one scan for
+    all their constants;
   * divisibility atoms go through the congruence profiles, producing
     eventually periodic index sets;
   * one multi-variable equality per disjunct is searched for a witness in
@@ -49,7 +52,7 @@ from .congruence import PeriodicIndexSet, divisibility_set
 from .equations import BOUNDED_BOX, EquationProblem, TrivialOperatorPresent, \
     _box_solutions, _value_table, solve_full, solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, \
-    NotFinitelySolvable, Operator, classify, solve_inhomogeneous, values
+    NotFinitelySolvable, Operator, classify, solve_targets, values
 from .subsums import _meet_in_the_middle
 
 DNF_CAP = 256
@@ -147,51 +150,114 @@ class Verdict:
 def _single_var_set(handle, lit, budget):
     """Compile a one-variable literal to an index set for that variable.
 
-    Where no exact route applies, the set is the window scan: the indices
+    An EqZ/NeqZ literal is the one-literal case of _operator_set.  Where no
+    exact route applies, the set is the window scan: the indices
     n <= max(LITERAL_WINDOW, budget) where test(f(n) + c) holds, as
     BoundedCheck."""
+    if isinstance(lit, (F.EqZ, F.NeqZ)):
+        return _operator_set(handle, [lit], budget, {})
     (var, g), = lit.lin.ops.items()
     c = lit.lin.const
     op = Operator(g)
-    window = max(LITERAL_WINDOW, budget)
-
-    def scan(test):
-        hits = [n for n, v in enumerate(values(op, handle, window + 1))
-                if test(v + c)]
-        return hits, certs.BoundedCheck(window)
-
-    if isinstance(lit, (F.EqZ, F.NeqZ)):
-        if c == 0:
-            cls = classify(op, handle)
-            if isinstance(cls, FiniteRoots):
-                zero_set = PeriodicIndexSet.finite(list(cls.roots), cls.cert)
-            else:
-                zero_set = PeriodicIndexSet.cofinite(list(cls.exceptions), cls.cert)
-        else:
-            try:
-                sols, cert = solve_inhomogeneous(op, handle, -c,
-                                                 budget=max(DEFAULT_BUDGET, budget))
-                zero_set = PeriodicIndexSet.finite(sols, cert)
-            except NotFinitelySolvable:
-                hits, cert = scan(lambda v: v == 0)
-                if len(hits) == window + 1:
-                    # the scanned prefix is solid; treat the set as unknown
-                    # beyond the window rather than pretending it is finite
-                    zero_set = PeriodicIndexSet(window + 1, 1, (0,), hits, cert)
-                else:
-                    zero_set = PeriodicIndexSet.finite(hits, cert)
-        return zero_set if isinstance(lit, F.EqZ) else zero_set.complement()
     if isinstance(lit, F.DivZ):
         try:
             return divisibility_set(handle, op, c, lit.m)
         except ValueError:  # a refused profile or a MonotonicityError
-            return PeriodicIndexSet.finite(*scan(lambda v: v % lit.m == 0))
+            return PeriodicIndexSet.finite(
+                *_window_scan(handle, op, c, budget, lambda v: v % lit.m == 0))
     # an InRZ: _solve_disjunct admits no other literal type
     if g == (1,) and c == 0:
         return PeriodicIndexSet.full() if lit.positive else \
             PeriodicIndexSet.finite((), certs.Proved("vacuous-constraint"))
-    return PeriodicIndexSet.finite(
-        *scan(lambda v: F._in_r(handle, v) == lit.positive))
+    return PeriodicIndexSet.finite(*_window_scan(
+        handle, op, c, budget, lambda v: F._in_r(handle, v) == lit.positive))
+
+
+def _window_scan(handle, op, c, budget, test):
+    """The indices n <= max(LITERAL_WINDOW, budget) where test(f(n) + c)
+    holds, and the BoundedCheck of that window."""
+    window = max(LITERAL_WINDOW, budget)
+    hits = [n for n, v in enumerate(values(op, handle, window + 1)) if test(v + c)]
+    return hits, certs.BoundedCheck(window)
+
+
+def _classify(classified, op, handle, budget):
+    """classify(op, handle, budget), made once per decide() call: classified
+    is that call's memo."""
+    key = (op.coeffs, budget)
+    if key not in classified:
+        classified[key] = classify(op, handle, budget)
+    return classified[key]
+
+
+def _operator_set(handle, lits, budget, classified):
+    """Compile the EqZ/NeqZ literals f(x) + c = 0 and f(x) + c != 0 that share
+    one variable and one operator f to one index set, the intersection of
+    their sets.
+
+    One classification of f serves every constant: the target 0 reads its
+    roots or exceptions, and solve_targets solves every nonzero target -c in
+    one scan.  A target f meets on its whole scanned tail
+    (NotFinitelySolvable) gets the window scan instead."""
+    (_, g), = lits[0].lin.ops.items()
+    op = Operator(g)
+    targets = {-lit.lin.const for lit in lits}
+    solved = {}     # target z -> the index set of f(x) = z
+    if 0 in targets:
+        cls = _classify(classified, op, handle, DEFAULT_BUDGET)
+        if isinstance(cls, FiniteRoots):
+            solved[0] = PeriodicIndexSet.finite(list(cls.roots), cls.cert)
+        else:
+            solved[0] = PeriodicIndexSet.cofinite(list(cls.exceptions), cls.cert)
+    if targets != {0}:
+        cls = _classify(classified, op, handle, max(DEFAULT_BUDGET, budget))
+        nothing = None
+        for z, found in solve_targets(op, handle, targets - {0}, cls).items():
+            if isinstance(found, NotFinitelySolvable):
+                solved[z] = _window_zero_set(handle, op, z, budget)
+            elif found[0]:
+                solved[z] = PeriodicIndexSet.finite(*found)
+            else:
+                # one empty set serves every target without a solution: what
+                # solve_targets solves carries the certificate of cls's route
+                solved[z] = nothing = nothing or PeriodicIndexSet.finite(*found)
+    if len(lits) == 1:
+        zero_set = solved[-lits[0].lin.const]
+        return zero_set if isinstance(lits[0], F.EqZ) else zero_set.complement()
+    return _conjunction({(isinstance(lit, F.EqZ), solved[-lit.lin.const])
+                         for lit in lits})
+
+
+def _window_zero_set(handle, op, z, budget):
+    """The window scan of f(x) = z, for a target that f meets on its whole
+    scanned tail."""
+    hits, cert = _window_scan(handle, op, -z, budget, lambda v: v == 0)
+    if len(hits) == cert.n + 1:
+        # the scanned prefix is solid; treat the set as unknown beyond the
+        # window rather than pretending it is finite
+        return PeriodicIndexSet(cert.n + 1, 1, (0,), hits, cert)
+    return PeriodicIndexSet.finite(hits, cert)
+
+
+def _conjunction(parts):
+    """The intersection of the sets of (positive, s) parts, s for a positive
+    part and its complement for a negated one, as PeriodicIndexSet.intersect
+    would build it part by part: every s has period 1, so one pass over the
+    indices below the largest rho settles the members, and the tail is in
+    exactly when every part's is."""
+    rho = max(s.rho for _, s in parts)
+    inside = set(range(rho))
+    tail = True
+    for positive, s in parts:
+        covered = s.members if s.is_finite() else \
+            itertools.chain(s.members, range(s.rho, rho))
+        if positive:
+            inside.intersection_update(covered)
+        else:
+            inside.difference_update(covered)
+        tail = tail and s.is_finite() != positive
+    cert = certs.merge([s.cert for _, s in parts], reason="index-set-arithmetic")
+    return PeriodicIndexSet(rho, 1, (0,) if tail else (), inside, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +290,15 @@ def decide(ast, handle, budget=DECIDE_BUDGET):
         if combos > INT_PRODUCT_CAP:
             raise OutOfFragment("bounded-product-too-large", str(combos))
 
+    classified = {}     # the classifications made in this call
+
     def assignments():
         for values in itertools.product(*[range(b + 1) for _, b in ivars]):
             ground = matrix
             for (var, _), v in zip(ivars, values):
                 ground = F._substitute(ground, var, v)
-            kind, data = _decide_matrix(handle, list(rvars), ground, budget)
+            kind, data = _decide_matrix(handle, list(rvars), ground, budget,
+                                        classified)
             if kind == "true":
                 data = dict(data)
                 data.update((var, ("value", v)) for (var, _), v in zip(ivars, values))
@@ -293,12 +362,12 @@ def _disjunction(outcomes, tainted=False):
     return ("false", cert)
 
 
-def _decide_matrix(handle, rvars, matrix, budget):
+def _decide_matrix(handle, rvars, matrix, budget, classified):
     """('true', witness) / ('false', cert) / ('unknown', reason) for an
     existential R-prefix over a quantifier-free matrix."""
     matrix, extra_vars, taint = _expand_sigma(handle, matrix, budget)
     rvars = rvars + extra_vars
-    return _disjunction((_solve_disjunct(handle, rvars, lits, budget)
+    return _disjunction((_solve_disjunct(handle, rvars, lits, budget, classified)
                          for lits in _dnf(matrix)), taint)
 
 
@@ -376,12 +445,26 @@ def _dnf(node):
     return [[node]]
 
 
-def _solve_disjunct(handle, rvars, lits, budget):
+def _solve_disjunct(handle, rvars, lits, budget, classified, grouped=True):
     constraints = {v: PeriodicIndexSet.full() for v in rvars}
     equations = []
     side = []       # multi-variable disequalities, checked on candidates
     bounded = []    # multi-variable Div/InR atoms: bounded route only
-    for lit in lits:
+    for lit in _compile_order(lits, grouped):
+        if isinstance(lit, list):   # a group of EqZ/NeqZ literals
+            try:
+                compiled = _operator_set(handle, lit, budget, classified)
+            except ValueError:
+                if len(lit) == 1:
+                    raise
+                # A larger constant of the group may need more of the
+                # sequence than its first literal: redo the disjunct literal
+                # by literal, so that errors surface where they did.
+                return _solve_disjunct(handle, rvars, lits, budget, classified,
+                                       grouped=False)
+            var, = lit[0].lin.ops
+            constraints[var] = constraints[var].intersect(compiled)
+            continue
         if not isinstance(lit, (F.EqZ, F.NeqZ, F.DivZ, F.InRZ)):
             raise OutOfFragment("unsupported-literal", type(lit).__name__)
         mentioned = lit.lin.variables()
@@ -416,6 +499,24 @@ def _solve_disjunct(handle, rvars, lits, budget):
                                      budget)
     return _equation_disjunct(handle, rvars, lits, constraints, side,
                               equations[0], budget)
+
+
+def _compile_order(lits, grouped):
+    """The literals in order, with each one-variable EqZ/NeqZ literal in a
+    list; when grouped, one list per (variable, operator) holds them all,
+    where the first of them stands."""
+    out = []
+    groups = {}
+    for lit in lits:
+        if isinstance(lit, (F.EqZ, F.NeqZ)) and len(lit.lin.ops) == 1:
+            (key,) = lit.lin.ops.items()
+            if not grouped or key not in groups:
+                groups[key] = []
+                out.append(groups[key])
+            groups[key].append(lit)
+        else:
+            out.append(lit)
+    return out
 
 
 def _check_assignment(handle, lits, assignment, budget):

@@ -19,8 +19,8 @@ lookups.  Every window is also refused once its distinct elements pass
 WINDOW_BITS bits in total, since with few unknowns the count alone admits
 gigabytes, and every scan of more than MAX_UNKNOWNS unknowns, past which
 the degeneracy test of one hit would list too many sub-sums.  A homogeneous
-solve is refused once its split search counts more than SPLIT_CAP
-candidates.
+solve whose split search would visit more than SPLIT_CAP candidates is
+refused at once: the count follows from the coefficients alone.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -351,18 +351,19 @@ def _solve_homogeneous(coeffs, monoid, exp_bound, memo):
     at least two and at most n - 2 unknowns, so the recursion ends; `memo`
     keeps the solution set of every coefficient tuple solved in this call,
     since the splits of different blocks meet the same sub-tuples, and under
-    "splits" the split candidates counted so far, refused past SPLIT_CAP
-    before the loop that would visit them runs."""
+    "splits" the split candidates the whole call visits, counted by the
+    top-level call before anything is scanned and refused past SPLIT_CAP.
+    Every later window is one of fewer unknowns, so none is refused."""
     key = tuple(coeffs)
     if key in memo:
         return memo[key]
     n = len(coeffs)
     window = _scan_window(monoid, exp_bound, n)
-    memo["splits"] = memo.get("splits", 0) + sum(math.comb(n, size)
-                                                 for size in range(2, n - 1))
-    if memo["splits"] > SPLIT_CAP:
-        raise ValueError("homogeneous solve visits more than %d split candidates "
-                         "(mann.SPLIT_CAP)" % SPLIT_CAP)
+    if "splits" not in memo:
+        memo["splits"] = _split_visits(coeffs)
+        if memo["splits"] > SPLIT_CAP:
+            raise ValueError("homogeneous solve visits more than %d split "
+                             "candidates (mann.SPLIT_CAP)" % SPLIT_CAP)
     scanned = _scan(coeffs, 0, window)
     top = max((math.gcd(*t) for t in scanned), default=0)
     divisors = monoid.enumerate(top) if top > 1 else []
@@ -379,6 +380,33 @@ def _solve_homogeneous(coeffs, monoid, exp_bound, memo):
     memo[key] = MannSolutionSet(coeffs, monoid, base, splits, exp_bound,
                                 BoundedCheck(exp_bound), scanned)
     return memo[key]
+
+
+def _split_visits(coeffs):
+    """The split candidates a homogeneous solve of coeffs visits, memo hits
+    included, without solving anything.
+
+    A tuple of L coefficients, the first time it is met, loops over its
+    2^L - 2 - 2L subsets of 2 to L - 2 positions.  The tuples met are coeffs
+    itself and every distinct subsequence of 2 to n - 2 of its coefficients
+    (the top-level loop meets each as a side, and a side's own loop meets
+    only shorter subsequences), and only those of 4 or more loop at all.
+    distinct[L] counts the distinct subsequences of length L, by the usual
+    recurrence: reading a coefficient a extends every subsequence so far,
+    less those that already ended at the previous a."""
+    n = len(coeffs)
+    distinct = [1] + [0] * n
+    before = {}     # coefficient -> distinct, just before its last reading
+    for a in coeffs:
+        dup = before.get(a, [0] * (n + 1))
+        before[a] = distinct
+        distinct = [1] + [distinct[L] + distinct[L - 1] - dup[L - 1]
+                          for L in range(1, n + 1)]
+
+    def loop(L):
+        return (1 << L) - 2 - 2 * L if L >= 4 else 0
+
+    return loop(n) + sum(distinct[L] * loop(L) for L in range(4, n - 1))
 
 
 # ---------------------------------------------------------------------------

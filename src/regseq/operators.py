@@ -120,9 +120,9 @@ def values(op, handle, count):
     return row
 
 
-def _hits(op, handle, count, z=0):
-    """The indices n < count with f(n) = z."""
-    return [n for n, v in enumerate(values(op, handle, count)) if v == z]
+def _hits(op, handle, count):
+    """The indices n < count with f(n) = 0."""
+    return [n for n, v in enumerate(values(op, handle, count)) if v == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,44 +336,72 @@ def _classify_scan(op, handle, budget):
 # ---------------------------------------------------------------------------
 
 def solve_inhomogeneous(op, handle, z, budget=DEFAULT_BUDGET):
-    """All n with f(n) = z for a nonzero target, with a certificate.
-
-    On a classified-cofinite-zero operator the zero tail can never hit z, so
-    the answer is an exact finite scan of the exceptions.  On finite-roots
-    operators a growth cutoff pushes |f| above |z|.  When the scanned tail
-    satisfies f(n) = z everywhere, the finiteness contract itself fails and
-    NotFinitelySolvable is raised.
-    """
+    """All n with f(n) = z for a nonzero target, with a certificate: the
+    one-target call of solve_targets, which raises NotFinitelySolvable where
+    that returns it."""
     z = int(z)
     if z == 0:
         raise ValueError("use classify for the homogeneous case z = 0")
-    cls = classify(op, handle, budget)
+    solved = solve_targets(op, handle, [z], classify(op, handle, budget))[z]
+    if isinstance(solved, NotFinitelySolvable):
+        raise solved
+    return solved
 
+
+def solve_targets(op, handle, targets, cls):
+    """For each nonzero target z, all n with f(n) = z, with a certificate,
+    from the one classification cls of f: a dict z -> (solutions, cert).
+
+    On a classified-cofinite-zero operator the zero tail can never hit z, so
+    the answer is an exact finite scan of the exceptions.  On finite-roots
+    operators a growth cutoff pushes |f| above |z|; the cutoff for the
+    largest |z| does so for every target, so one scan to it finds them all.
+    When the scanned tail satisfies f(n) = z everywhere, the finiteness
+    contract itself fails for z, and z maps to a NotFinitelySolvable.
+    """
+    targets = set(targets)
     if isinstance(cls, CofiniteZero):
-        sols = [n for n in cls.exceptions if apply(op, handle, n) == z]
-        return sols, cls.cert
+        hits = _bucket(((n, apply(op, handle, n)) for n in cls.exceptions), targets)
+        return {z: (hits[z], cls.cert) for z in targets}
 
     if cls.cert.is_proved:
-        return _hits(op, handle, _target_cutoff(op, handle, cls, z), z), cls.cert
+        top = _target_cutoff(op, handle, cls, max(targets, key=abs))
+        hits = _bucket(enumerate(values(op, handle, top)), targets)
+        return {z: (hits[z], cls.cert) for z in targets}
 
     # Bounded scan; detect the cofinitely-solvable anomaly.
     top = cls.cutoff
-    matches = _hits(op, handle, top, z)
+    hits = _bucket(enumerate(values(op, handle, top)), targets)
     tail_start = max(1, 3 * top // 4)
-    tail = list(range(tail_start, top))
-    hit = set(matches)
-    if tail and all(n in hit for n in tail):
-        raise NotFinitelySolvable(op, z, top, matches[:8])
-    return matches, BoundedCheck(top)
+    out = {}
+    for z, matches in hits.items():
+        # the matches are distinct indices below top
+        if tail_start < top and \
+                sum(n >= tail_start for n in matches) == top - tail_start:
+            out[z] = NotFinitelySolvable(op, z, top, matches[:8])
+        else:
+            out[z] = (matches, BoundedCheck(top))
+    return out
+
+
+def _bucket(pairs, targets):
+    """target -> the indices n, in the order given, of the (n, f(n)) pairs
+    with f(n) = target."""
+    hits = {z: [] for z in targets}
+    for n, v in pairs:
+        if v in hits:
+            hits[v].append(n)
+    return hits
 
 
 def _target_cutoff(op, handle, cls, z):
     """An index from which |f(n)| > |z| holds forever, given a Proved
     FiniteRoots classification."""
     if cls.lower_bound is not None:
+        # r_n <= |z| / u, in integers (u = cls.lower_bound > 0)
         n = cls.cutoff
-        bound = Fraction(abs(z)) / cls.lower_bound
-        while Fraction(handle.eval(n)) <= bound:
+        num, bound = cls.lower_bound.numerator, abs(z) * cls.lower_bound.denominator
+        while handle.eval(n) * num <= bound:
             n += 1
         return n
     # Partial-kill geometric case: f(n) = sum c_j v_j q_j^n with the overall

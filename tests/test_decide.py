@@ -5,6 +5,7 @@ that passes direct evaluation, every False must rest on fully proved
 certificates, and anything else must be explicitly UnknownBeyond.
 """
 
+import functools
 import random
 import time
 
@@ -25,6 +26,8 @@ from regseq.congruence import divisibility_set
 from regseq.decide import _disjunction, _single_var_set
 from regseq.operators import FiniteRoots, NotFinitelySolvable, apply, classify, \
     solve_inhomogeneous
+from regseq import sequences
+from regseq.operators import DEFAULT_BUDGET, CofiniteZero
 
 POW2 = make_handle(SequenceSpec.power(2))
 FIB = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
@@ -403,3 +406,141 @@ def test_one_window_scan_matches_the_three_old_scans(generator, text, route, bud
             index_set_shape(reference_single_var_set(handle, lit, budget))
         window = got.cert.to_json() == certs.BoundedCheck(max(64, budget)).to_json()
         assert window == (route == "window")
+
+
+# ---------------------------------------------------------------------------
+# One compile per (variable, operator)
+# ---------------------------------------------------------------------------
+
+GROUP_HANDLES = {
+    "pow2": lambda: POW2,
+    "sum23": lambda: make_handle(SequenceSpec.sum_of([SequenceSpec.power(2),
+                                                      SequenceSpec.power(3)])),
+    "fib": lambda: FIB,
+    "pell": lambda: make_handle(SequenceSpec.recurrence([1, 2], [1, 2])),
+    "factorial": lambda: make_handle(SequenceSpec.factorial()),
+    "table": lambda: TABLE,
+    # f[-1,1] is 2 but for 3 at n = 149 (and 449, ...)
+    "steps": lambda: make_handle(SequenceSpec.table(
+        [], generator="2*n + n // 150 - n // 300 + 1")),
+}
+
+# (sequence, term, route of the term's operator)
+GROUP_ROUTES = [
+    ("pow2", "x", "geometric"),
+    ("pow2", "f[-3,1](S(x))", "geometric"),
+    ("sum23", "x", "geometric"),
+    ("sum23", "f[-3,1](x)", "geometric"),
+    ("fib", "x", "contraction"),
+    ("fib", "S(x)", "contraction"),
+    ("pell", "x", "contraction"),
+    ("pell", "f[1,-1](x)", "contraction"),
+    ("factorial", "x", "theta-infinite"),
+    ("factorial", "f[-3,1](x)", "theta-infinite"),
+    ("fib", "f[1,1,-1](x)", "cofinite-zero"),
+    ("table", "x", "bounded"),
+    ("table", "S(x)", "bounded"),
+    ("table", "f[2,-3,1](x)", "not-finitely-solvable"),  # the constant -1
+    ("steps", "f[-1,1](x)", "not-finitely-solvable"),
+]
+# the target that f meets on its whole scanned tail
+SOLID = {"table": -1, "steps": 2}
+
+
+def _group_texts(handle, op, term, solid, seed):
+    """Conjunctions of =, != and > atoms on one term: a few fixed ones, and
+    seeded ones whose constants are mostly values the term takes."""
+    pool = sorted({apply(op, handle, n) for n in range(12)} | {-1, 0, 1, 2, 7, 40})
+    texts = ["{t} > 61", "{t} != 1 & {t} != 2 & {t} != 3", "{t} = 5", "{t} = 2 & {t} = 2",
+             "{t} = {z}", "{t} != {z} & {t} != 0", "{t} = {z} & {t} != 3"]
+    rng = random.Random(seed)
+    for _ in range(6):
+        atoms = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(["=", "!=", "!=", ">"])
+            c = rng.randint(0, 60) if kind == ">" else rng.choice(pool)
+            atoms.append("{t} %s %d" % (kind, c))
+        texts.append(" & ".join(atoms))
+    return [t.format(t=term, z=solid) for t in texts]
+
+
+def _literals(text):
+    matrix = F.normalize(F.parse("E x in R. " + text)).body
+    return list(matrix.items) if isinstance(matrix, F.And) else [matrix]
+
+
+def _outcome_json(outcome):
+    kind, data = outcome
+    return kind, data.to_json() if isinstance(data, certs.Certificate) else data
+
+
+@pytest.mark.parametrize("budget", [64, 400])
+@pytest.mark.parametrize("seq,term,route", GROUP_ROUTES,
+                         ids=["%s: %s" % (s, t) for s, t, _ in GROUP_ROUTES])
+def test_grouped_compile_matches_the_literal_by_literal_sets(seq, term, route, budget):
+    handle = GROUP_HANDLES[seq]()
+    (_, g), = _literals(term + " = 0")[0].lin.ops.items()
+    op = Operator(g)
+    cls = classify(op, handle, max(DEFAULT_BUDGET, budget))
+    if route == "cofinite-zero":
+        assert isinstance(cls, CofiniteZero)
+    elif route in ("bounded", "not-finitely-solvable"):
+        assert not cls.cert.is_proved
+    else:
+        assert isinstance(cls, FiniteRoots) and cls.cert.is_proved
+    solid = SOLID.get(seq, -1)
+    if route == "not-finitely-solvable":
+        with pytest.raises(NotFinitelySolvable):
+            solve_inhomogeneous(op, handle, solid, budget=max(DEFAULT_BUDGET, budget))
+    for text in _group_texts(handle, op, term, solid, "%s %s %d" % (seq, term, budget)):
+        lits = _literals(text)
+        want = functools.reduce(PeriodicIndexSet.intersect,
+                                [reference_single_var_set(handle, lit, budget)
+                                 for lit in lits])
+        got = decide_module._operator_set(handle, lits, budget, {})
+        assert index_set_shape(got) == index_set_shape(want), text
+        # and the disjunct comes out as it does literal by literal
+        assert _outcome_json(decide_module._solve_disjunct(handle, ["x"], lits, budget, {})) \
+            == _outcome_json(decide_module._solve_disjunct(handle, ["x"], lits, budget, {},
+                                                           grouped=False)), text
+
+
+@pytest.mark.parametrize("text", ["E x in R. D6(x) & x > 61",
+                                  "E k <= 7. E x in R. x = k + 27"])
+def test_one_classification_per_operator_and_decide_call(text, monkeypatch):
+    # x > 61 unfolds into 62 literals on the operator [1], and E k <= 7
+    # asks x = k + 27 eight times: one classification serves them all
+    calls = []
+
+    def counting(op, handle, budget=DEFAULT_BUDGET):
+        calls.append(op.coeffs)
+        return classify(op, handle, budget)
+
+    monkeypatch.setattr(decide_module, "classify", counting)
+    verdict = run(text, handle=FIB)
+    assert verdict.is_true()
+    assert calls == [(1,)]
+    # no memo outlives the call
+    run(text, handle=FIB)
+    assert calls == [(1,), (1,)]
+
+
+def test_the_classification_memo_keys_on_the_budget():
+    # x = 0 classifies at DEFAULT_BUDGET (300), x = r_350 at the budget 400,
+    # whose bounded scan reaches index 350
+    verdict = run("E x in R. x = 0 | x = %d" % (2 ** 350 + 350), handle=TABLE, budget=400)
+    assert verdict.is_true() and verdict.witness == {"x": ("index", 350)}
+
+
+def test_an_error_of_a_later_literal_surfaces_where_it_stands(monkeypatch):
+    # x != 10^300 needs fib terms up to about r_1440, past a small cache
+    # budget; x != 1 does not.  Grouped with x != 1, the large constant must
+    # not raise before the ground contradiction between them is read.
+    monkeypatch.setattr(sequences, "MAX_CACHE_BITS", 100_000)
+    big = str(10 ** 300)
+    fresh = lambda: make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+    verdict = run("E x in R. x != 1 & 0 = 1 & x != " + big, handle=fresh())
+    assert verdict.is_false()
+    assert verdict.certificate.to_json() == Proved("fragment-decision").to_json()
+    with pytest.raises(sequences.CacheBudgetExceeded):
+        run("E x in R. x != 1 & x != " + big + " & 0 = 1", handle=fresh())

@@ -501,3 +501,31 @@ def test_twelve_distinct_coefficients_fit_the_split_budget():
     # 1 + 2 + ... + 11 = 66 vanishes
     sols = solve_homogeneous(list(range(1, 12)) + [-66], M23, 0)
     assert sols.base == [(1,) * 12] and sols.splits == []
+
+
+@pytest.mark.parametrize("coeffs", [
+    [3, -3], [1, 2, -3], [1, 2, 3, -6], list(range(1, 8)) + [-28],
+    [1] * 9 + [-9], [2] * 6,
+    [1, 2, 1, 2, 1, 2, -3], [1, 1, 2, 2, 3, 3, -6, -6], [5, -1, 5, -1, 5, 7, 7],
+], ids=lambda c: ",".join(map(str, c)))
+def test_split_count_closed_form_matches_the_visits(coeffs):
+    assert mann._split_visits(coeffs) == reference_split_visits(coeffs)
+
+
+def test_split_count_closed_form_on_seeded_lists():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        alphabet = rng.choice([[1, -1], [1, 2, -3], list(range(-20, 21))])
+        coeffs = [rng.choice([a for a in alphabet if a]) for _ in range(n)]
+        assert mann._split_visits(coeffs) == reference_split_visits(coeffs), coeffs
+
+
+def test_split_search_past_its_budget_is_refused_before_any_scan(monkeypatch):
+    # the count follows from the coefficients, so the refusal needs no scan
+    def no_scan(*args):
+        raise AssertionError("scanned before the split budget refused")
+
+    monkeypatch.setattr(mann, "_scan", no_scan)
+    with pytest.raises(ValueError, match="more than 500000 split candidates"):
+        solve_homogeneous(list(range(1, 16)) + [-120], M23, 0)
