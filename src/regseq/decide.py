@@ -2,14 +2,15 @@
 
 decide() takes a normalized sentence whose quantifier prefix is existential
 (over R, plus bounded integer existentials), reduces the matrix to a
-disjunction of literal conjunctions, and resolves each disjunct with the
-exact machinery available:
+disjunction of literal conjunctions in one DNF walk, which expands each
+Sigma atom where it stands, and resolves each disjunct with the exact
+machinery available:
 
   * single-variable equalities and disequalities go through operator
     classification and inhomogeneous solving, producing finite or cofinite
-    index sets: those on one variable and one operator compile together,
-    on one classification (made once per decide() call) and one scan for
-    all their constants;
+    index sets: adjacent ones on one variable and one operator compile as
+    one run, on one classification (made once per decide() call) and one
+    scan for all their constants;
   * divisibility atoms go through the congruence profiles, producing
     eventually periodic index sets;
   * one multi-variable equality per disjunct is searched for a witness in
@@ -364,46 +365,34 @@ def _disjunction(outcomes, tainted=False):
 
 def _decide_matrix(handle, rvars, matrix, budget, classified):
     """('true', witness) / ('false', cert) / ('unknown', reason) for an
-    existential R-prefix over a quantifier-free matrix."""
-    matrix, extra_vars, taint = _expand_sigma(handle, matrix, budget)
-    rvars = rvars + extra_vars
-    return _disjunction((_solve_disjunct(handle, rvars, lits, budget, classified)
-                         for lits in _dnf(matrix)), taint)
+    existential R-prefix over a quantifier-free matrix.
 
+    The DNF walk expands each Sigma atom where it stands: a positive one is
+    one conjunction over fresh R variables (its row equations and
+    divisibility side constraints); a negated one with ground arguments is
+    decided recursively, and holds only where non-membership is proved.  An
+    undecided one proves nothing and taints the whole."""
+    fresh = []
+    tags = itertools.count()
+    taint = False
 
-def _expand_sigma(handle, node, budget):
-    """Replace Sigma atoms: positive ones become fresh existential variables
-    with row equations and divisibility side constraints; negative ones with
-    ground arguments are decided recursively and spliced in as constants.
-
-    Returns (rewritten matrix, fresh R variables, taint flag for any
-    negative Sigma left undecided within the budget)."""
-    fresh_vars = []
-    taint = [False]
-    counter = itertools.count()
-
-    def walk(n):
-        if isinstance(n, (F.And, F.Or)):
-            return type(n)([walk(x) for x in n.items])
-        if not isinstance(n, F.SigmaZ):
-            return n
-        if n.positive:
-            tag = next(counter)
-            renaming = {v: "_sig%d_%s" % (tag, v) for v in n.row_variables()}
-            fresh_vars.extend(renaming[v] for v in sorted(renaming))
-            return F.And(_sigma_parts(n, renaming))
-        if any(not a.is_ground() for a in n.args):
+    def sigma(atom):
+        nonlocal taint
+        if atom.positive:
+            tag = next(tags)
+            renaming = {v: "_sig%d_%s" % (tag, v) for v in atom.row_variables()}
+            fresh.extend(renaming[v] for v in sorted(renaming))
+            return [_sigma_parts(atom, renaming)]
+        if any(not a.is_ground() for a in atom.args):
             raise OutOfFragment("negated-sigma-with-variables")
-        sub = _sigma_sentence(n)
-        verdict = decide(sub, handle, budget)
-        if verdict.is_true():
-            return F.FALSE
-        if verdict.is_false():  # non-membership, Proved like every False
-            return F.TRUE
-        taint[0] = True
-        return F.FALSE  # undecided membership: this branch proves nothing
+        verdict = decide(_sigma_sentence(atom), handle, budget)
+        taint = taint or not (verdict.is_true() or verdict.is_false())
+        return [[]] if verdict.is_false() else []
 
-    return walk(node), fresh_vars, taint[0]
+    disjuncts = _dnf(matrix, sigma)
+    return _disjunction((_solve_disjunct(handle, rvars + fresh, lits, budget,
+                                         classified)
+                         for lits in disjuncts), taint)
 
 
 def _rename(lin, renaming):
@@ -426,22 +415,31 @@ def _sigma_sentence(sigma):
     return body
 
 
-def _dnf(node):
+def _dnf(node, sigma):
+    """The disjuncts of node, each a list of its literals, with sigma(atom)
+    the disjuncts of a Sigma atom.  An And item with one disjunct extends
+    each partial conjunction in place; only one with several copies them."""
     if isinstance(node, F.Or):
         out = []
         for x in node.items:
-            out.extend(_dnf(x))
+            out.extend(_dnf(x, sigma))
             if len(out) > DNF_CAP:
                 raise OutOfFragment("dnf-too-large")
         return out
     if isinstance(node, F.And):
         out = [[]]
         for x in node.items:
-            branches = _dnf(x)
+            branches = _dnf(x, sigma)
+            if len(branches) == 1:
+                for a in out:
+                    a.extend(branches[0])
+                continue
             out = [a + b for a in out for b in branches]
             if len(out) > DNF_CAP:
                 raise OutOfFragment("dnf-too-large")
         return out
+    if isinstance(node, F.SigmaZ):
+        return sigma(node)
     return [[node]]
 
 
@@ -450,21 +448,8 @@ def _solve_disjunct(handle, rvars, lits, budget, classified, grouped=True):
     equations = []
     side = []       # multi-variable disequalities, checked on candidates
     bounded = []    # multi-variable Div/InR atoms: bounded route only
-    for lit in _compile_order(lits, grouped):
-        if isinstance(lit, list):   # a group of EqZ/NeqZ literals
-            try:
-                compiled = _operator_set(handle, lit, budget, classified)
-            except ValueError:
-                if len(lit) == 1:
-                    raise
-                # A larger constant of the group may need more of the
-                # sequence than its first literal: redo the disjunct literal
-                # by literal, so that errors surface where they did.
-                return _solve_disjunct(handle, rvars, lits, budget, classified,
-                                       grouped=False)
-            var, = lit[0].lin.ops
-            constraints[var] = constraints[var].intersect(compiled)
-            continue
+    for run in _runs(lits, grouped):
+        lit = run[0]
         if not isinstance(lit, (F.EqZ, F.NeqZ, F.DivZ, F.InRZ)):
             raise OutOfFragment("unsupported-literal", type(lit).__name__)
         mentioned = lit.lin.variables()
@@ -473,8 +458,10 @@ def _solve_disjunct(handle, rvars, lits, budget, classified, grouped=True):
                 return ("false", certs.Proved("ground-contradiction"))
             continue
         if len(mentioned) == 1:
-            constraints[mentioned[0]] = constraints[mentioned[0]].intersect(
-                _single_var_set(handle, lit, budget))
+            compiled = _operator_set(handle, run, budget, classified) \
+                if isinstance(lit, (F.EqZ, F.NeqZ)) else \
+                _single_var_set(handle, lit, budget)
+            constraints[mentioned[0]] = constraints[mentioned[0]].intersect(compiled)
             continue
         if isinstance(lit, F.EqZ):
             equations.append(lit)
@@ -501,21 +488,22 @@ def _solve_disjunct(handle, rvars, lits, budget, classified, grouped=True):
                               equations[0], budget)
 
 
-def _compile_order(lits, grouped):
-    """The literals in order, with each one-variable EqZ/NeqZ literal in a
-    list; when grouped, one list per (variable, operator) holds them all,
-    where the first of them stands."""
+def _runs(lits, grouped):
+    """The literals in order, in lists: when grouped, adjacent one-variable
+    EqZ/NeqZ literals on one (variable, operator) share a list, which
+    _operator_set compiles at once; every other literal stands alone.  No
+    other literal stands between the members of a run, so a run raises
+    where the literal-by-literal compile (grouped=False) raises."""
     out = []
-    groups = {}
+    last = None
     for lit in lits:
-        if isinstance(lit, (F.EqZ, F.NeqZ)) and len(lit.lin.ops) == 1:
-            (key,) = lit.lin.ops.items()
-            if not grouped or key not in groups:
-                groups[key] = []
-                out.append(groups[key])
-            groups[key].append(lit)
+        key = isinstance(lit, (F.EqZ, F.NeqZ)) and len(lit.lin.ops) == 1 \
+            and tuple(lit.lin.ops.items())
+        if grouped and key and key == last:
+            out[-1].append(lit)
         else:
-            out.append(lit)
+            out.append([lit])
+        last = key
     return out
 
 

@@ -523,7 +523,11 @@ class LinTerm:
                        {v: tuple(c * k for c in cs) for v, cs in self.ops.items()})
 
     def plus_const(self, k):
-        return LinTerm(self.const + k, self.ops)
+        # the operators are trimmed already, and no LinTerm changes its ops
+        # after construction, so the result shares them
+        out = LinTerm(self.const + k)
+        out.ops = self.ops
+        return out
 
     def evaluate(self, handle, assignment):
         total = self.const

@@ -6,6 +6,7 @@ certificates, and anything else must be explicitly UnknownBeyond.
 """
 
 import functools
+import itertools
 import random
 import time
 
@@ -544,3 +545,190 @@ def test_an_error_of_a_later_literal_surfaces_where_it_stands(monkeypatch):
     assert verdict.certificate.to_json() == Proved("fragment-decision").to_json()
     with pytest.raises(sequences.CacheBudgetExceeded):
         run("E x in R. x != 1 & x != " + big + " & 0 = 1", handle=fresh())
+
+
+# ---------------------------------------------------------------------------
+# The DNF walk, Sigma atoms within it, and runs of one-variable literals
+# ---------------------------------------------------------------------------
+
+def reference_expand_sigma(handle, node, budget):
+    """Sigma atoms replaced in a tree rebuilt before the DNF, as decide did
+    it before the DNF walk expanded them: (matrix, fresh R variables,
+    taint)."""
+    fresh_vars = []
+    taint = [False]
+    counter = itertools.count()
+
+    def walk(n):
+        if isinstance(n, (F.And, F.Or)):
+            return type(n)([walk(x) for x in n.items])
+        if not isinstance(n, F.SigmaZ):
+            return n
+        if n.positive:
+            tag = next(counter)
+            renaming = {v: "_sig%d_%s" % (tag, v) for v in n.row_variables()}
+            fresh_vars.extend(renaming[v] for v in sorted(renaming))
+            return F.And(decide_module._sigma_parts(n, renaming))
+        if any(not a.is_ground() for a in n.args):
+            raise OutOfFragment("negated-sigma-with-variables")
+        verdict = decide(decide_module._sigma_sentence(n), handle, budget)
+        if verdict.is_true():
+            return F.FALSE
+        if verdict.is_false():
+            return F.TRUE
+        taint[0] = True
+        return F.FALSE
+
+    return walk(node), fresh_vars, taint[0]
+
+
+def reference_dnf(node):
+    """The DNF as decide built it before the walk: every And item copies the
+    partial conjunctions."""
+    if isinstance(node, F.Or):
+        out = []
+        for x in node.items:
+            out.extend(reference_dnf(x))
+            if len(out) > decide_module.DNF_CAP:
+                raise OutOfFragment("dnf-too-large")
+        return out
+    if isinstance(node, F.And):
+        out = [[]]
+        for x in node.items:
+            branches = reference_dnf(x)
+            out = [a + b for a in out for b in branches]
+            if len(out) > decide_module.DNF_CAP:
+                raise OutOfFragment("dnf-too-large")
+        return out
+    return [[node]]
+
+
+def _atom(text):
+    return F.normalize(F.parse("E x in R. E y in R. " + text)).body.body
+
+
+DNF_LEAVES = [_atom(t) for t in [
+    "x = 3", "x != y", "D3(x + y)", "f[1,-1](x) = 2", "y in R", "!(x in R)",
+    "Sigma{D=[(y1 + y2)]}(x + 1)", "Sigma{C=[D2(y1)], D=[(y1 + y2)]}(y)",
+    "Sigma{D=[(y1 - y2), (y2)]}(x, y + 2)", "Sigma{D=[(3)]}(x)"]] + [F.TRUE, F.FALSE]
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(DNF_LEAVES)
+    kind = rng.choice([F.And, F.Or])
+    return kind([_random_tree(rng, depth - 1) for _ in range(rng.randint(0, 4))])
+
+
+def _near_cap_tree(rng):
+    """An And of Ors of small random trees, whose DNF has about DNF_CAP
+    disjuncts."""
+    return F.And([F.Or([_random_tree(rng, 1) for _ in range(rng.randint(2, 3))])
+                  for _ in range(rng.randint(4, 8))])
+
+
+def _cap_trees():
+    """And/Or trees whose DNF has DNF_CAP disjuncts or just more, at the top
+    or inside an Or."""
+    pair = F.Or([DNF_LEAVES[0], DNF_LEAVES[6]])
+    triple = F.Or([DNF_LEAVES[1], F.TRUE, DNF_LEAVES[7]])
+    at_cap = F.And([pair] * 8)                             # 256
+    over = F.And([pair] * 7 + [triple])                    # 384
+    return [at_cap, over, F.And([at_cap, DNF_LEAVES[2]]),
+            F.Or([at_cap, DNF_LEAVES[3]]),                 # 257
+            F.Or([F.And([pair] * 7), F.And([pair] * 7)]),  # 256
+            F.And([at_cap, pair, F.FALSE]),                # 512 before the FALSE
+            F.And([F.FALSE, at_cap, pair])]                # none
+
+
+def _walked(tree, monkeypatch):
+    """(R variables, rendered literals) of each disjunct _decide_matrix
+    hands on, or the reason it refuses the tree."""
+    seen = []
+
+    def record(handle, rvars, lits, budget, classified):
+        seen.append((list(rvars), [lit.render() for lit in lits]))
+        return ("false", Proved("recorded"))
+
+    with monkeypatch.context() as m:
+        m.setattr(decide_module, "_solve_disjunct", record)
+        try:
+            decide_module._decide_matrix(None, ["x", "y"], tree, 64, {})
+        except OutOfFragment as e:
+            return e.reason
+    return seen
+
+
+def _reference_walked(tree):
+    try:
+        matrix, fresh, _ = reference_expand_sigma(None, tree, 64)
+        return [(["x", "y"] + fresh, [lit.render() for lit in lits])
+                for lits in reference_dnf(matrix)]
+    except OutOfFragment as e:
+        return e.reason
+
+
+def test_the_dnf_walk_matches_the_expand_then_distribute_reference(monkeypatch):
+    rng = random.Random(20)
+    trees = _cap_trees() + [_random_tree(rng, rng.randint(1, 5)) for _ in range(300)] \
+        + [_near_cap_tree(rng) for _ in range(200)]
+    sizes = []
+    for tree in trees:
+        want = _reference_walked(tree)
+        assert _walked(tree, monkeypatch) == want
+        sizes.append(-1 if want == "dnf-too-large" else len(want))
+    assert sizes[:7] == [256, -1, 256, -1, 256, -1, 0]
+    # the random trees fall on both sides of the cap, many of them near it
+    assert sizes.count(-1) >= 50 and sum(64 < s <= 256 for s in sizes) >= 30
+
+
+SIGMA_WITNESSES = [
+    (POW2, "E x in R. Sigma{D=[(y1 + y2)]}(x + 1) & Sigma{D=[(y1)]}(x - 2)"
+           " & !Sigma{D=[(y1 + y2)]}(7)",
+     {"certificate": {"level": "Proved", "reason": "checked-witness"},
+      "verdict": "True",
+      "witness": {"_sig0_y1": {"element": 1, "index": 0},
+                  "_sig0_y2": {"element": 4, "index": 2},
+                  "_sig1_y1": {"element": 2, "index": 1},
+                  "x": {"element": 4, "index": 2}}}),
+    (FIB, "E x in R. !Sigma{D=[(y1 + y2 + y3)]}(4) & x > 3"
+          " & (x = 8 | Sigma{D=[(y1)]}(x + 5))",
+     {"certificate": {"level": "Proved", "reason": "fragment-decision"},
+      "verdict": "False"}),
+]
+
+
+@pytest.mark.parametrize("handle,text,want", SIGMA_WITNESSES,
+                         ids=["pow2 two positive", "fib negated and in an Or"])
+def test_sigma_witnesses_keep_their_fresh_variables(handle, text, want):
+    assert run(text, handle=handle).to_json(handle) == want
+
+
+def test_a_literal_between_two_disequalities_splits_their_run(monkeypatch):
+    # D3(x) stands between x != 1 and x != 10^300: two runs of one, and the
+    # second raises where it stands, as literal by literal
+    monkeypatch.setattr(sequences, "MAX_CACHE_BITS", 100_000)
+    lits = _literals("x != 1 & D3(x) & x != " + str(10 ** 300))
+    assert [[lit.render() for lit in run] for run in decide_module._runs(lits, True)] \
+        == [[lit.render()] for lit in lits]
+    for grouped in (True, False):
+        fresh = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+        with pytest.raises(sequences.CacheBudgetExceeded):
+            decide_module._solve_disjunct(fresh, ["x"], lits, 64, {}, grouped=grouped)
+
+
+def test_adjacent_literals_on_one_operator_share_a_run():
+    lits = _literals("x > 2 & f[1,1](x) = 5 & f[1,1](x) != 8 & y != 1 & x = 4 & x - y = 0")
+    runs = decide_module._runs(lits, True)
+    assert [len(run) for run in runs] == [3, 2, 1, 1, 1]
+    assert [len(run) for run in decide_module._runs(lits, False)] == [1] * len(lits)
+
+
+@pytest.mark.parametrize("text", [NOT_A_DIFFERENCE + " & !Sigma{D=[(y1 - y2)]}(2)",
+                                  "!Sigma{D=[(y1 - y2)]}(2) & " + NOT_A_DIFFERENCE])
+def test_a_decided_negated_sigma_keeps_the_taint_of_an_undecided_one(text):
+    # 2 = r_1 - r_0 is a difference, so its negation is refuted; the other
+    # atom is undecided, whichever of them the walk meets first
+    verdict = run(text, handle=TABLE)
+    assert verdict.kind == Verdict.UNKNOWN
+    assert verdict.reason == "negated-sigma-at-budget"
