@@ -20,6 +20,7 @@ without a generator, or a part that runs out within the stream, is refused
 outright (BoundedProfileError).
 """
 
+import bisect
 from math import gcd
 
 from . import sequences as sq
@@ -100,7 +101,9 @@ class PeriodicIndexSet:
 
     def contains(self, n):
         if n < self.rho:
-            return n in self.members
+            # the members are sorted: a bisection, not a scan of the tuple
+            i = bisect.bisect_left(self.members, n)
+            return i < len(self.members) and self.members[i] == n
         return (n % self.p) in self.classes
 
     def is_empty(self):

@@ -3,14 +3,14 @@
 decide() takes a normalized sentence whose quantifier prefix is existential
 (over R, plus bounded integer existentials), reduces the matrix to a
 disjunction of literal conjunctions in one DNF walk, which expands each
-Sigma atom where it stands, and resolves each disjunct with the exact
+Sigma atom where it stands (and each !(t > c) on several variables into
+the equations t = 0, ..., t = c), and resolves each disjunct with the exact
 machinery available:
 
-  * single-variable equalities and disequalities go through operator
-    classification and inhomogeneous solving, producing finite or cofinite
-    index sets: adjacent ones on one variable and one operator compile as
-    one run, on one classification (made once per decide() call) and one
-    scan for all their constants;
+  * single-variable equalities, disequalities and order literals t > c
+    (t outside [0, c]) go through operator classification and one scan for
+    the values of their range, producing finite or cofinite index sets; a
+    classification is made once per decide() call;
   * divisibility atoms go through the congruence profiles, producing
     eventually periodic index sets;
   * one multi-variable equality per disjunct is searched for a witness in
@@ -43,6 +43,7 @@ or exhibits solution pairs at unboundedly growing gaps, which no finite
 collection of offset patterns can absorb.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -53,7 +54,7 @@ from .congruence import PeriodicIndexSet, divisibility_set
 from .equations import BOUNDED_BOX, EquationProblem, TrivialOperatorPresent, \
     _box_solutions, _value_table, solve_full, solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, \
-    NotFinitelySolvable, Operator, classify, solve_targets, values
+    NotFinitelySolvable, Operator, classify, solve_range, values
 from .subsums import _meet_in_the_middle
 
 DNF_CAP = 256
@@ -149,14 +150,10 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def _single_var_set(handle, lit, budget):
-    """Compile a one-variable literal to an index set for that variable.
-
-    An EqZ/NeqZ literal is the one-literal case of _operator_set.  Where no
-    exact route applies, the set is the window scan: the indices
-    n <= max(LITERAL_WINDOW, budget) where test(f(n) + c) holds, as
+    """Compile a one-variable DivZ or InRZ literal to an index set for that
+    variable.  Where no exact route applies, the set is the window scan: the
+    indices n <= max(LITERAL_WINDOW, budget) where test(f(n) + c) holds, as
     BoundedCheck."""
-    if isinstance(lit, (F.EqZ, F.NeqZ)):
-        return _operator_set(handle, [lit], budget, {})
     (var, g), = lit.lin.ops.items()
     c = lit.lin.const
     op = Operator(g)
@@ -191,42 +188,42 @@ def _classify(classified, op, handle, budget):
     return classified[key]
 
 
-def _operator_set(handle, lits, budget, classified):
-    """Compile the EqZ/NeqZ literals f(x) + c = 0 and f(x) + c != 0 that share
-    one variable and one operator f to one index set, the intersection of
-    their sets.
+def _operator_set(handle, lit, budget, classified):
+    """Compile a one-variable EqZ, NeqZ or GtZ literal on f(x) + k to an index
+    set: f(x) + k = 0 and !(f(x) + k > c) hold where f(x) lies in
+    [-k, c - k] (c = 0 for an equality), NeqZ and GtZ on the complement.
 
-    One classification of f serves every constant: the target 0 reads its
-    roots or exceptions, and solve_targets solves every nonzero target -c in
-    one scan.  A target f meets on its whole scanned tail
-    (NotFinitelySolvable) gets the window scan instead."""
-    (_, g), = lits[0].lin.ops.items()
+    The value 0 is read from the classification of f at DEFAULT_BUDGET, as
+    classify gives its roots or exceptions; every other value of the range
+    from one solve_range scan under the classification at the decide budget.
+    Both are made once per decide() call.  A value that f takes on its whole
+    scanned tail (NotFinitelySolvable) gets the window scan instead, and the
+    rest of the range keeps its solve_range scan."""
+    (_, g), = lit.lin.ops.items()
     op = Operator(g)
-    targets = {-lit.lin.const for lit in lits}
-    solved = {}     # target z -> the index set of f(x) = z
-    if 0 in targets:
+    lo = -lit.lin.const
+    hi = lo + (lit.c if isinstance(lit, F.GtZ) else 0)
+    parts = []      # sets whose union is the range's
+    if lo <= 0 <= hi:
         cls = _classify(classified, op, handle, DEFAULT_BUDGET)
-        if isinstance(cls, FiniteRoots):
-            solved[0] = PeriodicIndexSet.finite(list(cls.roots), cls.cert)
-        else:
-            solved[0] = PeriodicIndexSet.cofinite(list(cls.exceptions), cls.cert)
-    if targets != {0}:
+        parts.append(PeriodicIndexSet.finite(list(cls.roots), cls.cert)
+                     if isinstance(cls, FiniteRoots) else
+                     PeriodicIndexSet.cofinite(list(cls.exceptions), cls.cert))
+    if (lo, hi) != (0, 0):
         cls = _classify(classified, op, handle, max(DEFAULT_BUDGET, budget))
-        nothing = None
-        for z, found in solve_targets(op, handle, targets - {0}, cls).items():
-            if isinstance(found, NotFinitelySolvable):
-                solved[z] = _window_zero_set(handle, op, z, budget)
-            elif found[0]:
-                solved[z] = PeriodicIndexSet.finite(*found)
-            else:
-                # one empty set serves every target without a solution: what
-                # solve_targets solves carries the certificate of cls's route
-                solved[z] = nothing = nothing or PeriodicIndexSet.finite(*found)
-    if len(lits) == 1:
-        zero_set = solved[-lits[0].lin.const]
-        return zero_set if isinstance(lits[0], F.EqZ) else zero_set.complement()
-    return _conjunction({(isinstance(lit, F.EqZ), solved[-lit.lin.const])
-                         for lit in lits})
+        try:
+            parts.append(PeriodicIndexSet.finite(*solve_range(op, handle, lo, hi, cls)))
+        except NotFinitelySolvable as solid:
+            parts.append(_window_zero_set(handle, op, solid.z, budget))
+            parts.extend(PeriodicIndexSet.finite(*solve_range(op, handle, a, b, cls))
+                         for a, b in ((lo, solid.z - 1), (solid.z + 1, hi))
+                         if a <= b)
+    inside = isinstance(lit, F.EqZ) or isinstance(lit, F.GtZ) and not lit.positive
+    if len(parts) == 1:
+        return parts[0] if inside else parts[0].complement()
+    outside = functools.reduce(PeriodicIndexSet.intersect,
+                               [s.complement() for s in parts])
+    return outside.complement() if inside else outside
 
 
 def _window_zero_set(handle, op, z, budget):
@@ -238,27 +235,6 @@ def _window_zero_set(handle, op, z, budget):
         # window rather than pretending it is finite
         return PeriodicIndexSet(cert.n + 1, 1, (0,), hits, cert)
     return PeriodicIndexSet.finite(hits, cert)
-
-
-def _conjunction(parts):
-    """The intersection of the sets of (positive, s) parts, s for a positive
-    part and its complement for a negated one, as PeriodicIndexSet.intersect
-    would build it part by part: every s has period 1, so one pass over the
-    indices below the largest rho settles the members, and the tail is in
-    exactly when every part's is."""
-    rho = max(s.rho for _, s in parts)
-    inside = set(range(rho))
-    tail = True
-    for positive, s in parts:
-        covered = s.members if s.is_finite() else \
-            itertools.chain(s.members, range(s.rho, rho))
-        if positive:
-            inside.intersection_update(covered)
-        else:
-            inside.difference_update(covered)
-        tail = tail and s.is_finite() != positive
-    cert = certs.merge([s.cert for _, s in parts], reason="index-set-arithmetic")
-    return PeriodicIndexSet(rho, 1, (0,) if tail else (), inside, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +416,21 @@ def _dnf(node, sigma):
         return out
     if isinstance(node, F.SigmaZ):
         return sigma(node)
+    if isinstance(node, F.GtZ) and not node.positive and len(node.lin.ops) > 1:
+        # t in [0, c] on several variables: the equations t = 0, ..., t = c
+        if node.c >= DNF_CAP:
+            raise OutOfFragment("dnf-too-large")
+        return [[F.EqZ(node.lin.plus_const(-i))] for i in range(node.c + 1)]
     return [[node]]
 
 
-def _solve_disjunct(handle, rvars, lits, budget, classified, grouped=True):
+def _solve_disjunct(handle, rvars, lits, budget, classified):
     constraints = {v: PeriodicIndexSet.full() for v in rvars}
     equations = []
-    side = []       # multi-variable disequalities, checked on candidates
+    side = []       # multi-variable disequalities and t > c, checked on candidates
     bounded = []    # multi-variable Div/InR atoms: bounded route only
-    for run in _runs(lits, grouped):
-        lit = run[0]
-        if not isinstance(lit, (F.EqZ, F.NeqZ, F.DivZ, F.InRZ)):
+    for lit in lits:
+        if not isinstance(lit, (F.EqZ, F.NeqZ, F.GtZ, F.DivZ, F.InRZ)):
             raise OutOfFragment("unsupported-literal", type(lit).__name__)
         mentioned = lit.lin.variables()
         if not mentioned:
@@ -458,14 +438,14 @@ def _solve_disjunct(handle, rvars, lits, budget, classified, grouped=True):
                 return ("false", certs.Proved("ground-contradiction"))
             continue
         if len(mentioned) == 1:
-            compiled = _operator_set(handle, run, budget, classified) \
-                if isinstance(lit, (F.EqZ, F.NeqZ)) else \
+            compiled = _operator_set(handle, lit, budget, classified) \
+                if isinstance(lit, (F.EqZ, F.NeqZ, F.GtZ)) else \
                 _single_var_set(handle, lit, budget)
             constraints[mentioned[0]] = constraints[mentioned[0]].intersect(compiled)
             continue
         if isinstance(lit, F.EqZ):
             equations.append(lit)
-        elif isinstance(lit, F.NeqZ):
+        elif isinstance(lit, (F.NeqZ, F.GtZ)):
             side.append(lit)
         else:
             bounded.append(lit)
@@ -486,25 +466,6 @@ def _solve_disjunct(handle, rvars, lits, budget, classified, grouped=True):
                                      budget)
     return _equation_disjunct(handle, rvars, lits, constraints, side,
                               equations[0], budget)
-
-
-def _runs(lits, grouped):
-    """The literals in order, in lists: when grouped, adjacent one-variable
-    EqZ/NeqZ literals on one (variable, operator) share a list, which
-    _operator_set compiles at once; every other literal stands alone.  No
-    other literal stands between the members of a run, so a run raises
-    where the literal-by-literal compile (grouped=False) raises."""
-    out = []
-    last = None
-    for lit in lits:
-        key = isinstance(lit, (F.EqZ, F.NeqZ)) and len(lit.lin.ops) == 1 \
-            and tuple(lit.lin.ops.items())
-        if grouped and key and key == last:
-            out[-1].append(lit)
-        else:
-            out.append([lit])
-        last = key
-    return out
 
 
 def _check_assignment(handle, lits, assignment, budget):

@@ -26,9 +26,10 @@ S-chains); iterated S folds into operator offsets during normalization, so a
 normalized atom mentions each variable through a single merged operator.
 
 normalize() produces negation normal form with the divisibility remark
-expanded (!Dm(t) becomes the disjunction of Dm(t+k), 0 < k < m) and the
-order abbreviation unfolded (t > c becomes the conjunction of t != i for
-0 <= i <= c).
+expanded (!Dm(t) becomes the disjunction of Dm(t+k), 0 < k < m).  The order
+abbreviation t > c means t != 0 & ... & t != c, that is t not in [0, c]
+(so it is not an order on negative t), and stays one literal: its negation
+is the literal t in [0, c].
 """
 
 import bisect
@@ -37,10 +38,10 @@ import itertools
 from .jsonio import _read_int
 
 MAX_FORMULA_SIZE = 65536
-# Most literals the atoms of one formula may unfold into together: t > c gives
-# c + 1 of them and !Dm(t) gives m - 1, and each atom is counted before
-# normalization builds its literals.  Positive Dm(t) atoms do not unfold and
-# take any modulus; their congruence profile walks at most
+# Most literals the atoms of one formula may unfold into together: each
+# !Dm(t) gives m - 1 of them, counted before normalization builds them.  No
+# other atom unfolds: t > c is one literal for any c, and positive Dm(t)
+# atoms take any modulus; their congruence profile walks at most
 # congruence.MAX_STATES states, and past that decide scans its window.
 MAX_UNFOLD = 4096
 # Nesting levels (quantifiers, parentheses, operator arguments, '!' and unary
@@ -657,6 +658,23 @@ class InRZ:
         return "%s %sin R" % (self.lin.render(), "" if self.positive else "not ")
 
 
+class GtZ:
+    """t > c for a constant c >= 0, which abbreviates t != 0 & ... & t != c:
+    t lies outside [0, c].  The negated literal says t lies in [0, c]."""
+
+    def __init__(self, lin, c, positive=True):
+        self.lin = lin
+        self.c = c
+        self.positive = positive
+
+    def negate(self):
+        return GtZ(self.lin, self.c, not self.positive)
+
+    def render(self):
+        text = "%s > %d" % (self.lin.render(), self.c)
+        return text if self.positive else "!(%s)" % text
+
+
 class SigmaZ:
     def __init__(self, cdivs, rows, args, positive=True):
         self.cdivs = cdivs  # list of (m, LinTerm over row variables)
@@ -694,12 +712,12 @@ def normalize(ast):
     """Desugar + negation normal form.
 
     Input may be raw (from parse) or already normalized; the result uses
-    EqZ/NeqZ/DivZ/InRZ/SigmaZ atoms under And/Or and quantifier nodes, with
-    negation eliminated (pushed into atoms, divisibility expanded by the
-    remark, > unfolded by the order abbreviation, double negation dropped,
-    universals rewritten through their existential duals).  Connectives are
-    flat: no And directly under an And, no Or under an Or, and none with a
-    single item."""
+    EqZ/NeqZ/GtZ/DivZ/InRZ/SigmaZ atoms under And/Or and quantifier nodes,
+    with negation eliminated (pushed into atoms, divisibility expanded by
+    the remark, double negation dropped, universals rewritten through their
+    existential duals).  t > c with c < 0 is TRUE; any other t > c is one
+    GtZ literal, and so is its negation.  Connectives are flat: no And
+    directly under an And, no Or under an Or, and none with a single item."""
     return _nnf(ast, False, _Unfolding())
 
 
@@ -716,7 +734,8 @@ def _connective(kind, items):
 
 
 class _Unfolding:
-    """The literals unfolded so far in one formula, against MAX_UNFOLD."""
+    """The literals the !Dm(t) atoms of one formula unfold into so far,
+    against MAX_UNFOLD."""
 
     def __init__(self):
         self.total = 0
@@ -746,10 +765,10 @@ def _nnf(node, negate, unfolding):
         # A x in R. phi == ! E x in R. ! phi
         return _nnf(Not(ExistsInR(node.var, Not(node.body))), negate,
                     unfolding)
-    atom = _desugar_atom(node, unfolding)
+    atom = _desugar_atom(node)
     if isinstance(atom, (And, Or)):
-        # desugaring may produce a connective (the order expansion);
-        # push the pending negation through it
+        # t > c with c < 0 desugars to TRUE; push the pending negation
+        # through it
         return _nnf(atom, negate, unfolding)
     if negate:
         if isinstance(atom, DivZ):
@@ -771,22 +790,17 @@ class NotExists:
         return self.body
 
 
-def _desugar_atom(node, unfolding):
+def _desugar_atom(node):
     if isinstance(node, Eq):
         return EqZ(term_to_linear(node.left).add(term_to_linear(node.right).scale(-1)))
     if isinstance(node, Neq):
         return NeqZ(term_to_linear(node.left).add(term_to_linear(node.right).scale(-1)))
     if isinstance(node, Gt):
-        # the order abbreviation: t > c unfolds to t != 0 & ... & t != c
-        lhs = term_to_linear(node.left)
+        # the order abbreviation: t > c is t != 0 & ... & t != c
         rhs = term_to_linear(node.right)
         if not rhs.is_ground():
             raise SortError("order comparisons need a constant right side")
-        c = rhs.const
-        if c < 0:
-            return TRUE
-        unfolding.take("%s > %d" % (lhs.render(), c), c + 1)
-        return And([NeqZ(lhs.plus_const(-i)) for i in range(c + 1)])
+        return GtZ(term_to_linear(node.left), rhs.const) if rhs.const >= 0 else TRUE
     if isinstance(node, DivAtom):
         return DivZ(node.m, term_to_linear(node.term))
     if isinstance(node, InR):
@@ -795,9 +809,7 @@ def _desugar_atom(node, unfolding):
         return SigmaZ([(m, term_to_linear(t)) for m, t in node.cdivs],
                       [term_to_linear(t) for t in node.rows],
                       [term_to_linear(t) for t in node.args])
-    if isinstance(node, (EqZ, NeqZ, DivZ, InRZ, SigmaZ)):
-        return node
-    if isinstance(node, NotExists):
+    if isinstance(node, (EqZ, NeqZ, GtZ, DivZ, InRZ, SigmaZ, NotExists)):
         return node
     raise SortError("unrecognized formula node %r" % (node,))
 
@@ -826,6 +838,8 @@ def _eval(node, handle, assignment, budget):
         return node.lin.evaluate(handle, assignment) == 0
     if isinstance(node, NeqZ):
         return node.lin.evaluate(handle, assignment) != 0
+    if isinstance(node, GtZ):
+        return (0 <= node.lin.evaluate(handle, assignment) <= node.c) != node.positive
     if isinstance(node, DivZ):
         return node.lin.evaluate(handle, assignment) % node.m == 0
     if isinstance(node, InRZ):
@@ -859,6 +873,8 @@ def _substitute(node, var, value):
         return EqZ(node.lin.substitute_int(var, value))
     if isinstance(node, NeqZ):
         return NeqZ(node.lin.substitute_int(var, value))
+    if isinstance(node, GtZ):
+        return GtZ(node.lin.substitute_int(var, value), node.c, node.positive)
     if isinstance(node, DivZ):
         return DivZ(node.m, node.lin.substitute_int(var, value))
     if isinstance(node, InRZ):
@@ -911,7 +927,7 @@ def free_variables(node):
         if isinstance(n, (And, Or)):
             for x in n.items:
                 walk(x, bound)
-        elif isinstance(n, (EqZ, NeqZ, DivZ, InRZ)):
+        elif isinstance(n, (EqZ, NeqZ, GtZ, DivZ, InRZ)):
             out.update(v for v in n.lin.ops if v not in bound)
         elif isinstance(n, SigmaZ):
             row_bound = bound | set(n.row_variables())

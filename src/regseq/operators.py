@@ -337,61 +337,41 @@ def _classify_scan(op, handle, budget):
 
 def solve_inhomogeneous(op, handle, z, budget=DEFAULT_BUDGET):
     """All n with f(n) = z for a nonzero target, with a certificate: the
-    one-target call of solve_targets, which raises NotFinitelySolvable where
-    that returns it."""
+    range (z, z) of solve_range."""
     z = int(z)
     if z == 0:
         raise ValueError("use classify for the homogeneous case z = 0")
-    solved = solve_targets(op, handle, [z], classify(op, handle, budget))[z]
-    if isinstance(solved, NotFinitelySolvable):
-        raise solved
-    return solved
+    return solve_range(op, handle, z, z, classify(op, handle, budget))
 
 
-def solve_targets(op, handle, targets, cls):
-    """For each nonzero target z, all n with f(n) = z, with a certificate,
-    from the one classification cls of f: a dict z -> (solutions, cert).
+def solve_range(op, handle, lo, hi, cls):
+    """All n with lo <= f(n) <= hi and f(n) != 0, with a certificate, from
+    the one classification cls of f: (solutions, cert).  The zeros of f are
+    cls's to give.
 
-    On a classified-cofinite-zero operator the zero tail can never hit z, so
-    the answer is an exact finite scan of the exceptions.  On finite-roots
-    operators a growth cutoff pushes |f| above |z|; the cutoff for the
-    largest |z| does so for every target, so one scan to it finds them all.
-    When the scanned tail satisfies f(n) = z everywhere, the finiteness
-    contract itself fails for z, and z maps to a NotFinitelySolvable.
+    On a classified-cofinite-zero operator the zero tail never lies among
+    these values, so the answer is an exact finite scan of the exceptions.
+    On finite-roots operators the growth cutoff of the largest of |lo| and
+    |hi| pushes |f| above every value of the range, so one scan to it finds
+    them all.  A bounded route scans its window, and when the scanned tail
+    is one value z of the range, the finiteness contract itself fails for z
+    and NotFinitelySolvable is raised.
     """
-    targets = set(targets)
     if isinstance(cls, CofiniteZero):
-        hits = _bucket(((n, apply(op, handle, n)) for n in cls.exceptions), targets)
-        return {z: (hits[z], cls.cert) for z in targets}
-
+        return [n for n in cls.exceptions if lo <= apply(op, handle, n) <= hi], cls.cert
+    top = _target_cutoff(op, handle, cls, max(abs(lo), abs(hi))) \
+        if cls.cert.is_proved else cls.cutoff
+    row = values(op, handle, top)
+    hits = [n for n, v in enumerate(row) if lo <= v <= hi and v]
     if cls.cert.is_proved:
-        top = _target_cutoff(op, handle, cls, max(targets, key=abs))
-        hits = _bucket(enumerate(values(op, handle, top)), targets)
-        return {z: (hits[z], cls.cert) for z in targets}
-
+        return hits, cls.cert
     # Bounded scan; detect the cofinitely-solvable anomaly.
-    top = cls.cutoff
-    hits = _bucket(enumerate(values(op, handle, top)), targets)
-    tail_start = max(1, 3 * top // 4)
-    out = {}
-    for z, matches in hits.items():
-        # the matches are distinct indices below top
-        if tail_start < top and \
-                sum(n >= tail_start for n in matches) == top - tail_start:
-            out[z] = NotFinitelySolvable(op, z, top, matches[:8])
-        else:
-            out[z] = (matches, BoundedCheck(top))
-    return out
-
-
-def _bucket(pairs, targets):
-    """target -> the indices n, in the order given, of the (n, f(n)) pairs
-    with f(n) = target."""
-    hits = {z: [] for z in targets}
-    for n, v in pairs:
-        if v in hits:
-            hits[v].append(n)
-    return hits
+    tail = set(row[max(1, 3 * top // 4):])
+    if len(tail) == 1:
+        z, = tail
+        if z and lo <= z <= hi:
+            raise NotFinitelySolvable(op, z, top, [n for n in hits if row[n] == z][:8])
+    return hits, BoundedCheck(top)
 
 
 def _target_cutoff(op, handle, cls, z):

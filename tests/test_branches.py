@@ -5,8 +5,8 @@ answer with formulas.eval_ground or equations.brute_force (or, for a single
 operator, a direct scan of operators.apply):
 
 * operators._target_cutoff when a geometric sequence's top base is killed;
-* decide._single_var_set on a cofinitely vanishing operator, and on a
-  negated bare membership;
+* decide._operator_set on a cofinitely vanishing operator, and
+  decide._single_var_set on a negated bare membership;
 * a ground literal inside a disjunct;
 * decide._bounded_disjunct finding a witness;
 * decide._description_empty skipping a case whose class constraint is

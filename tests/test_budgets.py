@@ -56,25 +56,41 @@ def test_lazy_candidates_follow_the_sorted_product():
     assert list(_smallest_combinations([[0, 1], []])) == []
 
 
-@pytest.mark.parametrize("text", ["E x in R. x > 200000",
-                                  "E x in R. !D200000(x)"])
-def test_large_unfolding_is_rejected(tmp_path, capsys, text):
-    with pytest.raises(ValueError):
-        F.normalize(F.parse(text))
+def _decide_cli(tmp_path, text, spec='{"kind": "power", "q": "2"}'):
     formula = tmp_path / "formula.txt"
     formula.write_text(text)
-    seq = tmp_path / "pow2.json"
-    seq.write_text('{"kind": "power", "q": "2"}')
-    assert cli.main(["decide", "--seq", str(seq), "--formula", str(formula)]) == 3
-    assert "unfolds into" in capsys.readouterr().err
+    seq = tmp_path / "seq.json"
+    seq.write_text(spec)
+    return cli.main(["decide", "--seq", str(seq), "--formula", str(formula)])
+
+
+# the text, and the index of the witness on pow2 when it answers
+LARGE_ATOMS = [("E x in R. x > 200000", 18), ("E x in R. !D200000(x)", None)]
+
+
+@pytest.mark.parametrize("text,index", LARGE_ATOMS, ids=[t for t, _ in LARGE_ATOMS])
+def test_large_unfolding_is_rejected(tmp_path, capsys, text, index):
+    # !Dm(t) unfolds into m - 1 literals; t > c is one literal, and answers
+    if index is None:
+        with pytest.raises(ValueError):
+            F.normalize(F.parse(text))
+        assert _decide_cli(tmp_path, text) == 3
+        assert "unfolds into" in capsys.readouterr().err
+    else:
+        assert _decide_cli(tmp_path, text) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness == {"x": {"element": str(2 ** index), "index": str(index)}}
+        assert 2 ** (index - 1) <= 200000 < 2 ** index
 
 
 def test_unfolding_limit_boundary():
-    F.normalize(F.parse("E x in R. x > %d" % (F.MAX_UNFOLD - 1)))
+    # t > c on either side of MAX_UNFOLD answers, with the least witness
+    for c, index in ((F.MAX_UNFOLD - 1, 12), (F.MAX_UNFOLD, 13)):
+        verdict = decide(F.parse("E x in R. x > %d" % c), POW2)
+        assert verdict.is_true() and verdict.witness == {"x": ("index", index)}
+        assert 2 ** (index - 1) <= c < 2 ** index
     F.normalize(F.parse("E x in R. !D%d(x)" % (F.MAX_UNFOLD + 1)))
     F.normalize(F.parse("E x in R. D200000(x)"))
-    with pytest.raises(ValueError):
-        F.normalize(F.parse("E x in R. x > %d" % F.MAX_UNFOLD))
     with pytest.raises(ValueError):
         F.normalize(F.parse("E x in R. !D%d(x)" % (F.MAX_UNFOLD + 2)))
 
@@ -99,20 +115,44 @@ def test_unit_equation_with_fractional_coefficients():
 
 def test_unfolding_is_counted_per_formula(tmp_path, capsys):
     half = F.MAX_UNFOLD // 2
-    F.normalize(F.parse("E x in R. x > %d & x > %d" % (half - 1, half - 1)))
-    F.normalize(F.parse("E x in R. !D%d(x) | !(x > %d)" % (half + 1, half - 1)))
-    for text in ("E x in R. x > %d & x > %d" % (half - 1, half),
-                 "E x in R. !D%d(x) | !(x > %d)" % (half + 2, half - 1),
-                 "A x in R. !(x > %d) | D%d(x + 1)" % (half, half + 1)):
+    # the !Dm(t) atoms of one formula count together
+    F.normalize(F.parse("E x in R. !D%d(x) | !D%d(x + 1)" % (half + 1, half + 1)))
+    for text in ("E x in R. !D%d(x) | !D%d(x + 1)" % (half + 1, half + 2),
+                 "A x in R. D%d(x) & D%d(x + 1)" % (half + 2, half + 1)):
         with pytest.raises(ValueError, match="unfolds into"):
             F.normalize(F.parse(text))
+    # and t > c counts nothing, whatever stands beside it
+    F.normalize(F.parse("E x in R. !D%d(x) | !(x > %d)" % (half + 2, half - 1)))
+    F.normalize(F.parse("A x in R. !(x > %d) | D%d(x + 1)" % (half, half + 1)))
+    verdict = decide(F.parse("E x in R. x > %d & x > %d" % (half - 1, half)), POW2)
+    assert verdict.is_true() and verdict.witness == {"x": ("index", 12)}
     text = "E x in R. " + " & ".join(["x > %d" % (F.MAX_UNFOLD - 1)] * 10)
-    formula = tmp_path / "formula.txt"
-    formula.write_text(text)
-    seq = tmp_path / "pow2.json"
-    seq.write_text('{"kind": "power", "q": "2"}')
-    assert cli.main(["decide", "--seq", str(seq), "--formula", str(formula)]) == 3
-    assert "in the formula, more than %d" % F.MAX_UNFOLD in capsys.readouterr().err
+    assert _decide_cli(tmp_path, text) == 0
+    assert json.loads(capsys.readouterr().out)["witness"]["x"]["index"] == "12"
+
+
+FIB_SPEC = '{"kind": "recurrence", "coeffs": ["1", "1"], "initials": ["1", "2"]}'
+
+
+def test_a_far_order_atom_answers_with_a_checked_witness(tmp_path, capsys):
+    # one scan to the growth cutoff of 10^3000 finds every value of [0, c]
+    c = 10 ** 3000
+    assert _decide_cli(tmp_path, "E x in R. x > %d" % c, FIB_SPEC) == 0
+    out = json.loads(capsys.readouterr().out)
+    index = int(out["witness"]["x"]["index"])
+    fib = make_handle(SequenceSpec.from_json(json.loads(FIB_SPEC)))
+    element = int(out["witness"]["x"]["element"])
+    assert element == fib.eval(index) > c >= fib.eval(index - 1)
+    assert out["certificate"] == {"level": "Proved", "reason": "checked-witness"}
+
+
+def test_a_far_order_atom_past_the_cache_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # the terms up to 10^3000 take about 72 million bits
+    monkeypatch.setattr(sq, "MAX_CACHE_BITS", 100_000)
+    assert _decide_cli(tmp_path, "E x in R. x > %d" % 10 ** 3000, FIB_SPEC) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 def test_decide_and_eval_ground_share_one_default_budget():

@@ -7,6 +7,7 @@ certificates, and anything else must be explicitly UnknownBeyond.
 
 import functools
 import itertools
+import math
 import random
 import time
 
@@ -14,6 +15,7 @@ import pytest
 
 from regseq import decide as decide_module
 from regseq import formulas as F
+from regseq import operators as operators_module
 from regseq.certs import Proved
 from regseq.congruence import PeriodicIndexSet
 from regseq.decide import (BOUNDED_ASSIGNMENT_CAP, STREAM_HEAD, OutOfFragment, Verdict,
@@ -371,6 +373,15 @@ def reference_single_var_set(handle, lit, budget):
     raise OutOfFragment("unsupported-literal", type(lit).__name__)
 
 
+def single_var_set(handle, lit, budget):
+    """The one-variable compile decide uses: _operator_set for equalities,
+    disequalities and t > c, on a classification memo of its own, and
+    _single_var_set for the other literals."""
+    if isinstance(lit, (F.EqZ, F.NeqZ, F.GtZ)):
+        return decide_module._operator_set(handle, lit, budget, {})
+    return _single_var_set(handle, lit, budget)
+
+
 def index_set_shape(s):
     return s.rho, s.p, sorted(s.classes), s.members, s.cert.to_json()
 
@@ -402,7 +413,7 @@ def test_one_window_scan_matches_the_three_old_scans(generator, text, route, bud
     matrix = F.normalize(F.parse("E x in R. " + text)).body
     lits = matrix.items if isinstance(matrix, F.Or) else [matrix]
     for lit in lits:
-        got = _single_var_set(handle, lit, budget)
+        got = single_var_set(handle, lit, budget)
         assert index_set_shape(got) == \
             index_set_shape(reference_single_var_set(handle, lit, budget))
         window = got.cert.to_json() == certs.BoundedCheck(max(64, budget)).to_json()
@@ -410,7 +421,7 @@ def test_one_window_scan_matches_the_three_old_scans(generator, text, route, bud
 
 
 # ---------------------------------------------------------------------------
-# One compile per (variable, operator)
+# t > c as one literal, against the unfolding into c + 1 disequalities
 # ---------------------------------------------------------------------------
 
 GROUP_HANDLES = {
@@ -448,26 +459,41 @@ GROUP_ROUTES = [
 SOLID = {"table": -1, "steps": 2}
 
 
-def _group_texts(handle, op, term, solid, seed):
-    """Conjunctions of =, != and > atoms on one term: a few fixed ones, and
-    seeded ones whose constants are mostly values the term takes."""
-    pool = sorted({apply(op, handle, n) for n in range(12)} | {-1, 0, 1, 2, 7, 40})
-    texts = ["{t} > 61", "{t} != 1 & {t} != 2 & {t} != 3", "{t} = 5", "{t} = 2 & {t} = 2",
-             "{t} = {z}", "{t} != {z} & {t} != 0", "{t} = {z} & {t} != 3"]
+def unfolded(lit):
+    """The order abbreviation as normalize unfolded it before t > c became
+    one literal: t != 0 & ... & t != c, and under negation the Or of
+    t = 0, ..., t = c."""
+    if lit.positive:
+        return F.And([F.NeqZ(lit.lin.plus_const(-i)) for i in range(lit.c + 1)])
+    return F.Or([F.EqZ(lit.lin.plus_const(-i)) for i in range(lit.c + 1)])
+
+
+def _order_texts(handle, op, term, solid, seed):
+    """t + k > c on one term: a few fixed ones, and seeded ones with c <= 300
+    and an offset k that puts values the term takes (the solid one among
+    them) inside [0, c] or next to it."""
+    pool = sorted({apply(op, handle, n) for n in range(12)} | {solid, 0, 1, 40})
+    pairs = [(0, 0), (0, 61), (0, 300), (-solid, 0), (1 - solid, 2)]
     rng = random.Random(seed)
-    for _ in range(6):
-        atoms = []
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(["=", "!=", "!=", ">"])
-            c = rng.randint(0, 60) if kind == ">" else rng.choice(pool)
-            atoms.append("{t} %s %d" % (kind, c))
-        texts.append(" & ".join(atoms))
-    return [t.format(t=term, z=solid) for t in texts]
+    for _ in range(5):
+        c = rng.randint(0, 300)
+        pairs.append((rng.randint(0, c) - rng.choice(pool), c))
+    return ["%s %s %d > %d" % (term, "+" if k >= 0 else "-", abs(k), c) for k, c in pairs]
 
 
 def _literals(text):
     matrix = F.normalize(F.parse("E x in R. " + text)).body
     return list(matrix.items) if isinstance(matrix, F.And) else [matrix]
+
+
+def same_set(a, b):
+    """Whether two eventually periodic sets have the same members, and their
+    certificates the same level and window: every consumer of a literal's
+    set merges its certificate into one with a reason of its own."""
+    top = max(a.rho, b.rho) + math.lcm(a.p, b.p)
+    return [a.contains(n) for n in range(top)] == [b.contains(n) for n in range(top)] \
+        and certs.merge([a.cert], "set").to_json() == \
+        certs.merge([b.cert], "set").to_json()
 
 
 def _outcome_json(outcome):
@@ -478,7 +504,13 @@ def _outcome_json(outcome):
 @pytest.mark.parametrize("budget", [64, 400])
 @pytest.mark.parametrize("seq,term,route", GROUP_ROUTES,
                          ids=["%s: %s" % (s, t) for s, t, _ in GROUP_ROUTES])
-def test_grouped_compile_matches_the_literal_by_literal_sets(seq, term, route, budget):
+def test_grouped_compile_matches_the_literal_by_literal_sets(seq, term, route, budget,
+                                                             monkeypatch):
+    # t > c and !(t > c), one literal each, against the c + 1 literals they
+    # unfolded into: the same index set as the reference sets of those
+    # literals give, the same disjunct outcome (a True witness of the
+    # negation may have a smaller index: it is the least member of the
+    # whole range's set, not of the first value's), and the same truth
     handle = GROUP_HANDLES[seq]()
     (_, g), = _literals(term + " = 0")[0].lin.ops.items()
     op = Operator(g)
@@ -493,23 +525,46 @@ def test_grouped_compile_matches_the_literal_by_literal_sets(seq, term, route, b
     if route == "not-finitely-solvable":
         with pytest.raises(NotFinitelySolvable):
             solve_inhomogeneous(op, handle, solid, budget=max(DEFAULT_BUDGET, budget))
-    for text in _group_texts(handle, op, term, solid, "%s %s %d" % (seq, term, budget)):
-        lits = _literals(text)
-        want = functools.reduce(PeriodicIndexSet.intersect,
-                                [reference_single_var_set(handle, lit, budget)
-                                 for lit in lits])
-        got = decide_module._operator_set(handle, lits, budget, {})
-        assert index_set_shape(got) == index_set_shape(want), text
-        # and the disjunct comes out as it does literal by literal
-        assert _outcome_json(decide_module._solve_disjunct(handle, ["x"], lits, budget, {})) \
-            == _outcome_json(decide_module._solve_disjunct(handle, ["x"], lits, budget, {},
-                                                           grouped=False)), text
+    # the reference classifies once per (operator, budget), as decide does
+    once = functools.lru_cache(maxsize=None)(classify)
+    monkeypatch.setattr(operators_module, "classify", once)
+    monkeypatch.setitem(globals(), "classify", once)
+    rng = random.Random(seq + term)
+    for text in _order_texts(handle, op, term, solid, "%s %s %d" % (seq, term, budget)):
+        positive = _literals(text)[0]
+        outside = functools.reduce(PeriodicIndexSet.intersect,
+                                   [reference_single_var_set(handle, lit, budget)
+                                    for lit in unfolded(positive).items])
+        for lit, want in ((positive, outside), (positive.negate(), outside.complement())):
+            assert isinstance(lit, F.GtZ), text
+            got = decide_module._operator_set(handle, lit, budget, {})
+            assert same_set(got, want), lit.render()
+            outcome = decide_module._solve_disjunct(handle, ["x"], [lit], budget, {})
+            parts = unfolded(lit)
+            if lit.positive:
+                assert _outcome_json(outcome) == _outcome_json(
+                    decide_module._solve_disjunct(handle, ["x"], parts.items, budget, {}))
+            else:
+                whole = _disjunction([outcome])
+                reference = _disjunction(
+                    decide_module._solve_disjunct(handle, ["x"], [eq], budget, {})
+                    for eq in parts.items)
+                assert whole[0] == reference[0], lit.render()
+                if whole[0] == "true":
+                    assert whole[1]["x"][1] <= reference[1]["x"][1]
+                    assert F.eval_ground(lit, handle, {"x": whole[1]["x"][1]})
+                else:
+                    assert _outcome_json(whole) == _outcome_json(reference), lit.render()
+            for n in rng.sample(range(420), 8) + [want.rho]:
+                holds = F.eval_ground(lit, handle, {"x": n})
+                assert holds == F.eval_ground(parts, handle, {"x": n}), (lit.render(), n)
+                assert holds == got.contains(n) or not got.cert.is_proved
 
 
 @pytest.mark.parametrize("text", ["E x in R. D6(x) & x > 61",
                                   "E k <= 7. E x in R. x = k + 27"])
 def test_one_classification_per_operator_and_decide_call(text, monkeypatch):
-    # x > 61 unfolds into 62 literals on the operator [1], and E k <= 7
+    # x > 61 reads the values 0 to 61 of the operator [1], and E k <= 7
     # asks x = k + 27 eight times: one classification serves them all
     calls = []
 
@@ -535,8 +590,8 @@ def test_the_classification_memo_keys_on_the_budget():
 
 def test_an_error_of_a_later_literal_surfaces_where_it_stands(monkeypatch):
     # x != 10^300 needs fib terms up to about r_1440, past a small cache
-    # budget; x != 1 does not.  Grouped with x != 1, the large constant must
-    # not raise before the ground contradiction between them is read.
+    # budget; x != 1 does not.  The literals compile in order, so the large
+    # constant must not raise before the ground contradiction is read.
     monkeypatch.setattr(sequences, "MAX_CACHE_BITS", 100_000)
     big = str(10 ** 300)
     fresh = lambda: make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
@@ -548,7 +603,7 @@ def test_an_error_of_a_later_literal_surfaces_where_it_stands(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The DNF walk, Sigma atoms within it, and runs of one-variable literals
+# The DNF walk, Sigma atoms and negated order atoms within it
 # ---------------------------------------------------------------------------
 
 def reference_expand_sigma(handle, node, budget):
@@ -704,24 +759,54 @@ def test_sigma_witnesses_keep_their_fresh_variables(handle, text, want):
     assert run(text, handle=handle).to_json(handle) == want
 
 
-def test_a_literal_between_two_disequalities_splits_their_run(monkeypatch):
-    # D3(x) stands between x != 1 and x != 10^300: two runs of one, and the
-    # second raises where it stands, as literal by literal
-    monkeypatch.setattr(sequences, "MAX_CACHE_BITS", 100_000)
-    lits = _literals("x != 1 & D3(x) & x != " + str(10 ** 300))
-    assert [[lit.render() for lit in run] for run in decide_module._runs(lits, True)] \
-        == [[lit.render()] for lit in lits]
-    for grouped in (True, False):
-        fresh = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
-        with pytest.raises(sequences.CacheBudgetExceeded):
-            decide_module._solve_disjunct(fresh, ["x"], lits, 64, {}, grouped=grouped)
+def test_a_negated_order_on_several_variables_expands_into_its_equations():
+    # !(x - y > c) is x - y in [0, c]: the DNF walk gives its c + 1 equations
+    # as disjuncts, in the order the unfolding gave them, against DNF_CAP
+    for c in (0, 3, decide_module.DNF_CAP - 1):
+        lit = _atom("!(x - y > %d)" % c)
+        got = [[x.render() for x in d] for d in decide_module._dnf(lit, None)]
+        assert got == [[x.render() for x in d] for d in reference_dnf(unfolded(lit))]
+        assert len(got) == c + 1
+    with pytest.raises(OutOfFragment, match="dnf-too-large"):
+        decide_module._dnf(_atom("!(x - y > %d)" % decide_module.DNF_CAP), None)
+    with pytest.raises(OutOfFragment, match="dnf-too-large"):
+        decide_module._dnf(F.And([_atom("!(x - y > 15)"), _atom("!(y - x > 15)"),
+                                  _atom("x = 3 | y = 4")]), None)
+    # one variable: one literal, one disjunct
+    assert len(decide_module._dnf(_atom("!(x > 300) & !(y > 300)"), None)) == 1
 
 
-def test_adjacent_literals_on_one_operator_share_a_run():
-    lits = _literals("x > 2 & f[1,1](x) = 5 & f[1,1](x) != 8 & y != 1 & x = 4 & x - y = 0")
-    runs = decide_module._runs(lits, True)
-    assert [len(run) for run in runs] == [3, 2, 1, 1, 1]
-    assert [len(run) for run in decide_module._runs(lits, False)] == [1] * len(lits)
+# fib sentences with order atoms (the first three exited 3 while t > c
+# unfolded), and the least witness of each True one, in increasing index
+# sum, as brute force over the first 60 terms finds it
+ORDER_SENTENCES = [
+    ("E x in R. D6(x) & x > 1000000", {"x": 34}),
+    ("E x in R. !(x > 300) & D7(x)", {"x": 6}),
+    ("E x in R. E y in R. !(x > 20) & !(y > 20) & x + y = 21", {"x": 4, "y": 5}),
+    ("E x in R. !(x > 20) & D7(x)", None),
+    ("E x in R. E y in R. x - y > 3 & y = 13", {"x": 0, "y": 5}),
+]
+
+
+@pytest.mark.parametrize("text,least", ORDER_SENTENCES,
+                         ids=[t for t, _ in ORDER_SENTENCES])
+def test_order_sentences_answer_with_checked_witnesses(text, least):
+    verdict = run(text, handle=FIB)
+    node = F.normalize(F.parse(text))
+    rvars = []
+    while isinstance(node, F.ExistsInR):
+        rvars.append(node.var)
+        node = node.body
+    holding = [combo for combo in itertools.product(range(60), repeat=len(rvars))
+               if F.eval_ground(node, FIB, dict(zip(rvars, combo)))]
+    if least is None:
+        assert verdict.is_false() and verdict.certificate.is_proved
+        assert not holding
+        return
+    assert verdict.is_true()
+    check_witness(text, verdict, FIB)
+    assert {v: n for v, (_, n) in verdict.witness.items()} == least
+    assert min(holding, key=lambda t: (sum(t), t)) == tuple(least[v] for v in rvars)
 
 
 @pytest.mark.parametrize("text", [NOT_A_DIFFERENCE + " & !Sigma{D=[(y1 - y2)]}(2)",

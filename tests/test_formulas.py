@@ -323,7 +323,7 @@ def _ref_nnf(node, negate, unfolding):
     if isinstance(node, F.ForallInR):
         return _ref_nnf(F.Not(F.ExistsInR(node.var, F.Not(node.body))), negate,
                         unfolding)
-    atom = F._desugar_atom(node, unfolding)
+    atom = F._desugar_atom(node)
     if isinstance(atom, (F.And, F.Or)):
         return _ref_nnf(atom, negate, unfolding)
     if negate:
