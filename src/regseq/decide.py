@@ -53,8 +53,8 @@ from . import formulas as F
 from .congruence import PeriodicIndexSet, divisibility_set
 from .equations import BOUNDED_BOX, EquationProblem, TrivialOperatorPresent, \
     _box_solutions, _value_table, solve_full, solve_nondegenerate
-from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, \
-    NotFinitelySolvable, Operator, classify, solve_range, values
+from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, Operator, \
+    classify, solve_range, values
 from .subsums import _meet_in_the_middle
 
 DNF_CAP = 256
@@ -197,8 +197,8 @@ def _operator_set(handle, lit, budget, classified):
     classify gives its roots or exceptions; every other value of the range
     from one solve_range scan under the classification at the decide budget.
     Both are made once per decide() call.  A value that f takes on its whole
-    scanned tail (NotFinitelySolvable) gets the window scan instead, and the
-    rest of the range keeps its solve_range scan."""
+    scanned tail (solve_range's solid value) gets the window scan instead,
+    and the rest of the range keeps its solve_range scan."""
     (_, g), = lit.lin.ops.items()
     op = Operator(g)
     lo = -lit.lin.const
@@ -211,13 +211,11 @@ def _operator_set(handle, lit, budget, classified):
                      PeriodicIndexSet.cofinite(list(cls.exceptions), cls.cert))
     if (lo, hi) != (0, 0):
         cls = _classify(classified, op, handle, max(DEFAULT_BUDGET, budget))
-        try:
-            parts.append(PeriodicIndexSet.finite(*solve_range(op, handle, lo, hi, cls)))
-        except NotFinitelySolvable as solid:
-            parts.append(_window_zero_set(handle, op, solid.z, budget))
-            parts.extend(PeriodicIndexSet.finite(*solve_range(op, handle, a, b, cls))
-                         for a, b in ((lo, solid.z - 1), (solid.z + 1, hi))
-                         if a <= b)
+        hits, cert, solid = solve_range(op, handle, lo, hi, cls)
+        if solid is not None:
+            parts.append(_window_zero_set(handle, op, solid, budget))
+        if solid is None or lo < hi:
+            parts.append(PeriodicIndexSet.finite(hits, cert))
     inside = isinstance(lit, F.EqZ) or isinstance(lit, F.GtZ) and not lit.positive
     if len(parts) == 1:
         return parts[0] if inside else parts[0].complement()
@@ -499,24 +497,40 @@ def _smallest_combinations(heads):
             heap = heapq.nsmallest(left, heap)
 
 
+def _whole_sets(constraints, vs, heads):
+    """The positions of vs whose set is finite, Proved and longer than its
+    head (a one-variable t in [0, c], say), if their members make at most
+    DNF_CAP tuples: such a set is tried whole, one member at a time."""
+    sets = [constraints[v] for v in vs]
+    whole = [i for i, (s, h) in enumerate(zip(sets, heads))
+             if s.is_finite() and s.cert.is_proved and len(s.members) > len(h)]
+    return whole if math.prod(len(sets[i].members) for i in whole) <= DNF_CAP else []
+
+
 def _independent_disjunct(handle, rvars, lits, constraints, side, budget):
     depth = STREAM_HEAD if len(rvars) <= 2 else HEAD_DEPTH
     heads = [constraints[v].head(depth) for v in rvars]
-    for combo in _smallest_combinations(heads):
+    whole = _whole_sets(constraints, rvars, heads) if side else []
+    # after the heads, each tuple of the whole sets' members with the first
+    # CANDIDATE_CAP combinations of the other heads
+    rounds = [heads] + [
+        [[pin[whole.index(i)]] if i in whole else h for i, h in enumerate(heads)]
+        for pin in itertools.product(*[constraints[rvars[i]].members for i in whole])
+        if whole]
+    for combo in itertools.chain.from_iterable(map(_smallest_combinations, rounds)):
         assignment = dict(zip(rvars, combo))
         if _check_assignment(handle, lits, assignment, budget):
-            witness = {v: ("index", n) for v, n in assignment.items()}
-            return ("true", witness)
+            return ("true", {v: ("index", n) for v, n in assignment.items()})
     if not side:
         # with no cross-variable side conditions a nonempty product must
         # have produced a witness
         return ("unknown", "candidate-enumeration-exhausted")
-    # Exhausted only when every head is its whole finite set: a Proved set
-    # with more members than the head depth was checked on its head alone.
-    exhaustive = all(constraints[v].is_finite()
-                     and len(h) == len(constraints[v].members)
-                     for v, h in zip(rvars, heads)) \
-        and math.prod(len(h) for h in heads) <= CANDIDATE_CAP
+    # Exhausted only when every head not tried whole is its whole finite set:
+    # a Proved set with more members was checked on its head alone.
+    rest = [(constraints[v], h) for i, (v, h) in enumerate(zip(rvars, heads))
+            if i not in whole]
+    exhaustive = all(s.is_finite() and len(h) == len(s.members) for s, h in rest) \
+        and math.prod(len(h) for _, h in rest) <= CANDIDATE_CAP
     if exhaustive and all(constraints[v].cert.is_proved for v in rvars):
         cert = certs.merge([constraints[v].cert for v in rvars],
                            reason="finite-exhaustion")
@@ -531,6 +545,12 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
                               -eq.lin.const)
     solutions = _StagedSolutions(problem)
     other_heads = [constraints[v].head(HEAD_DEPTH) for v in others]
+    # each tuple of the whole sets' members has CANDIDATE_CAP candidates
+    whole = _whole_sets(constraints, others, other_heads)
+    cap = CANDIDATE_CAP
+    for i in whole:
+        other_heads[i] = constraints[others[i]].members
+        cap *= len(other_heads[i])
     checked = 0
     for tup in _by_index_sum(solutions, max(EQUATION_WINDOW, budget)):
         if any(not constraints[v].contains(n) for v, n in zip(evars, tup)):
@@ -541,7 +561,7 @@ def _equation_disjunct(handle, rvars, lits, constraints, side, eq, budget):
             checked += 1
             if _check_assignment(handle, lits, assignment, budget):
                 return ("true", {v: ("index", n) for v, n in assignment.items()})
-            if checked > CANDIDATE_CAP:
+            if checked > cap:
                 return ("unknown", "equation-candidates-at-budget")
 
     empty, cert_or_reason = _description_empty(handle, solutions.description(),

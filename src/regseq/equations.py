@@ -546,13 +546,13 @@ def _box_scan(vals, z, keep=None):
         check = not _proper_subsums_nonzero(s, z)
         streamed = [[i for i, v in enumerate(row) if v or s == 1] for row in rows[half:]]
         values = [[row[i] for i in idx] for row, idx in zip(rows[half:], streamed)]
-        by_entry = {}
+        grouped = {}
         for hit in _meet_in_the_middle([sums] + values, z, [entries] + streamed, half=1):
             full = hit[0] + hit[1:]
             if len(set(full)) == s and not (
                     check and _degenerate([row[v] for row, v in zip(rows, full)])):
-                by_entry.setdefault(hit[0], []).append(hit[1:])
-        joined = by_entry.items()
+                grouped.setdefault(hit[0], []).append(hit[1:])
+        joined = grouped.items()
     # back from row order to position order
     restore = (None if order == sorted(order)
                else operator.itemgetter(*sorted(range(s), key=order.__getitem__)))

@@ -186,11 +186,10 @@ class NotFinitelySolvable(ValueError):
     """f(n) = z held on the whole scanned tail: the finite-solution contract
     is violated (the sequence fails the intended axioms)."""
 
-    def __init__(self, op, z, window, matches):
+    def __init__(self, op, z, window):
         self.op = op
         self.z = z
         self.window = window
-        self.matches = tuple(matches)
         super().__init__(
             "f(n) = %d holds on the entire scanned tail (window %d); "
             "no finite solution set exists" % (z, window))
@@ -337,41 +336,47 @@ def _classify_scan(op, handle, budget):
 
 def solve_inhomogeneous(op, handle, z, budget=DEFAULT_BUDGET):
     """All n with f(n) = z for a nonzero target, with a certificate: the
-    range (z, z) of solve_range."""
+    range (z, z) of solve_range, which raises NotFinitelySolvable where that
+    reports z solid."""
     z = int(z)
     if z == 0:
         raise ValueError("use classify for the homogeneous case z = 0")
-    return solve_range(op, handle, z, z, classify(op, handle, budget))
+    hits, cert, solid = solve_range(op, handle, z, z, classify(op, handle, budget))
+    if solid is not None:
+        raise NotFinitelySolvable(op, z, cert.n)
+    return hits, cert
 
 
 def solve_range(op, handle, lo, hi, cls):
     """All n with lo <= f(n) <= hi and f(n) != 0, with a certificate, from
-    the one classification cls of f: (solutions, cert).  The zeros of f are
-    cls's to give.
+    the one classification cls of f: (solutions, cert, solid).  The zeros of
+    f are cls's to give.
 
     On a classified-cofinite-zero operator the zero tail never lies among
     these values, so the answer is an exact finite scan of the exceptions.
     On finite-roots operators the growth cutoff of the largest of |lo| and
     |hi| pushes |f| above every value of the range, so one scan to it finds
     them all.  A bounded route scans its window, and when the scanned tail
-    is one value z of the range, the finiteness contract itself fails for z
-    and NotFinitelySolvable is raised.
+    is one value z of the range, the finiteness contract itself fails for
+    z: solid is z and its indices are left out of the solutions.  Otherwise
+    solid is None.
     """
     if isinstance(cls, CofiniteZero):
-        return [n for n in cls.exceptions if lo <= apply(op, handle, n) <= hi], cls.cert
+        hits = [n for n in cls.exceptions if lo <= apply(op, handle, n) <= hi]
+        return hits, cls.cert, None
     top = _target_cutoff(op, handle, cls, max(abs(lo), abs(hi))) \
         if cls.cert.is_proved else cls.cutoff
     row = values(op, handle, top)
     hits = [n for n, v in enumerate(row) if lo <= v <= hi and v]
     if cls.cert.is_proved:
-        return hits, cls.cert
+        return hits, cls.cert, None
     # Bounded scan; detect the cofinitely-solvable anomaly.
     tail = set(row[max(1, 3 * top // 4):])
     if len(tail) == 1:
         z, = tail
         if z and lo <= z <= hi:
-            raise NotFinitelySolvable(op, z, top, [n for n in hits if row[n] == z][:8])
-    return hits, BoundedCheck(top)
+            return [n for n in hits if row[n] != z], BoundedCheck(top), z
+    return hits, BoundedCheck(top), None
 
 
 def _target_cutoff(op, handle, cls, z):
