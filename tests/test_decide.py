@@ -853,6 +853,21 @@ def test_a_finite_proved_set_past_its_head_is_tried_whole(text, witness):
     assert {v: n for v, (_, n) in verdict.witness.items()} == witness
 
 
+def test_each_member_tuple_of_a_whole_set_has_its_own_candidate_budget():
+    # y = z holds on the 401 diagonal tuples of the window, and only the
+    # tuple (300, 300) with x = r_0 meets the side condition: 301 tuples
+    # times x's 15 members pass CANDIDATE_CAP, 301 tuples alone do not
+    text = "E x in R. E y in R. E z in R. !(x > 1000) & y - z = 0 & " \
+        "y - x + 1000 > %d" % FIB.eval(300)
+    verdict = run(text, handle=FIB, budget=400)
+    assert verdict.is_true()
+    witness = {v: n for v, (_, n) in verdict.witness.items()}
+    assert witness == {"x": 0, "y": 300, "z": 300}
+    matrix = F.normalize(F.parse(text)).body.body.body
+    assert F.eval_ground(matrix, FIB, witness)
+    assert not F.eval_ground(matrix, FIB, {"x": 0, "y": 299, "z": 299})
+
+
 @pytest.mark.parametrize("text", [NOT_A_DIFFERENCE + " & !Sigma{D=[(y1 - y2)]}(2)",
                                   "!Sigma{D=[(y1 - y2)]}(2) & " + NOT_A_DIFFERENCE])
 def test_a_decided_negated_sigma_keeps_the_taint_of_an_undecided_one(text):
