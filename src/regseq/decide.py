@@ -3,16 +3,16 @@
 decide() takes a normalized sentence whose quantifier prefix is existential
 (over R, plus bounded integer existentials), reduces the matrix to a
 disjunction of literal conjunctions in one DNF walk, which expands each
-Sigma atom where it stands (and each !(t > c) on several variables into
-the equations t = 0, ..., t = c), and resolves each disjunct with the exact
-machinery available:
+Sigma atom where it stands (and each range t in [0, c] with c > 0 on several
+variables, such as !(t > c), into the equations t = 0, ..., t = c), and
+resolves each disjunct with the exact machinery available:
 
-  * single-variable equalities, disequalities and order literals t > c
-    (t outside [0, c]) go through operator classification and one scan for
-    the values of their range, producing finite or cofinite index sets; a
-    classification is made once per decide() call;
-  * divisibility atoms go through the congruence profiles, producing
-    eventually periodic index sets;
+  * single-variable range literals (t = 0, t != 0, t > c and !(t > c)) go
+    through operator classification and one scan for the values of their
+    range, producing finite or cofinite index sets; a classification is
+    made once per decide() call;
+  * divisibility literals go through the congruence profiles, producing
+    eventually periodic index sets, and a negated one is the complement;
   * one multi-variable equality per disjunct is searched for a witness in
     increasing index sum, in stages (index sums up to 8, 16, 32, ...), and
     stops at the first stage that holds one.  A stage of side at most
@@ -152,23 +152,22 @@ class Verdict:
 def _single_var_set(handle, lit, budget):
     """Compile a one-variable DivZ or InRZ literal to an index set for that
     variable.  Where no exact route applies, the set is the window scan: the
-    indices n <= max(LITERAL_WINDOW, budget) where test(f(n) + c) holds, as
-    BoundedCheck."""
+    indices n <= max(LITERAL_WINDOW, budget) where the literal holds at
+    f(n) + c, as BoundedCheck."""
     (var, g), = lit.lin.ops.items()
     c = lit.lin.const
     op = Operator(g)
     if isinstance(lit, F.DivZ):
         try:
-            return divisibility_set(handle, op, c, lit.m)
+            divisible = divisibility_set(handle, op, c, lit.m)
+            return divisible if lit.positive else divisible.complement()
         except ValueError:  # a refused profile or a MonotonicityError
-            return PeriodicIndexSet.finite(
-                *_window_scan(handle, op, c, budget, lambda v: v % lit.m == 0))
-    # an InRZ: _solve_disjunct admits no other literal type
-    if g == (1,) and c == 0:
+            pass
+    elif g == (1,) and c == 0:  # x in R
         return PeriodicIndexSet.full() if lit.positive else \
             PeriodicIndexSet.finite((), certs.Proved("vacuous-constraint"))
     return PeriodicIndexSet.finite(*_window_scan(
-        handle, op, c, budget, lambda v: F._in_r(handle, v) == lit.positive))
+        handle, op, c, budget, lambda v: lit.holds(v, handle)))
 
 
 def _window_scan(handle, op, c, budget, test):
@@ -189,20 +188,20 @@ def _classify(classified, op, handle, budget):
 
 
 def _operator_set(handle, lit, budget, classified):
-    """Compile a one-variable EqZ, NeqZ or GtZ literal on f(x) + k to an index
-    set: f(x) + k = 0 and !(f(x) + k > c) hold where f(x) lies in
-    [-k, c - k] (c = 0 for an equality), NeqZ and GtZ on the complement.
+    """Compile a one-variable RangeZ literal on f(x) + k to an index set:
+    f(x) + k lies in [0, c] where f(x) lies in [-k, c - k]; a negated
+    literal holds on the complement.
 
     The value 0 is read from the classification of f at DEFAULT_BUDGET, as
     classify gives its roots or exceptions; every other value of the range
     from one solve_range scan under the classification at the decide budget.
-    Both are made once per decide() call.  A value that f takes on its whole
-    scanned tail (solve_range's solid value) gets the window scan instead,
-    and the rest of the range keeps its solve_range scan."""
+    Both are made once per decide() call.  A range that holds a value f
+    takes on its whole scanned tail (solve_range's solid value) gets the
+    window scan of the whole range instead."""
     (_, g), = lit.lin.ops.items()
     op = Operator(g)
     lo = -lit.lin.const
-    hi = lo + (lit.c if isinstance(lit, F.GtZ) else 0)
+    hi = lo + lit.c
     parts = []      # sets whose union is the range's
     if lo <= 0 <= hi:
         cls = _classify(classified, op, handle, DEFAULT_BUDGET)
@@ -212,22 +211,19 @@ def _operator_set(handle, lit, budget, classified):
     if (lo, hi) != (0, 0):
         cls = _classify(classified, op, handle, max(DEFAULT_BUDGET, budget))
         hits, cert, solid = solve_range(op, handle, lo, hi, cls)
-        if solid is not None:
-            parts.append(_window_zero_set(handle, op, solid, budget))
-        if solid is None or lo < hi:
-            parts.append(PeriodicIndexSet.finite(hits, cert))
-    inside = isinstance(lit, F.EqZ) or isinstance(lit, F.GtZ) and not lit.positive
+        parts.append(PeriodicIndexSet.finite(hits, cert) if solid is None else
+                     _window_range_set(handle, op, lo, hi, budget))
     if len(parts) == 1:
-        return parts[0] if inside else parts[0].complement()
+        return parts[0] if lit.positive else parts[0].complement()
     outside = functools.reduce(PeriodicIndexSet.intersect,
                                [s.complement() for s in parts])
-    return outside.complement() if inside else outside
+    return outside.complement() if lit.positive else outside
 
 
-def _window_zero_set(handle, op, z, budget):
-    """The window scan of f(x) = z, for a target that f meets on its whole
-    scanned tail."""
-    hits, cert = _window_scan(handle, op, -z, budget, lambda v: v == 0)
+def _window_range_set(handle, op, lo, hi, budget):
+    """The window scan of lo <= f(x) <= hi, for a range that holds a value f
+    takes on its whole scanned tail."""
+    hits, cert = _window_scan(handle, op, 0, budget, lambda v: lo <= v <= hi)
     if len(hits) == cert.n + 1:
         # the scanned prefix is solid; treat the set as unknown beyond the
         # window rather than pretending it is finite
@@ -378,7 +374,7 @@ def _sigma_parts(sigma, renaming):
     """The literals of a Sigma atom over its (renamed) row variables: the C
     divisibilities, then row_i = arg_i for every row."""
     return [F.DivZ(m, _rename(t, renaming)) for m, t in sigma.cdivs] + \
-        [F.EqZ(_rename(row, renaming).add(arg.scale(-1)))
+        [F.RangeZ(_rename(row, renaming).add(arg.scale(-1)))
          for row, arg in zip(sigma.rows, sigma.args)]
 
 
@@ -414,21 +410,22 @@ def _dnf(node, sigma):
         return out
     if isinstance(node, F.SigmaZ):
         return sigma(node)
-    if isinstance(node, F.GtZ) and not node.positive and len(node.lin.ops) > 1:
+    if isinstance(node, F.RangeZ) and node.positive and node.c \
+            and len(node.lin.ops) > 1:
         # t in [0, c] on several variables: the equations t = 0, ..., t = c
         if node.c >= DNF_CAP:
             raise OutOfFragment("dnf-too-large")
-        return [[F.EqZ(node.lin.plus_const(-i))] for i in range(node.c + 1)]
+        return [[F.RangeZ(node.lin.plus_const(-i))] for i in range(node.c + 1)]
     return [[node]]
 
 
 def _solve_disjunct(handle, rvars, lits, budget, classified):
     constraints = {v: PeriodicIndexSet.full() for v in rvars}
     equations = []
-    side = []       # multi-variable disequalities and t > c, checked on candidates
-    bounded = []    # multi-variable Div/InR atoms: bounded route only
+    side = []       # multi-variable negated ranges, checked on candidates
+    bounded = []    # multi-variable Div/InR literals: bounded route only
     for lit in lits:
-        if not isinstance(lit, (F.EqZ, F.NeqZ, F.GtZ, F.DivZ, F.InRZ)):
+        if not isinstance(lit, F.Literal):
             raise OutOfFragment("unsupported-literal", type(lit).__name__)
         mentioned = lit.lin.variables()
         if not mentioned:
@@ -437,14 +434,13 @@ def _solve_disjunct(handle, rvars, lits, budget, classified):
             continue
         if len(mentioned) == 1:
             compiled = _operator_set(handle, lit, budget, classified) \
-                if isinstance(lit, (F.EqZ, F.NeqZ, F.GtZ)) else \
+                if isinstance(lit, F.RangeZ) else \
                 _single_var_set(handle, lit, budget)
             constraints[mentioned[0]] = constraints[mentioned[0]].intersect(compiled)
             continue
-        if isinstance(lit, F.EqZ):
-            equations.append(lit)
-        elif isinstance(lit, (F.NeqZ, F.GtZ)):
-            side.append(lit)
+        if isinstance(lit, F.RangeZ):
+            # _dnf leaves a positive range on several variables at c = 0 only
+            (equations if lit.positive else side).append(lit)
         else:
             bounded.append(lit)
 

@@ -25,11 +25,13 @@ S and operators f[...] apply only to R-sorted arguments (variables or nested
 S-chains); iterated S folds into operator offsets during normalization, so a
 normalized atom mentions each variable through a single merged operator.
 
-normalize() produces negation normal form with the divisibility remark
-expanded (!Dm(t) becomes the disjunction of Dm(t+k), 0 < k < m).  The order
-abbreviation t > c means t != 0 & ... & t != c, that is t not in [0, c]
-(so it is not an order on negative t), and stays one literal: its negation
-is the literal t in [0, c].
+normalize() produces negation normal form over three kinds of signed
+literal, each negated by flipping its sign: a range t in [0, c] (t = 0 is
+[0, 0], t != 0 its negation), Dm(t), and t in R.  The order abbreviation
+t > c means t != 0 & ... & t != c, that is t not in [0, c] (so it is not an
+order on negative t): the negated range, whose own negation is the range.
+!Dm(t) is one literal for any m, not the disjunction of the divisibility
+remark.
 """
 
 import bisect
@@ -38,12 +40,6 @@ import itertools
 from .jsonio import _read_int
 
 MAX_FORMULA_SIZE = 65536
-# Most literals the atoms of one formula may unfold into together: each
-# !Dm(t) gives m - 1 of them, counted before normalization builds them.  No
-# other atom unfolds: t > c is one literal for any c, and positive Dm(t)
-# atoms take any modulus; their congruence profile walks at most
-# congruence.MAX_STATES states, and past that decide scans its window.
-MAX_UNFOLD = 4096
 # Nesting levels (quantifiers, parentheses, operator arguments, '!' and unary
 # '-'); deeper input is rejected before it can exhaust the interpreter stack.
 MAX_NESTING = 64
@@ -612,67 +608,66 @@ def _succ_target(term):
 # Normalized atoms
 # ---------------------------------------------------------------------------
 
-class EqZ:
-    def __init__(self, lin):
-        self.lin = lin
+class Literal:
+    """A signed predicate on one linear term.  signed(lin, positive) is the
+    same predicate on lin with that sign, so negate() only flips the sign;
+    holds(value, handle) reads the literal at the term's value."""
 
     def negate(self):
-        return NeqZ(self.lin)
-
-    def render(self):
-        return "%s = 0" % self.lin.render()
+        return self.signed(self.lin, not self.positive)
 
 
-class NeqZ:
-    def __init__(self, lin):
-        self.lin = lin
+class RangeZ(Literal):
+    """t in [0, c] for a constant c >= 0.  t = 0 is the range [0, 0] and
+    t != 0 its negation; t > c abbreviates t != 0 & ... & t != c, the
+    negated range (so it is not an order on negative t)."""
 
-    def negate(self):
-        return EqZ(self.lin)
-
-    def render(self):
-        return "%s != 0" % self.lin.render()
-
-
-class DivZ:
-    def __init__(self, m, lin):
-        self.m, self.lin = int(m), lin
-
-    def negate(self):
-        # the divisibility remark: !Dm(t) <-> Dm(t+1) | ... | Dm(t+m-1)
-        return Or([DivZ(self.m, self.lin.plus_const(k)) for k in range(1, self.m)])
-
-    def render(self):
-        return "D%d(%s)" % (self.m, self.lin.render())
-
-
-class InRZ:
-    def __init__(self, lin, positive=True):
-        self.lin = lin
-        self.positive = positive
-
-    def negate(self):
-        return InRZ(self.lin, not self.positive)
-
-    def render(self):
-        return "%s %sin R" % (self.lin.render(), "" if self.positive else "not ")
-
-
-class GtZ:
-    """t > c for a constant c >= 0, which abbreviates t != 0 & ... & t != c:
-    t lies outside [0, c].  The negated literal says t lies in [0, c]."""
-
-    def __init__(self, lin, c, positive=True):
+    def __init__(self, lin, c=0, positive=True):
         self.lin = lin
         self.c = c
         self.positive = positive
 
-    def negate(self):
-        return GtZ(self.lin, self.c, not self.positive)
+    def signed(self, lin, positive):
+        return RangeZ(lin, self.c, positive)
+
+    def holds(self, value, handle):
+        return (0 <= value <= self.c) == self.positive
 
     def render(self):
+        if self.c == 0:
+            return "%s %s 0" % (self.lin.render(), "=" if self.positive else "!=")
         text = "%s > %d" % (self.lin.render(), self.c)
-        return text if self.positive else "!(%s)" % text
+        return "!(%s)" % text if self.positive else text
+
+
+class DivZ(Literal):
+    def __init__(self, m, lin, positive=True):
+        self.m, self.lin = int(m), lin
+        self.positive = positive
+
+    def signed(self, lin, positive):
+        return DivZ(self.m, lin, positive)
+
+    def holds(self, value, handle):
+        return (value % self.m == 0) == self.positive
+
+    def render(self):
+        return "%sD%d(%s)" % ("" if self.positive else "!", self.m, self.lin.render())
+
+
+class InRZ(Literal):
+    def __init__(self, lin, positive=True):
+        self.lin = lin
+        self.positive = positive
+
+    def signed(self, lin, positive):
+        return InRZ(lin, positive)
+
+    def holds(self, value, handle):
+        return _in_r(handle, value) == self.positive
+
+    def render(self):
+        return "%s %sin R" % (self.lin.render(), "" if self.positive else "not ")
 
 
 class SigmaZ:
@@ -712,13 +707,13 @@ def normalize(ast):
     """Desugar + negation normal form.
 
     Input may be raw (from parse) or already normalized; the result uses
-    EqZ/NeqZ/GtZ/DivZ/InRZ/SigmaZ atoms under And/Or and quantifier nodes,
-    with negation eliminated (pushed into atoms, divisibility expanded by
-    the remark, double negation dropped, universals rewritten through their
-    existential duals).  t > c with c < 0 is TRUE; any other t > c is one
-    GtZ literal, and so is its negation.  Connectives are flat: no And
-    directly under an And, no Or under an Or, and none with a single item."""
-    return _nnf(ast, False, _Unfolding())
+    RangeZ/DivZ/InRZ/SigmaZ atoms under And/Or and quantifier nodes, with
+    negation eliminated (pushed into atoms as their sign, double negation
+    dropped, universals rewritten through their existential duals).  t > c
+    with c < 0 is TRUE; any other t > c is one negated RangeZ.  Connectives
+    are flat: no And directly under an And, no Or under an Or, and none with
+    a single item."""
+    return _nnf(ast, False)
 
 
 def _connective(kind, items):
@@ -733,50 +728,28 @@ def _connective(kind, items):
     return flat[0] if len(flat) == 1 else kind(flat)
 
 
-class _Unfolding:
-    """The literals the !Dm(t) atoms of one formula unfold into so far,
-    against MAX_UNFOLD."""
-
-    def __init__(self):
-        self.total = 0
-
-    def take(self, text, count):
-        self.total += count
-        if self.total > MAX_UNFOLD:
-            raise ValueError("%s unfolds into %d literals, %d in the formula, "
-                             "more than %d"
-                             % (text, count, self.total, MAX_UNFOLD))
-
-
-def _nnf(node, negate, unfolding):
+def _nnf(node, negate):
     if isinstance(node, (And, Or)):
         kind = type(node)
         if negate:
             kind = Or if kind is And else And
-        return _connective(kind, [_nnf(x, negate, unfolding) for x in node.items])
+        return _connective(kind, [_nnf(x, negate) for x in node.items])
     if isinstance(node, Not):
-        return _nnf(node.body, not negate, unfolding)
+        return _nnf(node.body, not negate)
     if isinstance(node, (ExistsInR, ExistsBounded)):
-        body = _nnf(node.body, False, unfolding)
+        body = _nnf(node.body, False)
         node = ExistsInR(node.var, body) if isinstance(node, ExistsInR) \
             else ExistsBounded(node.var, node.bound, body)
         return NotExists(node) if negate else node
     if isinstance(node, ForallInR):
         # A x in R. phi == ! E x in R. ! phi
-        return _nnf(Not(ExistsInR(node.var, Not(node.body))), negate,
-                    unfolding)
+        return _nnf(Not(ExistsInR(node.var, Not(node.body))), negate)
     atom = _desugar_atom(node)
     if isinstance(atom, (And, Or)):
         # t > c with c < 0 desugars to TRUE; push the pending negation
         # through it
-        return _nnf(atom, negate, unfolding)
-    if negate:
-        if isinstance(atom, DivZ):
-            unfolding.take("!" + atom.render(), atom.m - 1)
-        atom = atom.negate()
-        if isinstance(atom, Or):  # the divisibility remark
-            return _connective(Or, atom.items)
-    return atom
+        return _nnf(atom, negate)
+    return atom.negate() if negate else atom
 
 
 class NotExists:
@@ -791,16 +764,16 @@ class NotExists:
 
 
 def _desugar_atom(node):
-    if isinstance(node, Eq):
-        return EqZ(term_to_linear(node.left).add(term_to_linear(node.right).scale(-1)))
-    if isinstance(node, Neq):
-        return NeqZ(term_to_linear(node.left).add(term_to_linear(node.right).scale(-1)))
+    if isinstance(node, (Eq, Neq)):
+        return RangeZ(term_to_linear(node.left).add(term_to_linear(node.right).scale(-1)),
+                      0, isinstance(node, Eq))
     if isinstance(node, Gt):
         # the order abbreviation: t > c is t != 0 & ... & t != c
         rhs = term_to_linear(node.right)
         if not rhs.is_ground():
             raise SortError("order comparisons need a constant right side")
-        return GtZ(term_to_linear(node.left), rhs.const) if rhs.const >= 0 else TRUE
+        return RangeZ(term_to_linear(node.left), rhs.const, False) \
+            if rhs.const >= 0 else TRUE
     if isinstance(node, DivAtom):
         return DivZ(node.m, term_to_linear(node.term))
     if isinstance(node, InR):
@@ -809,7 +782,7 @@ def _desugar_atom(node):
         return SigmaZ([(m, term_to_linear(t)) for m, t in node.cdivs],
                       [term_to_linear(t) for t in node.rows],
                       [term_to_linear(t) for t in node.args])
-    if isinstance(node, (EqZ, NeqZ, GtZ, DivZ, InRZ, SigmaZ, NotExists)):
+    if isinstance(node, (Literal, SigmaZ, NotExists)):
         return node
     raise SortError("unrecognized formula node %r" % (node,))
 
@@ -834,16 +807,8 @@ def _eval(node, handle, assignment, budget):
         return all(_eval(x, handle, assignment, budget) for x in node.items)
     if isinstance(node, Or):
         return any(_eval(x, handle, assignment, budget) for x in node.items)
-    if isinstance(node, EqZ):
-        return node.lin.evaluate(handle, assignment) == 0
-    if isinstance(node, NeqZ):
-        return node.lin.evaluate(handle, assignment) != 0
-    if isinstance(node, GtZ):
-        return (0 <= node.lin.evaluate(handle, assignment) <= node.c) != node.positive
-    if isinstance(node, DivZ):
-        return node.lin.evaluate(handle, assignment) % node.m == 0
-    if isinstance(node, InRZ):
-        return _in_r(handle, node.lin.evaluate(handle, assignment)) == node.positive
+    if isinstance(node, Literal):
+        return node.holds(node.lin.evaluate(handle, assignment), handle)
     if isinstance(node, SigmaZ):
         hit = _sigma_search(node, handle, assignment, budget) is not None
         return hit == node.positive
@@ -869,16 +834,8 @@ def _eval(node, handle, assignment, budget):
 def _substitute(node, var, value):
     if isinstance(node, (And, Or)):
         return type(node)([_substitute(x, var, value) for x in node.items])
-    if isinstance(node, EqZ):
-        return EqZ(node.lin.substitute_int(var, value))
-    if isinstance(node, NeqZ):
-        return NeqZ(node.lin.substitute_int(var, value))
-    if isinstance(node, GtZ):
-        return GtZ(node.lin.substitute_int(var, value), node.c, node.positive)
-    if isinstance(node, DivZ):
-        return DivZ(node.m, node.lin.substitute_int(var, value))
-    if isinstance(node, InRZ):
-        return InRZ(node.lin.substitute_int(var, value), node.positive)
+    if isinstance(node, Literal):
+        return node.signed(node.lin.substitute_int(var, value), node.positive)
     if isinstance(node, SigmaZ):
         return SigmaZ(node.cdivs, node.rows,
                       [a.substitute_int(var, value) for a in node.args],
@@ -927,7 +884,7 @@ def free_variables(node):
         if isinstance(n, (And, Or)):
             for x in n.items:
                 walk(x, bound)
-        elif isinstance(n, (EqZ, NeqZ, GtZ, DivZ, InRZ)):
+        elif isinstance(n, Literal):
             out.update(v for v in n.lin.ops if v not in bound)
         elif isinstance(n, SigmaZ):
             row_bound = bound | set(n.row_variables())

@@ -64,35 +64,25 @@ def _decide_cli(tmp_path, text, spec='{"kind": "power", "q": "2"}'):
     return cli.main(["decide", "--seq", str(seq), "--formula", str(formula)])
 
 
-# the text, and the index of the witness on pow2 when it answers
-LARGE_ATOMS = [("E x in R. x > 200000", 18), ("E x in R. !D200000(x)", None)]
+# the text, and the index of its least witness on pow2
+LARGE_ATOMS = [("E x in R. x > 200000", 18), ("E x in R. !D200000(x)", 0)]
+
+
+def _least_witness(text, index, handle=POW2):
+    """Whether the one-variable sentence holds at index and at no smaller
+    one."""
+    matrix = F.normalize(F.parse(text)).body
+    holds = [F.eval_ground(matrix, handle, {"x": n}) for n in range(index + 1)]
+    return holds[-1] and not any(holds[:-1])
 
 
 @pytest.mark.parametrize("text,index", LARGE_ATOMS, ids=[t for t, _ in LARGE_ATOMS])
-def test_large_unfolding_is_rejected(tmp_path, capsys, text, index):
-    # !Dm(t) unfolds into m - 1 literals; t > c is one literal, and answers
-    if index is None:
-        with pytest.raises(ValueError):
-            F.normalize(F.parse(text))
-        assert _decide_cli(tmp_path, text) == 3
-        assert "unfolds into" in capsys.readouterr().err
-    else:
-        assert _decide_cli(tmp_path, text) == 0
-        witness = json.loads(capsys.readouterr().out)["witness"]
-        assert witness == {"x": {"element": str(2 ** index), "index": str(index)}}
-        assert 2 ** (index - 1) <= 200000 < 2 ** index
-
-
-def test_unfolding_limit_boundary():
-    # t > c on either side of MAX_UNFOLD answers, with the least witness
-    for c, index in ((F.MAX_UNFOLD - 1, 12), (F.MAX_UNFOLD, 13)):
-        verdict = decide(F.parse("E x in R. x > %d" % c), POW2)
-        assert verdict.is_true() and verdict.witness == {"x": ("index", index)}
-        assert 2 ** (index - 1) <= c < 2 ** index
-    F.normalize(F.parse("E x in R. !D%d(x)" % (F.MAX_UNFOLD + 1)))
-    F.normalize(F.parse("E x in R. D200000(x)"))
-    with pytest.raises(ValueError):
-        F.normalize(F.parse("E x in R. !D%d(x)" % (F.MAX_UNFOLD + 2)))
+def test_large_atoms_answer(tmp_path, capsys, text, index):
+    # t > c and !Dm(t) are one literal each, whatever c or m
+    assert _decide_cli(tmp_path, text) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness == {"x": {"element": str(2 ** index), "index": str(index)}}
+    assert _least_witness(text, index)
 
 
 def test_unit_equation_with_fractional_coefficients():
@@ -113,22 +103,28 @@ def test_unit_equation_with_fractional_coefficients():
         assert got
 
 
-def test_unfolding_is_counted_per_formula(tmp_path, capsys):
-    half = F.MAX_UNFOLD // 2
-    # the !Dm(t) atoms of one formula count together
-    F.normalize(F.parse("E x in R. !D%d(x) | !D%d(x + 1)" % (half + 1, half + 1)))
-    for text in ("E x in R. !D%d(x) | !D%d(x + 1)" % (half + 1, half + 2),
-                 "A x in R. D%d(x) & D%d(x + 1)" % (half + 2, half + 1)):
-        with pytest.raises(ValueError, match="unfolds into"):
-            F.normalize(F.parse(text))
-    # and t > c counts nothing, whatever stands beside it
-    F.normalize(F.parse("E x in R. !D%d(x) | !(x > %d)" % (half + 2, half - 1)))
-    F.normalize(F.parse("A x in R. !(x > %d) | D%d(x + 1)" % (half, half + 1)))
-    verdict = decide(F.parse("E x in R. x > %d & x > %d" % (half - 1, half)), POW2)
-    assert verdict.is_true() and verdict.witness == {"x": ("index", 12)}
-    text = "E x in R. " + " & ".join(["x > %d" % (F.MAX_UNFOLD - 1)] * 10)
-    assert _decide_cli(tmp_path, text) == 0
-    assert json.loads(capsys.readouterr().out)["witness"]["x"]["index"] == "12"
+def test_negated_divisibilities_of_any_modulus_answer(tmp_path, capsys):
+    # each !Dm(t) is one literal, so two of them answer whatever their
+    # moduli, and so does the dual A x of their Or
+    for m in (2049, 2050, 200000):
+        text = "E x in R. !D%d(x) | !D%d(x + 1)" % (m, m + 1)
+        assert _decide_cli(tmp_path, text) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness == {"x": {"element": "1", "index": "0"}}
+        assert _least_witness(text, 0)
+        verdict = decide(F.parse("A x in R. D%d(x) & D%d(x + 1)" % (m + 1, m)), POW2)
+        assert verdict.to_json() == {"verdict": "False", "certificate": {
+            "level": "Proved", "reason": "witnessed-dual"}}
+    # x + 1 is odd from r_1 = 2 on
+    text = "E x in R. !D2(x + 1) & !D200000(x)"
+    assert decide(F.parse(text), POW2).witness == {"x": ("index", 1)}
+    assert _least_witness(text, 1)
+    # a modulus past congruence.MAX_STATES: the literal scans its window
+    text = "E x in R. !D1000003(x + 1) & x > 4000"
+    assert _decide_cli(tmp_path, text, FIB_SPEC) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness == {"x": {"element": "4181", "index": "17"}}
+    assert _least_witness(text, 17, make_handle(SequenceSpec.recurrence([1, 1], [1, 2])))
 
 
 FIB_SPEC = '{"kind": "recurrence", "coeffs": ["1", "1"], "initials": ["1", "2"]}'

@@ -215,11 +215,11 @@ def test_finite_exhaustion_needs_whole_sets_not_heads():
     # call the sets exhausted.  Within it every member is tried and, with
     # the far member left out of the sets, the search refutes.
     x, y = F.LinTerm(0, {"x": (1,)}), F.LinTerm(0, {"y": (1,)})
-    side = [F.NeqZ(x.add(y.scale(-1)))]
+    side = [F.RangeZ(x.add(y.scale(-1)), 0, False)]
     for size, far_member, want in ((STREAM_HEAD + 6, True, "unknown"),
                                    (STREAM_HEAD - 4, False, "false")):
         far = size + 3
-        lits = side + [F.EqZ(x.plus_const(-2 ** far))]
+        lits = side + [F.RangeZ(x.plus_const(-2 ** far))]
         members = list(range(size)) + ([far] if far_member else [])
         constraints = {v: PeriodicIndexSet.finite(members, Proved("test-finite"))
                        for v in ("x", "y")}
@@ -332,8 +332,9 @@ def reference_single_var_set(handle, lit, budget):
     (var, g), = lit.lin.ops.items()
     c = lit.lin.const
     op = Operator(g)
-    if isinstance(lit, (F.EqZ, F.NeqZ)):
-        want_zero = isinstance(lit, F.EqZ)
+    if isinstance(lit, F.RangeZ):
+        assert lit.c == 0   # an equality or a disequality
+        want_zero = lit.positive
         if c == 0:
             cls = classify(op, handle)
             if isinstance(cls, FiniteRoots):
@@ -356,11 +357,12 @@ def reference_single_var_set(handle, lit, budget):
         return zero_set if want_zero else zero_set.complement()
     if isinstance(lit, F.DivZ):
         try:
-            return divisibility_set(handle, op, c, lit.m)
+            divisible = divisibility_set(handle, op, c, lit.m)
+            return divisible if lit.positive else divisible.complement()
         except (ValueError, NotImplementedError):
             window = max(64, budget)
             hits = [n for n in range(window + 1)
-                    if (apply(op, handle, n) + c) % lit.m == 0]
+                    if ((apply(op, handle, n) + c) % lit.m == 0) == lit.positive]
             return PeriodicIndexSet.finite(hits, certs.BoundedCheck(window))
     if isinstance(lit, F.InRZ):
         if g == (1,) and c == 0:
@@ -374,10 +376,10 @@ def reference_single_var_set(handle, lit, budget):
 
 
 def single_var_set(handle, lit, budget):
-    """The one-variable compile decide uses: _operator_set for equalities,
-    disequalities and t > c, on a classification memo of its own, and
-    _single_var_set for the other literals."""
-    if isinstance(lit, (F.EqZ, F.NeqZ, F.GtZ)):
+    """The one-variable compile decide uses: _operator_set for range
+    literals, on a classification memo of its own, and _single_var_set for
+    the other literals."""
+    if isinstance(lit, F.RangeZ):
         return decide_module._operator_set(handle, lit, budget, {})
     return _single_var_set(handle, lit, budget)
 
@@ -410,18 +412,16 @@ WINDOW_LITERALS = [
 @pytest.mark.parametrize("budget", [64, 100])
 def test_one_window_scan_matches_the_three_old_scans(generator, text, route, budget):
     handle = make_handle(SequenceSpec.table([], generator=generator))
-    matrix = F.normalize(F.parse("E x in R. " + text)).body
-    lits = matrix.items if isinstance(matrix, F.Or) else [matrix]
-    for lit in lits:
-        got = single_var_set(handle, lit, budget)
-        assert index_set_shape(got) == \
-            index_set_shape(reference_single_var_set(handle, lit, budget))
-        window = got.cert.to_json() == certs.BoundedCheck(max(64, budget)).to_json()
-        assert window == (route == "window")
+    lit = F.normalize(F.parse("E x in R. " + text)).body
+    got = single_var_set(handle, lit, budget)
+    assert index_set_shape(got) == \
+        index_set_shape(reference_single_var_set(handle, lit, budget))
+    window = got.cert.to_json() == certs.BoundedCheck(max(64, budget)).to_json()
+    assert window == (route == "window")
 
 
 # ---------------------------------------------------------------------------
-# t > c as one literal, against the unfolding into c + 1 disequalities
+# t > c as one literal, against its unfolding into c + 1 disequalities
 # ---------------------------------------------------------------------------
 
 GROUP_HANDLES = {
@@ -460,12 +460,11 @@ SOLID = {"table": -1, "steps": 2}
 
 
 def unfolded(lit):
-    """The order abbreviation as normalize unfolded it before t > c became
-    one literal: t != 0 & ... & t != c, and under negation the Or of
-    t = 0, ..., t = c."""
-    if lit.positive:
-        return F.And([F.NeqZ(lit.lin.plus_const(-i)) for i in range(lit.c + 1)])
-    return F.Or([F.EqZ(lit.lin.plus_const(-i)) for i in range(lit.c + 1)])
+    """The range literal as normalize unfolded it before t > c became one
+    literal: t > c (the negated range) is t != 0 & ... & t != c, and the
+    range itself the Or of t = 0, ..., t = c."""
+    parts = [F.RangeZ(lit.lin.plus_const(-i), 0, lit.positive) for i in range(lit.c + 1)]
+    return F.Or(parts) if lit.positive else F.And(parts)
 
 
 def _order_texts(handle, op, term, solid, seed):
@@ -510,12 +509,16 @@ def _outcome_json(outcome):
                          ids=["%s: %s" % (s, t) for s, t, _ in GROUP_ROUTES])
 def test_grouped_compile_matches_the_literal_by_literal_sets(seq, term, route, budget,
                                                              monkeypatch):
-    # t > c and !(t > c), one literal each, against the c + 1 literals they
-    # unfolded into (the name is the one this check had when those literals
-    # compiled in grouped runs): the same index set, in the same form, as
-    # the reference sets of those literals give, the same disjunct outcome (a True witness of the
-    # negation may have a smaller index: it is the least member of the
-    # whole range's set, not of the first value's), and the same truth
+    # t > c against its unfolding.  t > c and !(t > c), one literal each,
+    # against the c + 1 literals they unfolded into (the name is the one
+    # this check had when those literals compiled in grouped runs): the same
+    # index set, in the same form, as the reference sets of those literals
+    # give, the same disjunct outcome (a True witness of the range may have
+    # a smaller index: it is the least member of the whole range's set, not
+    # of the first value's), and the same truth.  A range that holds the
+    # solid value is one window scan of the whole range, where the unfolding
+    # scanned that value alone: its set is checked against that scan, and
+    # its outcome by verdict kind and witness.
     handle = GROUP_HANDLES[seq]()
     (_, g), = _literals(term + " = 0")[0].lin.ops.items()
     op = Operator(g)
@@ -538,36 +541,46 @@ def test_grouped_compile_matches_the_literal_by_literal_sets(seq, term, route, b
     monkeypatch.setattr(operators_module, "classify", once)
     monkeypatch.setitem(globals(), "classify", once)
     rng = random.Random(seq + term)
+    window = max(64, budget)
     for text in _order_texts(handle, op, term, solid, "%s %s %d" % (seq, term, budget)):
-        positive = _literals(text)[0]
-        outside = functools.reduce(PeriodicIndexSet.intersect,
-                                   [reference_single_var_set(handle, lit, budget)
-                                    for lit in unfolded(positive).items])
-        for lit, want in ((positive, outside), (positive.negate(), outside.complement())):
-            assert isinstance(lit, F.GtZ), text
+        order = _literals(text)[0]      # t > c: the negated range
+        lo = -order.lin.const
+        hi = lo + order.c
+        disequalities = [reference_single_var_set(handle, lit, budget)
+                         for lit in unfolded(order).items]
+        holds_solid = route == "not-finitely-solvable" and lo <= solid <= hi
+        if holds_solid:
+            scan = [n for n in range(window + 1) if lo <= apply(op, handle, n) <= hi]
+            inside = PeriodicIndexSet(window + 1, 1, (0,), scan, certs.BoundedCheck(window)) \
+                if len(scan) == window + 1 else \
+                PeriodicIndexSet.finite(scan, certs.BoundedCheck(window))
+            # the value 0 keeps its classification
+            zero = [disequalities[-lo]] if lo <= 0 <= hi else []
+            disequalities = [inside.complement()] + zero
+        outside = functools.reduce(PeriodicIndexSet.intersect, disequalities)
+        for lit, want in ((order, outside), (order.negate(), outside.complement())):
+            assert isinstance(lit, F.RangeZ) and lit.c == order.c, text
             got = decide_module._operator_set(handle, lit, budget, {})
-            if got.rho == max(64, budget) + 1 and not got.is_finite():
+            if got.rho == window + 1 and not got.is_finite():
                 # the window scan of a solid value, every index: the
                 # unfolding's double complement writes it with no prefix
                 assert same_members(got, want) and got.cert == want.cert, lit.render()
             else:
                 assert order_set_shape(got) == order_set_shape(want), lit.render()
-            outcome = decide_module._solve_disjunct(handle, ["x"], [lit], budget, {})
+            outcome = _disjunction(
+                [decide_module._solve_disjunct(handle, ["x"], [lit], budget, {})])
             parts = unfolded(lit)
-            if lit.positive:
-                assert _outcome_json(outcome) == _outcome_json(
-                    decide_module._solve_disjunct(handle, ["x"], parts.items, budget, {}))
+            disjuncts = [[eq] for eq in parts.items] if lit.positive else [parts.items]
+            reference = _disjunction(decide_module._solve_disjunct(handle, ["x"], d, budget, {})
+                                     for d in disjuncts)
+            if outcome[0] == "true" and (lit.positive or holds_solid):
+                assert reference[0] == "true", lit.render()
+                assert holds_solid or outcome[1]["x"][1] <= reference[1]["x"][1]
+                assert F.eval_ground(lit, handle, {"x": outcome[1]["x"][1]})
+            elif holds_solid:
+                assert outcome[0] == reference[0], lit.render()
             else:
-                whole = _disjunction([outcome])
-                reference = _disjunction(
-                    decide_module._solve_disjunct(handle, ["x"], [eq], budget, {})
-                    for eq in parts.items)
-                assert whole[0] == reference[0], lit.render()
-                if whole[0] == "true":
-                    assert whole[1]["x"][1] <= reference[1]["x"][1]
-                    assert F.eval_ground(lit, handle, {"x": whole[1]["x"][1]})
-                else:
-                    assert _outcome_json(whole) == _outcome_json(reference), lit.render()
+                assert _outcome_json(outcome) == _outcome_json(reference), lit.render()
             for n in rng.sample(range(420), 8) + [want.rho]:
                 holds = F.eval_ground(lit, handle, {"x": n})
                 assert holds == F.eval_ground(parts, handle, {"x": n}), (lit.render(), n)
@@ -876,3 +889,124 @@ def test_a_decided_negated_sigma_keeps_the_taint_of_an_undecided_one(text):
     verdict = run(text, handle=TABLE)
     assert verdict.kind == Verdict.UNKNOWN
     assert verdict.reason == "negated-sigma-at-budget"
+
+
+def test_a_range_that_holds_the_solid_value_is_one_window_scan():
+    # on the steps table f[-1,1] is 2, but 3 at n = 149, 449, ...: f > 5
+    # holds nowhere.  The window of the value 2 alone is not solid at budget
+    # 400 (it misses n = 149); the window of the whole range [0, 5] is, at
+    # either budget, so no candidate past the window is tried
+    handle = GROUP_HANDLES["steps"]()
+    for budget in (64, 400):
+        verdict = run("E x in R. f[-1,1](x) > 5", handle=handle, budget=budget)
+        assert verdict.to_json() == {"verdict": "UnknownBeyond", "horizon": budget,
+                                     "reason": "bounded-constraint-empty"}
+        for text in ("E x in R. !(f[-1,1](x) > 5)", "E x in R. f[-1,1](x) = 2"):
+            verdict = run(text, handle=handle, budget=budget)
+            assert verdict.is_true(), (text, budget)
+            assert _witness_holds(text, verdict, handle)
+
+
+# ---------------------------------------------------------------------------
+# !Dm(t) as one literal, against the divisibility remark written out
+# ---------------------------------------------------------------------------
+
+DIFFERENTIAL_HANDLES = {"fib": FIB, "pow2": POW2, "table": TABLE,
+                        "pell": make_handle(SequenceSpec.recurrence([1, 2], [1, 2]))}
+
+
+def _remark_pair(rng, handle):
+    """A sentence on one to four R variables whose conjunctions hold one or
+    two !Dm(t) atoms among Dm, =, !=, t > c, !(t > c), x - y != c and
+    equations, sometimes two conjunctions under a top-level Or; and the same
+    sentence with each !Dm(t) written as (Dm(t + 1) | ... | Dm(t + m - 1))."""
+    vs = ["x", "y", "z", "w"][:rng.randint(1, 4)]
+
+    def term(several=True):
+        v = rng.choice(vs)
+        shape = rng.choice(["%s", "%s", "%s + 3", "S(%s)", "f[1,1](%s)", "%s + %s"])
+        if shape == "%s + %s":
+            return shape % (v, rng.choice(vs)) if several else v
+        return shape % v
+
+    def value():
+        return handle.eval(rng.randint(0, 8)) + rng.choice([0, 0, 1, -1, 3])
+
+    def other():
+        kind = rng.choice(["D", "=", "!=", ">", "!>"] + ["side", "eqn"] * (len(vs) > 1))
+        if kind == "D":
+            return "D%d(%s)" % (rng.randint(2, 5), term())
+        if kind in ("=", "!="):
+            return "%s %s %d" % (term(False), kind, value())
+        if kind == ">":
+            return "%s > %d" % (term(), rng.randint(0, 40))
+        if kind == "!>":
+            # on several variables the range expands into its equations
+            t = term()
+            return "!(%s > %d)" % (t, rng.randint(0, 40 if t in vs else 3))
+        a, b = rng.sample(vs, 2)
+        if kind == "side":
+            return "%s - %s != %d" % (a, b, rng.randint(-3, 3))
+        if len(vs) > 2:
+            c = rng.choice([v for v in vs if v not in (a, b)])
+            return "%s + %s = %s + %d" % (a, b, c, rng.randint(0, 9))
+        return "%s - %s = %d" % (a, b, value() - handle.eval(rng.randint(0, 3)))
+
+    def conjunction():
+        one, remark = [], []
+        for _ in range(rng.randint(1, 2)):
+            m, t = rng.randint(2, 5), term()
+            one.append("!D%d(%s)" % (m, t))
+            remark.append("(%s)" % " | ".join("D%d(%s + %d)" % (m, t, k)
+                                               for k in range(1, m)))
+        for _ in range(rng.randint(0, 3)):
+            atom = other()
+            one.append(atom)
+            remark.append(atom)
+        order = rng.sample(range(len(one)), len(one))
+        return [" & ".join(atoms[i] for i in order) for atoms in (one, remark)]
+
+    parts = [conjunction() for _ in range(rng.choice([1, 1, 1, 2]))]
+    head = "".join("E %s in R. " % v for v in vs)
+    return [head + " | ".join("(%s)" % p[i] for p in parts) for i in (0, 1)]
+
+
+def _verdict_or_refusal(text, handle):
+    try:
+        return run(text, handle=handle)
+    except OutOfFragment as e:
+        return e.reason
+
+
+def _witness_holds(text, verdict, handle):
+    """The matrix of an R-prefixed sentence, evaluated at the witness."""
+    matrix = F.normalize(F.parse(text))
+    while isinstance(matrix, F.ExistsInR):
+        matrix = matrix.body
+    return F.eval_ground(matrix, handle, {v: n for v, (_, n) in verdict.witness.items()})
+
+
+def test_a_negated_divisibility_agrees_with_the_divisibility_remark():
+    # no decided verdict of the written-out remark changes kind, every True
+    # witness re-checks by direct evaluation, and both sides of a False
+    # rest on the same certificate
+    rng = random.Random(20261020)
+    kinds = []
+    for _ in range(500):
+        seq = rng.choice(sorted(DIFFERENTIAL_HANDLES))
+        handle = DIFFERENTIAL_HANDLES[seq]
+        text, remark = _remark_pair(rng, handle)
+        got = run(text, handle=handle)
+        want = _verdict_or_refusal(remark, handle)
+        kinds.append(got.kind)
+        if isinstance(want, str):
+            assert want == "dnf-too-large", (seq, text)
+        elif want.kind != Verdict.UNKNOWN:
+            assert got.kind == want.kind, (seq, text)
+        if got.is_true():
+            assert _witness_holds(text, got, handle), (seq, text)
+        if not isinstance(want, str) and want.is_true():
+            assert _witness_holds(remark, want, handle), (seq, remark)
+        if got.is_false() and want.is_false():
+            assert got.certificate.to_json() == want.certificate.to_json(), (seq, text)
+    assert min(kinds.count(k) for k in (Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN)) >= 10

@@ -121,16 +121,20 @@ def test_sort_errors():
 def test_successor_folds_into_operator_coefficients():
     norm = F.normalize(F.parse("E x in R. f[5](S(S(x))) = 0"))
     atom = norm.body
-    assert isinstance(atom, F.EqZ)
+    assert isinstance(atom, F.RangeZ) and atom.positive and atom.c == 0
     assert atom.lin.ops == {"x": (0, 0, 5)}
     assert atom.lin.const == 0
 
 
-def test_negated_divisibility_expands_to_residue_disjunction():
-    norm = F.normalize(F.parse("E x in R. !D3(x + 1)"))
-    body = norm.body
-    assert isinstance(body, F.Or) and len(body.items) == 2
-    assert all(isinstance(x, F.DivZ) for x in body.items)
+def test_negated_divisibility_is_one_literal():
+    # the sign flips, for any modulus; the divisibility remark is not applied
+    for m in (3, 200000):
+        body = F.normalize(F.parse("E x in R. !D%d(x + 1)" % m)).body
+        assert isinstance(body, F.DivZ) and body.m == m and not body.positive
+        assert body.render() == "!D%d(x + 1)" % m
+        assert body.negate().positive and body.negate().negate().render() == body.render()
+        for n in range(8):
+            assert F.eval_ground(body, POW2, {"x": n}) == ((2 ** n + 1) % m != 0)
 
 
 def test_ground_greater_than_expansion():
@@ -145,7 +149,7 @@ def test_normalize_universal_as_dual():
     assert isinstance(norm, F.NotExists)
     inner = norm.body
     assert isinstance(inner, F.ExistsInR)
-    assert isinstance(inner.body, F.EqZ)
+    assert isinstance(inner.body, F.RangeZ) and inner.body.positive
 
 
 def test_normalize_is_idempotent_on_fixtures():
@@ -270,7 +274,7 @@ def test_normalize_idempotent_on_random_sentences():
 def reference_normalize(ast):
     """normalize as it was: negation normal form first, then a second pass
     that splices nested connectives and unwraps single-item ones."""
-    return _ref_flatten_deep(_ref_nnf(ast, False, F._Unfolding()))
+    return _ref_flatten_deep(_ref_nnf(ast, False))
 
 
 def _ref_flatten_deep(node):
@@ -301,43 +305,36 @@ def _ref_flatten(node):
     return node
 
 
-def _ref_nnf(node, negate, unfolding):
+def _ref_nnf(node, negate):
     if isinstance(node, F.And):
-        items = [_ref_nnf(x, negate, unfolding) for x in node.items]
+        items = [_ref_nnf(x, negate) for x in node.items]
         return F.Or(items) if negate else F.And(items)
     if isinstance(node, F.Or):
-        items = [_ref_nnf(x, negate, unfolding) for x in node.items]
+        items = [_ref_nnf(x, negate) for x in node.items]
         return F.And(items) if negate else F.Or(items)
     if isinstance(node, F.Not):
-        return _ref_nnf(node.body, not negate, unfolding)
+        return _ref_nnf(node.body, not negate)
     if isinstance(node, F.ExistsInR):
-        body = _ref_nnf(node.body, False, unfolding)
+        body = _ref_nnf(node.body, False)
         if negate:
             return F.NotExists(F.ExistsInR(node.var, body))
         return F.ExistsInR(node.var, body)
     if isinstance(node, F.ExistsBounded):
-        body = _ref_nnf(node.body, False, unfolding)
+        body = _ref_nnf(node.body, False)
         if negate:
             return F.NotExists(F.ExistsBounded(node.var, node.bound, body))
         return F.ExistsBounded(node.var, node.bound, body)
     if isinstance(node, F.ForallInR):
-        return _ref_nnf(F.Not(F.ExistsInR(node.var, F.Not(node.body))), negate,
-                        unfolding)
+        return _ref_nnf(F.Not(F.ExistsInR(node.var, F.Not(node.body))), negate)
     atom = F._desugar_atom(node)
     if isinstance(atom, (F.And, F.Or)):
-        return _ref_nnf(atom, negate, unfolding)
-    if negate:
-        if isinstance(atom, F.DivZ):
-            unfolding.take("!" + atom.render(), atom.m - 1)
-        atom = atom.negate()
-        if isinstance(atom, (F.And, F.Or)):
-            return _ref_flatten(atom)
-    return atom
+        return _ref_nnf(atom, negate)
+    return atom.negate() if negate else atom
 
 
 def random_formula(rng):
-    """Formula text over every construct normalize rewrites: > (including
-    empty and one-literal unfoldings), D2 to D5 under negation, nested !,
+    """Formula text over every construct normalize rewrites: > (a negative
+    right side included), D2 to D5 under negation, nested !,
     A, bounded E, Sigma atoms, and And/Or chains of any length."""
     r_vars, k_vars = [], []
 
