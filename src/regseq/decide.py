@@ -640,8 +640,6 @@ def _description_empty(handle, description, constraints, evars):
         if distinct is None:
             # all classes cancelled: any distinct index choice solves
             return (False, "free-case-not-excluded")
-        if distinct.is_empty():
-            continue
         if distinct.splits:
             return (False, "split-families-at-budget")
         for tup in distinct.sporadic:

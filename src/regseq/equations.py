@@ -346,11 +346,12 @@ def _completeness_data(handle, ops, z, s):
     A = sum(op.mass() for op in ops)
     d_max = max(op.degree for op in ops)
     try:
-        rho, n0, rcert = sq.ratio_lower_bound(handle)
+        bound = sq.ratio_lower_bound(handle)
     except ValueError:
         return _bounded_completeness(s)
-    if not rcert.is_proved:
+    if bound is None:
         return _bounded_completeness(s)
+    rho, n0 = bound
 
     u_star = _uniform_value_bound(handle, A)
     if u_star is None:
@@ -822,7 +823,8 @@ def _solve_distinct(problem, memo):
 # ---------------------------------------------------------------------------
 
 def solve_nondegenerate(problem):
-    """Non-degenerate solutions: shift-pattern families + sporadic tuples.
+    """Non-degenerate solutions: shift-pattern families + sporadic tuples,
+    certified by the problem's own completeness data (no split is solved).
 
     Raises TrivialOperatorPresent when an operator vanishes cofinitely:
     every tuple would carry a vanishing singleton sub-sum.  Pre-reduce, or
@@ -831,9 +833,8 @@ def solve_nondegenerate(problem):
         if isinstance(op_mod.classify(op, problem.handle), op_mod.CofiniteZero):
             raise TrivialOperatorPresent(
                 "operator %s vanishes cofinitely; pre-reduce it" % (op,))
-    res = _solve_distinct(problem, {})
-    return DistinctSolutions(problem, res.patterns, res.sporadic, [],
-                             res.certificate, res.bound)
+    comp, patterns, sporadic = _core(problem, {})
+    return DistinctSolutions(problem, patterns, sporadic, [], comp.cert, comp.box)
 
 
 def solve_full(problem):

@@ -23,10 +23,10 @@ layer provides three things the rest of the package builds on:
   recurrences);
 * ``dominance_cutoff`` -- an index k beyond which |r_{n+i} - theta^i r_n| stays
   below eps * r_n (or ratios exceed 1/eps when theta = oo);
-* ``ratio_lower_bound`` -- a certified rho > 1 with r_{n+1} >= rho r_n for all
-  n past some start index.
+* ``ratio_lower_bound`` -- a proved rho > 1 with r_{n+1} >= rho r_n for all
+  n past some start index, or None where no exact route gives one.
 
-Certified answers carry Proved certificates; everything else is an explicit
+Certified cutoffs carry Proved certificates; everything else is an explicit
 BoundedCheck over the scanned window.
 """
 
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import polyops
 from .jsonio import _json_int, _json_ints, _json_list
-from .certs import Proved, BoundedCheck, merge
+from .certs import Proved, BoundedCheck
 
 KIND_RECURRENCE = "recurrence"
 KIND_POWER = "power"
@@ -312,7 +312,7 @@ class SequenceHandle:
                            if spec.kind == KIND_TABLE and spec.generator else None)
         self._kepler = None
         self._contraction = None  # False = tried and failed
-        self._ratio_bounds = {}   # budget -> ratio_lower_bound result or error
+        self._ratio_bound = None  # False = no proved bound; or the error
         self._profiles = {}
 
     def eval(self, n):
@@ -490,8 +490,7 @@ class KeplerLimit:
 
 
 class RegularityReport:
-    def __init__(self, kepler, recurrence_certified):
-        self.kepler = kepler
+    def __init__(self, recurrence_certified):
         self.recurrence_certified = recurrence_certified
 
 
@@ -611,7 +610,7 @@ def certify(handle):
         # kepler_limit returns a minpoly only once it is known irreducible
         # (degree 1, or proved in _kepler_recurrence), so equality suffices.
         handle.regularity_report = RegularityReport(
-            kepler, kepler.is_algebraic and char_poly(handle.spec) == kepler.minpoly)
+            kepler.is_algebraic and char_poly(handle.spec) == kepler.minpoly)
     return handle.regularity_report
 
 
@@ -804,54 +803,35 @@ def _scan_dominance_cutoff(handle, kepler, eps, degree, budget):
 # Certified ratio lower bounds
 # ---------------------------------------------------------------------------
 
-def ratio_lower_bound(handle, budget=RATIO_SCAN_BUDGET):
-    """A certified (rho, n0, certificate) with r_{n+1} >= rho r_n for all
-    n >= n0 and rho > 1.  Proved for exact-ratio kinds and contracting
-    recurrences; BoundedCheck (window only) otherwise.  Computed once per
-    handle and budget; a ValueError is cached and raised again."""
-    cache = handle._ratio_bounds
-    if budget not in cache:
+def ratio_lower_bound(handle):
+    """A proved (rho, n0) with rho > 1 and r_{n+1} >= rho r_n for all
+    n >= n0, or None where no route proves one: factorial's exact ratio,
+    the smallest base of a geometric expansion, or the contraction walk.
+    Computed once per handle; a ValueError (a sequence that cannot be
+    evaluated) is cached and raised again."""
+    if handle._ratio_bound is None:
         try:
-            cache[budget] = _ratio_lower_bound(handle, budget)
+            handle._ratio_bound = _ratio_lower_bound(handle) or False
         except ValueError as exc:
-            cache[budget] = exc
-    found = cache[budget]
+            handle._ratio_bound = exc
+    found = handle._ratio_bound
     if isinstance(found, ValueError):
         raise found.with_traceback(None)
-    return found
+    return found or None
 
 
-def _ratio_lower_bound(handle, budget):
+def _ratio_lower_bound(handle):
     spec = handle.spec
-    if spec.kind == KIND_POWER:
-        return Fraction(spec.q), 0, Proved("exact-ratio")
     if spec.kind == KIND_FACTORIAL:
-        return Fraction(3), 0, Proved("exact-ratio")
+        return Fraction(3), 0
     expansion = power_base_expansion(spec)
     if expansion is not None:
-        return Fraction(expansion[0][0]), 0, Proved("exact-geometric")
-    if spec.kind == KIND_SUM:
-        parts = [ratio_lower_bound(p, budget) for p in handle.parts]
-        rho = min(p[0] for p in parts)
-        n0 = max(p[1] for p in parts)
-        if rho > 1:
-            return rho, n0, merge([p[2] for p in parts], reason="exact-geometric")
+        return Fraction(expansion[0][0]), 0
     data = _contraction_data(handle)
     if data is not None:
         lo = data.theta_iv[0]
-        rho = 1 + (lo - 1) * Fraction(3, 4)
-        n = data.first_index(handle, 1, lo - rho, budget)  # margin (lo-1)/4 > 0
+        rho = 1 + (lo - 1) * Fraction(3, 4)  # margin lo - rho = (lo-1)/4 > 0
+        n = data.first_index(handle, 1, lo - rho, RATIO_SCAN_BUDGET)
         if n is not None:
-            return rho, n, Proved("contraction")
-    # Bounded scan: the smallest ratio over the window, compared by
-    # cross-multiplication (every term is positive).
-    terms = _window_terms(handle, budget)
-    if len(terms) < 2:
-        raise ValueError("no ratio lower bound above 1 found in the window")
-    num, den = terms[1], terms[0]
-    for a, b in zip(terms[1:], terms[2:]):
-        if b * den < num * a:
-            num, den = b, a
-    if num <= den:
-        raise ValueError("no ratio lower bound above 1 found in the window")
-    return Fraction(num, den), 0, BoundedCheck(len(terms) - 1)
+            return rho, n
+    return None

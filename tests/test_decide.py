@@ -41,29 +41,39 @@ def run(text, handle=POW2, budget=64):
     return decide(F.parse(text), handle, budget=budget)
 
 
+def witness_holds(text, verdict, handle):
+    """The matrix of a prenex sentence, evaluated at the witness: each R
+    variable at its index, each bounded integer at its value.  Evaluating
+    the whole sentence would search every quantifier afresh and pass any
+    witness of a sentence that holds."""
+    matrix = F.normalize(F.parse(text))
+    indices = {}
+    while isinstance(matrix, (F.ExistsInR, F.ExistsBounded)):
+        sort, value = verdict.witness[matrix.var]
+        if isinstance(matrix, F.ExistsInR):
+            assert sort == "index"
+            indices[matrix.var] = value
+            matrix = matrix.body
+        else:
+            assert sort == "value" and 0 <= value <= matrix.bound
+            matrix = F._substitute(matrix.body, matrix.var, value)
+    return F.eval_ground(matrix, handle, indices)
+
+
 def check_witness(text, verdict, handle):
-    assignment = {var: value for var, (sort, value) in verdict.witness.items()
-                  if sort == "index"}
-    int_env = {var: value for var, (sort, value) in verdict.witness.items()
-               if sort == "value"}
-    node = F.parse(text)
-    for var, value in int_env.items():
-        node = substitute_raw(node, var, value)
-    assert F.eval_ground(node, handle, assignment)
+    assert witness_holds(text, verdict, handle)
 
 
-def substitute_raw(node, var, value):
-    # bounded quantifiers disappear under decide's integer expansion; the
-    # witness records the chosen value, re-checked here by stripping the
-    # binder and substituting on the normalized body
-    if isinstance(node, F.ExistsBounded) and node.var == var:
-        return F._substitute(F.normalize(node.body), var, value)
-    if isinstance(node, (F.ExistsBounded, F.ExistsInR)):
-        inner = substitute_raw(node.body, var, value)
-        if isinstance(node, F.ExistsBounded):
-            return F.ExistsBounded(node.var, node.bound, inner)
-        return F.ExistsInR(node.var, inner)
-    return node
+def test_check_witness_rejects_a_wrong_witness():
+    text = "E x in R. x = 4"
+    check_witness(text, Verdict(Verdict.TRUE, witness={"x": ("index", 2)}), POW2)
+    # r_5 = 32: the sentence holds, but not at this witness
+    with pytest.raises(AssertionError):
+        check_witness(text, Verdict(Verdict.TRUE, witness={"x": ("index", 5)}), POW2)
+    with pytest.raises(AssertionError):
+        check_witness("E k <= 5. E x in R. x = k + 3",
+                      Verdict(Verdict.TRUE, witness={"k": ("value", 0), "x": ("index", 2)}),
+                      POW2)
 
 
 def test_sum_of_two_elements_misses_seven():
@@ -904,7 +914,7 @@ def test_a_range_that_holds_the_solid_value_is_one_window_scan():
         for text in ("E x in R. !(f[-1,1](x) > 5)", "E x in R. f[-1,1](x) = 2"):
             verdict = run(text, handle=handle, budget=budget)
             assert verdict.is_true(), (text, budget)
-            assert _witness_holds(text, verdict, handle)
+            assert witness_holds(text, verdict, handle)
 
 
 # ---------------------------------------------------------------------------
@@ -978,14 +988,6 @@ def _verdict_or_refusal(text, handle):
         return e.reason
 
 
-def _witness_holds(text, verdict, handle):
-    """The matrix of an R-prefixed sentence, evaluated at the witness."""
-    matrix = F.normalize(F.parse(text))
-    while isinstance(matrix, F.ExistsInR):
-        matrix = matrix.body
-    return F.eval_ground(matrix, handle, {v: n for v, (_, n) in verdict.witness.items()})
-
-
 def test_a_negated_divisibility_agrees_with_the_divisibility_remark():
     # no decided verdict of the written-out remark changes kind, every True
     # witness re-checks by direct evaluation, and both sides of a False
@@ -1004,9 +1006,9 @@ def test_a_negated_divisibility_agrees_with_the_divisibility_remark():
         elif want.kind != Verdict.UNKNOWN:
             assert got.kind == want.kind, (seq, text)
         if got.is_true():
-            assert _witness_holds(text, got, handle), (seq, text)
+            assert witness_holds(text, got, handle), (seq, text)
         if not isinstance(want, str) and want.is_true():
-            assert _witness_holds(remark, want, handle), (seq, remark)
+            assert witness_holds(remark, want, handle), (seq, remark)
         if got.is_false() and want.is_false():
             assert got.certificate.to_json() == want.certificate.to_json(), (seq, text)
     assert min(kinds.count(k) for k in (Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN)) >= 10

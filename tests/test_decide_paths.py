@@ -1,14 +1,15 @@
 """Decide paths pinned one by one, and the certificate carried by False.
 
 The first tests walk the case loop of decide._description_empty (a family
-that survives the constraints, and families excluded by them), a negated
-Sigma atom that is refuted or proved, an UnknownBeyond passed through a
-universal quantifier, and a constraint Proved empty on the bounded route.
-Each pinned answer is checked against a bounded evaluation with
-formulas.eval_ground.  The battery then asks seeded
-sentences over four sequences: every False verdict must carry a Proved
-certificate and fail a bounded evaluation, and every True witness of an
-existential sentence must satisfy its matrix.
+that survives the constraints, a free case that is not excluded, and
+families excluded by them), a negated Sigma atom that is refuted or
+proved, an UnknownBeyond passed through a universal quantifier, and a
+constraint Proved empty on the bounded route.  Each pinned answer is
+checked against a bounded evaluation with formulas.eval_ground.  The
+battery then asks seeded sentences over four sequences: every False
+verdict must carry a Proved certificate and fail a bounded evaluation,
+and every True witness of an existential sentence must satisfy its
+matrix.
 """
 
 import random
@@ -52,6 +53,18 @@ def test_surviving_pattern_leaves_the_sentence_unknown():
     assert not F.eval_ground(F.parse(text), POW2, budget=20)
     assert F.eval_ground(F.parse("E x in R. E y in R. E z in R. x + y = z"), POW2,
                          budget=20)
+
+
+def test_a_free_case_not_excluded_leaves_the_sentence_unknown():
+    # x - y = 0 cancels on the class {x, y}: every index solves it, and
+    # D1000 does not exclude that class within the budget, rightly so,
+    # as the first Fibonacci term that 1000 divides is r_748
+    text = "E x in R. E y in R. x - y = 0 & D1000(x)"
+    verdict = run(text, FIB)
+    assert verdict.kind == Verdict.UNKNOWN
+    assert verdict.reason == "free-case-not-excluded"
+    assert all(FIB.eval(n) % 1000 for n in range(65))
+    assert FIB.eval(748) % 1000 == 0
 
 
 def test_divisibility_excludes_every_pattern():

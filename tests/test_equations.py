@@ -7,13 +7,14 @@ non-degenerate answer must be purely sporadic.
 
 import itertools
 import random
+from fractions import Fraction
 import tracemalloc
 
 import pytest
 
 from regseq import polyops
 from regseq import sequences as sq
-from regseq.certs import BoundedCheck
+from regseq.certs import BoundedCheck, Proved, merge
 from regseq import equations
 from regseq.equations import (EquationProblem, ShiftPattern,
                               TrivialOperatorPresent, _box_solutions, _degenerate,
@@ -144,6 +145,34 @@ def test_nonzero_sporadic_completeness_random():
         got = {t for t in dsol.sporadic if max(t) <= 20}
         assert got == want, (ops, z)
         done += 1
+
+
+def test_nondegenerate_solutions_are_the_distinct_ones_without_splits():
+    # solve_nondegenerate reads the core alone: the families, sporadic
+    # tuples and box of _solve_distinct, and where the core is Proved its
+    # certificate too, as every split it no longer solves is then Proved
+    rng = random.Random(2310)
+    names = sorted(KILL_HANDLES)
+    kinds = []
+    while len(kinds) < 40:
+        handle = make_handle(KILL_HANDLES[rng.choice(names)][0])
+        ops = [rng.choice(KILL_OPS) for _ in range(rng.randint(2, 4))]
+        z = rng.choice([0, 0, 0, 1, -3, 10])
+        problem = EquationProblem(handle, ops, z)
+        if any(isinstance(classify(o, handle), CofiniteZero) for o in problem.operators):
+            continue
+        got = solve_nondegenerate(problem)
+        want = equations._solve_distinct(problem, {})
+        assert [(p.offsets, p.exceptions) for p in got.patterns] == \
+            [(p.offsets, p.exceptions) for p in want.patterns], (ops, z)
+        assert (got.sporadic, got.bound) == (want.sporadic, want.bound), (ops, z)
+        assert got.splits == []
+        if got.certificate.is_proved:
+            assert got.certificate == want.certificate, (ops, z)
+        else:
+            assert not want.certificate.is_proved, (ops, z)
+        kinds.append(got.certificate.is_proved)
+    assert 10 <= sum(kinds) <= 30
 
 
 # One solver core per canonical form: a problem with its unknowns permuted,
@@ -391,7 +420,7 @@ def test_family_search_joins_mirrored_kill_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ratio_lower_bound: one bounded scan per handle, the window's minimum
+# ratio_lower_bound: a proved bound or None, computed once per handle
 # ---------------------------------------------------------------------------
 
 RATIO_SPECS = {
@@ -403,26 +432,31 @@ RATIO_SPECS = {
 
 @pytest.mark.parametrize("label", sorted(RATIO_SPECS))
 def test_ratio_lower_bound_is_the_window_minimum(label):
-    spec = RATIO_SPECS[label]
-    for budget in (1, 2, 3, 7, 64, sq.RATIO_SCAN_BUDGET):
-        rho, n0, cert = sq.ratio_lower_bound(make_handle(spec), budget)
-        ratios = sq._window_ratios(make_handle(spec), budget)
-        assert (rho, n0, cert) == (min(ratios), 0, BoundedCheck(len(ratios)))
-    assert cert == BoundedCheck(4 if label == "table-runs-out" else sq.RATIO_SCAN_BUDGET)
+    # no route proves a bound here, and no window is scanned for a minimum
+    # in its place: only the ratio limit's 101-term sanity window is read
+    handle = make_handle(RATIO_SPECS[label])
+    assert sq.ratio_lower_bound(handle) is None
+    assert len(handle.cache) <= 101
 
 
 def _refuse_evaluation(n):
     raise AssertionError("ratio_lower_bound scanned the handle again")
 
 
-def test_ratio_lower_bound_is_computed_once_per_handle():
-    handle = make_handle(RATIO_SPECS["trib"])
-    first = sq.ratio_lower_bound(handle)
-    small = sq.ratio_lower_bound(handle, 16)
-    handle.eval = _refuse_evaluation
-    assert sq.ratio_lower_bound(handle) == first
-    assert sq.ratio_lower_bound(handle, 16) == small
-    assert small != first
+def test_ratio_lower_bound_is_computed_once_per_handle(monkeypatch):
+    computed = []
+    compute = sq._ratio_lower_bound
+    monkeypatch.setattr(sq, "_ratio_lower_bound",
+                        lambda handle: computed.append(handle) or compute(handle))
+    for spec, proved in ((SequenceSpec.recurrence([1, 1], [1, 2]), True),
+                         (RATIO_SPECS["trib"], False)):
+        handle = make_handle(spec)
+        first = sq.ratio_lower_bound(handle)
+        assert (first is not None) == proved
+        handle.eval = _refuse_evaluation
+        for _ in range(3):
+            assert sq.ratio_lower_bound(handle) == first
+        assert computed.count(handle) == 1
 
 
 def test_ratio_lower_bound_failure_is_cached():
@@ -434,6 +468,86 @@ def test_ratio_lower_bound_failure_is_cached():
         with pytest.raises(ValueError) as again:
             sq.ratio_lower_bound(handle)
         assert again.value is first.value
+
+
+def _windowed_ratio_lower_bound(handle):
+    # the earlier (rho, n0, certificate) form: a merge over the parts of a
+    # sum and a window minimum, BoundedCheck, where no proof applies
+    spec = handle.spec
+    if spec.kind == sq.KIND_POWER:
+        return Fraction(spec.q), 0, Proved("exact-ratio")
+    if spec.kind == sq.KIND_FACTORIAL:
+        return Fraction(3), 0, Proved("exact-ratio")
+    expansion = sq.power_base_expansion(spec)
+    if expansion is not None:
+        return Fraction(expansion[0][0]), 0, Proved("exact-geometric")
+    if spec.kind == sq.KIND_SUM:
+        parts = [_windowed_ratio_lower_bound(p) for p in handle.parts]
+        rho = min(p[0] for p in parts)
+        n0 = max(p[1] for p in parts)
+        if rho > 1:
+            return rho, n0, merge([p[2] for p in parts], reason="exact-geometric")
+    data = sq._contraction_data(handle)
+    if data is not None:
+        lo = data.theta_iv[0]
+        rho = 1 + (lo - 1) * Fraction(3, 4)
+        n = data.first_index(handle, 1, lo - rho, sq.RATIO_SCAN_BUDGET)
+        if n is not None:
+            return rho, n, Proved("contraction")
+    terms = sq._window_terms(handle, sq.RATIO_SCAN_BUDGET)
+    if len(terms) < 2:
+        raise ValueError("no ratio lower bound above 1 found in the window")
+    rho = min(Fraction(b, a) for a, b in zip(terms, terms[1:]))
+    if rho <= 1:
+        raise ValueError("no ratio lower bound above 1 found in the window")
+    return rho, 0, BoundedCheck(len(terms) - 1)
+
+
+def _windowed_bound(handle):
+    # what _completeness_data read of the windowed form: the proved pair only
+    rho, n0, cert = _windowed_ratio_lower_bound(handle)
+    return (rho, n0) if cert.is_proved else None
+
+
+FIB_SPEC = SequenceSpec.recurrence([1, 1], [1, 2])
+LUCAS = SequenceSpec.recurrence([1, 1], [1, 3])
+COMPLETENESS_SPECS = {
+    "fib": FIB_SPEC,
+    "pell": SequenceSpec.recurrence([1, 2], [1, 2]),
+    "pow2": SequenceSpec.power(2),
+    "sum23": SequenceSpec.sum_of([SequenceSpec.power(2), SequenceSpec.power(3)]),
+    "factorial": SequenceSpec.factorial(),
+    "trib": RATIO_SPECS["trib"],
+    "tetranacci": SequenceSpec.recurrence([1, 1, 1, 1], [1, 2, 4, 8]),
+    "table-2n-plus-n": RATIO_SPECS["table-2n-plus-n"],
+    "table-runs-out": RATIO_SPECS["table-runs-out"],
+    "fib+lucas": SequenceSpec.sum_of([FIB_SPEC, LUCAS]),
+    "fib+table": SequenceSpec.sum_of([FIB_SPEC, SequenceSpec.table([], generator="n*n + 1")]),
+    "factorial+2^n": SequenceSpec.sum_of([SequenceSpec.factorial(), SequenceSpec.power(2)]),
+}
+COMPLETENESS_OPS = [[1], [-1], [2], [-3], [1, 1], [1, -1], [-2, 1], [0, 1], [1, 1, 1]]
+# the sequences whose gap and box some case proves; the rest fall back
+PROVED_COMPLETENESS = {"fib", "pell", "pow2", "sum23", "factorial"}
+
+
+@pytest.mark.parametrize("label", sorted(COMPLETENESS_SPECS))
+def test_completeness_data_matches_the_windowed_ratio_bound(label, monkeypatch):
+    rng = random.Random("completeness-" + label)
+    spec = COMPLETENESS_SPECS[label]
+    cases = [([[1], [1], [-1]], 0), ([[1], [1], [-1], [-1]], 0), ([[1], [-1]], 1)]
+    cases += [([rng.choice(COMPLETENESS_OPS) for _ in range(rng.randint(1, 4))],
+               rng.choice([0, 0, 1, -5, 100, 10 ** 6]))
+              for _ in range(20)]
+    got = [equations._completeness_data(make_handle(spec), [Operator(c) for c in ops],
+                                        z, len(ops))
+           for ops, z in cases]
+    monkeypatch.setattr(sq, "ratio_lower_bound", _windowed_bound)
+    want = [equations._completeness_data(make_handle(spec), [Operator(c) for c in ops],
+                                         z, len(ops))
+            for ops, z in cases]
+    for (ops, z), g, w in zip(cases, got, want):
+        assert (g.gap, g.box, g.cert) == (w.gap, w.box, w.cert), (ops, z)
+    assert any(w.cert.is_proved for w in want) == (label in PROVED_COMPLETENESS)
 
 
 # ---------------------------------------------------------------------------
