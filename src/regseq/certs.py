@@ -14,7 +14,7 @@ JSON reports and compared in tests.
 
 # Canonical reasons used by the operator classifier.  Dominance and
 # completeness machinery may attach more specific internal reasons
-# ("exact-ratio", "contraction", "exact-geometric").
+# ("exact-ratio", "contraction").
 REASON_THETA_INFINITE = "theta-infinite-dominance"
 REASON_NONVANISHING = "nonvanishing-at-theta"
 REASON_MINPOLY_DIVIDES = "minpoly-divides"

@@ -7,14 +7,16 @@ the equation for every anchor l outside a finite exception set.
 Inhomogeneous equations (z != 0) have finitely many non-degenerate solutions
 altogether.
 
-The quantitative skeleton used to certify completeness:
+The quantitative skeleton used to certify completeness, whose two growth
+facts come from the one route that proves them (_proved_growth: a geometric
+sum, factorial's exact ratio, or a contracting recurrence):
 
 * a ratio lower bound  r_{n+1} >= rho r_n  (rho > 1) past n0;
 * a uniform value bound u with |g(l)| >= u * r_l past a cutoff k_dom, valid
   for every combined operator g arising from offsets in play that the
-  sequence does not kill (a norm bound over the conjugates for contracting
-  recurrences, integrality for geometric sums, top-term dominance for
-  factorial growth);
+  sequence does not kill (integrality for geometric sums, top-term dominance
+  for factorial growth, a norm bound over the conjugates for contracting
+  recurrences);
 * a gap bound G with u * rho^(G+1-d_max) > A + |z| (A = total coefficient
   mass): in a non-degenerate solution, a sorted-index gap above G whose top
   sits past the anchor bound L would let the block above the gap outweigh
@@ -341,33 +343,28 @@ def _bounded_completeness(s):
 
 
 def _completeness_data(handle, ops, z, s):
-    """Certified gap/box bounds for the given operators, or a bounded
-    fallback when no certification route applies."""
+    """Certified gap/box bounds for the given operators, or the bounded
+    fallback where no route proves the sequence's growth or the sequence
+    cannot be evaluated that far."""
     A = sum(op.mass() for op in ops)
     d_max = max(op.degree for op in ops)
     try:
-        bound = sq.ratio_lower_bound(handle)
+        growth = _proved_growth(handle, A)
+        if growth is None:
+            return _bounded_completeness(s)
+        rho, n0, u_star, cutoff = growth
+        # gap bound: u* rho^(G+1-d_max) > A + |z|
+        target = Fraction(A + abs(z)) / u_star
+        G = d_max
+        power = rho
+        while power <= target:
+            G += 1
+            power *= rho
+            if G > OFFSET_BUDGET:
+                return _bounded_completeness(s)
+        k_dom = cutoff((s - 1) * G + d_max)
     except ValueError:
         return _bounded_completeness(s)
-    if bound is None:
-        return _bounded_completeness(s)
-    rho, n0 = bound
-
-    u_star = _uniform_value_bound(handle, A)
-    if u_star is None:
-        return _bounded_completeness(s)
-
-    # gap bound: u* rho^(G+1-d_max) > A + |z|
-    target = Fraction(A + abs(z)) / u_star
-    G = d_max
-    power = Fraction(rho)
-    while power <= target:
-        G += 1
-        power *= rho
-        if G > OFFSET_BUDGET:
-            return _bounded_completeness(s)
-
-    k_dom = _uniform_cutoff(handle, A, (s - 1) * G + d_max)
     if k_dom is None:
         return _bounded_completeness(s)
 
@@ -380,54 +377,46 @@ def _completeness_data(handle, ops, z, s):
     return _Completeness(G, box, Proved("dominance-bounds"))
 
 
-def _uniform_value_bound(handle, A):
-    """A rational u with |g(l)| >= u r_l past the uniform cutoff, valid for
-    every combined operator g of mass <= A that the sequence does not kill
-    (and, in the geometric case, does not partially kill)."""
+def _proved_growth(handle, A):
+    """(rho, n0, u, cutoff) from the one route that proves the sequence's
+    growth, or None where no route applies:
+
+    * r_{n+1} >= rho r_n for every n >= n0, with rho > 1;
+    * |g(l)| >= u r_l for every l >= cutoff(degree) and every combined
+      operator g of mass <= A, its offsets plus degree at most degree, that
+      the sequence does not kill (nor, when geometric, partially kill);
+      cutoff returns None where its walk ends unproved.
+
+    Geometric sums r_n = sum c_j q_j^n read their bases: integrality of the
+    coefficients gives u.  Factorial reads its exact ratio n + 3, above 2A
+    from n = 2A - 2 on, so the top term of g is at least twice the rest.  A
+    contracting recurrence of degree k walks its defect bound: every
+    conjugate of theta lies strictly inside the unit circle, so the norm of
+    the algebraic integer g(theta) is a nonzero rational integer while each
+    conjugate factor is at most A, giving |g(theta)| >= 1 / A^(k-1); the
+    classification slack halves it."""
     expansion = sq.power_base_expansion(handle.spec)
     if expansion is not None:
-        total_mass = sum(c for _, c in expansion)
-        return Fraction(1, 2 * total_mass)
-    kepler = sq._cached_kepler(handle)
-    if kepler.kind == sq.KeplerLimit.INFINITE and handle.spec.kind == sq.KIND_FACTORIAL:
-        return Fraction(1, 2)
-    if kepler.kind == sq.KeplerLimit.ALGEBRAIC and sq.certify(handle).recurrence_certified:
-        if sq._contraction_data(handle) is not None:
-            # Contraction certifies that every conjugate of theta lies
-            # strictly inside the unit circle.  The norm of the algebraic
-            # integer g(theta) is then a nonzero rational integer while each
-            # conjugate factor is at most the coefficient mass, giving
-            # |g(theta)| >= 1 / A^(k-1); the classification slack halves it.
-            k = kepler.minpoly.degree
-            return Fraction(1, 2 * A ** (k - 1))
-    return None
-
-
-def _uniform_cutoff(handle, A, max_degree):
-    """Index past which the uniform value bound holds for every combined
-    operator whose offsets plus degree stay below max_degree."""
-    expansion = sq.power_base_expansion(handle.spec)
-    if expansion is not None:
-        if len(expansion) == 1:
-            return 0
-        theta, q2 = expansion[-1][0], expansion[-2][0]
-        # theta^k must outgrow the competing value mass 2 A theta^max_degree q2^k
-        return sq._geometric_cutoff(1, 2 * A * theta ** max_degree, theta, q2)
-    kepler = sq._cached_kepler(handle)
-    if kepler.kind == sq.KeplerLimit.INFINITE:
-        try:
-            k, cert = sq.dominance_cutoff(handle, Fraction(1, 2 * A))
-        except ValueError:
-            return None
-        return k if cert.is_proved else None
-    if kepler.kind == sq.KeplerLimit.ALGEBRAIC:
-        u_raw = Fraction(1, A ** (kepler.minpoly.degree - 1))
-        try:
-            k, cert = sq.dominance_cutoff(handle, u_raw / (2 * A), degree=max_degree)
-        except ValueError:
-            return None
-        return k if cert.is_proved else None
-    return None
+        theta = expansion[-1][0]
+        # theta^k must outgrow the competing value mass 2 A theta^degree q2^k
+        # of the next base q2; a single base has none
+        q2, rival = (expansion[-2][0], 2 * A) if len(expansion) > 1 else (0, 0)
+        u = Fraction(1, 2 * sum(c for _, c in expansion))
+        return (Fraction(expansion[0][0]), 0, u,
+                lambda degree: sq._geometric_cutoff(1, rival * theta ** degree, theta, q2))
+    if handle.spec.kind == sq.KIND_FACTORIAL:
+        return Fraction(3), 0, Fraction(1, 2), lambda degree: 2 * A - 2
+    data = sq._contraction_data(handle)
+    if data is None:
+        return None
+    lo, hi = data.theta_iv
+    rho = 1 + (lo - 1) * Fraction(3, 4)  # margin lo - rho = (lo-1)/4 > 0
+    n0 = data.first_index(handle, 1, lo - rho, sq.RATIO_SCAN_BUDGET)
+    if n0 is None:
+        return None
+    u = Fraction(1, 2 * A ** data.step)
+    return rho, n0, u, lambda degree: data.first_index(
+        handle, degree * max(Fraction(1), hi) ** (degree - 1), u / A, sq.RATIO_SCAN_BUDGET)
 
 
 # ---------------------------------------------------------------------------

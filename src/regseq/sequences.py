@@ -15,16 +15,14 @@ theta in (1, oo].  Supported spec kinds:
   instance 2^n + n); no growth claim is certified for them.
 
 All arithmetic is exact (Python bignums and Fractions).  The certification
-layer provides three things the rest of the package builds on:
+layer provides two things the rest of the package builds on:
 
 * ``kepler_limit``     -- the ratio limit: algebraic (an isolated root of the
   minimal polynomial with a rational isolating interval), infinite, or not
   certified at all (Unknown: tables, sums with such a part, reducible
   recurrences);
 * ``dominance_cutoff`` -- an index k beyond which |r_{n+i} - theta^i r_n| stays
-  below eps * r_n (or ratios exceed 1/eps when theta = oo);
-* ``ratio_lower_bound`` -- a proved rho > 1 with r_{n+1} >= rho r_n for all
-  n past some start index, or None where no exact route gives one.
+  below eps * r_n (or ratios exceed 1/eps when theta = oo).
 
 Certified cutoffs carry Proved certificates; everything else is an explicit
 BoundedCheck over the scanned window.
@@ -312,7 +310,6 @@ class SequenceHandle:
                            if spec.kind == KIND_TABLE and spec.generator else None)
         self._kepler = None
         self._contraction = None  # False = tried and failed
-        self._ratio_bound = None  # False = no proved bound; or the error
         self._profiles = {}
 
     def eval(self, n):
@@ -403,8 +400,6 @@ class CharPoly:
 def char_poly(spec):
     """Characteristic polynomial of the spec, or None when there is none
     (factorial growth, bare tables)."""
-    if isinstance(spec, SequenceHandle):
-        spec = spec.spec
     if spec.kind == KIND_RECURRENCE:
         return CharPoly([-c for c in spec.coeffs] + [1])
     if spec.kind == KIND_POWER:
@@ -423,14 +418,12 @@ def char_poly(spec):
 def power_base_expansion(spec):
     """When the sequence is exactly a sum of geometric terms, return the list
     of (base, multiplicity) pairs with distinct bases, sorted by base;
-    otherwise None.  Covers power specs, order-1 recurrences (c * a^n) and
-    sums of such."""
-    if isinstance(spec, SequenceHandle):
-        spec = spec.spec
+    otherwise None.  Covers power specs, order-1 recurrences (c * a^n with
+    a >= 2; a smaller a does not grow) and sums of such."""
     if spec.kind == KIND_POWER:
         return [(spec.q, 1)]
     if spec.kind == KIND_RECURRENCE and len(spec.coeffs) == 1:
-        return [(spec.coeffs[0], spec.initials[0])]
+        return [(spec.coeffs[0], spec.initials[0])] if spec.coeffs[0] >= 2 else None
     if spec.kind == KIND_SUM:
         bases = {}
         for p in spec.parts:
@@ -706,30 +699,25 @@ def dominance_cutoff(handle, eps, degree=1, budget=RATIO_SCAN_BUDGET):
         |r_{n+i} - theta^i r_n| < eps * r_n       (theta finite), or
         r_{n+1} / r_n > 1 / eps                   (theta infinite).
 
-    Returns (k, certificate).  Proved certificates come from exact ratio
-    formulas (powers, factorial, geometric sums) or from the contraction
-    argument; otherwise the inequality is verified on [k, budget] only and
-    the certificate is a BoundedCheck.  An Unknown limit has no theta to
-    compare against and raises ValueError.
+    Returns (k, certificate).  Proved certificates come from factorial's
+    exact ratio or from the contraction argument; otherwise the inequality is
+    verified on [k, budget] only and the certificate is a BoundedCheck (a
+    geometric sum gets the scan here: every caller reads its exact expansion
+    first).  An Unknown limit has no theta to compare against and raises
+    ValueError.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     kepler = _cached_kepler(handle)
-    spec = handle.spec
-
     if kepler.is_infinite:
-        if spec.kind == KIND_FACTORIAL:
+        if handle.spec.kind == KIND_FACTORIAL:
             # ratio r_{n+1}/r_n = n+3, exactly and strictly increasing
             k = 0
             while Fraction(k + 3) <= 1 / eps:
                 k += 1
             return k, Proved("exact-ratio")
         return _scan_ratio_cutoff(handle, 1 / eps, budget)
-
-    expansion = power_base_expansion(spec)
-    if expansion is not None:
-        return _dominance_geometric(expansion, eps, degree)
 
     data = _contraction_data(handle)
     if data is not None:
@@ -748,21 +736,6 @@ def _geometric_cutoff(a, b, p, q):
         a *= p
         b *= q
     return k
-
-
-def _dominance_geometric(expansion, eps, degree):
-    """Exact route for r_n = sum c_j q_j^n: the non-dominant bases decay
-    geometrically against the top one, so the cutoff is a plain power scan."""
-    if len(expansion) == 1:
-        return 0, Proved("exact-ratio")
-    theta, q2 = expansion[-1][0], expansion[-2][0]
-    mass = sum(c for q, c in expansion[:-1])
-    # |r_{n+i} - theta^i r_n| <= sum_{j<J} c_j q_j^n (theta^i - q_j^i)
-    #                        <= mass * theta^degree * q2^n,
-    # and r_n >= theta^n; enough that mass * theta^degree * q2^n < eps theta^n.
-    return (_geometric_cutoff(eps.numerator, mass * theta ** degree * eps.denominator,
-                              theta, q2),
-            Proved("exact-geometric"))
 
 
 def _scan_ratio_cutoff(handle, threshold, budget):
@@ -797,41 +770,3 @@ def _scan_dominance_cutoff(handle, kepler, eps, degree, budget):
     if last_bad + 1 >= top:
         raise ValueError("budget exhausted at %d without establishing dominance" % top)
     return last_bad + 1, BoundedCheck(top)
-
-
-# ---------------------------------------------------------------------------
-# Certified ratio lower bounds
-# ---------------------------------------------------------------------------
-
-def ratio_lower_bound(handle):
-    """A proved (rho, n0) with rho > 1 and r_{n+1} >= rho r_n for all
-    n >= n0, or None where no route proves one: factorial's exact ratio,
-    the smallest base of a geometric expansion, or the contraction walk.
-    Computed once per handle; a ValueError (a sequence that cannot be
-    evaluated) is cached and raised again."""
-    if handle._ratio_bound is None:
-        try:
-            handle._ratio_bound = _ratio_lower_bound(handle) or False
-        except ValueError as exc:
-            handle._ratio_bound = exc
-    found = handle._ratio_bound
-    if isinstance(found, ValueError):
-        raise found.with_traceback(None)
-    return found or None
-
-
-def _ratio_lower_bound(handle):
-    spec = handle.spec
-    if spec.kind == KIND_FACTORIAL:
-        return Fraction(3), 0
-    expansion = power_base_expansion(spec)
-    if expansion is not None:
-        return Fraction(expansion[0][0]), 0
-    data = _contraction_data(handle)
-    if data is not None:
-        lo = data.theta_iv[0]
-        rho = 1 + (lo - 1) * Fraction(3, 4)  # margin lo - rho = (lo-1)/4 > 0
-        n = data.first_index(handle, 1, lo - rho, RATIO_SCAN_BUDGET)
-        if n is not None:
-            return rho, n
-    return None

@@ -10,15 +10,18 @@ operator, a direct scan of operators.apply):
 * a ground literal inside a disjunct;
 * decide._bounded_disjunct finding a witness;
 * decide._description_empty skipping a case whose class constraint is
-  proved empty;
+  proved empty, and giving up on a pattern (pattern-exclusion-at-budget)
+  or on split families (split-families-at-budget);
 * the {"value": v} witness of a bounded integer variable;
 * substitution of a bounded integer into Sigma arguments;
 * verify-ax6 reporting "inconclusive" (exit 2);
 * solve_inhomogeneous on a cofinitely vanishing operator;
-* an order-1 recurrence c * q^n;
-* a large target, whose anchor bound must already outgrow it.
+* an order-1 recurrence c * q^n, and one with q < 2, which is not geometric;
+* a large target, whose anchor bound must already outgrow it;
+* equations._completeness_data capping the box at ANCHOR_SCAN_BUDGET.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -28,7 +31,8 @@ from regseq import cli
 from regseq import equations as E
 from regseq import formulas as F
 from regseq import sequences as S
-from regseq.decide import decide
+from regseq.certs import BoundedCheck
+from regseq.decide import Verdict, decide
 from regseq.operators import CofiniteZero, FiniteRoots, Operator, _target_cutoff, \
     apply, classify, solve_inhomogeneous
 from regseq.sequences import SequenceSpec, make_handle
@@ -195,6 +199,48 @@ def test_case_with_an_empty_class_constraint_is_skipped():
                    for a in range(61) for b in range(61))
 
 
+FIB = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+
+
+def brute_force_witnesses(text, side, necessary):
+    """Every index assignment in [0, side]^k under which the matrix of the
+    sentence holds on FIB: eval_ground checks each assignment that passes
+    `necessary(r, *indices)`, a condition on the terms r that every witness
+    meets."""
+    node = F.parse(text)
+    names = []
+    while isinstance(node, F.ExistsInR):
+        names.append(node.var)
+        node = node.body
+    r = FIB.values(side + 1)
+    return [tup for tup in itertools.product(range(side + 1), repeat=len(names))
+            if necessary(r, *tup)
+            and F.eval_ground(node, FIB, dict(zip(names, tup)))]
+
+
+def test_pattern_exclusion_gives_up_at_the_budget():
+    # the anchors of the family of x + S(y) = z that meet the constraints
+    # are empty only on a scanned window (y + 3 in R is a window scan), so no
+    # False is claimed
+    text = "E x in R. E y in R. E z in R. x + S(y) = z & D12(z) & y + 3 in R & !(x > 10)"
+    verdict = decide(F.parse(text), FIB)
+    assert (verdict.kind, verdict.reason) == (Verdict.UNKNOWN, "pattern-exclusion-at-budget")
+    # and none is there to find: no witness on [0, 30]^3
+    assert brute_force_witnesses(text, 30, lambda r, x, y, z: r[x] + r[y + 1] == r[z]) == []
+
+
+def test_split_families_give_up_at_the_budget():
+    # a solution may split into a family on three unknowns (w + x = z, say)
+    # and the fourth equal to 2; split families are not tested against the
+    # constraints, so no False is claimed
+    text = "E w in R. E x in R. E y in R. E z in R. x + y + w = z + 2 & D12(x) & D6(w)"
+    verdict = decide(F.parse(text), FIB)
+    assert (verdict.kind, verdict.reason) == (Verdict.UNKNOWN, "split-families-at-budget")
+    # and none is there to find: no witness on [0, 22]^4
+    assert brute_force_witnesses(
+        text, 22, lambda r, w, x, y, z: r[w] + r[x] + r[y] == r[z] + 2) == []
+
+
 # ---------------------------------------------------------------------------
 # verify-ax6, solve_inhomogeneous and an order-1 recurrence
 # ---------------------------------------------------------------------------
@@ -244,6 +290,25 @@ def test_order_one_recurrence_is_geometric():
     assert description.instantiate(12) == {t for t, _ in E.brute_force(problem, 12)}
 
 
+@pytest.mark.parametrize("c", [1, 0, -2])
+def test_order_one_recurrence_below_two_is_not_geometric(c, tmp_path, capsys):
+    # 5, 5c, 5c^2, ... does not increase: no exact expansion, so no Proved
+    # verdict is given without evaluating a term, and the ratio limit refuses
+    spec = SequenceSpec.recurrence([c], [5])
+    assert S.power_base_expansion(spec) is None
+    for coeffs in ([1], [-1, 1]):
+        with pytest.raises(ValueError, match="^not enough terms for a ratio scan$"):
+            classify(Operator(coeffs), make_handle(spec))
+    data = E._completeness_data(make_handle(spec), [Operator([1]), Operator([-1])], 0, 2)
+    assert not data.cert.is_proved
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(spec.to_json()))
+    for op in ("[1]", "[-1,1]"):
+        assert cli.main(["classify", "--seq", str(path), "--op", op]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: not enough terms for a ratio scan\n"
+
+
 @pytest.mark.parametrize("spec,ops,z", [
     (SequenceSpec.power(2), [[1], [1]], 2 ** 30 + 2 ** 5),
     (SequenceSpec.power(2), [[1], [-1]], 2 ** 35 - 2 ** 3),
@@ -258,7 +323,23 @@ def test_large_target_lies_below_the_anchor_bound(spec, ops, z):
     assert data.cert.is_proved
     # the anchor bound L already outweighs the target (no extension needed)
     anchor = data.box - (s - 1) * (data.gap + 1)
-    u_star = E._uniform_value_bound(handle, sum(op.mass() for op in problem.operators))
+    _, _, u_star, _ = E._proved_growth(handle, sum(op.mass() for op in problem.operators))
     assert u_star * handle.eval(anchor) > abs(z)
     description = E.solve_full(problem)
     assert description.instantiate(40) == {t for t, _ in E.brute_force(problem, 40)}
+
+
+def test_completeness_box_is_capped_at_the_anchor_budget():
+    # x1 + x2 + x3 = x4 + x5 + x6 + 10^9 on Fibonacci: the gap bound is
+    # proved, but the box it gives lies past ANCHOR_SCAN_BUDGET, so the box is
+    # the budget under a BoundedCheck.  Only the bounds are computed: the
+    # solve itself has no work budget.
+    ops = [Operator([1])] * 3 + [Operator([-1])] * 3
+    z = 10 ** 9
+    data = E._completeness_data(FIB, ops, z, 6)
+    assert (data.gap, data.box, data.cert) == \
+        (61, E.ANCHOR_SCAN_BUDGET, BoundedCheck(E.ANCHOR_SCAN_BUDGET))
+    _, n0, _, cutoff = E._proved_growth(FIB, 6)
+    k_dom = cutoff(5 * data.gap)
+    assert k_dom is not None
+    assert max(n0, k_dom) + data.gap + 2 + 5 * (data.gap + 1) > E.ANCHOR_SCAN_BUDGET

@@ -14,7 +14,7 @@ import pytest
 
 from regseq import polyops
 from regseq import sequences as sq
-from regseq.certs import BoundedCheck, Proved, merge
+from regseq.certs import BoundedCheck, Proved
 from regseq import equations
 from regseq.equations import (EquationProblem, ShiftPattern,
                               TrivialOperatorPresent, _box_solutions, _degenerate,
@@ -420,7 +420,7 @@ def test_family_search_joins_mirrored_kill_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ratio_lower_bound: a proved bound or None, computed once per handle
+# _proved_growth: one route per sequence, or None
 # ---------------------------------------------------------------------------
 
 RATIO_SPECS = {
@@ -432,81 +432,103 @@ RATIO_SPECS = {
 
 @pytest.mark.parametrize("label", sorted(RATIO_SPECS))
 def test_ratio_lower_bound_is_the_window_minimum(label):
-    # no route proves a bound here, and no window is scanned for a minimum
-    # in its place: only the ratio limit's 101-term sanity window is read
+    # no route proves the growth here, and no window is scanned for a
+    # minimum ratio in its place: only the ratio limit's 101-term sanity
+    # window is read
     handle = make_handle(RATIO_SPECS[label])
-    assert sq.ratio_lower_bound(handle) is None
+    assert equations._proved_growth(handle, 3) is None
     assert len(handle.cache) <= 101
 
 
-def _refuse_evaluation(n):
-    raise AssertionError("ratio_lower_bound scanned the handle again")
-
-
-def test_ratio_lower_bound_is_computed_once_per_handle(monkeypatch):
-    computed = []
-    compute = sq._ratio_lower_bound
-    monkeypatch.setattr(sq, "_ratio_lower_bound",
-                        lambda handle: computed.append(handle) or compute(handle))
-    for spec, proved in ((SequenceSpec.recurrence([1, 1], [1, 2]), True),
-                         (RATIO_SPECS["trib"], False)):
-        handle = make_handle(spec)
-        first = sq.ratio_lower_bound(handle)
-        assert (first is not None) == proved
-        handle.eval = _refuse_evaluation
-        for _ in range(3):
-            assert sq.ratio_lower_bound(handle) == first
-        assert computed.count(handle) == 1
-
-
-def test_ratio_lower_bound_failure_is_cached():
-    handle = make_handle(SequenceSpec.table([7]))
-    with pytest.raises(ValueError) as first:
-        sq.ratio_lower_bound(handle)
-    handle.eval = _refuse_evaluation
-    for _ in range(3):
-        with pytest.raises(ValueError) as again:
-            sq.ratio_lower_bound(handle)
-        assert again.value is first.value
-
-
-def _windowed_ratio_lower_bound(handle):
-    # the earlier (rho, n0, certificate) form: a merge over the parts of a
-    # sum and a window minimum, BoundedCheck, where no proof applies
+def reference_ratio_lower_bound(handle):
+    # the former sequences._ratio_lower_bound
     spec = handle.spec
-    if spec.kind == sq.KIND_POWER:
-        return Fraction(spec.q), 0, Proved("exact-ratio")
     if spec.kind == sq.KIND_FACTORIAL:
-        return Fraction(3), 0, Proved("exact-ratio")
+        return Fraction(3), 0
     expansion = sq.power_base_expansion(spec)
     if expansion is not None:
-        return Fraction(expansion[0][0]), 0, Proved("exact-geometric")
-    if spec.kind == sq.KIND_SUM:
-        parts = [_windowed_ratio_lower_bound(p) for p in handle.parts]
-        rho = min(p[0] for p in parts)
-        n0 = max(p[1] for p in parts)
-        if rho > 1:
-            return rho, n0, merge([p[2] for p in parts], reason="exact-geometric")
+        return Fraction(expansion[0][0]), 0
     data = sq._contraction_data(handle)
     if data is not None:
         lo = data.theta_iv[0]
         rho = 1 + (lo - 1) * Fraction(3, 4)
         n = data.first_index(handle, 1, lo - rho, sq.RATIO_SCAN_BUDGET)
         if n is not None:
-            return rho, n, Proved("contraction")
-    terms = sq._window_terms(handle, sq.RATIO_SCAN_BUDGET)
-    if len(terms) < 2:
-        raise ValueError("no ratio lower bound above 1 found in the window")
-    rho = min(Fraction(b, a) for a, b in zip(terms, terms[1:]))
-    if rho <= 1:
-        raise ValueError("no ratio lower bound above 1 found in the window")
-    return rho, 0, BoundedCheck(len(terms) - 1)
+            return rho, n
+    return None
 
 
-def _windowed_bound(handle):
-    # what _completeness_data read of the windowed form: the proved pair only
-    rho, n0, cert = _windowed_ratio_lower_bound(handle)
-    return (rho, n0) if cert.is_proved else None
+def reference_uniform_value_bound(handle, A):
+    # the former equations._uniform_value_bound
+    expansion = sq.power_base_expansion(handle.spec)
+    if expansion is not None:
+        return Fraction(1, 2 * sum(c for _, c in expansion))
+    kepler = sq._cached_kepler(handle)
+    if kepler.kind == sq.KeplerLimit.INFINITE and handle.spec.kind == sq.KIND_FACTORIAL:
+        return Fraction(1, 2)
+    if (kepler.kind == sq.KeplerLimit.ALGEBRAIC and sq.certify(handle).recurrence_certified
+            and sq._contraction_data(handle) is not None):
+        return Fraction(1, 2 * A ** (kepler.minpoly.degree - 1))
+    return None
+
+
+def reference_uniform_cutoff(handle, A, max_degree):
+    # the former equations._uniform_cutoff
+    expansion = sq.power_base_expansion(handle.spec)
+    if expansion is not None:
+        if len(expansion) == 1:
+            return 0
+        theta, q2 = expansion[-1][0], expansion[-2][0]
+        return sq._geometric_cutoff(1, 2 * A * theta ** max_degree, theta, q2)
+    kepler = sq._cached_kepler(handle)
+    if kepler.kind == sq.KeplerLimit.INFINITE:
+        try:
+            k, cert = sq.dominance_cutoff(handle, Fraction(1, 2 * A))
+        except ValueError:
+            return None
+        return k if cert.is_proved else None
+    if kepler.kind == sq.KeplerLimit.ALGEBRAIC:
+        u_raw = Fraction(1, A ** (kepler.minpoly.degree - 1))
+        try:
+            k, cert = sq.dominance_cutoff(handle, u_raw / (2 * A), degree=max_degree)
+        except ValueError:
+            return None
+        return k if cert.is_proved else None
+    return None
+
+
+def reference_completeness_data(handle, ops, z, s):
+    # the former equations._completeness_data, over the three functions
+    # above, each with its own route tests
+    A = sum(op.mass() for op in ops)
+    d_max = max(op.degree for op in ops)
+    try:
+        bound = reference_ratio_lower_bound(handle)
+    except ValueError:
+        return equations._bounded_completeness(s)
+    if bound is None:
+        return equations._bounded_completeness(s)
+    rho, n0 = bound
+    u_star = reference_uniform_value_bound(handle, A)
+    if u_star is None:
+        return equations._bounded_completeness(s)
+    target = Fraction(A + abs(z)) / u_star
+    G = d_max
+    power = Fraction(rho)
+    while power <= target:
+        G += 1
+        power *= rho
+        if G > equations.OFFSET_BUDGET:
+            return equations._bounded_completeness(s)
+    k_dom = reference_uniform_cutoff(handle, A, (s - 1) * G + d_max)
+    if k_dom is None:
+        return equations._bounded_completeness(s)
+    L = max(n0, k_dom) + G + d_max + 2
+    box = L + (s - 1) * (G + 1)
+    if box > equations.ANCHOR_SCAN_BUDGET:
+        budget = equations.ANCHOR_SCAN_BUDGET
+        return equations._Completeness(G, budget, BoundedCheck(budget))
+    return equations._Completeness(G, box, Proved("dominance-bounds"))
 
 
 FIB_SPEC = SequenceSpec.recurrence([1, 1], [1, 2])
@@ -516,34 +538,40 @@ COMPLETENESS_SPECS = {
     "pell": SequenceSpec.recurrence([1, 2], [1, 2]),
     "pow2": SequenceSpec.power(2),
     "sum23": SequenceSpec.sum_of([SequenceSpec.power(2), SequenceSpec.power(3)]),
+    "2*3^n": SequenceSpec.recurrence([3], [2]),
     "factorial": SequenceSpec.factorial(),
     "trib": RATIO_SPECS["trib"],
     "tetranacci": SequenceSpec.recurrence([1, 1, 1, 1], [1, 2, 4, 8]),
+    # r_{n+3} = r_n + 2 r_{n+2}: a contraction of degree 3
+    "degree-3-contraction": SequenceSpec.recurrence([1, 0, 2], [1, 2, 5]),
     "table-2n-plus-n": RATIO_SPECS["table-2n-plus-n"],
     "table-runs-out": RATIO_SPECS["table-runs-out"],
+    # one value: the ratio limit cannot be read, a ValueError
+    "table-7": SequenceSpec.table([7]),
     "fib+lucas": SequenceSpec.sum_of([FIB_SPEC, LUCAS]),
+    "fib+3^n": SequenceSpec.sum_of([FIB_SPEC, SequenceSpec.power(3)]),
     "fib+table": SequenceSpec.sum_of([FIB_SPEC, SequenceSpec.table([], generator="n*n + 1")]),
     "factorial+2^n": SequenceSpec.sum_of([SequenceSpec.factorial(), SequenceSpec.power(2)]),
 }
 COMPLETENESS_OPS = [[1], [-1], [2], [-3], [1, 1], [1, -1], [-2, 1], [0, 1], [1, 1, 1]]
 # the sequences whose gap and box some case proves; the rest fall back
-PROVED_COMPLETENESS = {"fib", "pell", "pow2", "sum23", "factorial"}
+PROVED_COMPLETENESS = {"fib", "pell", "pow2", "sum23", "2*3^n", "factorial",
+                       "degree-3-contraction"}
 
 
 @pytest.mark.parametrize("label", sorted(COMPLETENESS_SPECS))
-def test_completeness_data_matches_the_windowed_ratio_bound(label, monkeypatch):
+def test_completeness_data_matches_the_windowed_ratio_bound(label):
     rng = random.Random("completeness-" + label)
     spec = COMPLETENESS_SPECS[label]
     cases = [([[1], [1], [-1]], 0), ([[1], [1], [-1], [-1]], 0), ([[1], [-1]], 1)]
     cases += [([rng.choice(COMPLETENESS_OPS) for _ in range(rng.randint(1, 4))],
-               rng.choice([0, 0, 1, -5, 100, 10 ** 6]))
+               rng.choice([0, 0, 1, -5, 100, 10 ** 6, 10 ** 9, -10 ** 12]))
               for _ in range(20)]
     got = [equations._completeness_data(make_handle(spec), [Operator(c) for c in ops],
                                         z, len(ops))
            for ops, z in cases]
-    monkeypatch.setattr(sq, "ratio_lower_bound", _windowed_bound)
-    want = [equations._completeness_data(make_handle(spec), [Operator(c) for c in ops],
-                                         z, len(ops))
+    want = [reference_completeness_data(make_handle(spec), [Operator(c) for c in ops],
+                                        z, len(ops))
             for ops, z in cases]
     for (ops, z), g, w in zip(cases, got, want):
         assert (g.gap, g.box, g.cert) == (w.gap, w.box, w.cert), (ops, z)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from regseq import polyops
+from regseq import equations, polyops
 from regseq import sequences as sq
 from regseq.sequences import (KeplerLimit, MonotonicityError, SequenceSpec,
                               TableExhausted, kepler_limit, make_handle)
@@ -221,28 +221,13 @@ def test_contraction_from_a_wide_interval_still_refines(label):
 # ---------------------------------------------------------------------------
 
 def reference_integer_cutoff(a, b, p, q):
-    # the loop of operators._classify_geometric and equations._uniform_cutoff
+    # the loop of operators._classify_geometric and of the geometric cutoff
+    # of equations._proved_growth
     k = 0
     while a <= b:
         k += 1
         a *= p
         b *= q
-    return k
-
-
-def reference_dominance_geometric(expansion, eps, degree):
-    if len(expansion) == 1:
-        return 0
-    bases = [q for q, _ in expansion]
-    theta, q2 = bases[-1], bases[-2]
-    mass = sum(c for q, c in expansion[:-1])
-    target = Fraction(mass * theta ** degree) / eps
-    k = 0
-    lhs, rhs = 1, 1
-    while Fraction(lhs, rhs) <= target:
-        k += 1
-        lhs *= theta
-        rhs *= q2
     return k
 
 
@@ -253,19 +238,6 @@ def test_geometric_cutoff_matches_reference_on_a_grid():
                 for q in range(0, p):
                     assert sq._geometric_cutoff(a, b, p, q) == \
                         reference_integer_cutoff(a, b, p, q), (a, b, p, q)
-
-
-def test_geometric_dominance_matches_reference_on_fraction_eps():
-    expansions = [[(2, 1)], [(2, 1), (3, 1)], [(2, 5), (7, 2)],
-                  [(2, 1), (3, 4), (5, 1)], [(3, 1), (4, 1)]]
-    epsilons = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 1000),
-                Fraction(999, 1000), Fraction(5, 2), Fraction(1, 3 ** 20)]
-    for expansion in expansions:
-        for eps in epsilons:
-            for degree in (0, 1, 2, 4):
-                k, cert = sq._dominance_geometric(expansion, eps, degree)
-                assert k == reference_dominance_geometric(expansion, eps, degree)
-                assert cert.is_proved
 
 
 def reference_contraction_index(handle, data, eps, degree, budget):
@@ -281,7 +253,7 @@ def reference_contraction_index(handle, data, eps, degree, budget):
 
 
 def reference_ratio_index(handle, data, budget):
-    # the loop of sequences._ratio_lower_bound
+    # the loop of the ratio walk of equations._proved_growth
     lo = data.theta_iv[0]
     margin = lo - (1 + (lo - 1) * Fraction(3, 4))
     n = 0
@@ -314,10 +286,14 @@ def test_first_index_matches_both_old_walks(label):
 
 
 def test_degree_zero_walk_stops_at_once():
-    # equations._uniform_cutoff asks for degree 0 when s = 1: factor 0
+    # the contraction cutoff of equations._proved_growth is asked for degree
+    # 0 when s = 1 and the operator has degree 0: factor 0, as in
+    # dominance_cutoff at degree 0
     handle = make_handle(CONTRACTION_SPECS["fib"][0])
     k, cert = sq.dominance_cutoff(handle, Fraction(1, 10 ** 9), degree=0)
     assert (k, cert.is_proved) == (0, True)
+    _, _, _, cutoff = equations._proved_growth(handle, 10 ** 9)
+    assert cutoff(0) == 0
 
 
 # ---------------------------------------------------------------------------
