@@ -51,8 +51,8 @@ import math
 from . import certs
 from . import formulas as F
 from .congruence import PeriodicIndexSet, divisibility_set
-from .equations import BOUNDED_BOX, EquationProblem, TrivialOperatorPresent, \
-    _box_solutions, _value_table, solve_full, solve_nondegenerate
+from .equations import BOUNDED_BOX, EquationProblem, _box_scan, _completeness_data, \
+    _value_table, solve_full, solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, Operator, \
     classify, solve_range, values
 from .subsums import _meet_in_the_middle
@@ -721,14 +721,16 @@ def verify_ax6(handle, ops, budget=AXIOM_BUDGET):
     solutions, or solutions occur at gaps growing past any fixed offset set,
     which refutes every candidate shape within the budget."""
     ops = [o if isinstance(o, Operator) else Operator(o) for o in ops]
-    try:
-        problem = EquationProblem(handle, ops, 0)
-        solutions = solve_nondegenerate(problem)
-    except TrivialOperatorPresent:
+    problem = EquationProblem(handle, ops, 0)
+    if any(isinstance(classify(op, handle), CofiniteZero) for op in ops):
         return AxiomReport("Ax6", "inconclusive",
                            {"reason": "trivial-operator-present"}, None)
-    if solutions.certificate.is_proved:
-        return _ax6_constants(handle, problem, solutions, budget)
+    # a bounded completeness route leaves only the empirical report, so the
+    # solve is run where it can still prove the shape
+    if _completeness_data(handle, ops, 0, problem.s).cert.is_proved:
+        solutions = solve_nondegenerate(problem)
+        if solutions.certificate.is_proved:
+            return _ax6_constants(handle, problem, solutions, budget)
     return _ax6_empirical(problem, budget)
 
 
@@ -752,7 +754,7 @@ def _ax6_constants(handle, problem, solutions, budget):
     # and a brute-force window finds nothing off-pattern
     window = _box_side("ax6-revalidation", problem.s, budget)
     sporadic = set(solutions.sporadic)
-    for tup in _box_solutions(problem, window)[0]:
+    for tup in _box_scan(_value_table(problem, window), problem.z):
         if not any(p.matches(tup) for p in solutions.patterns) \
                 and tup not in sporadic:
             raise AssertionError("off-pattern solution %r" % (tup,))
@@ -767,7 +769,7 @@ def _ax6_constants(handle, problem, solutions, budget):
 
 def _ax6_empirical(problem, budget):
     window = _box_side("ax6-empirical", problem.s, budget)
-    found = _box_solutions(problem, window)[0]
+    found = _box_scan(_value_table(problem, window), problem.z)
     spans = {}
     for tup in found:
         spans.setdefault(max(tup) - min(tup), []).append(tup)

@@ -29,10 +29,11 @@ sum, factorial's exact ratio, or a contracting recurrence):
   kill vectors is 0 exactly when its block is killed (polynomial
   divisibility / vanishing at every base), so a non-degenerate zero is a
   killed block with no killed proper sub-block, and the hits shaped like a
-  pattern (min 0, sorted gaps <= G) are kept.  Over the value table of the
-  box [0, L*]^s, one operators.values window per variable, it finds
-  everything else, a hit that lies on a family being dropped by one lookup
-  of its offsets;
+  pattern (min 0, sorted gaps <= G) are kept.  Over the value rows of the
+  box [0, L*]^s it finds everything else, a hit that lies on a family being
+  dropped by one lookup of its offsets.  The rows are cut from one value
+  table, one operators.values window per variable, whose tail out to
+  L* + (s-1)G feeds only the exceptions of the families;
 * the scan takes the positions in the order of their rows, so that equal
   rows form runs, and lists the first s // 2 of them once per orbit under
   permutations within the runs, the indices increasing within each run
@@ -506,23 +507,17 @@ def _kill_vectors(handle, ops, max_offset):
 # Core solver over pairwise distinct indices
 # ---------------------------------------------------------------------------
 
-def _box_solutions(problem, top):
-    """All non-degenerate tuples in [0, top]^s summing to z (pairwise
-    distinct indices, no vanishing proper sub-sum), sorted, plus the
-    per-variable value table used to compute them (see _box_scan)."""
-    vals = _value_table(problem, top)
-    return _box_scan(vals, problem.z), vals
-
-
 def _box_scan(vals, z, keep=None):
     """The non-degenerate index tuples over the rows `vals` (one entry of
     each row, pairwise distinct indices, no vanishing proper sub-sum) that
-    sum to z and pass `keep`, sorted.  The positions are taken in the order
-    of their rows, so that equal rows form runs; the first s // 2 are listed
-    once per orbit under permutations within the runs (_half_entries), a
-    list that mirrored rows (_mirror_pairs) join with itself (_self_join)
-    and any others pass to the kernel as one hashed row.  Each hit is tested
-    once, where _proper_subsums_nonzero does not settle it, then expanded
+    sum to z and pass `keep`, sorted.  The solver's value rows cover the
+    box [0, L*] alone; the value table's tail past L* feeds only the
+    pattern exceptions.  The positions are taken in the order of their
+    rows, so that equal rows form runs; the first s // 2 are listed once
+    per orbit under permutations within the runs (_half_entries), a list
+    that mirrored rows (_mirrored) join with itself (_self_join) and any
+    others pass to the kernel as one hashed row.  Each hit is tested once,
+    where _proper_subsums_nonzero does not settle it, then expanded
     (_orbit)."""
     s = len(vals)
     half = s // 2
@@ -530,7 +525,7 @@ def _box_scan(vals, z, keep=None):
     rows = [vals[j] for j in order]
     runs = [len(list(run)) for _, run in itertools.groupby(rows[:half])]
     entries, sums = _half_entries(rows[:half], runs)
-    if _mirror_pairs(vals, z) is not None:
+    if _mirrored(rows, z):
         joined = _self_join(entries, sums, rows[:half], runs)
     else:
         check = not _proper_subsums_nonzero(s, z)
@@ -603,24 +598,19 @@ def _pattern_shaped(offsets, gap):
                                    for a, b in zip(ordered, ordered[1:]))
 
 
-def _mirror_pairs(vals, z):
-    """For z = 0 and rows that are the negations of each other two by two,
-    in any order (x + y = z + w, [f, -f], ...): the pairs (l, r) of
-    positions with row r = -row l; else None.  Negation reverses
-    lexicographic order, so the sorted rows are mirrored exactly when the
-    second half is the first half negated and reversed."""
-    s = len(vals)
-    if z != 0 or s % 2:
-        return None
-    order = sorted(range(s), key=vals.__getitem__)
-    pairs = list(zip(order[:s // 2], reversed(order[s // 2:])))
-    if all(vals[r] == list(map(operator.neg, vals[l])) for l, r in pairs):
-        return pairs
-    return None
+def _mirrored(rows, z):
+    """Whether z = 0 and the sorted `rows` are the negations of each other
+    two by two (x + y = z + w, [f, -f], ...).  Negation reverses
+    lexicographic order, so they are exactly when s is even and the second
+    half is the first half negated and reversed."""
+    s = len(rows)
+    return z == 0 and s % 2 == 0 and all(
+        right == list(map(operator.neg, left))
+        for left, right in zip(rows[:s // 2], reversed(rows[s // 2:])))
 
 
 def _self_join(entries, sums, rows, runs):
-    """The hits of a mirrored scan (see _mirror_pairs) over the listed half
+    """The hits of a mirrored scan (see _mirrored) over the listed half
     `entries` of the sorted `rows`, as (entry, right halves) pairs.  The
     sorted second half is the first negated and reversed, so a solution is
     two disjoint entries A != B of one sum, each permuted within its runs, B
@@ -752,19 +742,21 @@ def _solve_core(problem):
 
     # Exceptions: anchors whose instance degenerates.  Beyond the box every
     # proper sub-sum of a family is certified nonzero (non-killed blocks obey
-    # the uniform lower bound there), so the scan is exhaustive.
+    # the uniform lower bound there), so the scan is exhaustive.  Only they
+    # read the table past the box.
     patterns = []
     for offsets in sorted(family_offsets):
         exceptions = [l for l in range(comp.box + 1)
                       if _degenerate([row[l + m] for row, m in zip(vals, offsets)])]
         patterns.append(ShiftPattern(offsets, exceptions))
 
-    # Sporadic: non-degenerate box solutions not riding a family.
+    # Sporadic: non-degenerate solutions in the box [0, L*]^s not riding a
+    # family.
     keep = None
     if patterns:
         by_offsets = {p.offsets: p for p in patterns}
         keep = lambda tup: not _on_pattern(by_offsets, tup)
-    return comp, patterns, _box_scan(vals, z, keep)
+    return comp, patterns, _box_scan([row[:comp.box + 1] for row in vals], z, keep)
 
 
 def _solve_distinct(problem, memo):

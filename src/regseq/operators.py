@@ -133,9 +133,10 @@ class FiniteRoots:
     """f vanishes exactly on ``roots``, all below ``cutoff``.
 
     ``lower_bound``, when present, is a certified Fraction u with
-    |f(n)| >= u * r_n for every n >= cutoff; the equation solver feeds on it.
-    It is None when the operator provably outgrows zero but not proportionally
-    to r_n (a dominant summand of the sequence got killed).
+    |f(n)| >= u * r_n for every n >= cutoff; solve_range reads it for the
+    index past which |f| outgrows its range (_target_cutoff).  It is None
+    when the operator provably outgrows zero but not proportionally to r_n
+    (a dominant summand of the sequence got killed).
     """
 
     def __init__(self, roots, cutoff, cert, lower_bound=None):

@@ -18,7 +18,10 @@ operator, a direct scan of operators.apply):
 * solve_inhomogeneous on a cofinitely vanishing operator;
 * an order-1 recurrence c * q^n, and one with q < 2, which is not geometric;
 * a large target, whose anchor bound must already outgrow it;
-* equations._completeness_data capping the box at ANCHOR_SCAN_BUDGET.
+* equations._completeness_data capping the box at ANCHOR_SCAN_BUDGET;
+* the interval refinements of operators._classify_nonvanishing (an
+  operator value at theta within KEPLER_EPS of 0) and of
+  sequences._max_algebraic (two ratio limits within KEPLER_EPS).
 """
 
 import itertools
@@ -30,6 +33,7 @@ import pytest
 from regseq import cli
 from regseq import equations as E
 from regseq import formulas as F
+from regseq import polyops
 from regseq import sequences as S
 from regseq.certs import BoundedCheck
 from regseq.decide import Verdict, decide
@@ -343,3 +347,53 @@ def test_completeness_box_is_capped_at_the_anchor_budget():
     k_dom = cutoff(5 * data.gap)
     assert k_dom is not None
     assert max(n0, k_dom) + data.gap + 2 + 5 * (data.gap + 1) > E.ANCHOR_SCAN_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# Interval refinements
+# ---------------------------------------------------------------------------
+
+def count_refinements(monkeypatch):
+    """The argument tuples of every polyops.refine_root_interval call from
+    now on."""
+    calls = []
+    refine = polyops.refine_root_interval
+
+    def counting(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(polyops, "refine_root_interval", counting)
+    return calls
+
+
+def test_operator_value_near_zero_at_theta_is_refined(monkeypatch):
+    # -55 + 34 theta is about 0.013 at the golden ratio, less than 34 times
+    # the width of the Kepler interval, so one refinement separates it from
+    # 0; its one root is 7 (-55 r_7 + 34 r_8 = -55 * 34 + 34 * 55)
+    fib = make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
+    classify(Operator([1]), fib)      # the ratio limit and contraction data
+    calls = count_refinements(monkeypatch)
+    op = Operator([-55, 34])
+    cls = classify(op, fib)
+    assert len(calls) == 1
+    assert isinstance(cls, FiniteRoots) and cls.cert.is_proved
+    assert cls.roots == (7,) and list(cls.roots) == scan(op, fib, 0, cls.cutoff)
+    for n in range(cls.cutoff, cls.cutoff + WINDOW):
+        assert abs(apply(op, fib, n)) >= cls.lower_bound * fib.eval(n)
+
+
+def test_ratio_limits_closer_than_kepler_eps_are_refined(monkeypatch):
+    # the 11-bonacci limit lies just below 2, in an interval that reaches
+    # 2, so 2^n plus it needs a refinement of both limits to pick 2
+    eleven = SequenceSpec.recurrence([1] * 11, [2 ** i for i in range(11)])
+    lo, hi = S.kepler_limit(make_handle(eleven)).interval
+    assert lo < 2 <= hi and hi - lo <= S.KEPLER_EPS
+    calls = count_refinements(monkeypatch)
+    limit = S.kepler_limit(make_handle(SequenceSpec.sum_of([SequenceSpec.power(2),
+                                                            eleven])))
+    assert [args[0] for args in calls] == [[-2, 1], [-1] * 11 + [1]]
+    assert limit.minpoly.coeffs == [-2, 1] and limit.interval == (2, 2)
+    # the 11-bonacci ratios stay below 2: r_{n+1} = 2 r_n - r_{n-11}
+    part = make_handle(eleven)
+    assert all(part.eval(n + 1) < 2 * part.eval(n) for n in range(11, WINDOW))

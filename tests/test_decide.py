@@ -218,6 +218,28 @@ def test_ax6_violation_on_table_sequence():
     assert not report.certificate.is_proved
 
 
+def test_ax6_solves_only_where_completeness_is_proved(monkeypatch):
+    # the table's completeness data is bounded, so its report is the
+    # empirical one and no solve runs for it; on Fibonacci it is Proved and
+    # the solve proves the shape
+    solved = []
+    solve = decide_module.solve_nondegenerate
+
+    def counting(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(decide_module, "solve_nondegenerate", counting)
+    ops = [Operator([2, -3, 1]), Operator([-2, 3, -1])]
+    empirical = decide_module._ax6_empirical(EquationProblem(TABLE, ops, 0),
+                                             decide_module.AXIOM_BUDGET)
+    assert verify_ax6(TABLE, ops).to_json() == empirical.to_json()
+    assert solved == []
+    assert verify_ax6(FIB, [Operator([1]), Operator([1]), Operator([-1])]).status == \
+        "constants"
+    assert len(solved) == 1
+
+
 def test_finite_exhaustion_needs_whole_sets_not_heads():
     # x, y range over Proved finite sets of size + 1 members, the last of
     # them far above the rest; the literals hold only at x = far, y != x.

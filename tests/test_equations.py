@@ -17,9 +17,9 @@ from regseq import sequences as sq
 from regseq.certs import BoundedCheck, Proved
 from regseq import equations
 from regseq.equations import (EquationProblem, ShiftPattern,
-                              TrivialOperatorPresent, _box_solutions, _degenerate,
+                              TrivialOperatorPresent, _box_scan, _degenerate,
                               _family_offsets, _half_entries, _half_sums, _KillTester,
-                              _meet_in_the_middle, _mirror_pairs, _orbit,
+                              _meet_in_the_middle, _mirrored, _orbit,
                               _partial_kill_present,
                               _proper_subsums_nonzero, _value_table, _vanishing_subset,
                               brute_force, solve_full, solve_nondegenerate)
@@ -578,8 +578,57 @@ def test_completeness_data_matches_the_windowed_ratio_bound(label):
     assert any(w.cert.is_proved for w in want) == (label in PROVED_COMPLETENESS)
 
 
+def distinct_parts(description):
+    """Every DistinctSolutions of a description, the sides of its splits
+    included."""
+    stack = [c.distinct for c in description.cases if c.distinct is not None]
+    while stack:
+        part = stack.pop()
+        yield part
+        for sp in part.splits:
+            stack += [sp.zero_side, sp.target_side]
+
+
+def reference_extended_scan(problem, comp, patterns):
+    """The sporadic scan over the whole value table, out to L* + (s-1)G,
+    the instances of the families dropped."""
+    top = comp.box + (problem.s - 1) * comp.gap
+    return _box_scan(_value_table(problem, top), problem.z,
+                     lambda tup: not any(p.matches(tup) for p in patterns))
+
+
+@pytest.mark.parametrize("label", sorted(KILL_HANDLES))
+def test_sporadic_tuples_lie_in_the_box(label):
+    # every sporadic tuple of every case and split lies in [0, bound], and
+    # where the core is Proved no non-degenerate solution off the families
+    # lies past L*: scanning the whole table finds exactly the sporadic
+    # tuples.  On the 2**n + n table x + y = z + w has the solution
+    # (71, 6, 72) of its case x = y (2 r_71 = r_6 + r_72), whose box is
+    # bounded at 66
+    spec, _ = KILL_HANDLES[label]
+    handle = make_handle(spec)
+    rng = random.Random("box-extent:" + label)
+    problems = [([[1], [1], [-1], [-1]], 0)]
+    for s in (2, 3, 4) * 3:
+        ops = [rng.choice(KILL_OPS) for _ in range(s)]
+        tup = [rng.randint(0, 12) for _ in range(s)]
+        z = rng.choice([0, sum(apply(Operator(op), handle, n) for op, n in zip(ops, tup))])
+        problems.append((ops, z))
+    memo, proved = {}, 0
+    for ops, z in problems:
+        for part in distinct_parts(solve_full(EquationProblem(handle, ops, z))):
+            assert all(max(t) <= part.bound for t in part.sporadic), (ops, z, part.bound)
+            comp, patterns, sporadic = equations._core(part.problem, memo)
+            if comp.cert.is_proved:
+                proved += 1
+                extended = reference_extended_scan(part.problem, comp, patterns)
+                assert all(max(t) <= comp.box for t in extended), (ops, z)
+                assert extended == sorted(sporadic), (ops, z)
+    assert (proved > 0) == (label not in ("trib", "table")), proved
+
+
 # ---------------------------------------------------------------------------
-# _box_solutions: zero terms pruned, sub-sum checks only where they can fail
+# _box_scan: zero terms pruned, sub-sum checks only where they can fail
 # ---------------------------------------------------------------------------
 
 def reference_value_table(problem, n):
@@ -607,12 +656,17 @@ def reference_box_solutions(problem, top):
            if len(set(full)) == s
            and _vanishing_subset([row[v] for row, v in zip(vals, full)]) is None]
     out.sort()
-    return out, vals
+    return out
+
+
+def box_scan(problem, top):
+    """The box scan of the problem's value rows over [0, top]."""
+    return _box_scan(_value_table(problem, top), problem.z)
 
 
 def assert_box_matches_reference(handle, ops, z, top):
     problem = EquationProblem(handle, ops, z)
-    assert _box_solutions(problem, top) == reference_box_solutions(problem, top), (ops, z)
+    assert box_scan(problem, top) == reference_box_solutions(problem, top), (ops, z)
 
 
 def test_proper_subsums_nonzero_is_exact_on_small_terms():
@@ -717,9 +771,9 @@ def test_box_matches_reference_on_zero_heavy_rows(case):
 def test_one_variable_box_keeps_every_index():
     # with one variable a zero term is the whole sum, not a proper sub-sum
     problem = EquationProblem(make_handle(SequenceSpec.power(2)), [[2, -1]], 0)
-    assert _box_solutions(problem, 30)[0] == [(n,) for n in range(31)]
+    assert box_scan(problem, 30) == [(n,) for n in range(31)]
     problem = EquationProblem(make_handle(ZERO_HEAVY["table-n2-plus-1"]), [[-2, 1]], 0)
-    assert _box_solutions(problem, 30)[0] == [(0,), (2,)]
+    assert box_scan(problem, 30) == [(0,), (2,)]
 
 
 BOX_SPECS = {
@@ -777,12 +831,12 @@ def test_mirror_pairs_are_read_from_the_rows(case, monkeypatch):
     label, ops = ROW_MIRRORS[case]
     spec = BOX_SPECS.get(label) or ZERO_HEAVY.get(label)
     problem = EquationProblem(make_handle(spec), ops, 0)
-    assert _mirror_pairs(_value_table(problem, 10), 0) is not None
-    assert _mirror_pairs(_value_table(problem, 10), 1) is None
+    assert _mirrored(sorted(_value_table(problem, 10)), 0)
+    assert not _mirrored(sorted(_value_table(problem, 10)), 1)
     assert solve_full(problem).instantiate(14) == {t for t, _ in brute_force(problem, 14)}
     top = 40 if len(ops) == 2 else 14
     monkeypatch.setattr(equations, "_meet_in_the_middle", _refuse_kernel)
-    assert _box_solutions(problem, top) == reference_box_solutions(problem, top)
+    assert box_scan(problem, top) == reference_box_solutions(problem, top)
 
 
 def test_box_checks_sub_sums_of_three_terms_with_a_target():
@@ -790,9 +844,9 @@ def test_box_checks_sub_sums_of_three_terms_with_a_target():
     # vanishing pair: it is degenerate and must be dropped
     handle = make_handle(BOX_SPECS["fib"])
     problem = EquationProblem(handle, [[2], [-1], [1]], 13)
-    found = _box_solutions(problem, 20)[0]
+    found = box_scan(problem, 20)
     assert (0, 1, 5) not in found
-    assert found == reference_box_solutions(problem, 20)[0]
+    assert found == reference_box_solutions(problem, 20)
 
 
 def test_value_table_errors_match_reference():
@@ -801,7 +855,7 @@ def test_value_table_errors_match_reference():
                            (SequenceSpec.table([1, 3, 2]), 5, [[1], [-1]]),
                            (SequenceSpec.table([], generator="2**(n - 3)"), 4, [[1], [-1]])):
         errors = []
-        for box in (_box_solutions, reference_box_solutions):
+        for box in (box_scan, reference_box_solutions):
             try:
                 box(EquationProblem(make_handle(spec), ops, 0), top)
                 errors.append(None)
@@ -913,12 +967,14 @@ def test_mirror_pairs_agree_with_the_pairing_reference():
     for _ in range(600):
         vals = _seeded_rows(rng)
         for z in (0, 0, rng.choice((1, -2))):
-            pairs = _mirror_pairs(vals, z)
-            assert (pairs is None) == (reference_mirror_pairs(vals, z) is None), (vals, z)
+            mirrored = _mirrored(sorted(vals), z)
+            pairs = reference_mirror_pairs(vals, z)
+            assert mirrored == (pairs is not None), (vals, z)
             if pairs is not None:
+                pairs = [pair for run in pairs for pair in run]
                 assert sorted(p for pair in pairs for p in pair) == list(range(len(vals)))
                 assert all(vals[r] == [-v for v in vals[l]] for l, r in pairs)
-            verdicts.add((z, pairs is None))
+            verdicts.add((z, not mirrored))
     assert verdicts == {(0, True), (0, False), (1, True), (-2, True)}
 
 
@@ -957,12 +1013,12 @@ def test_equal_rows_are_searched_once_per_orbit(monkeypatch):
     for ops, z, solutions in (([[-1]] * 3 + [[1]], 0, 162), ([[1], [1], [-1], [-1]], 3, 8)):
         problem = EquationProblem(fib, ops, z)
         hits.clear()
-        found, vals = _box_solutions(problem, 30)
-        ordered = sum(1 for _ in reference_meet_in_the_middle(vals, z))
+        found = box_scan(problem, 30)
+        ordered = sum(1 for _ in reference_meet_in_the_middle(_value_table(problem, 30), z))
         assert 2 * len(hits) <= ordered, (ops, z, len(hits), ordered)
         assert len(found) == solutions
         monkeypatch.setattr(equations, "_meet_in_the_middle", _meet_in_the_middle)
-        assert found == reference_box_solutions(problem, 30)[0]
+        assert found == reference_box_solutions(problem, 30)
         monkeypatch.setattr(equations, "_meet_in_the_middle", counting)
 
 
@@ -993,6 +1049,6 @@ RUN_CASES = [
 def test_box_matches_reference_on_runs_of_equal_rows(case):
     label, ops, z, top = RUN_CASES[case]
     handle = make_handle(BOX_SPECS.get(label) or ZERO_HEAVY.get(label))
-    assert _mirror_pairs(_value_table(EquationProblem(handle, ops, z), top), z) is None
+    assert not _mirrored(sorted(_value_table(EquationProblem(handle, ops, z), top)), z)
     for side in (0, 3, top):
         assert_box_matches_reference(handle, ops, z, side)
