@@ -52,7 +52,7 @@ from . import certs
 from . import formulas as F
 from .congruence import PeriodicIndexSet, divisibility_set
 from .equations import BOUNDED_BOX, EquationProblem, _box_scan, _completeness_data, \
-    _value_table, solve_full, solve_nondegenerate
+    _trivial_operator, _value_table, solve_full, solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, Operator, \
     classify, solve_range, values
 from .subsums import _meet_in_the_middle
@@ -720,14 +720,12 @@ def verify_ax6(handle, ops, budget=AXIOM_BUDGET):
     many offset patterns (plus a constant) absorb all non-degenerate
     solutions, or solutions occur at gaps growing past any fixed offset set,
     which refutes every candidate shape within the budget."""
-    ops = [o if isinstance(o, Operator) else Operator(o) for o in ops]
     problem = EquationProblem(handle, ops, 0)
-    if any(isinstance(classify(op, handle), CofiniteZero) for op in ops):
+    if _trivial_operator(problem) is not None:
         return AxiomReport("Ax6", "inconclusive",
                            {"reason": "trivial-operator-present"}, None)
-    # a bounded completeness route leaves only the empirical report, so the
-    # solve is run where it can still prove the shape
-    if _completeness_data(handle, ops, 0, problem.s).cert.is_proved:
+    # only a proved completeness route can prove the shape; solve there alone
+    if _completeness_data(handle, problem.operators, 0, problem.s).cert.is_proved:
         solutions = solve_nondegenerate(problem)
         if solutions.certificate.is_proved:
             return _ax6_constants(handle, problem, solutions, budget)

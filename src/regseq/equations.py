@@ -101,8 +101,8 @@ class EquationProblem:
     # Largest number of unknowns s accepted.  The split recursion visits
     # every vanishing sub-block: x1 + ... + x6 = x7 on 2^n takes about 1 s
     # (whole `regseq solve` calls, Python 3.11, 2 CPUs); on Fibonacci six
-    # unknowns x1 + x2 + x3 = x4 + x5 + x6 take about 1.7 s and
-    # x1 + ... + x5 = x6 about 4.5 s.
+    # unknowns x1 + x2 + x3 = x4 + x5 + x6 take about 1 s and
+    # x1 + ... + x5 = x6 about 1.6 s.
     MAX_UNKNOWNS = 7
 
     def __init__(self, handle, operators, z):
@@ -810,17 +810,22 @@ def solve_nondegenerate(problem):
     Raises TrivialOperatorPresent when an operator vanishes cofinitely:
     every tuple would carry a vanishing singleton sub-sum.  Pre-reduce, or
     use solve_full, whose casework covers such operators."""
-    for op in problem.operators:
-        if isinstance(op_mod.classify(op, problem.handle), op_mod.CofiniteZero):
-            raise TrivialOperatorPresent(
-                "operator %s vanishes cofinitely; pre-reduce it" % (op,))
+    op = _trivial_operator(problem)
+    if op is not None:
+        raise TrivialOperatorPresent(
+            "operator %s vanishes cofinitely; pre-reduce it" % (op,))
     comp, patterns, sporadic = _core(problem, {})
     return DistinctSolutions(problem, patterns, sporadic, [], comp.cert, comp.box)
 
 
+def _trivial_operator(problem):
+    """The first operator of the problem that vanishes cofinitely, or None."""
+    return next((op for op in problem.operators if isinstance(
+        op_mod.classify(op, problem.handle), op_mod.CofiniteZero)), None)
+
+
 def solve_full(problem):
     """Complete solution description organized by partition casework."""
-    handle = problem.handle
     memo = {}
     cases = []
     certs = []
@@ -834,7 +839,7 @@ def solve_full(problem):
             if problem.z == 0:
                 cases.append(CaseSolution(classes, free_pos, (), None))
             continue
-        sub = EquationProblem(handle, [collapsed[i] for i in active_pos], problem.z)
+        sub = EquationProblem(problem.handle, [collapsed[i] for i in active_pos], problem.z)
         dsol = _solve_distinct(sub, memo)
         certs.append(dsol.certificate)
         if dsol.is_empty():

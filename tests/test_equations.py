@@ -656,17 +656,19 @@ def reference_box_solutions(problem, top):
            if len(set(full)) == s
            and _vanishing_subset([row[v] for row, v in zip(vals, full)]) is None]
     out.sort()
-    return out
+    return out, vals
 
 
-def box_scan(problem, top):
-    """The box scan of the problem's value rows over [0, top]."""
-    return _box_scan(_value_table(problem, top), problem.z)
+def box_solutions(problem, top):
+    """The box scan of the problem's value rows over [0, top], and the
+    rows."""
+    vals = _value_table(problem, top)
+    return _box_scan(vals, problem.z), vals
 
 
 def assert_box_matches_reference(handle, ops, z, top):
     problem = EquationProblem(handle, ops, z)
-    assert box_scan(problem, top) == reference_box_solutions(problem, top), (ops, z)
+    assert box_solutions(problem, top) == reference_box_solutions(problem, top), (ops, z)
 
 
 def test_proper_subsums_nonzero_is_exact_on_small_terms():
@@ -771,9 +773,9 @@ def test_box_matches_reference_on_zero_heavy_rows(case):
 def test_one_variable_box_keeps_every_index():
     # with one variable a zero term is the whole sum, not a proper sub-sum
     problem = EquationProblem(make_handle(SequenceSpec.power(2)), [[2, -1]], 0)
-    assert box_scan(problem, 30) == [(n,) for n in range(31)]
+    assert box_solutions(problem, 30)[0] == [(n,) for n in range(31)]
     problem = EquationProblem(make_handle(ZERO_HEAVY["table-n2-plus-1"]), [[-2, 1]], 0)
-    assert box_scan(problem, 30) == [(0,), (2,)]
+    assert box_solutions(problem, 30)[0] == [(0,), (2,)]
 
 
 BOX_SPECS = {
@@ -836,7 +838,7 @@ def test_mirror_pairs_are_read_from_the_rows(case, monkeypatch):
     assert solve_full(problem).instantiate(14) == {t for t, _ in brute_force(problem, 14)}
     top = 40 if len(ops) == 2 else 14
     monkeypatch.setattr(equations, "_meet_in_the_middle", _refuse_kernel)
-    assert box_scan(problem, top) == reference_box_solutions(problem, top)
+    assert box_solutions(problem, top) == reference_box_solutions(problem, top)
 
 
 def test_box_checks_sub_sums_of_three_terms_with_a_target():
@@ -844,9 +846,9 @@ def test_box_checks_sub_sums_of_three_terms_with_a_target():
     # vanishing pair: it is degenerate and must be dropped
     handle = make_handle(BOX_SPECS["fib"])
     problem = EquationProblem(handle, [[2], [-1], [1]], 13)
-    found = box_scan(problem, 20)
+    found = box_solutions(problem, 20)[0]
     assert (0, 1, 5) not in found
-    assert found == reference_box_solutions(problem, 20)
+    assert found == reference_box_solutions(problem, 20)[0]
 
 
 def test_value_table_errors_match_reference():
@@ -855,7 +857,7 @@ def test_value_table_errors_match_reference():
                            (SequenceSpec.table([1, 3, 2]), 5, [[1], [-1]]),
                            (SequenceSpec.table([], generator="2**(n - 3)"), 4, [[1], [-1]])):
         errors = []
-        for box in (box_scan, reference_box_solutions):
+        for box in (box_solutions, reference_box_solutions):
             try:
                 box(EquationProblem(make_handle(spec), ops, 0), top)
                 errors.append(None)
@@ -1013,12 +1015,12 @@ def test_equal_rows_are_searched_once_per_orbit(monkeypatch):
     for ops, z, solutions in (([[-1]] * 3 + [[1]], 0, 162), ([[1], [1], [-1], [-1]], 3, 8)):
         problem = EquationProblem(fib, ops, z)
         hits.clear()
-        found = box_scan(problem, 30)
-        ordered = sum(1 for _ in reference_meet_in_the_middle(_value_table(problem, 30), z))
+        found, vals = box_solutions(problem, 30)
+        ordered = sum(1 for _ in reference_meet_in_the_middle(vals, z))
         assert 2 * len(hits) <= ordered, (ops, z, len(hits), ordered)
         assert len(found) == solutions
         monkeypatch.setattr(equations, "_meet_in_the_middle", _meet_in_the_middle)
-        assert found == reference_box_solutions(problem, 30)
+        assert found == reference_box_solutions(problem, 30)[0]
         monkeypatch.setattr(equations, "_meet_in_the_middle", counting)
 
 
