@@ -33,7 +33,9 @@ over the assignments of the bounded integer variables: the first True part
 wins; otherwise the whole is UnknownBeyond if any part is, or if a negated
 Sigma atom was left undecided within the budget (reason
 negated-sigma-at-budget, even when no disjunct is left); otherwise it is
-False on the merged certificates of the parts.
+False on the merged certificates of the parts.  A disjunct that needs terms
+past the handle's cache budget (sequences.CacheBudgetExceeded) is an
+UnknownBeyond part with reason cache-budget-exceeded.
 
 verify_ax5 and verify_ax6 check the two shape axioms of the theory on a
 concrete sequence: the first reports the constant beyond which a unary
@@ -55,6 +57,7 @@ from .equations import BOUNDED_BOX, EquationProblem, _box_scan, _completeness_da
     _trivial_operator, _value_table, solve_full, solve_nondegenerate
 from .operators import DEFAULT_BUDGET, CofiniteZero, FiniteRoots, Operator, \
     classify, solve_range, values
+from .sequences import CacheBudgetExceeded
 from .subsums import _meet_in_the_middle
 
 DNF_CAP = 256
@@ -359,10 +362,17 @@ def _decide_matrix(handle, rvars, matrix, budget, classified):
         taint = taint or not (verdict.is_true() or verdict.is_false())
         return [[]] if verdict.is_false() else []
 
+    def outcomes():
+        for lits in disjuncts:
+            try:
+                yield _solve_disjunct(handle, rvars + fresh, lits, budget, classified)
+            except CacheBudgetExceeded:
+                # a term past the cache's bit budget leaves the disjunct
+                # undecided within the budget; it is no error
+                yield ("unknown", "cache-budget-exceeded")
+
     disjuncts = _dnf(matrix, sigma)
-    return _disjunction((_solve_disjunct(handle, rvars + fresh, lits, budget,
-                                         classified)
-                         for lits in disjuncts), taint)
+    return _disjunction(outcomes(), taint)
 
 
 def _rename(lin, renaming):
@@ -766,25 +776,122 @@ def _ax6_constants(handle, problem, solutions, budget):
 
 
 def _ax6_empirical(problem, budget):
+    """The Ax6 report from the non-degenerate solutions in the window
+    [0, W]^s, W = _box_side("ax6-empirical", s, budget): 200, 200, 60 and 25
+    for one, two, three and four or more unknowns, cut to the budget.
+
+    The solutions are grouped by span, max - min of the tuple.  Spans that
+    each pass three times the last one taken make the ladder; three rungs or
+    more are a violation, each rung witnessed by its least tuple in
+    (min, tuple) order.  Otherwise the report lists every offset set found.
+    A pair is read from the value classes of its two rows and no pair is
+    listed (_PairSpans); three or more unknowns group the box scan's tuples
+    (_ScanSpans)."""
     window = _box_side("ax6-empirical", problem.s, budget)
-    found = _box_scan(_value_table(problem, window), problem.z)
-    spans = {}
-    for tup in found:
-        spans.setdefault(max(tup) - min(tup), []).append(tup)
+    rows = _value_table(problem, window)
+    spans = (_PairSpans if problem.s == 2 else _ScanSpans)(rows, problem.z)
+    return _ax6_report(spans, window)
+
+
+def _witness_key(tup):
+    return min(tup), tup
+
+
+class _ScanSpans:
+    """The non-degenerate solutions over the value rows, from one box scan,
+    grouped by span: .spans in increasing order, the least solution of a
+    span in (min, tuple) order, and the sorted offset sets of them all."""
+
+    def __init__(self, rows, z):
+        self.found = _box_scan(rows, z)
+        self.by_span = {}
+        for tup in self.found:
+            self.by_span.setdefault(max(tup) - min(tup), []).append(tup)
+        self.spans = sorted(self.by_span)
+
+    def witness(self, span):
+        return min(self.by_span[span], key=_witness_key)
+
+    def offset_sets(self):
+        return sorted({tuple(n - tup[0] for n in tup[1:]) for tup in self.found})
+
+
+class _PairSpans:
+    """_ScanSpans for two rows f and g, with no solution listed.  A pair
+    (x, y) is non-degenerate when x != y and both terms are nonzero, so the
+    solutions are read from value classes: for each nonzero v, the bitset X
+    of the x with f(x) = v and the bitset Y of the y with g(y) = z - v != 0.
+    The pairs (x, x + d) of a class have spans d at the bits of X & (Y >> d),
+    the pairs (y + d, y) at those of Y & (X >> d); bit 0 (x = y) is not a
+    span.  The spans present are the bits of the OR over the classes of
+    Y >> x for x in X, and of X >> y for y in Y: one shift per index."""
+
+    def __init__(self, rows, z):
+        f, g = rows
+        xs, ys = {}, {}
+        for x, v in enumerate(f):
+            if v:
+                xs.setdefault(v, []).append(x)
+        for y, w in enumerate(g):
+            if w and z - w in xs:
+                ys.setdefault(z - w, []).append(y)
+        self.classes = [(_bitset(xs[v]), _bitset(ys[v])) for v in ys]
+        ahead = behind = 0      # bit d: some (x, x + d), some (y + d, y)
+        for v, (bx, by) in zip(ys, self.classes):
+            for x in xs[v]:
+                ahead |= by >> x
+            for y in ys[v]:
+                behind |= bx >> y
+        ahead &= ~1
+        behind &= ~1
+        self.ahead, self.behind = _bits(ahead), _bits(behind)
+        self.spans = _bits(ahead | behind)
+
+    def witness(self, span):
+        found = []
+        for bx, by in self.classes:
+            ahead = bx & (by >> span)
+            if ahead:
+                x = _lowest(ahead)
+                found.append((x, x + span))
+            behind = by & (bx >> span)
+            if behind:
+                y = _lowest(behind)
+                found.append((y + span, y))
+        return min(found, key=_witness_key)
+
+    def offset_sets(self):
+        return [(-d,) for d in reversed(self.behind)] + [(d,) for d in self.ahead]
+
+
+def _bitset(indices):
+    return sum(1 << i for i in indices)
+
+
+def _bits(n):
+    """The positions of the set bits of n >= 0, increasing."""
+    return [i for i, bit in enumerate(reversed(bin(n)[2:])) if bit == "1"]
+
+
+def _lowest(n):
+    return (n & -n).bit_length() - 1
+
+
+def _ax6_report(spans, window):
+    """The empirical Ax6 report of a _ScanSpans or _PairSpans."""
     ladder = []
-    for span in sorted(spans):
+    for span in spans.spans:
         if not ladder or span > 3 * ladder[-1]:
             ladder.append(span)
     if len(ladder) >= 3:
-        witnesses = [min(spans[g], key=lambda t: (min(t), t)) for g in ladder]
         return AxiomReport(
             "Ax6", "violation",
             {"gaps": ladder,
-             "witnesses": [list(t) for t in witnesses],
+             "witnesses": [list(spans.witness(g)) for g in ladder],
              "window": window,
              "reason": "solution-gaps-exceed-any-offset-set"},
             certs.BoundedCheck(window))
-    offset_sets = sorted({tuple(n - tup[0] for n in tup[1:]) for tup in found})
+    offset_sets = spans.offset_sets()
     return AxiomReport(
         "Ax6", "constants",
         {"k": len(offset_sets), "offset_sets": offset_sets,

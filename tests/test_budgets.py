@@ -142,13 +142,31 @@ def test_a_far_order_atom_answers_with_a_checked_witness(tmp_path, capsys):
     assert out["certificate"] == {"level": "Proved", "reason": "checked-witness"}
 
 
-def test_a_far_order_atom_past_the_cache_budget_exits_3(tmp_path, capsys, monkeypatch):
-    # the terms up to 10^3000 take about 72 million bits
+CACHE_REFUSED = {"horizon": "64", "reason": "cache-budget-exceeded",
+                 "verdict": "UnknownBeyond"}
+
+
+def test_a_far_order_atom_past_the_cache_budget_is_unknown(tmp_path, capsys, monkeypatch):
+    # the terms up to 10^3000 take about 72 million bits: the refusal leaves
+    # the one disjunct undecided
     monkeypatch.setattr(sq, "MAX_CACHE_BITS", 100_000)
-    assert _decide_cli(tmp_path, "E x in R. x > %d" % 10 ** 3000, FIB_SPEC) == 3
+    assert _decide_cli(tmp_path, "E x in R. x > %d" % 10 ** 3000, FIB_SPEC) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert json.loads(captured.out) == CACHE_REFUSED
+
+
+@pytest.mark.parametrize("text", ["E x in R. x = 1 | x + 1 in R",
+                                  "E x in R. x + 1 in R | x = 1"])
+def test_a_true_disjunct_wins_over_a_cache_refusal(text, monkeypatch):
+    # r_n = 10^(99 n) takes about 329 n bits: the budget stops the window
+    # scan of x + 1 in R near n = 300, before the window of 400
+    monkeypatch.setattr(sq, "MAX_CACHE_BITS", 100_000)
+    big = make_handle(SequenceSpec.power(10 ** 99))
+    verdict = decide(F.parse(text), big, budget=400)
+    assert verdict.is_true() and verdict.witness == {"x": ("index", 0)}
+    refused = decide(F.parse("E x in R. x + 1 in R | x = 2"), big, budget=400)
+    assert refused.to_json() == dict(CACHE_REFUSED, horizon=400)
 
 
 def test_decide_and_eval_ground_share_one_default_budget():
@@ -233,15 +251,16 @@ def test_factorial_eval_at_the_n_ceiling_fits_the_cache_budget(tmp_path, capsys)
     assert len(json.loads(capsys.readouterr().out)["element"]) == 35668
 
 
-def test_large_base_scan_exits_three_at_the_cache_budget(tmp_path):
+@pytest.mark.parametrize("text", ["E x in R. x + 1 in R & x > 5", "E x in R. x + 1 in R"])
+def test_large_base_scan_is_unknown_at_the_cache_budget(tmp_path, text):
     # r_n = 10^(99 n) has about 329 n bits: the budget stops the InR scan
     # near n = 2,550, where the whole window would need gigabytes
     seq = tmp_path / "big.json"
     seq.write_text(json.dumps({"kind": "power", "q": str(10 ** 99)}), encoding="utf-8")
     formula = tmp_path / "next.trf"
-    formula.write_text("E x in R. x + 1 in R & x > 5", encoding="utf-8")
+    formula.write_text(text, encoding="utf-8")
     proc = subprocess.run([sys.executable, "-m", "regseq.cli", "decide", "--seq", str(seq),
                            "--formula", str(formula), "--budget", "10000"],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.startswith("error: terms r_0..r_") and proc.stderr.count("\n") == 1
+    assert proc.returncode == 2 and proc.stderr == "" and proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == dict(CACHE_REFUSED, horizon="10000")

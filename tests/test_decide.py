@@ -14,6 +14,7 @@ import time
 import pytest
 
 from regseq import decide as decide_module
+from regseq import equations as equations_module
 from regseq import formulas as F
 from regseq import operators as operators_module
 from regseq.certs import Proved
@@ -238,6 +239,82 @@ def test_ax6_solves_only_where_completeness_is_proved(monkeypatch):
     assert verify_ax6(FIB, [Operator([1]), Operator([1]), Operator([-1])]).status == \
         "constants"
     assert len(solved) == 1
+
+
+TABLE_PAIR = [Operator([2, -3, 1]), Operator([-2, 3, -1])]
+
+
+def _pair_rows(rng):
+    """Two value rows of one length in 1..60 over few values (so repeated
+    ones, zeros among them), the second independent, a permutation of the
+    first negated, or its mirror -f; and a target, mostly 0."""
+    n = rng.randint(1, 60)
+    spread = rng.randint(1, 8)
+    f = [rng.randint(-spread, spread) for _ in range(n)]
+    shape = rng.choice(["independent", "permuted", "mirrored"])
+    if shape == "independent":
+        g = [rng.randint(-spread, spread) for _ in range(n)]
+    else:
+        g = [-v for v in f]
+        if shape == "permuted":
+            rng.shuffle(g)
+    z = 0 if shape == "mirrored" or rng.random() < 0.7 else rng.randint(-3, 3)
+    return [f, g], z
+
+
+def test_pair_report_matches_the_box_scan_grouping():
+    # the box scan's grouping (_ScanSpans) is the reference, field by field
+    rng = random.Random(26)
+    statuses = set()
+    for _ in range(800):
+        rows, z = _pair_rows(rng)
+        pair, scan = decide_module._PairSpans(rows, z), decide_module._ScanSpans(rows, z)
+        assert pair.spans == scan.spans, (rows, z)
+        assert [pair.witness(d) for d in pair.spans] == [scan.witness(d) for d in scan.spans]
+        assert pair.offset_sets() == scan.offset_sets()
+        window = len(rows[0]) - 1
+        report = decide_module._ax6_report(pair, window)
+        assert report.to_json() == decide_module._ax6_report(scan, window).to_json()
+        statuses.add(report.status)
+    assert statuses == {"violation", "constants"}
+
+
+@pytest.mark.parametrize("budget", [200, 50])
+def test_pair_report_on_the_table_matches_the_box_scan(budget):
+    problem = EquationProblem(TABLE, TABLE_PAIR, 0)
+    window = min(budget, 200)
+    scan = decide_module._ScanSpans(decide_module._value_table(problem, window), 0)
+    reference = decide_module._ax6_report(scan, window)
+    assert decide_module._ax6_empirical(problem, budget).to_json() == reference.to_json()
+    assert reference.data["window"] == window
+    assert reference.data["gaps"] == [1, 4, 13, 40, 121][:4 if budget == 50 else 5]
+
+
+def test_the_pair_report_on_the_table_makes_no_box_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_box_scan called")
+
+    monkeypatch.setattr(decide_module, "_box_scan", refuse)
+    monkeypatch.setattr(equations_module, "_box_scan", refuse)
+    report = verify_ax6(TABLE, TABLE_PAIR)
+    assert report.status == "violation"
+    assert report.data["gaps"] == [1, 4, 13, 40, 121]
+    assert report.data["witnesses"] == [[0, 1], [0, 4], [0, 13], [0, 40], [0, 121]]
+
+
+def test_three_unknown_report_on_the_table():
+    # three unknowns keep the box scan's grouping, on the window of 60
+    ops = [Operator([2, -3, 1]), Operator([2, -3, 1]), Operator([-4, 6, -2])]
+    report = verify_ax6(TABLE, ops)
+    assert report.to_json() == {
+        "axiom": "Ax6", "status": "violation", "gaps": [2, 7, 22],
+        "witnesses": [[0, 1, 2], [0, 1, 7], [0, 1, 22]], "window": 60,
+        "reason": "solution-gaps-exceed-any-offset-set",
+        "certificate": certs.BoundedCheck(60).to_json()}
+    for tup in report.data["witnesses"]:
+        terms = [apply(op, TABLE, n) for op, n in zip(ops, tup)]
+        assert sum(terms) == 0 and len(set(tup)) == 3
+        assert all(sum(part) for k in (1, 2) for part in itertools.combinations(terms, k))
 
 
 def test_finite_exhaustion_needs_whole_sets_not_heads():
@@ -649,15 +726,16 @@ def test_the_classification_memo_keys_on_the_budget():
 def test_an_error_of_a_later_literal_surfaces_where_it_stands(monkeypatch):
     # x != 10^300 needs fib terms up to about r_1440, past a small cache
     # budget; x != 1 does not.  The literals compile in order, so the large
-    # constant must not raise before the ground contradiction is read.
+    # constant must not refuse before the ground contradiction is read, and
+    # a refusal leaves its disjunct undecided.
     monkeypatch.setattr(sequences, "MAX_CACHE_BITS", 100_000)
     big = str(10 ** 300)
     fresh = lambda: make_handle(SequenceSpec.recurrence([1, 1], [1, 2]))
     verdict = run("E x in R. x != 1 & 0 = 1 & x != " + big, handle=fresh())
     assert verdict.is_false()
     assert verdict.certificate.to_json() == Proved("fragment-decision").to_json()
-    with pytest.raises(sequences.CacheBudgetExceeded):
-        run("E x in R. x != 1 & x != " + big + " & 0 = 1", handle=fresh())
+    refused = run("E x in R. x != 1 & x != " + big + " & 0 = 1", handle=fresh())
+    assert refused.kind == Verdict.UNKNOWN and refused.reason == "cache-budget-exceeded"
 
 
 # ---------------------------------------------------------------------------
