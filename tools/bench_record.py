@@ -18,6 +18,7 @@ Python version and `nproc`.  `--runs W=N` sets the runs of one workload.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -38,12 +39,10 @@ def _git(*args):
 
 def _extract(commit, into):
     """The committed files of commit, in the fresh directory into."""
-    archive = into.with_suffix(".tar")
-    with open(archive, "wb") as out:
-        subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, stdout=out)
-    with tarfile.open(archive) as tar:
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into)
-    archive.unlink()
     return into
 
 
@@ -139,10 +138,11 @@ def main(argv=None):
             for i in range(runs[workload]):
                 order = list(zip(trees, results))[::1 if i % 2 == 0 else -1]
                 for tree, out in order:
-                    out.append(_run(tree, workload, args.seed, args.seconds))
-                    print("%s %s run %d: %s" % (tree.name, workload, i + 1, out[-1] and {
-                        k: round(v["value"], 3) for k, v in out[-1]["metrics"].items()}),
-                          flush=True)
+                    result = _run(tree, workload, args.seed, args.seconds)
+                    out.append(result)
+                    shown = result and {k: round(v["value"], 3)
+                                        for k, v in result["metrics"].items()}
+                    print("%s %s run %d: %s" % (tree.name, workload, i + 1, shown), flush=True)
             entry = {"points": {point["label"]: _record(out, end_to_end)
                                 for point, out in zip(record["points"], results)}}
             if len(trees) > 1:
