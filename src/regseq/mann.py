@@ -24,14 +24,17 @@ refused at once: the count follows from the coefficients alone.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
-the monoid; families are base x M.  That element divides the gcd of the
-coordinates, so one enumeration of the monoid up to the largest gcd of a
-scan serves all of its tuples.
+the monoid; families are base x M.  That element divides the gcd g of the
+coordinates.  A homogeneous solve settles most of its hits in one pass over
+them as columns: where g and every coordinate over g lie in the scanned
+window, g is that element.  Only the other hits go through _canonical, and
+the monoid is enumerated for them alone, once, up to their largest gcd.
 """
 
 import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .certs import BoundedCheck
@@ -311,11 +314,14 @@ def _coef_permutations(coeffs, tup):
 
 def _canonical(coeffs, monoid, tup, divisors=None, groups=None):
     """Sort equal-coefficient slots, then divide out the largest monoid
-    element keeping all coordinates in the monoid.  That element divides the
-    gcd g of the coordinates, so the candidates are the entries of
-    `divisors` (the sorted monoid elements up to at least g) in (1, g],
-    tried from g downward; without the list the monoid is enumerated up to
-    g.  `groups` is _slot_groups(coeffs), computed here when not given."""
+    element keeping all coordinates in the monoid: the one definition of the
+    canonical form.  That element divides the gcd g of the coordinates, so
+    the candidates are the entries of `divisors` (the sorted monoid elements
+    up to at least g) in (1, g], tried from g downward; without the list the
+    monoid is enumerated up to g.  `groups` is _slot_groups(coeffs),
+    computed here when not given.  A homogeneous solve calls it only on the
+    hits that _canonical_base cannot settle from the window, and enumerates
+    the monoid for those hits alone."""
     out = list(tup)
     for idxs in _slot_groups(coeffs) if groups is None else groups:
         vals = sorted(out[i] for i in idxs)
@@ -334,6 +340,42 @@ def _canonical(coeffs, monoid, tup, divisors=None, groups=None):
         if g % m == 0 and all(monoid.contains(v // m) for v in best):
             return tuple(v // m for v in best)
     return best
+
+
+def _canonical_base(coeffs, monoid, scanned, window, groups):
+    """The sorted set {_canonical(coeffs, monoid, t, divisors, groups) for t
+    in scanned}, for hits t of a scan over `window`, in one pass over the
+    hits as columns.
+
+    The pass sorts the equal-coefficient slots of every hit, takes the gcd g
+    of its coordinates and the quotients t_i / g, and settles the hit when g
+    and every quotient lie in the window.  That is exact: every window
+    element lies in M, so g is then the largest monoid element <= g, the
+    first candidate _canonical tries, and it keeps every coordinate in M, so
+    _canonical returns t / g.  For g = 1 the quotients are the slot-sorted
+    hit, which _canonical returns at once, and 1 lies in every window.  The
+    hits left go through _canonical; the monoid is enumerated up to their
+    largest gcd only, and not at all when every hit is settled."""
+    if not scanned:
+        return []
+    cols = list(zip(*scanned))
+    for idxs in groups:
+        if len(idxs) > 1:
+            rows = map(sorted, zip(*(cols[i] for i in idxs)))
+            for i, col in zip(idxs, zip(*rows)):
+                cols[i] = col
+    gcds = list(map(math.gcd, *cols))
+    quotients = [list(map(operator.floordiv, col, gcds)) for col in cols]
+    in_window = set(window).__contains__
+    settled = list(map(all, zip(map(in_window, gcds),
+                                *(map(in_window, q) for q in quotients))))
+    base = set(itertools.compress(zip(*quotients), settled))
+    left = list(itertools.compress(range(len(scanned)), map(operator.not_, settled)))
+    if left:
+        divisors = monoid.enumerate(max(gcds[k] for k in left))
+        base.update(_canonical(coeffs, monoid, scanned[k], divisors, groups)
+                    for k in left)
+    return sorted(base)
 
 
 def solve_homogeneous(coefficients, monoid, exp_bound=DEFAULT_EXPONENT):
@@ -365,10 +407,7 @@ def _solve_homogeneous(coeffs, monoid, exp_bound, memo):
             raise ValueError("homogeneous solve visits more than %d split "
                              "candidates (mann.SPLIT_CAP)" % SPLIT_CAP)
     scanned = _scan(coeffs, 0, window)
-    top = max((math.gcd(*t) for t in scanned), default=0)
-    divisors = monoid.enumerate(top) if top > 1 else []
-    groups = _slot_groups(coeffs)
-    base = sorted({_canonical(coeffs, monoid, t, divisors, groups) for t in scanned})
+    base = _canonical_base(coeffs, monoid, scanned, window, _slot_groups(coeffs))
     splits = []
     for size in range(2, n - 1):
         for sub in itertools.combinations(range(n), size):

@@ -18,7 +18,7 @@ import pytest
 
 from regseq import cli, jsonio, mann
 from regseq.mann import (DEFAULT_EXPONENT, SCAN_CAP, WINDOW_BITS, MannMonoid, _canonical,
-                         _largest_window, _scan, _scan_window, _slot_groups,
+                         _canonical_base, _largest_window, _scan, _scan_window, _slot_groups,
                          induced_trace, solve_homogeneous, solve_unit)
 
 
@@ -226,6 +226,70 @@ def test_canonical_matches_reference(gens):
         want = reference_canonical(coeffs, monoid, tup)
         assert _canonical(coeffs, monoid, tup) == want, (coeffs, tup)
         assert _canonical(coeffs, monoid, tup, divisors) == want, (coeffs, tup)
+
+
+# The equivalence monoids, three whose generators are dependent, and one in
+# which 5, the gcd of the hit (10, 15) of 3 x1 - 2 x2 = 0, is no element
+# although 10 / 5 and 15 / 5 are.
+CANONICAL_BASE_MONOIDS = EQUIVALENCE_MONOIDS + ([2, 3, 6], [2, 12, 18], [-6, 4, 9],
+                                                [2, 3, 10, 15])
+
+
+@pytest.mark.parametrize("gens", CANONICAL_BASE_MONOIDS)
+def test_canonical_base_matches_per_hit_canonical(gens):
+    monoid = MannMonoid(gens)
+    for coeffs in ([3, -2], [1, 1, -1], [1, 2, -1], [1, -1, -1], [1, 2, -3],
+                   [1, -1, 1, -1], [1, 1, 1, -1], [1, 2, -1, -2]):
+        for e in (2,) if len(coeffs) + len(gens) > 6 else (2, 4):
+            window = _scan_window(monoid, e, len(coeffs))
+            scanned = _scan(coeffs, 0, window)
+            groups = _slot_groups(coeffs)
+            want = sorted({_canonical(coeffs, monoid, t, None, groups) for t in scanned})
+            assert _canonical_base(coeffs, monoid, scanned, window, groups) == want, \
+                (coeffs, e)
+            assert solve_homogeneous(coeffs, monoid, e).base == want, (coeffs, e)
+
+
+@pytest.mark.parametrize("gens, coeffs, e", [([-2, 3], [1, 1, -1], 8),
+                                             ([2, 12, 18], [1, 2, -1], 4),
+                                             ([2, 3, 10, 15], [3, -2], 2)])
+def test_hits_the_window_cannot_settle_go_through_canonical(monkeypatch, gens, coeffs, e):
+    # 2 is no element of <-2, 3>, 6 none of <2, 12, 18> and 5 none of
+    # <2, 3, 10, 15>: hits with such a gcd fall back
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return _canonical(*args)
+    monkeypatch.setattr(mann, "_canonical", counting)
+    sols = solve_homogeneous(coeffs, MannMonoid(gens), e)
+    assert 0 < len(calls) < len(sols.scanned)
+    assert set(calls) <= set(sols.scanned)
+
+
+def test_a_solve_the_window_settles_enumerates_no_monoid(monkeypatch):
+    def refuse(self, bound):
+        raise AssertionError("enumerate(%d)" % bound)
+    monkeypatch.setattr(MannMonoid, "enumerate", refuse)
+    sols = solve_homogeneous([1, 1, -1], M23, 16)
+    assert len(sols.scanned) > 100
+    assert sols.base == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (1, 8, 9)]
+
+
+@pytest.mark.parametrize("gens, coeffs, e", [([4, 6, 9], [1, -1, 1, -1], 2),
+                                             ([2, 12, 18], [1, 2, -1], 2),
+                                             ([2, 12, 18], [1, 2, -1], 3),
+                                             ([2, 12, 18], [1, 2, -1], 4)])
+def test_dependent_generators_keep_their_reference_base(gens, coeffs, e):
+    """Dividing every hit by the scaled copies of bases found before it is
+    no canonical form over dependent generators: it changes both bases, and
+    over <2, 12, 18> it loses (8, 12, 32)."""
+    monoid = MannMonoid(gens)
+    sols = solve_homogeneous(coeffs, monoid, e)
+    assert sols.base == sorted({reference_canonical(coeffs, monoid, t)
+                                for t in sols.scanned})
+    if gens == [2, 12, 18]:
+        assert (8, 12, 32) in sols.base
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
