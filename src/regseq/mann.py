@@ -13,14 +13,31 @@ completeness claim is tagged BoundedCheck at the exponent level scanned:
 all tuples whose coordinates use generator exponents up to E are covered,
 nothing beyond is claimed.  A scan of n unknowns over a window of W
 elements is refused when W^(n-1) exceeds SCAN_CAP, as soon as the window
-being built passes that size, although the kernel it shares with the
-sequence solver, subsums._meet_in_the_middle, makes about W^ceil(n/2)
-lookups.  Every window is also refused once its distinct elements pass
-WINDOW_BITS bits in total, since with few unknowns the count alone admits
-gigabytes, and every scan of more than MAX_UNKNOWNS unknowns, past which
-the degeneracy test of one hit would list too many sub-sums.  A homogeneous
-solve whose split search would visit more than SPLIT_CAP candidates is
-refused at once: the count follows from the coefficients alone.
+being built passes that size.  Every window is also refused once its
+distinct elements pass WINDOW_BITS bits in total, since with few unknowns
+the count alone admits gigabytes, and every scan of more than MAX_UNKNOWNS
+unknowns, past which the degeneracy test of one hit would list too many
+sub-sums.  A homogeneous solve whose split search would visit more than
+SPLIT_CAP candidates is refused at once: the count follows from the
+coefficients alone.
+
+Within those refusals a scan runs the kernel it shares with the sequence
+solver, subsums._meet_in_the_middle, over the rows a_i * window, about
+W^ceil(n/2) lookups, with one exception.  A three-term homogeneous equation
+a x + b y + c z = 0 is scanned through its ratios, as the structure theorem
+above reads it (_ratio_scan).  With L the product of the k generators to
+the power E, signs kept, every ratio y / x of two window elements, times L,
+is a product of the generators with exponents in [0, 2E], so it lies in the
+wide window at bound 2E.  Solving b u + c v = -a L over that wide window
+takes one lookup per u, about (2E + 1)^k where the direct scan makes W^2,
+and each solution (u, v) gives the hits (x, x u / L, x v / L), for the x of
+the window with both coordinates in it: exactly the direct scan's hits.
+The wide window holds at most (2E + 1)^k elements and at most W^2, one per
+ratio.  Within the three-term cap W <= 2449, 11 independent generators at
+E = 1 make 3^11 = 177,147 of them, from a 2,048-element window; a solve
+there peaks at about 28 MB (tests/test_mann.py).  The wide window is built
+generator by generator, and once its bits pass WINDOW_BITS the solve scans
+the window directly instead.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -194,13 +211,74 @@ def _scan(coeffs, target, elements):
     rows a_i * elements, sorted, which is product order for a sorted window
     without repeats.  The budget is the window's: see _scan_window.  The
     terms being nonzero, the sub-sum check runs only where
-    _proper_subsums_nonzero does not settle it."""
+    _proper_subsums_nonzero does not settle it.  A three-term homogeneous
+    solve comes here only when _ratio_scan declines: its wide window passes
+    WINDOW_BITS."""
     found = sorted(_meet_in_the_middle([[a * x for x in elements] for a in coeffs],
                                        target, [elements] * len(coeffs)))
     if _proper_subsums_nonzero(len(coeffs), target):
         return found
     return [tup for tup in found
             if not _degenerate([a * v for a, v in zip(coeffs, tup)])]
+
+
+def _ratio_window(monoid, exp_bound):
+    """The products of the generators with every exponent <= 2 * exp_bound,
+    distinct, in no particular order; None once their bits pass WINDOW_BITS.
+    Built generator by generator: each stage multiplies the one before by
+    the generator's powers, keeping the products it lacks, and counts the
+    bits of each as it is added, so no window past the budget is held."""
+    wide = {1}
+    bits = 1
+    for g in monoid.generators:
+        stage = list(wide)
+        power = 1
+        for _ in range(2 * exp_bound):
+            power *= g
+            for v in map(power.__mul__, stage):
+                if v not in wide:
+                    wide.add(v)
+                    bits += v.bit_length()
+                    if bits > WINDOW_BITS:
+                        return None
+    return list(wide)
+
+
+def _ratio_scan(coeffs, monoid, exp_bound, window):
+    """_scan(coeffs, 0, window), hit for hit and in the same order, for three
+    coefficients a, b, c and the monoid's window at exp_bound, found through
+    the ratios of each hit; None when the wide window passes WINDOW_BITS.
+
+    Let L be the product of the generators to the power E = exp_bound, signs
+    kept.  A hit (x, y, z) gives the ratios u = y L / x and v = z L / x.
+    Writing x and y with exponent vectors in [0, E] (any of them, when the
+    generators are dependent), u is the product of the generators with
+    exponents E + (y's) - (x's), all in [0, 2E]: u, and likewise v, lies in
+    the wide window of _ratio_window, and b u + c v = -a L.  Those (u, v)
+    are the kernel's two-row case, one lookup of -a L - b u per u among the
+    c v; the wide window has no repeats, so a map from c v to v serves.
+    Conversely each (u, v) and each x in the window with x u and x v in
+    L * window give the hit (x, x u / L, x v / L), read through one map from
+    L * w to w, and distinct (u, v) give distinct hits.  Both steps run in C
+    iterators.  Three nonzero terms summing to 0 have no vanishing proper
+    sub-sum, so no hit is degenerate."""
+    wide = _ratio_window(monoid, exp_bound)
+    if wide is None:
+        return None
+    a, b, c = coeffs
+    lead = math.prod(g ** exp_bound for g in monoid.generators)
+    solve_v = dict(zip(map(c.__mul__, wide), wide)).get
+    # a miss is None and every element nonzero, so `all` keeps the solutions
+    ratios = filter(all, zip(wide, map(solve_v, map((-a * lead).__sub__,
+                                                    map(b.__mul__, wide)))))
+    unscale = dict(zip(map(lead.__mul__, window), window)).get
+    found = []
+    for u, v in ratios:
+        ys = list(map(unscale, map(u.__mul__, window)))
+        xs = list(itertools.compress(window, ys))
+        found += filter(all, zip(xs, filter(None, ys), map(unscale, map(v.__mul__, xs))))
+    found.sort()
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +420,10 @@ def _canonical(coeffs, monoid, tup, divisors=None, groups=None):
     return best
 
 
-def _canonical_base(coeffs, monoid, scanned, window, groups):
+def _canonical_base(coeffs, monoid, scanned, members, groups):
     """The sorted set {_canonical(coeffs, monoid, t, divisors, groups) for t
-    in scanned}, for hits t of a scan over `window`, in one pass over the
-    hits as columns.
+    in scanned}, for hits t of a scan over the window whose elements are the
+    set `members`, in one pass over the hits as columns.
 
     The pass sorts the equal-coefficient slots of every hit, takes the gcd g
     of its coordinates and the quotients t_i / g, and settles the hit when g
@@ -366,7 +444,7 @@ def _canonical_base(coeffs, monoid, scanned, window, groups):
                 cols[i] = col
     gcds = list(map(math.gcd, *cols))
     quotients = [list(map(operator.floordiv, col, gcds)) for col in cols]
-    in_window = set(window).__contains__
+    in_window = members.__contains__
     settled = list(map(all, zip(map(in_window, gcds),
                                 *(map(in_window, q) for q in quotients))))
     base = set(itertools.compress(zip(*quotients), settled))
@@ -406,8 +484,10 @@ def _solve_homogeneous(coeffs, monoid, exp_bound, memo):
         if memo["splits"] > SPLIT_CAP:
             raise ValueError("homogeneous solve visits more than %d split "
                              "candidates (mann.SPLIT_CAP)" % SPLIT_CAP)
-    scanned = _scan(coeffs, 0, window)
-    base = _canonical_base(coeffs, monoid, scanned, window, _slot_groups(coeffs))
+    scanned = _ratio_scan(coeffs, monoid, exp_bound, window) if n == 3 else None
+    if scanned is None:
+        scanned = _scan(coeffs, 0, window)
+    base = _canonical_base(coeffs, monoid, scanned, set(window), _slot_groups(coeffs))
     splits = []
     for size in range(2, n - 1):
         for sub in itertools.combinations(range(n), size):

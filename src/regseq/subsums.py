@@ -4,7 +4,8 @@ equation solver (equations) and the Mann-monoid solver (mann).
 Both solvers find the solutions of a linear equation over finite rows of
 values with one meet-in-the-middle kernel (Horowitz and Sahni 1974),
 _meet_in_the_middle: equations for its family search, its box scan and
-decide's exact stages, mann for every unit and homogeneous scan.  A solution
+decide's exact stages, mann for every scan but a three-term homogeneous
+one, which it reads through ratios (mann._ratio_scan).  A solution
 of a linear equation is non-degenerate when no proper sub-sum of its terms
 vanishes.  _degenerate answers whether one does, from the sub-sums built
 by doubling one list until a batch holds 0, or past DOUBLING_TERMS terms

@@ -593,3 +593,104 @@ def test_split_search_past_its_budget_is_refused_before_any_scan(monkeypatch):
     monkeypatch.setattr(mann, "_scan", no_scan)
     with pytest.raises(ValueError, match="more than 500000 split candidates"):
         solve_homogeneous(list(range(1, 16)) + [-120], M23, 0)
+
+
+# ---------------------------------------------------------------------------
+# Three-term homogeneous scans through the ratio window
+# ---------------------------------------------------------------------------
+
+RATIO_MONOIDS = EQUIVALENCE_MONOIDS + ([-2], [6], [2, 5], [2, 7], [3, 5], [2, 3, 7],
+                                       [2, 12, 18], [-6, 4, 9], [2, 3, 10, 15],
+                                       [2, 4, 8, 16])
+# equal coefficients, a common factor, one sign throughout (no hit at all)
+RATIO_COEFFS = ([1, 1, -1], [1, 2, -1], [1, -1, -1], [1, 2, -3], [2, 4, -6], [1, 1, 1],
+                [5, -7, 2])
+
+
+def _direct_solve(monkeypatch, coeffs, monoid, e):
+    """solve_homogeneous with every scan made by _scan."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mann, "_ratio_scan", lambda *args: None)
+        return solve_homogeneous(coeffs, monoid, e)
+
+
+@pytest.mark.parametrize("gens", RATIO_MONOIDS)
+def test_ratio_scan_matches_the_direct_scan(monkeypatch, gens):
+    # exponent bounds from 0 while the window keeps the direct scan cheap;
+    # odd bounds make L negative over <-2>, <-2, 3> and <-6, 4, 9>
+    monoid = MannMonoid(gens)
+    e = 0
+    while len(window := _scan_window(monoid, e, 3)) <= 120 and e <= 12:
+        for coeffs in RATIO_COEFFS:
+            want = _scan(coeffs, 0, window)
+            assert mann._ratio_scan(coeffs, monoid, e, window) == want, (coeffs, e)
+            sols = solve_homogeneous(coeffs, monoid, e)
+            assert sols.scanned == want, (coeffs, e)
+            assert sols.to_json() == _direct_solve(monkeypatch, coeffs, monoid, e).to_json()
+        e += 1
+    assert e >= 2
+
+
+def test_workload_shapes_take_the_ratio_route(monkeypatch):
+    # the homogeneous and trace questions of the benchmark's mann-scan
+    # rounds; unit equations still scan directly
+    def unit_only(coeffs, target, elements):
+        assert not (len(coeffs) == 3 and target == 0), coeffs
+        return _scan(coeffs, target, elements)
+    monkeypatch.setattr(mann, "_scan", unit_only)
+    for gens in BATTERY_TWO:
+        monoid = MannMonoid(gens)
+        for e in (8, 12, 16):
+            for coeffs in ([1, 1, -1], [1, 2, -1], [1, -1, -1]):
+                solve_homogeneous(coeffs, monoid, e)
+        induced_trace([1, 2, -1], monoid, 12)
+        solve_unit([1, 1, -1], monoid, 6)
+    for gens in BATTERY_THREE:
+        for e in (4, 5):
+            solve_homogeneous([1, 1, -1], MannMonoid(gens), e)
+    # a five-term solve scans directly and its three-term sides by ratios
+    sols = solve_homogeneous([1, 1, -1, 1, -1], M23, 2)
+    assert any(len(sp.left.coefficients) == 3 and sp.left.base for sp in sols.splits)
+
+
+def test_a_wide_window_past_its_bits_falls_back_to_the_direct_scan():
+    # the 81 elements of <2, 3^31500> at exponent bound 8 hold 16.2M bits,
+    # within WINDOW_BITS, but the 289 of the wide window at bound 16 would
+    # hold 13.8 MB; the build stops once its bits pass the budget (2.2 MB
+    # traced, Python 3.11)
+    monoid = MannMonoid([2, 3 ** 31_500])
+    window = _scan_window(monoid, 8, 3)
+    assert sum(v.bit_length() for v in window) <= WINDOW_BITS
+    tracemalloc.start()
+    try:
+        assert mann._ratio_window(monoid, 8) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WINDOW_BITS // 4
+    assert mann._ratio_scan([1, 1, -1], monoid, 8, window) is None
+    sols = solve_homogeneous([1, 1, -1], monoid, 8)
+    assert sols.scanned == _scan([1, 1, -1], 0, window)
+    assert len(sols.scanned) == 72 and sols.base == [(1, 1, 2)]
+
+
+def test_the_largest_wide_window_at_the_three_term_cap():
+    # 11 independent generators at exponent bound 1: a 2,048-element window,
+    # within the three-term cap of 2,449, and 3^11 = 177,147 wide elements.
+    # Traced, the solve peaks at 28.0 MB whatever the coefficients (the wide
+    # window and its map of c v to v); untraced, [1, 1, -1] takes 0.68 s and
+    # the direct scan 0.35 s (2 CPUs, Python 3.11)
+    monoid = MannMonoid([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    assert len(_scan_window(monoid, 1, 3)) == 2 ** 11 <= _largest_window(3)
+    assert len(mann._ratio_window(monoid, 1)) == 3 ** 11
+    tracemalloc.start()
+    try:
+        assert solve_homogeneous([1, 1, 1], monoid, 1).base == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+    start = time.perf_counter()
+    sols = solve_homogeneous([1, 1, -1], monoid, 1)
+    assert time.perf_counter() - start < 10
+    assert len(sols.scanned) == 39_590 and len(sols.base) == 516
