@@ -212,8 +212,11 @@ def _scan(coeffs, target, elements):
     without repeats.  The budget is the window's: see _scan_window.  The
     terms being nonzero, the sub-sum check runs only where
     _proper_subsums_nonzero does not settle it.  A three-term homogeneous
-    solve comes here only when _ratio_scan declines: its wide window passes
-    WINDOW_BITS."""
+    solve finds the same hits through _ratio_scan instead: with L the
+    product of the generators to the power exp_bound, every ratio y / x of
+    two window elements, times L, lies in the wide window at bound
+    2 * exp_bound, so solving over ratios misses no hit.  It comes here only
+    when that wide window passes WINDOW_BITS."""
     found = sorted(_meet_in_the_middle([[a * x for x in elements] for a in coeffs],
                                        target, [elements] * len(coeffs)))
     if _proper_subsums_nonzero(len(coeffs), target):

@@ -656,8 +656,8 @@ def test_workload_shapes_take_the_ratio_route(monkeypatch):
 def test_a_wide_window_past_its_bits_falls_back_to_the_direct_scan():
     # the 81 elements of <2, 3^31500> at exponent bound 8 hold 16.2M bits,
     # within WINDOW_BITS, but the 289 of the wide window at bound 16 would
-    # hold 13.8 MB; the build stops once its bits pass the budget (2.2 MB
-    # traced, Python 3.11)
+    # hold 13.8 MB; the build stops once its bits pass the budget, 2 MB,
+    # and peaks at 2.2 MB traced (Python 3.11), under twice the budget
     monoid = MannMonoid([2, 3 ** 31_500])
     window = _scan_window(monoid, 8, 3)
     assert sum(v.bit_length() for v in window) <= WINDOW_BITS
@@ -678,8 +678,8 @@ def test_the_largest_wide_window_at_the_three_term_cap():
     # 11 independent generators at exponent bound 1: a 2,048-element window,
     # within the three-term cap of 2,449, and 3^11 = 177,147 wide elements.
     # Traced, the solve peaks at 28.0 MB whatever the coefficients (the wide
-    # window and its map of c v to v); untraced, [1, 1, -1] takes 0.68 s and
-    # the direct scan 0.35 s (2 CPUs, Python 3.11)
+    # window and its map of c v to v); untraced, the [1, 1, -1] solve takes
+    # 0.52 s, and 0.41 s by the direct scan (min of 3, 2 CPUs, Python 3.11)
     monoid = MannMonoid([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     assert len(_scan_window(monoid, 1, 3)) == 2 ** 11 <= _largest_window(3)
     assert len(mann._ratio_window(monoid, 1)) == 3 ** 11
