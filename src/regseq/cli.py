@@ -299,9 +299,10 @@ def _cmd_mann_solve(args):
 
 
 def _cmd_mann_enumerate(args):
+    from .mann import WINDOW_BITS
     monoid = _monoid(args)
     _emit({"monoid": monoid.to_json(), "bound": args.bound,
-           "elements": monoid.enumerate(args.bound)})
+           "elements": monoid.enumerate(args.bound, WINDOW_BITS)})
     return EXIT_TRUE
 
 

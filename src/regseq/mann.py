@@ -11,15 +11,20 @@ non-degenerate solutions organize into finitely many translate families
 No effective bound for the Mann property is available here, so every
 completeness claim is tagged BoundedCheck at the exponent level scanned:
 all tuples whose coordinates use generator exponents up to E are covered,
-nothing beyond is claimed.  A scan of n unknowns over a window of W
-elements is refused when W^(n-1) exceeds SCAN_CAP, as soon as the window
-being built passes that size.  Every window is also refused once its
-distinct elements pass WINDOW_BITS bits in total, since with few unknowns
-the count alone admits gigabytes, and every scan of more than MAX_UNKNOWNS
-unknowns, past which the degeneracy test of one hit would list too many
-sub-sums.  A homogeneous solve whose split search would visit more than
-SPLIT_CAP candidates is refused at once: the count follows from the
-coefficients alone.
+nothing beyond is claimed.  Every element set here comes from one staged
+construction, _products: the window of products with exponents up to E,
+the wide window at 2E below, and enumerate's elements of absolute value up
+to a bound.  It brings in one generator at a time and stops as soon as its
+set passes a cap, so no refused set is held.  A scan of n unknowns over a
+window of W elements is refused when W^(n-1) exceeds SCAN_CAP.  Every
+window is also refused once its distinct elements pass WINDOW_BITS bits in
+total, since with few unknowns the count alone admits gigabytes, and every
+scan of more than MAX_UNKNOWNS unknowns, past which the degeneracy test of
+one hit would list too many sub-sums.  `mann enumerate` is refused past
+WINDOW_BITS too; the divisor lists of _canonical are not capped.  A
+homogeneous solve whose split search would visit more than SPLIT_CAP
+candidates is refused at once: the count follows from the coefficients
+alone.
 
 Within those refusals a scan runs the kernel it shares with the sequence
 solver, subsums._meet_in_the_middle, over the rows a_i * window, about
@@ -35,9 +40,8 @@ the window with both coordinates in it: exactly the direct scan's hits.
 The wide window holds at most (2E + 1)^k elements and at most W^2, one per
 ratio.  Within the three-term cap W <= 2449, 11 independent generators at
 E = 1 make 3^11 = 177,147 of them, from a 2,048-element window; a solve
-there peaks at about 28 MB (tests/test_mann.py).  The wide window is built
-generator by generator, and once its bits pass WINDOW_BITS the solve scans
-the window directly instead.
+there peaks at about 28 MB (tests/test_mann.py).  Once the wide window's
+bits pass WINDOW_BITS the solve scans the window directly instead.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -85,42 +89,21 @@ class MannMonoid:
         self.generators = tuple(gens)
         self._member_memo = {1: True}
 
-    def enumerate(self, bound):
-        """Sorted elements with absolute value at most bound."""
+    def enumerate(self, bound, max_bits=math.inf):
+        """Sorted elements with absolute value at most bound, from _products,
+        refused once they pass max_bits bits: `mann enumerate` passes
+        WINDOW_BITS, and the divisor lists of _canonical are not capped."""
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        seen = {1}
-        frontier = [1]
-        while frontier:
-            v = frontier.pop()
-            for g in self.generators:
-                w = v * g
-                if abs(w) <= bound and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return sorted(seen)
+        elements, bits = _products(self.generators, bound=bound, max_bits=max_bits)
+        if bits > max_bits:
+            raise ValueError("monoid elements up to %d exceed %d bits" % (bound, max_bits))
+        return sorted(elements)
 
     def elements_with_exponents(self, exp_bound):
-        """Sorted products of generators with every exponent <= exp_bound,
-        within the WINDOW_BITS budget."""
+        """Sorted products of generators with every exponent <= exp_bound:
+        the one-unknown scan window, within the WINDOW_BITS budget."""
         return _scan_window(self, exp_bound, 1)
-
-    def _exponent_products(self, exp_bound):
-        """The products of elements_with_exponents in exponent-vector order,
-        duplicates included; the vector count is checked before the first
-        product is built."""
-        if exp_bound < 0:
-            raise ValueError("exponent bound must be >= 0")
-        count = (exp_bound + 1) ** len(self.generators)
-        if count > SCAN_CAP:
-            raise ValueError("exponent window of %d elements exceeds the "
-                             "scan budget" % count)
-        for exps in itertools.product(range(exp_bound + 1),
-                                      repeat=len(self.generators)):
-            v = 1
-            for g, e in zip(self.generators, exps):
-                v *= g ** e
-            yield v
 
     def contains(self, value):
         """Membership by generator-division search (exact, unbounded)."""
@@ -161,8 +144,39 @@ class MannMonoid:
 
 
 # ---------------------------------------------------------------------------
-# The scan shared by unit and homogeneous equations
+# Element sets, and the scan shared by unit and homogeneous equations
 # ---------------------------------------------------------------------------
+
+def _products(generators, exp_bound=None, bound=None, cap=math.inf, max_bits=WINDOW_BITS):
+    """The distinct products of the generators with every exponent at most
+    exp_bound, or else with absolute value at most bound, in order of
+    construction, and the sum of their bit lengths.
+
+    Each stage multiplies the products found before its generator g by the
+    powers of g and keeps the products it lacks, counting the bits of each
+    as it is added.  The build stops as soon as it holds more than cap
+    products or more than max_bits bits; the caller tells a stopped build by
+    its size and bits.  Under a magnitude bound the stages miss nothing:
+    |g| >= 2 for every generator, so every prefix of a product lies within
+    the product's absolute value.  The stage is sorted by absolute value,
+    and g^j multiplies only its head up to bound // |g^j|."""
+    found = {1: None}   # a dict keeps the order of construction
+    bits = 1
+    for g in generators:
+        stage = sorted(found, key=abs)
+        power = 1
+        for _ in range(exp_bound if bound is None else bound.bit_length()):
+            power *= g
+            if bound is not None:
+                del stage[bisect.bisect_right(stage, bound // abs(power), key=abs):]
+            for v in map(power.__mul__, stage):
+                if v not in found:
+                    found[v] = None
+                    bits += v.bit_length()
+                    if bits > max_bits or len(found) > cap:
+                        return list(found), bits
+    return list(found), bits
+
 
 def _largest_window(unknowns):
     """The most distinct elements a scan of this many unknowns accepts: the
@@ -181,27 +195,25 @@ def _largest_window(unknowns):
 
 
 def _scan_window(monoid, exp_bound, unknowns):
-    """The monoid's exponent window for a scan of this many unknowns,
-    refused as soon as it holds more distinct elements than the scan
-    budget admits, or more than WINDOW_BITS bits, before the rest of it is
-    built.  More than MAX_UNKNOWNS unknowns are refused outright."""
+    """The monoid's exponent window for a scan of this many unknowns, sorted:
+    _products at exp_bound, refused as soon as it holds more elements than
+    the scan budget admits, or more than WINDOW_BITS bits.  More than
+    MAX_UNKNOWNS unknowns, or SCAN_CAP exponent vectors, are refused first."""
     if unknowns > MAX_UNKNOWNS:
         raise ValueError("equation has %d unknowns; at most %d are supported"
                          % (unknowns, MAX_UNKNOWNS))
-    limit = _largest_window(unknowns)
-    window = set()
-    bits = 0
-    for v in monoid._exponent_products(exp_bound):
-        if v in window:
-            continue
-        window.add(v)
-        bits += v.bit_length()
-        if limit is not None and len(window) > limit:
-            raise ValueError("monoid scan of %d unknowns exceeds the budget"
-                             % unknowns)
-        if bits > WINDOW_BITS:
-            raise ValueError("monoid window at exponent bound %d exceeds %d bits"
-                             % (exp_bound, WINDOW_BITS))
+    if exp_bound < 0:
+        raise ValueError("exponent bound must be >= 0")
+    count = (exp_bound + 1) ** len(monoid.generators)
+    if count > SCAN_CAP:
+        raise ValueError("exponent window of %d elements exceeds the scan budget" % count)
+    limit = _largest_window(unknowns) or math.inf
+    window, bits = _products(monoid.generators, exp_bound, cap=limit)
+    if len(window) > limit:
+        raise ValueError("monoid scan of %d unknowns exceeds the budget" % unknowns)
+    if bits > WINDOW_BITS:
+        raise ValueError("monoid window at exponent bound %d exceeds %d bits"
+                         % (exp_bound, WINDOW_BITS))
     return sorted(window)
 
 
@@ -212,39 +224,15 @@ def _scan(coeffs, target, elements):
     without repeats.  The budget is the window's: see _scan_window.  The
     terms being nonzero, the sub-sum check runs only where
     _proper_subsums_nonzero does not settle it.  A three-term homogeneous
-    solve finds the same hits through _ratio_scan instead: with L the
-    product of the generators to the power exp_bound, every ratio y / x of
-    two window elements, times L, lies in the wide window at bound
-    2 * exp_bound, so solving over ratios misses no hit.  It comes here only
-    when that wide window passes WINDOW_BITS."""
+    solve finds the same hits through _ratio_scan, and comes here only when
+    its wide window, _products at twice the exponent bound, passes
+    WINDOW_BITS."""
     found = sorted(_meet_in_the_middle([[a * x for x in elements] for a in coeffs],
                                        target, [elements] * len(coeffs)))
     if _proper_subsums_nonzero(len(coeffs), target):
         return found
     return [tup for tup in found
             if not _degenerate([a * v for a, v in zip(coeffs, tup)])]
-
-
-def _ratio_window(monoid, exp_bound):
-    """The products of the generators with every exponent <= 2 * exp_bound,
-    distinct, in no particular order; None once their bits pass WINDOW_BITS.
-    Built generator by generator: each stage multiplies the one before by
-    the generator's powers, keeping the products it lacks, and counts the
-    bits of each as it is added, so no window past the budget is held."""
-    wide = {1}
-    bits = 1
-    for g in monoid.generators:
-        stage = list(wide)
-        power = 1
-        for _ in range(2 * exp_bound):
-            power *= g
-            for v in map(power.__mul__, stage):
-                if v not in wide:
-                    wide.add(v)
-                    bits += v.bit_length()
-                    if bits > WINDOW_BITS:
-                        return None
-    return list(wide)
 
 
 def _ratio_scan(coeffs, monoid, exp_bound, window):
@@ -257,7 +245,7 @@ def _ratio_scan(coeffs, monoid, exp_bound, window):
     Writing x and y with exponent vectors in [0, E] (any of them, when the
     generators are dependent), u is the product of the generators with
     exponents E + (y's) - (x's), all in [0, 2E]: u, and likewise v, lies in
-    the wide window of _ratio_window, and b u + c v = -a L.  Those (u, v)
+    the wide window, _products at 2E, and b u + c v = -a L.  Those (u, v)
     are the kernel's two-row case, one lookup of -a L - b u per u among the
     c v; the wide window has no repeats, so a map from c v to v serves.
     Conversely each (u, v) and each x in the window with x u and x v in
@@ -265,8 +253,8 @@ def _ratio_scan(coeffs, monoid, exp_bound, window):
     L * w to w, and distinct (u, v) give distinct hits.  Both steps run in C
     iterators.  Three nonzero terms summing to 0 have no vanishing proper
     sub-sum, so no hit is degenerate."""
-    wide = _ratio_window(monoid, exp_bound)
-    if wide is None:
+    wide, bits = _products(monoid.generators, 2 * exp_bound)
+    if bits > WINDOW_BITS:
         return None
     a, b, c = coeffs
     lead = math.prod(g ** exp_bound for g in monoid.generators)

@@ -663,7 +663,7 @@ def test_a_wide_window_past_its_bits_falls_back_to_the_direct_scan():
     assert sum(v.bit_length() for v in window) <= WINDOW_BITS
     tracemalloc.start()
     try:
-        assert mann._ratio_window(monoid, 8) is None
+        assert mann._products(monoid.generators, 16)[1] > WINDOW_BITS
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -682,7 +682,7 @@ def test_the_largest_wide_window_at_the_three_term_cap():
     # 0.52 s, and 0.41 s by the direct scan (min of 3, 2 CPUs, Python 3.11)
     monoid = MannMonoid([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     assert len(_scan_window(monoid, 1, 3)) == 2 ** 11 <= _largest_window(3)
-    assert len(mann._ratio_window(monoid, 1)) == 3 ** 11
+    assert len(mann._products(monoid.generators, 2)[0]) == 3 ** 11
     tracemalloc.start()
     try:
         assert solve_homogeneous([1, 1, 1], monoid, 1).base == []
@@ -694,3 +694,117 @@ def test_the_largest_wide_window_at_the_three_term_cap():
     sols = solve_homogeneous([1, 1, -1], monoid, 1)
     assert time.perf_counter() - start < 10
     assert len(sols.scanned) == 39_590 and len(sols.base) == 516
+
+
+# ---------------------------------------------------------------------------
+# One staged construction for every element set
+# ---------------------------------------------------------------------------
+
+# independent, signed and dependent generators
+STAGED_MONOIDS = ([2, 3], [-2, 3], [4, 6, 9], [2, 12, 18], [-6, 4, 9], [2, 4, 8, 16],
+                  [2, 3, 5])
+PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                    71, 73, 79, 83, 89, 97]
+
+
+def exponent_reference(gens, e):
+    """The distinct products over every exponent vector in [0, e]^k, sorted."""
+    return sorted({math.prod(g ** x for g, x in zip(gens, exps))
+                   for exps in itertools.product(range(e + 1), repeat=len(gens))})
+
+
+def frontier_reference(gens, bound):
+    """The sorted elements of absolute value at most bound, by a depth-first
+    walk that multiplies each element found by every generator."""
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = v * g
+            if abs(w) <= bound and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("gens", STAGED_MONOIDS)
+def test_staged_windows_match_the_exponent_vector_reference(gens):
+    monoid = MannMonoid(gens)
+    for e in range(7):
+        want = exponent_reference(gens, e)
+        assert monoid.elements_with_exponents(e) == want, e
+        for n in (2, 3, 4):
+            if len(want) ** (n - 1) <= SCAN_CAP:
+                assert _scan_window(monoid, e, n) == want, (e, n)
+            else:
+                with pytest.raises(ValueError, match="monoid scan of %d unknowns" % n):
+                    _scan_window(monoid, e, n)
+        # the wide window of the three-term route
+        wide, bits = mann._products(monoid.generators, 2 * e)
+        assert sorted(wide) == exponent_reference(gens, 2 * e), e
+        assert bits == sum(v.bit_length() for v in wide), e
+
+
+@pytest.mark.parametrize("gens", STAGED_MONOIDS)
+def test_enumerate_matches_the_frontier_walk(gens):
+    monoid = MannMonoid(gens)
+    for bound in (1, 2, 7, 100, 5000, 10 ** 6):
+        assert monoid.enumerate(bound) == frontier_reference(gens, bound), bound
+
+
+def test_the_staged_build_stops_just_past_its_caps():
+    # the count cap: one product past it, at each cap
+    for cap in (1, 2, 50, 288):
+        found, bits = mann._products(M23.generators, 16, cap=cap)
+        assert len(found) == cap + 1
+        assert bits == sum(v.bit_length() for v in found)
+    assert len(mann._products(M23.generators, 16, cap=289)[0]) == 289
+    # the bits cap: the last product found passes it, the ones before do not
+    found, bits = mann._products(M23.generators, 16, max_bits=1000)
+    assert bits - found[-1].bit_length() <= 1000 < bits
+    # <2, 4> at exponent bound 300: the build makes 90,601 products, 1
+    # included, whose bits total 40.9M; the 901 distinct ones hold 406,351
+    window = MannMonoid([2, 4]).elements_with_exponents(300)
+    assert window == [2 ** j for j in range(901)]
+
+
+def test_a_window_past_the_count_cap_is_refused_before_its_bits_are():
+    # seven primes at exponent bound 8 give 9^7 = 4,782,969 distinct products,
+    # within SCAN_CAP; three unknowns admit 2,449 of them, and the build stops
+    # at the next one, where building on to WINDOW_BITS would peak near 38 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="monoid scan of 3 unknowns exceeds the budget"):
+            _scan_window(MannMonoid([2, 3, 5, 7, 11, 13, 17]), 8, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_enumerate_past_window_bits_is_refused(capsys):
+    # the elements of the 25 primes below 100 grow about 3.4 times per decade
+    # of the bound; the refusal comes once they pass WINDOW_BITS, after
+    # 0.2 s untraced (2 CPUs, Python 3.11) and at a 43 MB traced peak
+    gens = ",".join(map(str, PRIMES_BELOW_100))
+    tracemalloc.start()
+    try:
+        code = cli.main(["mann", "enumerate", "--gens", gens, "--bound", str(10 ** 12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: monoid elements up to %d exceed %d bits\n" % (10 ** 12, WINDOW_BITS)
+    assert peak < 64 * 2 ** 20
+
+
+def test_canonical_divisor_lists_are_not_capped(capsys):
+    # x1 - x2 = 0 over <-2, 3> at exponent bound 230: the hits with an odd
+    # power of 2 in their gcd go through _canonical, over a divisor list of
+    # about 44 Mbit, past WINDOW_BITS
+    code = cli.main(["mann", "solve", "--gens=-2,3", "--eq", "x1 - x2 = 0",
+                     "--exp-bound", "230"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["base"] == [["-2", "-2"], ["1", "1"]]
