@@ -158,8 +158,8 @@ def _products(generators, exp_bound=None, bound=None, cap=math.inf, max_bits=WIN
     products or more than max_bits bits; the caller tells a stopped build by
     its size and bits.  Under a magnitude bound the stages miss nothing:
     |g| >= 2 for every generator, so every prefix of a product lies within
-    the product's absolute value.  The stage is sorted by absolute value,
-    and g^j multiplies only its head up to bound // |g^j|."""
+    the product's absolute value; g^j multiplies only the stage's head up
+    to bound // |g^j|, by absolute value, and no power past bound is made."""
     found = {1: None}   # a dict keeps the order of construction
     bits = 1
     for g in generators:
@@ -169,6 +169,8 @@ def _products(generators, exp_bound=None, bound=None, cap=math.inf, max_bits=WIN
             power *= g
             if bound is not None:
                 del stage[bisect.bisect_right(stage, bound // abs(power), key=abs):]
+                if not stage:
+                    break
             for v in map(power.__mul__, stage):
                 if v not in found:
                     found[v] = None

@@ -808,3 +808,16 @@ def test_canonical_divisor_lists_are_not_capped(capsys):
                      "--exp-bound", "230"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["base"] == [["-2", "-2"], ["1", "1"]]
+
+
+def test_enumerate_stops_its_powers_past_the_bound():
+    # x1 - x2 = 0 over <-G> with G of 1,001 digits: the hit (-G, -G) has gcd
+    # G, outside the window {-G, 1}, so the solve enumerates the monoid up to
+    # G; the powers of -G past G add nothing and must not be built
+    big = 10 ** 1000 + 1
+    monoid = MannMonoid([-big])
+    start = time.perf_counter()
+    assert monoid.enumerate(big) == [-big, 1]
+    result = solve_homogeneous([1, -1], monoid, 1)
+    assert time.perf_counter() - start < 1.0
+    assert result.base == [(-big, -big), (1, 1)]
