@@ -102,7 +102,8 @@ def _load_handle(path):
 
 def _parse_op(text):
     from . import operators
-    return operators.Operator.from_json(json.loads(text))
+    return operators.Operator.from_json(
+        json.loads(text, parse_int=lambda digits: _read_int(digits, "operator coefficient")))
 
 
 def _parse_ops(text):

@@ -1,8 +1,8 @@
 """Eventual periodicity of (r_n mod m) and divisibility index sets.
 
 Every supported sequence kind reduces to a finite-state machine modulo m:
-a recurrence walks its window of k residues, a power base multiplies one
-residue, factorial growth carries (residue, n mod m) since the step
+a recurrence walks its window of k residues (a power q^n is the order-1
+case), factorial growth carries (residue, n mod m) since the step
 multiplier n+3 only matters mod m (until the residue is 0), and sums run
 their parts' machines in lockstep.  The finite state space forces the orbit
 onto a rho-shaped tail, which a first-repeat dictionary walk finds with
@@ -157,8 +157,6 @@ class PeriodicIndexSet:
 def _machine(spec, m):
     """(initial_state, step, residue_of) for the sequence modulo m, or None
     when the kind has no finite-state presentation (tables)."""
-    if spec.kind == sq.KIND_POWER:
-        return (1 % m,), (lambda s: ((s[0] * spec.q) % m,)), (lambda s: s[0])
     if spec.kind == sq.KIND_RECURRENCE:
         k = len(spec.coeffs)
         init = tuple(v % m for v in spec.initials)

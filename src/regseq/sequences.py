@@ -6,7 +6,8 @@ theta in (1, oo].  Supported spec kinds:
 
 * ``recurrence`` -- linear recurrence r_{n+k} = a_0 r_n + ... + a_{k-1} r_{n+k-1}
   with strictly increasing positive initial terms;
-* ``power``      -- r_n = q^n for an integer base q >= 2;
+* ``power``      -- r_n = q^n for an integer base q >= 2, not a kind of its
+  own: it is read as the order-1 recurrence r_{n+1} = q r_n with r_0 = 1;
 * ``factorial``  -- evaluated as r_n = (n+2)!, which is strictly increasing
   from r_0 = 2 (n! itself repeats 1, 1 at the start);
 * ``sum``        -- pointwise sum of sub-specs;
@@ -29,6 +30,8 @@ BoundedCheck over the scanned window.
 """
 
 import ast
+import math
+import operator
 from fractions import Fraction
 
 from . import polyops
@@ -36,7 +39,7 @@ from .jsonio import _json_int, _json_ints, _json_list
 from .certs import Proved, BoundedCheck
 
 KIND_RECURRENCE = "recurrence"
-KIND_POWER = "power"
+KIND_POWER = "power"  # a JSON spelling, read as an order-1 recurrence
 KIND_FACTORIAL = "factorial"
 KIND_SUM = "sum"
 KIND_TABLE = "table"
@@ -80,12 +83,11 @@ class CacheBudgetExceeded(ValueError):
 class SequenceSpec:
     """Declarative description of a sequence; immutable once constructed."""
 
-    def __init__(self, kind, coeffs=None, initials=None, q=None, parts=None,
+    def __init__(self, kind, coeffs=None, initials=None, parts=None,
                  values=None, generator=None):
         self.kind = kind
         self.coeffs = tuple(int(c) for c in coeffs) if coeffs is not None else None
         self.initials = tuple(int(c) for c in initials) if initials is not None else None
-        self.q = int(q) if q is not None else None
         self.parts = tuple(parts) if parts is not None else None
         self.values = tuple(int(v) for v in values) if values is not None else None
         self.generator = generator
@@ -99,7 +101,10 @@ class SequenceSpec:
 
     @staticmethod
     def power(q):
-        return SequenceSpec(KIND_POWER, q=q)
+        """q^n: the order-1 recurrence with coefficient q and r_0 = 1."""
+        if q < 2:
+            raise ValueError("power base must be an integer >= 2")
+        return SequenceSpec.recurrence([q], [1])
 
     @staticmethod
     def factorial():
@@ -124,9 +129,6 @@ class SequenceSpec:
                 if v <= prev:
                     raise MonotonicityError(i, v, prev)
                 prev = v
-        elif self.kind == KIND_POWER:
-            if self.q is None or self.q < 2:
-                raise ValueError("power base must be an integer >= 2")
         elif self.kind == KIND_FACTORIAL:
             pass
         elif self.kind == KIND_SUM:
@@ -147,7 +149,7 @@ class SequenceSpec:
         """Canonical hashable identity of the spec."""
         if self.kind == KIND_SUM:
             return (self.kind, tuple(p.key() for p in self.parts))
-        return (self.kind, self.coeffs, self.initials, self.q, self.values,
+        return (self.kind, self.coeffs, self.initials, self.values,
                 self.generator)
 
     def __eq__(self, other):
@@ -157,8 +159,6 @@ class SequenceSpec:
         return hash(self.key())
 
     def __repr__(self):
-        if self.kind == KIND_POWER:
-            return "SequenceSpec(power %d)" % self.q
         if self.kind == KIND_RECURRENCE:
             return "SequenceSpec(recurrence %s / %s)" % (self.coeffs, self.initials)
         if self.kind == KIND_SUM:
@@ -172,8 +172,6 @@ class SequenceSpec:
             return {"kind": self.kind,
                     "coeffs": [str(c) for c in self.coeffs],
                     "initials": [str(c) for c in self.initials]}
-        if self.kind == KIND_POWER:
-            return {"kind": self.kind, "q": str(self.q)}
         if self.kind == KIND_FACTORIAL:
             return {"kind": self.kind}
         if self.kind == KIND_SUM:
@@ -339,10 +337,6 @@ class SequenceHandle:
 
     def _raw(self, n):
         s = self.spec
-        if s.kind == KIND_POWER:
-            if n == 0:
-                return 1
-            return self.cache[n - 1] * s.q
         if s.kind == KIND_FACTORIAL:
             if n == 0:
                 return 2
@@ -351,7 +345,7 @@ class SequenceHandle:
             k = len(s.coeffs)
             if n < k:
                 return s.initials[n]
-            return sum(s.coeffs[i] * self.cache[n - k + i] for i in range(k))
+            return sum(map(operator.mul, s.coeffs, self.cache[n - k:n]))
         if s.kind == KIND_SUM:
             return sum(p.eval(n) for p in self.parts)
         # table
@@ -402,8 +396,6 @@ def char_poly(spec):
     (factorial growth, bare tables)."""
     if spec.kind == KIND_RECURRENCE:
         return CharPoly([-c for c in spec.coeffs] + [1])
-    if spec.kind == KIND_POWER:
-        return CharPoly([-spec.q, 1])
     if spec.kind == KIND_SUM:
         acc = None
         for p in spec.parts:
@@ -418,10 +410,9 @@ def char_poly(spec):
 def power_base_expansion(spec):
     """When the sequence is exactly a sum of geometric terms, return the list
     of (base, multiplicity) pairs with distinct bases, sorted by base;
-    otherwise None.  Covers power specs, order-1 recurrences (c * a^n with
-    a >= 2; a smaller a does not grow) and sums of such."""
-    if spec.kind == KIND_POWER:
-        return [(spec.q, 1)]
+    otherwise None.  Covers order-1 recurrences (c * a^n with a >= 2; a
+    smaller a does not grow), among them every power spec (c = 1), and sums
+    of such."""
     if spec.kind == KIND_RECURRENCE and len(spec.coeffs) == 1:
         return [(spec.coeffs[0], spec.initials[0])] if spec.coeffs[0] >= 2 else None
     if spec.kind == KIND_SUM:
@@ -490,20 +481,17 @@ class RegularityReport:
 def kepler_limit(handle):
     """The ratio limit with the strongest certification available.
 
-    Factorial growth is Infinite outright.  Power bases are exact (degenerate
-    interval).  Irreducible recurrences get the largest real root of the
-    characteristic polynomial isolated by Sturm bisection, cross-checked
-    against the actual ratios -- if they disagree the limit is Unknown rather
-    than a fabricated algebraic claim.  Sums take the maximum of their parts'
-    limits.  Everything else (tables, sums with an uncertified part,
-    reducible recurrences) is Unknown.
+    Factorial growth is Infinite outright.  Order-1 recurrences, powers among
+    them, are exact (degenerate interval).  Irreducible recurrences get the
+    largest real root of the characteristic polynomial isolated by Sturm
+    bisection, cross-checked against the actual ratios -- if they disagree
+    the limit is Unknown rather than a fabricated algebraic claim.  Sums take
+    the maximum of their parts' limits.  Everything else (tables, sums with
+    an uncertified part, reducible recurrences) is Unknown.
     """
     spec = handle.spec
     if spec.kind == KIND_FACTORIAL:
         return KeplerLimit.infinite()
-    if spec.kind == KIND_POWER:
-        q = Fraction(spec.q)
-        return KeplerLimit.algebraic(CharPoly([-spec.q, 1]), (q, q))
     if spec.kind == KIND_RECURRENCE:
         return _kepler_recurrence(handle)
     if spec.kind == KIND_SUM:
@@ -712,11 +700,9 @@ def dominance_cutoff(handle, eps, degree=1, budget=RATIO_SCAN_BUDGET):
     kepler = _cached_kepler(handle)
     if kepler.is_infinite:
         if handle.spec.kind == KIND_FACTORIAL:
-            # ratio r_{n+1}/r_n = n+3, exactly and strictly increasing
-            k = 0
-            while Fraction(k + 3) <= 1 / eps:
-                k += 1
-            return k, Proved("exact-ratio")
+            # ratio r_{n+1}/r_n = n+3, exactly and strictly increasing: the
+            # least k with k + 3 > 1/eps
+            return max(0, math.floor(1 / eps) - 2), Proved("exact-ratio")
         return _scan_ratio_cutoff(handle, 1 / eps, budget)
 
     data = _contraction_data(handle)

@@ -532,3 +532,54 @@ def test_usage_error_is_one_line(capsys, argv):
     assert exc.value.code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Integers read from input have at most jsonio.MAX_READ_DIGITS digits, checked
+# before int(): one more is a one-line refusal naming the ceiling, in an
+# option, a generator list, a JSON number of a spec file and an operator alike.
+def _digit_ceiling_argv(tmp_path, place, big):
+    if place == "option":
+        return ["mann", "enumerate", "--gens", "2,3", "--bound", big]
+    if place == "gens":
+        return ["mann", "enumerate", "--gens", "2," + big, "--bound", "100"]
+    if place == "json-number":
+        seq = tmp_path / "big.json"
+        seq.write_text('{"kind": "power", "q": %s}' % big, encoding="utf-8")
+        return ["eval", "--seq", str(seq), "--n", "1"]
+    return ["eval", "--seq", _pow2_file(tmp_path), "--n", "0", "--op", "[%s,1]" % big]
+
+
+# What each place answers at the ceiling: r_1 = q of the power, the
+# operator's value N r_0 + r_1, the powers of 2 up to 100.
+CEILING_ANSWERS = {"json-number": ("element", str(10 ** 4299)),
+                   "operator": ("value", str(10 ** 4299 + 2)),
+                   "gens": ("elements", ["1", "2", "4", "8", "16", "32", "64"])}
+
+
+@pytest.mark.parametrize("place", ["option", "gens", "json-number", "operator"])
+def test_integer_digit_ceiling_boundary(tmp_path, capsys, place):
+    assert jsonio.MAX_READ_DIGITS == 4300
+    big = "1" + "0" * 4299
+    code = cli.main(_digit_ceiling_argv(tmp_path, place, big))
+    captured = capsys.readouterr()
+    if place == "option":  # read, then refused by its range
+        assert code == 3 and captured.err.startswith("error: --bound must be between 1 and ")
+    else:
+        key, want = CEILING_ANSWERS[place]
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)[key] == want
+    code, err = _exit_and_stderr(capsys, _digit_ceiling_argv(tmp_path, place, big + "0"))
+    field = {"option": "--bound", "gens": "--gens", "json-number": "a JSON integer",
+             "operator": "operator coefficient"}[place]
+    assert code == 3
+    assert err == "error: %s has 4301 digits, more than 4300 (jsonio.MAX_READ_DIGITS)\n" % field
+
+
+def test_read_int_digit_ceiling_counts_digits_not_the_sign():
+    top = jsonio.MAX_READ_DIGITS
+    assert jsonio._read_int("-" + "9" * top, "field") == -(10 ** top - 1)
+    assert jsonio._read_int("+" + "0" * top, "field") == 0
+    with pytest.raises(ValueError, match=r"^field has 4301 digits, more than 4300 "):
+        jsonio._read_int("0" * (top + 1), "field")
+    with pytest.raises(ValueError, match=r"^q has 4301 digits"):
+        SequenceSpec.from_json({"kind": "power", "q": "2" * (top + 1)})

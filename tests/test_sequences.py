@@ -5,12 +5,15 @@ directly in this file, never by the code under test.
 """
 
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from regseq import equations, polyops
 from regseq import sequences as sq
+from regseq.certs import Proved
 from regseq.sequences import (KeplerLimit, MonotonicityError, SequenceSpec,
                               TableExhausted, kepler_limit, make_handle)
 
@@ -375,3 +378,119 @@ def test_integer_ratio_check_window_is_ten_to_ninety_nine(jump):
     inside = not 10 <= jump <= 99
     assert _ratios_within_by_fractions(h, lo, hi) == inside
     assert sq._ratios_within(h, lo, hi) == inside
+
+
+# -- a power is the order-1 recurrence ------------------------------------------
+
+def test_power_is_the_order_one_recurrence():
+    for q in (2, 3, 10, 10 ** 40):
+        order1 = SequenceSpec.recurrence([q], [1])
+        assert SequenceSpec.power(q) == order1
+        assert SequenceSpec.from_json({"kind": "power", "q": str(q)}) == order1
+        assert SequenceSpec.from_json({"kind": "power", "q": q}) == order1
+
+
+@pytest.mark.parametrize("q", [1, -3])
+def test_power_base_below_two_is_refused(q):
+    with pytest.raises(ValueError, match=r"^power base must be an integer >= 2$"):
+        SequenceSpec.power(q)
+    with pytest.raises(ValueError, match=r"^power base must be an integer >= 2$"):
+        SequenceSpec.from_json({"kind": "power", "q": str(q)})
+
+
+def test_list_valued_power_base_is_refused():
+    with pytest.raises(ValueError, match=re.escape(
+            "q must be an integer or a decimal string, not ['2']")):
+        SequenceSpec.from_json({"kind": "power", "q": ["2"]})
+
+
+def _spelling_battery(handle):
+    """Canonical JSON of one question of each layer about handle's sequence."""
+    from regseq import congruence, decide, formulas, jsonio
+    from regseq.operators import Operator, classify
+    q = handle.eval(1)
+    texts = ["E x in R. E y in R. x + y = 24 & x != y",
+             "E x in R. E y in R. E z in R. x + y = z + 5"]
+    problem = equations.EquationProblem(handle, [[1], [1], [-1]], 0)
+    return [jsonio.dumps(report) for report in [
+        classify(Operator([1, -4, 1]), handle).to_json(),
+        classify(Operator([-q, 1]), handle).to_json(),
+        congruence.profile(handle, 12).to_json(),
+        equations.solve_full(problem).to_json(),
+        *[decide.decide(formulas.parse(text), handle).to_json(handle) for text in texts],
+        decide.verify_ax5(handle, Operator([1, -5, 1])).to_json(),
+        decide.verify_ax6(handle, [Operator([2]), Operator([-1])]).to_json()]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_both_spellings_of_a_power_answer_alike(q):
+    power = make_handle(SequenceSpec.from_json({"kind": "power", "q": str(q)}))
+    order1 = make_handle(SequenceSpec.from_json(
+        {"kind": "recurrence", "coeffs": [str(q)], "initials": ["1"]}))
+    assert _spelling_battery(power) == _spelling_battery(order1)
+
+
+def reference_recurrence(coeffs, initials, count):
+    vals = list(initials)
+    k = len(coeffs)
+    for n in range(k, count):
+        total = 0
+        for i in range(k):
+            total += coeffs[i] * vals[n - k + i]
+        vals.append(total)
+    return vals[:count]
+
+
+RECURRENCE_STEPS = [
+    ([3], [1]), ([7], [5]),
+    ([-1, 3], [1, 2]), ([0, 2], [1, 3]), ([1, 1], [1, 2]),
+    ([1, 0, 2], [1, 2, 3]), ([-1, 0, 3], [1, 2, 4]), ([2, -1, 2], [1, 3, 4]),
+    ([2, -1, 0, 2], [1, 2, 3, 4]), ([-1, 0, 1, 2], [1, 2, 3, 5]),
+]
+
+
+def test_recurrence_step_matches_a_plain_loop():
+    rng = random.Random(30)
+    cases = list(RECURRENCE_STEPS)
+    while len(cases) < 30:
+        k = rng.randint(1, 4)
+        coeffs = [rng.randint(-2, 3) for _ in range(k)]
+        initials = sorted(rng.sample(range(1, 40), k))
+        want = reference_recurrence(coeffs, initials, 300)
+        if all(0 < a < b for a, b in zip(want, want[1:])):
+            cases.append((coeffs, initials))
+    assert {len(c) for c, _ in cases} == {1, 2, 3, 4}
+    assert any(c < 0 for cs, _ in cases for c in cs)
+    assert any(c == 0 for cs, _ in cases for c in cs)
+    for coeffs, initials in cases:
+        handle = make_handle(SequenceSpec.recurrence(coeffs, initials))
+        assert handle.values(299) == reference_recurrence(coeffs, initials, 300), coeffs
+
+
+# -- factorial's exact-ratio cutoff ----------------------------------------------
+
+def test_factorial_cutoff_is_immediate_for_a_tiny_eps():
+    handle = make_handle(SequenceSpec.factorial())
+    start = time.perf_counter()
+    cutoff = sq.dominance_cutoff(handle, Fraction(1, 10 ** 12))
+    assert time.perf_counter() - start < 1
+    assert cutoff == (10 ** 12 - 2, Proved("exact-ratio"))
+
+
+def reference_factorial_cutoff(eps):
+    k = 0
+    while Fraction(k + 3) <= 1 / eps:
+        k += 1
+    return k
+
+
+def test_factorial_cutoff_matches_the_ratio_walk():
+    rng = random.Random(30)
+    grid = [Fraction(1, d) for d in range(1, 60)]
+    grid += [Fraction(rng.randint(1, 40), rng.randint(1, 400)) for _ in range(200)]
+    assert any((1 / e).denominator == 1 for e in grid)
+    assert any((1 / e).denominator > 1 for e in grid)
+    handle = make_handle(SequenceSpec.factorial())
+    for eps in grid:
+        assert sq.dominance_cutoff(handle, eps) == \
+            (reference_factorial_cutoff(eps), Proved("exact-ratio")), eps
