@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from regseq import equations, polyops
+from regseq import congruence, decide, equations, formulas, jsonio, polyops
 from regseq import sequences as sq
 from regseq.certs import Proved
+from regseq.operators import Operator, classify
 from regseq.sequences import (KeplerLimit, MonotonicityError, SequenceSpec,
                               TableExhausted, kepler_limit, make_handle)
 
@@ -406,8 +407,6 @@ def test_list_valued_power_base_is_refused():
 
 def _spelling_battery(handle):
     """Canonical JSON of one question of each layer about handle's sequence."""
-    from regseq import congruence, decide, formulas, jsonio
-    from regseq.operators import Operator, classify
     q = handle.eval(1)
     texts = ["E x in R. E y in R. x + y = 24 & x != y",
              "E x in R. E y in R. E z in R. x + y = z + 5"]
