@@ -35,13 +35,18 @@ the power E, signs kept, every ratio y / x of two window elements, times L,
 is a product of the generators with exponents in [0, 2E], so it lies in the
 wide window at bound 2E.  Solving b u + c v = -a L over that wide window
 takes one lookup per u, about (2E + 1)^k where the direct scan makes W^2,
-and each solution (u, v) gives the hits (x, x u / L, x v / L), for the x of
-the window with both coordinates in it: exactly the direct scan's hits.
-The wide window holds at most (2E + 1)^k elements and at most W^2, one per
-ratio.  Within the three-term cap W <= 2449, 11 independent generators at
-E = 1 make 3^11 = 177,147 of them, from a 2,048-element window; a solve
-there peaks at about 28 MB (tests/test_mann.py).  Once the wide window's
-bits pass WINDOW_BITS the solve scans the window directly instead.
+and each solution, a ratio pair (u, v), gives the hits (x, x u / L,
+x v / L) for the x of the window with both coordinates in it: exactly the
+direct scan's hits.  Where the generators are independent (their exponent
+vectors over a coprime base of their absolute values have rank k), each
+vector gives its own product and the x of a pair are the vectors of a box,
+read from the wide window by index, with y and z at fixed index offsets;
+else every x of the window is tried.  The wide window holds at most
+(2E + 1)^k elements and at most W^2, one per ratio.  Within the three-term
+cap W <= 2449, 11 independent generators at E = 1 make 3^11 = 177,147 of
+them, from a 2,048-element window; a solve there peaks at about 33 MB
+(tests/test_mann.py).  Once the wide window's bits pass WINDOW_BITS the
+solve scans the window directly instead.
 
 Base tuples are canonicalized by sorting the slots that share a coefficient
 and dividing out the largest monoid element that leaves all coordinates in
@@ -50,6 +55,13 @@ coordinates.  A homogeneous solve settles most of its hits in one pass over
 them as columns: where g and every coordinate over g lie in the scanned
 window, g is that element.  Only the other hits go through _canonical, and
 the monoid is enumerated for them alone, once, up to their largest gcd.
+Over independent generators, at most one of them negative, two hits of one
+pair whose x share a sign differ by a ratio of positive elements of M,
+which moves no canonical form: one hit per pair and sign of x is
+canonicalised.  Not so with two negative generators: over <-2, -3> the hits
+(-2, -2, -2) and (-3, -3, -3) of x1 + x2 - 2 x3 = 0 share a pair and are
+both canonical.  Those monoids, dependent ones such as <2, 12, 18> and
+every direct scan canonicalise every hit.
 """
 
 import bisect
@@ -150,7 +162,8 @@ class MannMonoid:
 def _products(generators, exp_bound=None, bound=None, cap=math.inf, max_bits=WINDOW_BITS):
     """The distinct products of the generators with every exponent at most
     exp_bound, or else with absolute value at most bound, in order of
-    construction, and the sum of their bit lengths.
+    construction (for independent generators under an exponent bound E,
+    exponent vector e at index sum_i e_i (E + 1)^i), and their total bits.
 
     Each stage multiplies the products found before its generator g by the
     powers of g and keeps the products it lacks, counting the bits of each
@@ -163,7 +176,7 @@ def _products(generators, exp_bound=None, bound=None, cap=math.inf, max_bits=WIN
     found = {1: None}   # a dict keeps the order of construction
     bits = 1
     for g in generators:
-        stage = sorted(found, key=abs)
+        stage = list(found) if bound is None else sorted(found, key=abs)
         power = 1
         for _ in range(exp_bound if bound is None else bound.bit_length()):
             power *= g
@@ -237,39 +250,105 @@ def _scan(coeffs, target, elements):
             if not _degenerate([a * v for a, v in zip(coeffs, tup)])]
 
 
-def _ratio_scan(coeffs, monoid, exp_bound, window):
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 of which every positive value is a
+    product: an entry a sharing g = gcd(a, b) > 1 with an element b of the
+    base is split into g, a / g and b / g, until none does (the quadratic
+    form of Bernstein's refinement, J. Algorithms 54, 2005)."""
+    base, todo = [], list(values)
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += filter((1).__lt__, (g, a // g, b // g))
+                break
+        else:
+            base.append(a)
+    return base
+
+
+def _independent(generators):
+    """Whether the exponent vectors of the generators' absolute values over
+    their coprime base have rank k: distinct vectors give distinct products."""
+    def valuation(n, p):
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        return e
+    base = _coprime_base(map(abs, generators))
+    rows = [[valuation(abs(g), p) for p in base] for g in generators]
+    rank = 0
+    for col in range(len(base)):
+        rest = rows[rank:]
+        pivot = next((r for r in rest if r[col]), None)
+        if pivot is not None:
+            rest.remove(pivot)
+            rows[rank:] = [pivot] + [[pivot[col] * x - r[col] * y for x, y in zip(r, pivot)]
+                                     for r in rest]
+            rank += 1
+    return rank == len(generators)
+
+
+def _ratio_scan(coeffs, monoid, exp_bound, window, reps=None):
     """_scan(coeffs, 0, window), hit for hit and in the same order, for three
-    coefficients a, b, c and the monoid's window at exp_bound, found through
+    coefficients a, b, c and the monoid's window at exp_bound E, found through
     the ratios of each hit; None when the wide window passes WINDOW_BITS.
 
-    Let L be the product of the generators to the power E = exp_bound, signs
-    kept.  A hit (x, y, z) gives the ratios u = y L / x and v = z L / x.
-    Writing x and y with exponent vectors in [0, E] (any of them, when the
-    generators are dependent), u is the product of the generators with
-    exponents E + (y's) - (x's), all in [0, 2E]: u, and likewise v, lies in
-    the wide window, _products at 2E, and b u + c v = -a L.  Those (u, v)
-    are the kernel's two-row case, one lookup of -a L - b u per u among the
-    c v; the wide window has no repeats, so a map from c v to v serves.
-    Conversely each (u, v) and each x in the window with x u and x v in
-    L * window give the hit (x, x u / L, x v / L), read through one map from
-    L * w to w, and distinct (u, v) give distinct hits.  Both steps run in C
-    iterators.  Three nonzero terms summing to 0 have no vanishing proper
-    sub-sum, so no hit is degenerate."""
-    wide, bits = _products(monoid.generators, 2 * exp_bound)
+    With L the product of the generators to the power E, a hit (x, y, z)
+    gives u = y L / x and v = z L / x in the wide window, with
+    b u + c v = -a L, the kernel's two-row case: one lookup of -a L - b u
+    per u, in a map from c v to the index of v.  Three nonzero terms summing
+    to 0 have no vanishing proper sub-sum, so no hit is degenerate.  Over
+    dependent generators the hits of (u, v) are (x, x u / L, x v / L) for
+    each x of the window with x u and x v in L * window, through a map from
+    L * w to w.  Over independent ones u has the exponent vector E + du, and
+    the x of its hits are the vectors of the box prod_i [max(0, -du_i,
+    -dv_i), E - max(0, du_i, dv_i)].  With at most one negative generator a
+    list `reps` gets the hit of the box's lowest corner, and of the next
+    vector along the negative generator if the box holds one: a hit of each
+    sign of x."""
+    gens = monoid.generators
+    wide, bits = _products(gens, 2 * exp_bound)
     if bits > WINDOW_BITS:
         return None
     a, b, c = coeffs
-    lead = math.prod(g ** exp_bound for g in monoid.generators)
-    solve_v = dict(zip(map(c.__mul__, wide), wide)).get
-    # a miss is None and every element nonzero, so `all` keeps the solutions
-    ratios = filter(all, zip(wide, map(solve_v, map((-a * lead).__sub__,
-                                                    map(b.__mul__, wide)))))
-    unscale = dict(zip(map(lead.__mul__, window), window)).get
+    lead = math.prod(g ** exp_bound for g in gens)
+    # one plus the indices of u and v; a miss is None, so `all` keeps the solutions
+    where_v = dict(zip(map(c.__mul__, wide), itertools.count(1))).get
+    ratios = filter(all, enumerate(map(where_v, map((-a * lead).__sub__,
+                                                    map(b.__mul__, wide))), 1))
     found = []
-    for u, v in ratios:
-        ys = list(map(unscale, map(u.__mul__, window)))
-        xs = list(itertools.compress(window, ys))
-        found += filter(all, zip(xs, filter(None, ys), map(unscale, map(v.__mul__, xs))))
+    if _independent(gens):
+        radix = 2 * exp_bound + 1
+        places = [radix ** k for k in range(len(gens))]
+        centre = 1 + exp_bound * sum(places)
+        negative = [k for k, g in enumerate(gens) if g < 0]
+        at = wide.__getitem__
+        for i, j in ratios:
+            dy, dz = i - centre, j - centre     # the index offsets of y and z from x
+            box = []
+            for p in places:
+                du, dv = (i - 1) // p % radix - exp_bound, (j - 1) // p % radix - exp_bound
+                lo, hi = max(0, -du, -dv), exp_bound - max(0, du, dv)
+                if lo > hi:
+                    break
+                box.append(range(lo * p, (hi + 1) * p, p))
+            else:
+                xs = list(map(sum, itertools.product(*box)))
+                found += zip(map(at, xs), map(at, map(dy.__add__, xs)),
+                             map(at, map(dz.__add__, xs)))
+                if reps is not None and len(negative) < 2:
+                    starts = [xs[0]] + [xs[0] + places[k] for k in negative if len(box[k]) > 1]
+                    reps += [(at(s), at(s + dy), at(s + dz)) for s in starts]
+    else:
+        unscale = dict(zip(map(lead.__mul__, window), window)).get
+        for i, j in ratios:
+            ys = list(map(unscale, map(wide[i - 1].__mul__, window)))
+            xs = list(itertools.compress(window, ys))
+            found += filter(all, zip(xs, filter(None, ys),
+                                     map(unscale, map(wide[j - 1].__mul__, xs))))
     found.sort()
     return found
 
@@ -477,10 +556,11 @@ def _solve_homogeneous(coeffs, monoid, exp_bound, memo):
         if memo["splits"] > SPLIT_CAP:
             raise ValueError("homogeneous solve visits more than %d split "
                              "candidates (mann.SPLIT_CAP)" % SPLIT_CAP)
-    scanned = _ratio_scan(coeffs, monoid, exp_bound, window) if n == 3 else None
+    reps = []   # left empty, it leaves every hit to canonicalise
+    scanned = _ratio_scan(coeffs, monoid, exp_bound, window, reps) if n == 3 else None
     if scanned is None:
         scanned = _scan(coeffs, 0, window)
-    base = _canonical_base(coeffs, monoid, scanned, set(window), _slot_groups(coeffs))
+    base = _canonical_base(coeffs, monoid, reps or scanned, set(window), _slot_groups(coeffs))
     splits = []
     for size in range(2, n - 1):
         for sub in itertools.combinations(range(n), size):

@@ -677,9 +677,10 @@ def test_a_wide_window_past_its_bits_falls_back_to_the_direct_scan():
 def test_the_largest_wide_window_at_the_three_term_cap():
     # 11 independent generators at exponent bound 1: a 2,048-element window,
     # within the three-term cap of 2,449, and 3^11 = 177,147 wide elements.
-    # Traced, the solve peaks at 28.0 MB whatever the coefficients (the wide
-    # window and its map of c v to v); untraced, the [1, 1, -1] solve takes
-    # 0.52 s, and 0.41 s by the direct scan (min of 3, 2 CPUs, Python 3.11)
+    # Traced, the solve peaks at 32.7 MB whatever the coefficients (the wide
+    # window and its map of c v to the index of v); untraced, the [1, 1, -1]
+    # solve takes 0.23 s, and 0.44 s by the direct scan (min of 3, 2 CPUs,
+    # Python 3.11)
     monoid = MannMonoid([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     assert len(_scan_window(monoid, 1, 3)) == 2 ** 11 <= _largest_window(3)
     assert len(mann._products(monoid.generators, 2)[0]) == 3 ** 11
@@ -694,6 +695,119 @@ def test_the_largest_wide_window_at_the_three_term_cap():
     sols = solve_homogeneous([1, 1, -1], monoid, 1)
     assert time.perf_counter() - start < 10
     assert len(sols.scanned) == 39_590 and len(sols.base) == 516
+
+
+# ---------------------------------------------------------------------------
+# The vector route over independent generators
+# ---------------------------------------------------------------------------
+
+# independent generators, two and one of them negative, and one independent
+# set that is not coprime: 10 = 2 * 5 and 6 * 10 * 15 = 30^2
+VECTOR_MONOIDS = RATIO_MONOIDS + ([-2, -3], [2, -3, -5], [2, 3, 10], [6, 10, 15])
+
+
+@pytest.mark.parametrize("gens", VECTOR_MONOIDS)
+def test_every_route_gives_the_canonical_form_of_every_hit(monkeypatch, gens):
+    # exponent bound 1 makes L negative over a negative generator; the larger
+    # bound is the largest up to 8 whose window keeps the direct scan cheap
+    monoid = MannMonoid(gens)
+    top = max(itertools.takewhile(lambda e: len(monoid.elements_with_exponents(e)) <= 150,
+                                  range(1, 9)))
+    for e in sorted({1, top}):
+        for coeffs in RATIO_COEFFS:
+            sols = solve_homogeneous(coeffs, monoid, e)
+            assert sols.base == sorted({_canonical(coeffs, monoid, t) for t in sols.scanned}), \
+                (coeffs, e)
+            assert sols.to_json() == _direct_solve(monkeypatch, coeffs, monoid, e).to_json(), \
+                (coeffs, e)
+
+
+def _ratio_pair(hit):
+    x, y, z = hit
+    return Fraction(y, x), Fraction(z, x)
+
+
+@pytest.mark.parametrize("gens, coeffs, e, per_pair", [
+    ([2, 3], [1, 1, -1], 16, 1),          # 1,684 hits from 7 pairs
+    ([-2, 3], [1, 1, -1], 8, 2),
+    ([-2, 3], [1, 2, -3], 9, 2),
+    ([-2, -3], [1, 1, -2], 4, None),
+    ([2, 12, 18], [1, 2, -1], 4, None),
+])
+def test_canonical_base_sees_one_hit_per_pair_and_sign(monkeypatch, gens, coeffs, e, per_pair):
+    # one hit per pair on the vector route with no negative generator, one
+    # of each sign of x with one; every hit with two, or with dependent
+    # generators
+    seen = []
+    real = mann._canonical_base
+
+    def recording(coeffs, monoid, hits, *args):
+        seen.append(list(hits))
+        return real(coeffs, monoid, hits, *args)
+    monkeypatch.setattr(mann, "_canonical_base", recording)
+    sols = solve_homogeneous(coeffs, MannMonoid(gens), e)
+    [hits] = seen
+    pairs = set(map(_ratio_pair, sols.scanned))
+    assert set(hits) <= set(sols.scanned)
+    if per_pair is None:
+        assert sorted(hits) == sols.scanned
+    else:
+        assert set(map(_ratio_pair, hits)) == pairs
+        assert len({(_ratio_pair(h), h[0] > 0) for h in hits}) == len(hits)
+        assert len(hits) <= per_pair * len(pairs) < len(sols.scanned)
+
+
+def test_two_negative_generators_break_the_invariance():
+    # over <-2, -3> the hits (-2, -2, -2) and (-3, -3, -3) of x1 + x2 - 2 x3 = 0
+    # share their pair and x's sign, yet both are canonical
+    monoid = MannMonoid([-2, -3])
+    sols = solve_homogeneous([1, 1, -2], monoid, 2)
+    for hit in ((-2, -2, -2), (-3, -3, -3)):
+        assert hit in sols.scanned
+        assert _canonical([1, 1, -2], monoid, hit) == hit
+        assert hit in sols.base
+
+
+@pytest.mark.parametrize("gens, independent", [
+    ([2, 3, 10], True), ([6, 10, 15], True), ([12, 18], True), ([-2, 3], True),
+    ([4, 6, 9], False), ([2, 4, 8, 16], False), ([2, -2], False), ([2, 12, 18], False),
+    ([-6, 4, 9], False),
+])
+def test_independence_over_a_coprime_base(gens, independent):
+    assert mann._independent(MannMonoid(gens).generators) is independent
+
+
+def test_coprime_base_splits_shared_factors():
+    rng = random.Random(11)
+    for _ in range(200):
+        values = [math.prod(rng.choice([2, 3, 5, 7, 6, 10, 12, 49]) for _ in range(4))
+                  for _ in range(rng.randint(1, 4))]
+        base = mann._coprime_base(values)
+        assert all(b > 1 for b in base)
+        assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(base, 2))
+        for v in values:
+            for p in base:
+                while v % p == 0:
+                    v //= p
+            assert v == 1
+    assert sorted(mann._coprime_base([6, 10, 15])) == [2, 3, 5]
+
+
+def test_independence_of_a_huge_generator_is_quick():
+    # 3^31500 has 49,927 bits; the coprime base {2, 3^31500} needs no factoring
+    start = time.perf_counter()
+    assert mann._independent((2, 3 ** 31_500))
+    assert time.perf_counter() - start < 0.25
+
+
+@pytest.mark.parametrize("gens", [[2, 3], [-2, 3, 5], [2, 3, 10], [-7]])
+def test_exponent_windows_come_in_mixed_radix_order(gens):
+    # exponent vector e at index sum_i e_i (E + 1)^i, the first generator fastest
+    for e in range(5):
+        vectors = (exps[::-1] for exps in itertools.product(range(e + 1), repeat=len(gens)))
+        want = [math.prod(g ** x for g, x in zip(gens, exps)) for exps in vectors]
+        assert mann._products(MannMonoid(gens).generators, e) == \
+            (want, sum(v.bit_length() for v in want))
 
 
 # ---------------------------------------------------------------------------
